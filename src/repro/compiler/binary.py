@@ -148,23 +148,23 @@ def finalize(
                 continue
 
             for index, insn in enumerate(block.instructions):
-                category = insn.opcode.category
-                mix[category] += count
-                reg_reads += count * insn.opcode.register_reads
-                if insn.has_tag(TAG_SPILL):
+                opcode = insn.opcode
+                mix[opcode.category] += count
+                reg_reads += count * opcode.register_reads
+                if TAG_SPILL in insn.tags:
                     spill_dyn += count
                 for distance, kind in insn.deps:
                     if distance <= MAX_PROFILED_DISTANCE:
                         key = (kind, distance)
                         stall_profile[key] = stall_profile.get(key, 0.0) + count
 
-                if insn.opcode.is_branch:
+                if opcode.is_branch:
                     branch_sites += 1
                     dyn_branches += count
                     taken = _taken_fraction(block, index, insn)
                     dyn_taken += count * taken
                     predictability_weighted += count * block.predictability
-                    if insn.opcode is Opcode.CALL or insn.opcode is Opcode.RET:
+                    if opcode is Opcode.CALL or opcode is Opcode.RET:
                         dyn_calls += count
                     aligned_taken += (
                         count

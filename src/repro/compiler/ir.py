@@ -35,88 +35,47 @@ class Opcode(enum.Enum):
     The categories mirror the functional units tracked by the paper's
     performance counters (Table 1): ALU, MAC (multiply-accumulate) and the
     barrel shifter, plus memory and control flow.
+
+    Each member is defined as ``(value, category, register reads)``.  Its
+    constants are set once as plain attributes, not recomputed by
+    properties on every lookup in the hot compile and finalize loops:
+
+    * ``category``: functional unit — alu, mac, shift, load, store or ctrl;
+    * ``register_reads``: register-file read ports consumed, for the
+      regfile counter;
+    * ``is_memory``: loads and stores;
+    * ``is_branch``: control transfers that consult the branch predictor
+      and BTB (every ctrl opcode except NOP).
     """
 
-    ADD = "add"
-    SUB = "sub"
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    CMP = "cmp"
-    MOV = "mov"
-    MUL = "mul"
-    MAC = "mac"
-    SHL = "shl"
-    SHR = "shr"
-    LOAD = "load"
-    STORE = "store"
-    BR = "br"
-    JMP = "jmp"
-    CALL = "call"
-    RET = "ret"
-    NOP = "nop"
+    ADD = ("add", "alu", 2)
+    SUB = ("sub", "alu", 2)
+    AND = ("and", "alu", 2)
+    OR = ("or", "alu", 2)
+    XOR = ("xor", "alu", 2)
+    CMP = ("cmp", "alu", 2)
+    MOV = ("mov", "alu", 1)
+    MUL = ("mul", "mac", 2)
+    MAC = ("mac", "mac", 3)
+    SHL = ("shl", "shift", 2)
+    SHR = ("shr", "shift", 2)
+    LOAD = ("load", "load", 1)
+    STORE = ("store", "store", 2)
+    BR = ("br", "ctrl", 1)
+    JMP = ("jmp", "ctrl", 0)
+    CALL = ("call", "ctrl", 0)
+    RET = ("ret", "ctrl", 0)
+    NOP = ("nop", "ctrl", 0)
 
-    @property
-    def category(self) -> str:
-        """Functional-unit category: alu, mac, shift, load, store or ctrl."""
-        return _CATEGORY[self]
+    def __new__(cls, value: str, category: str, register_reads: int) -> "Opcode":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.category = category
+        member.register_reads = register_reads
+        member.is_memory = category in ("load", "store")
+        member.is_branch = category == "ctrl" and value != "nop"
+        return member
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        """Control transfers that consult the branch predictor / BTB."""
-        return self in (Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.RET)
-
-    @property
-    def register_reads(self) -> int:
-        """Register-file read ports consumed, for the regfile counter."""
-        return _REG_READS[self]
-
-
-_CATEGORY = {
-    Opcode.ADD: "alu",
-    Opcode.SUB: "alu",
-    Opcode.AND: "alu",
-    Opcode.OR: "alu",
-    Opcode.XOR: "alu",
-    Opcode.CMP: "alu",
-    Opcode.MOV: "alu",
-    Opcode.MUL: "mac",
-    Opcode.MAC: "mac",
-    Opcode.SHL: "shift",
-    Opcode.SHR: "shift",
-    Opcode.LOAD: "load",
-    Opcode.STORE: "store",
-    Opcode.BR: "ctrl",
-    Opcode.JMP: "ctrl",
-    Opcode.CALL: "ctrl",
-    Opcode.RET: "ctrl",
-    Opcode.NOP: "ctrl",
-}
-
-_REG_READS = {
-    Opcode.ADD: 2,
-    Opcode.SUB: 2,
-    Opcode.AND: 2,
-    Opcode.OR: 2,
-    Opcode.XOR: 2,
-    Opcode.CMP: 2,
-    Opcode.MOV: 1,
-    Opcode.MUL: 2,
-    Opcode.MAC: 3,
-    Opcode.SHL: 2,
-    Opcode.SHR: 2,
-    Opcode.LOAD: 1,
-    Opcode.STORE: 2,
-    Opcode.BR: 1,
-    Opcode.JMP: 0,
-    Opcode.CALL: 0,
-    Opcode.RET: 0,
-    Opcode.NOP: 0,
-}
 
 #: Default producer latencies in cycles (dcache-hit latency for loads is
 #: machine dependent and substituted by the simulator; 3 is the XScale value).
@@ -175,9 +134,17 @@ ALL_TAGS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """One IR instruction.
+
+    Instructions are slotted because a compile clones every instruction
+    of the program at least once.  Construction validates the fields;
+    :meth:`clone` copies them verbatim without re-validating.  Instead
+    :meth:`Program.validate`, which every compile runs on its final IR,
+    re-checks every instruction (dep distances and kinds, tags, memory
+    regions, callees), so a pass that mutates an instruction into an
+    invalid state still fails the compile.
 
     Attributes:
         opcode: operation class.
@@ -212,24 +179,38 @@ class Instruction:
     def __post_init__(self) -> None:
         if self.latency == 0:
             self.latency = DEFAULT_LATENCY[self.opcode.category]
-        if self.opcode.is_memory and self.region is None:
-            raise ValueError(f"{self.opcode} requires a data region")
         if self.opcode is Opcode.CALL and self.callee is None:
             raise ValueError("CALL requires a callee")
-        unknown = self.tags - ALL_TAGS
-        if unknown:
-            raise ValueError(f"unknown instruction tags: {sorted(unknown)}")
+        problem = self.problem()
+        if problem is not None:
+            raise ValueError(problem)
+
+    def problem(self) -> str | None:
+        """The first violated field invariant, or ``None`` if valid."""
+        if self.opcode.is_memory and self.region is None:
+            return f"{self.opcode} requires a data region"
+        if not self.tags <= ALL_TAGS:
+            return f"unknown instruction tags: {sorted(self.tags - ALL_TAGS)}"
         for distance, kind in self.deps:
             if distance < 1:
-                raise ValueError(f"dep distance must be >= 1: {distance}")
+                return f"dep distance must be >= 1: {distance}"
             if kind not in DEP_KINDS:
-                raise ValueError(f"unknown dep kind {kind!r}")
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
+                return f"unknown dep kind {kind!r}"
+        return None
 
     def clone(self) -> "Instruction":
-        return replace(self)
+        """A field-for-field copy; the fields are not re-validated."""
+        copy = object.__new__(Instruction)
+        copy.opcode = self.opcode
+        copy.expr = self.expr
+        copy.region = self.region
+        copy.stride = self.stride
+        copy.deps = self.deps
+        copy.latency = self.latency
+        copy.tags = self.tags
+        copy.callee = self.callee
+        copy.chain = self.chain
+        return copy
 
     @property
     def size_bytes(self) -> int:
@@ -452,9 +433,6 @@ class Program:
     def dynamic_insns(self) -> float:
         return sum(function.dynamic_insns for function in self.functions.values())
 
-    def region(self, name: str) -> DataRegion:
-        return self.regions[name]
-
     def clone(self) -> "Program":
         return Program(
             name=self.name,
@@ -470,7 +448,9 @@ class Program:
 
         * every block successor exists in the same function;
         * every CALL has a defined callee;
-        * every memory instruction references a declared region.
+        * every memory instruction references a declared region;
+        * every instruction satisfies :meth:`Instruction.problem` (the
+          field checks that :meth:`Instruction.clone` skips).
         """
         for function in self.functions.values():
             for label in function.layout:
@@ -481,6 +461,9 @@ class Program:
                             f"{function.name}/{label}: unknown successor {successor!r}"
                         )
                 for insn in block.instructions:
+                    problem = insn.problem()
+                    if problem is not None:
+                        raise ValueError(f"{function.name}/{label}: {problem}")
                     if insn.opcode is Opcode.CALL:
                         if insn.callee not in self.functions:
                             raise ValueError(
@@ -490,11 +473,6 @@ class Program:
                         raise ValueError(
                             f"{function.name}/{label}: unknown region {insn.region!r}"
                         )
-
-
-def total_static_bytes(program: Program) -> int:
-    """Static code footprint of the program in bytes."""
-    return program.size_bytes
 
 
 def dynamic_mix(program: Program) -> dict[str, float]:

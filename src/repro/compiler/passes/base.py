@@ -123,7 +123,7 @@ def remove_tagged(
     doomed = [
         index
         for index, insn in enumerate(block.instructions)
-        if insn.has_tag(tag) and (predicate is None or predicate(insn))
+        if tag in insn.tags and (predicate is None or predicate(insn))
     ]
     return delete_instructions(block, doomed)
 

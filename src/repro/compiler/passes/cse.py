@@ -73,14 +73,13 @@ def _eliminate_in_function(
 
         doomed: list[int] = []
         for index, insn in enumerate(block.instructions):
-            if (
-                insn.has_tag(TAG_LOCAL_REDUNDANT)
-                and insn.expr is not None
-                and insn.expr in available
-            ):
+            expr = insn.expr
+            if expr is None:
+                continue
+            if expr in available and TAG_LOCAL_REDUNDANT in insn.tags:
                 doomed.append(index)
-            elif insn.expr is not None:
-                available.add(insn.expr)
+            else:
+                available.add(expr)
         removed += delete_instructions(block, doomed)
         available_out[label] = available
     return removed

@@ -55,15 +55,17 @@ def _global_sweeps(function: Function, max_depth: int) -> int:
         block = function.blocks[label]
         doomed: list[int] = []
         for index, insn in enumerate(block.instructions):
+            expr = insn.expr
+            if expr is None:
+                continue
             if (
-                insn.has_tag(TAG_GLOBAL_REDUNDANT)
-                and insn.expr is not None
-                and insn.expr in available
+                expr in available
+                and TAG_GLOBAL_REDUNDANT in insn.tags
                 and insn.chain <= max_depth
             ):
                 doomed.append(index)
-            elif insn.expr is not None:
-                available.add(insn.expr)
+            else:
+                available.add(expr)
         removed += delete_instructions(block, doomed)
     return removed
 
@@ -76,7 +78,7 @@ def _hoistable_loads(function: Function, loop: Loop) -> list[tuple[str, int]]:
         for index, insn in enumerate(block.instructions):
             if (
                 insn.opcode is Opcode.LOAD
-                and insn.has_tag(TAG_INVARIANT)
+                and TAG_INVARIANT in insn.tags
                 and insn.stride == 0
             ):
                 found.append((label, index))
@@ -88,7 +90,7 @@ def _sinkable_stores(function: Function, loop: Loop) -> list[tuple[str, int]]:
     for label in loop.blocks:
         block = function.blocks[label]
         for index, insn in enumerate(block.instructions):
-            if insn.opcode is Opcode.STORE and insn.has_tag(TAG_INVARIANT_STORE):
+            if insn.opcode is Opcode.STORE and TAG_INVARIANT_STORE in insn.tags:
                 found.append((label, index))
     return found
 
@@ -131,7 +133,7 @@ class GcsePass(Pass):
                     doomed = [
                         index
                         for index, insn in enumerate(block.instructions)
-                        if insn.opcode is Opcode.LOAD and insn.has_tag(TAG_AFTER_STORE)
+                        if insn.opcode is Opcode.LOAD and TAG_AFTER_STORE in insn.tags
                     ]
                     stats["gcse.las_removed"] += delete_instructions(block, doomed)
 
@@ -195,7 +197,7 @@ class GcseAfterReloadPass(Pass):
                 reload_indices = [
                     index
                     for index, insn in enumerate(block.instructions)
-                    if insn.opcode is Opcode.LOAD and insn.has_tag(TAG_SPILL)
+                    if insn.opcode is Opcode.LOAD and TAG_SPILL in insn.tags
                 ]
                 doomed = reload_indices[1::2]
                 stats["gcse.reloads_removed"] += delete_instructions(block, doomed)

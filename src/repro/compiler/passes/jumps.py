@@ -60,7 +60,7 @@ class ThreadJumpsPass(Pass):
                 if (
                     len(block.instructions) == 1
                     and block.instructions[0].opcode is Opcode.JMP
-                    and block.instructions[0].has_tag(TAG_JUMP_CHAIN)
+                    and TAG_JUMP_CHAIN in block.instructions[0].tags
                     and len(block.successors) == 1
                 ):
                     target = block.successors[0]
@@ -90,7 +90,7 @@ class CrossJumpPass(Pass):
                 group_keys = {
                     insn.expr
                     for insn in block.instructions
-                    if insn.has_tag(TAG_MERGEABLE_TAIL) and insn.expr is not None
+                    if TAG_MERGEABLE_TAIL in insn.tags and insn.expr is not None
                 }
                 if len(group_keys) == 1:
                     groups[group_keys.pop()].append(label)

@@ -48,7 +48,7 @@ def _hoist_invariant_alu(
             movable = [
                 (index, insn)
                 for index, insn in enumerate(block.instructions)
-                if insn.has_tag(TAG_INVARIANT)
+                if TAG_INVARIANT in insn.tags
                 and not insn.opcode.is_memory
                 and not insn.opcode.is_branch
                 and insn.chain <= max_chain
@@ -196,7 +196,7 @@ class StrengthReducePass(Pass):
         for function in program.functions.values():
             for block in function.blocks.values():
                 for index, insn in enumerate(block.instructions):
-                    if insn.opcode is Opcode.MUL and insn.has_tag(TAG_INDUCTION):
+                    if insn.opcode is Opcode.MUL and TAG_INDUCTION in insn.tags:
                         insn.opcode = Opcode.ADD
                         insn.latency = 1
                         self._retag_consumers(block, index)

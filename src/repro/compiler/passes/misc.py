@@ -46,7 +46,7 @@ class SiblingCallPass(Pass):
                 for index, insn in enumerate(block.instructions):
                     if (
                         insn.opcode is Opcode.CALL
-                        and insn.has_tag(TAG_SIBLING)
+                        and TAG_SIBLING in insn.tags
                         and index + 1 < len(block.instructions)
                         and block.instructions[index + 1].opcode is Opcode.RET
                     ):

@@ -22,6 +22,9 @@ Sub-flags:
 
 from __future__ import annotations
 
+import heapq
+from itertools import accumulate
+
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import (
     DEFAULT_LATENCY,
@@ -140,10 +143,6 @@ def _dependence_edges(
     return predecessors
 
 
-def _latency_of(insn) -> int:
-    return DEFAULT_LATENCY[insn.opcode.category]
-
-
 def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
     """Reorder the block body to maximise producer→consumer spacing.
 
@@ -202,47 +201,64 @@ def _schedule_segment(
     take the one available soonest.  This interleaves independent chains,
     stretching producer→consumer distances — the whole point of scheduling
     on an in-order pipeline.
+
+    The choice at each slot is the minimum of the ready pool under the key
+    ``(max(ready_time, slot), -height, index)``.  Two heaps find it without
+    re-sorting the pool: ``waiting`` holds ready instructions keyed
+    ``(ready_time, -height, index)``, and each slot first moves those with
+    ``ready_time <= slot`` into ``available``, keyed ``(-height, index)``.
+    Every available instruction has effective time ``slot``, lower than any
+    waiting one, so the available minimum — or, if none is available, the
+    waiting minimum — is exactly the key's minimum.  A consumer joins the
+    pool only when its last producer is scheduled, so its ``ready_time``
+    is final by then and a heap entry never goes stale.
     """
     instructions = block.instructions
-    indices = range(seg_start, seg_end)
-    successors: dict[int, list[int]] = {index: [] for index in indices}
-    indegree: dict[int, int] = {index: 0 for index in indices}
-    for index in indices:
-        for producer in predecessors[index]:
+    count = seg_end - seg_start
+    latency = [
+        DEFAULT_LATENCY[instructions[index].opcode.category]
+        for index in range(seg_start, seg_end)
+    ]
+    successors: list[list[int]] = [[] for _ in range(count)]
+    remaining = [0] * count
+    for local in range(count):
+        for producer in predecessors[seg_start + local]:
             if seg_start <= producer < seg_end:
-                successors[producer].append(index)
-                indegree[index] += 1
+                successors[producer - seg_start].append(local)
+                remaining[local] += 1
 
     # Critical path (height) of each node, in cycles.
-    height: dict[int, int] = {}
-    for index in reversed(indices):
-        latency = _latency_of(instructions[index])
-        height[index] = latency + max(
-            (height[consumer] for consumer in successors[index]), default=0
+    height = [0] * count
+    for local in reversed(range(count)):
+        height[local] = latency[local] + max(
+            (height[consumer] for consumer in successors[local]), default=0
         )
 
-    ready = {index for index in indices if indegree[index] == 0}
-    ready_time: dict[int, int] = {index: 0 for index in ready}
+    ready_time = [0] * count
+    available = [
+        (-height[local], local) for local in range(count) if not remaining[local]
+    ]
+    heapq.heapify(available)
+    waiting: list[tuple[int, int, int]] = []
     order: list[int] = []
-    remaining = dict(indegree)
-    slot = 0
-    while ready:
-        pool = list(ready)
-        # Instructions already available compare equal on effective time, so
-        # the critical path decides among them; otherwise the soonest wins.
-        pool.sort(
-            key=lambda index: (max(ready_time[index], slot), -height[index], index)
-        )
-        chosen = pool[0]
-        ready.remove(chosen)
-        order.append(chosen)
-        finish = slot + _latency_of(instructions[chosen])
+    for slot in range(count):
+        while waiting and waiting[0][0] <= slot:
+            _, neg_height, local = heapq.heappop(waiting)
+            heapq.heappush(available, (neg_height, local))
+        if available:
+            chosen = heapq.heappop(available)[1]
+        else:
+            chosen = heapq.heappop(waiting)[2]
+        order.append(seg_start + chosen)
+        finish = slot + latency[chosen]
         for consumer in successors[chosen]:
-            ready_time[consumer] = max(ready_time.get(consumer, 0), finish)
+            if finish > ready_time[consumer]:
+                ready_time[consumer] = finish
             remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                ready.add(consumer)
-        slot += 1
+            if not remaining[consumer]:
+                heapq.heappush(
+                    waiting, (ready_time[consumer], -height[consumer], consumer)
+                )
     return order
 
 
@@ -287,23 +303,21 @@ def block_pressure(block: BasicBlock) -> int:
     consumer.  ``BASELINE_LIVE`` covers loop-carried values and globals that
     no in-block edge describes.
     """
+    # Consumers are visited in order, so the last write per producer is
+    # its last use.
     last_use: dict[int, int] = {}
     for index, insn in enumerate(block.instructions):
         for distance, _ in insn.deps:
-            producer = index - distance
-            if producer >= 0:
-                last_use[producer] = max(last_use.get(producer, producer), index)
-    events: list[tuple[int, int]] = []
+            if distance <= index:
+                last_use[index - distance] = index
+    # Net change in live values at each position.  The peak of the
+    # running sum equals the peak of applying a position's deaths before
+    # its births one event at a time: deaths only lower the count.
+    delta = [0] * len(block.instructions)
     for producer, last in last_use.items():
-        events.append((producer, +1))
-        events.append((last, -1))
-    events.sort()
-    live = 0
-    peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak + BASELINE_LIVE
+        delta[producer] += 1
+        delta[last] -= 1
+    return max(accumulate(delta, initial=0)) + BASELINE_LIVE
 
 
 class ScheduleInsnsPass(Pass):

@@ -118,7 +118,7 @@ class UnrollLoopsPass(Pass):
                 for insn in clone.instructions:
                     if insn.expr is None or insn.opcode.is_memory:
                         continue
-                    if insn.has_tag(TAG_INVARIANT) or label in control_labels:
+                    if TAG_INVARIANT in insn.tags or label in control_labels:
                         # Replicated loop control (induction updates, exit
                         # comparisons) and invariant recomputations are
                         # redundant across copies; a following CSE rerun

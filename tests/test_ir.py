@@ -1,7 +1,11 @@
 """Tests for the IR (repro.compiler.ir)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.compiler.flags import o3_setting
 from repro.compiler.ir import (
     BasicBlock,
     DataRegion,
@@ -14,6 +18,7 @@ from repro.compiler.ir import (
     fresh_label,
     iter_instructions,
 )
+from repro.compiler.pipeline import Compiler
 from tests.conftest import simple_loop_program
 
 
@@ -74,6 +79,44 @@ class TestInstruction:
 
     def test_size_is_fixed_width(self):
         assert Instruction(opcode=Opcode.ADD).size_bytes == 4
+
+    def test_instruction_is_slotted(self):
+        insn = Instruction(opcode=Opcode.ADD)
+        assert not hasattr(insn, "__dict__")
+        with pytest.raises(AttributeError):
+            insn.typo = 1
+
+    def test_clone_copies_every_field(self):
+        original = Instruction(
+            opcode=Opcode.LOAD,
+            expr="x",
+            region="data",
+            stride=8,
+            deps=((1, "alu"), (3, "load")),
+            latency=5,
+            tags=frozenset({"invariant"}),
+            chain=3,
+        )
+        clone = original.clone()
+        assert clone is not original
+        assert clone == original
+        for field in dataclasses.fields(Instruction):
+            assert getattr(clone, field.name) == getattr(original, field.name)
+
+    def test_clone_mutations_leave_original_unchanged(self):
+        original = Instruction(
+            opcode=Opcode.MUL,
+            expr="m",
+            deps=((2, "mac"),),
+            tags=frozenset({"induction"}),
+        )
+        clone = original.clone()
+        clone.deps = ((1, "alu"),)
+        clone.tags = clone.tags | {"peephole"}
+        clone.opcode = Opcode.ADD
+        assert original.deps == ((2, "mac"),)
+        assert original.tags == frozenset({"induction"})
+        assert original.opcode is Opcode.MUL
 
 
 class TestBasicBlock:
@@ -187,6 +230,38 @@ class TestFunctionAndProgram:
         block.instructions.append(Instruction(opcode=Opcode.CALL, callee="ghost"))
         with pytest.raises(ValueError, match="callee"):
             loop_program.validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("deps", ((0, "alu"),), "distance"),
+            ("deps", ((1, "bogus"),), "dep kind"),
+            ("tags", frozenset({"bogus"}), "tags"),
+            ("region", None, "requires a data region"),
+        ],
+    )
+    def test_validate_rejects_what_clone_no_longer_checks(
+        self, loop_program, field, value, message
+    ):
+        # body[8] is the block's LOAD; a pass mutating it into an invalid
+        # state is not caught by cloning, only by validate().
+        load = loop_program.functions["main"].blocks["body"].instructions[8]
+        assert load.opcode is Opcode.LOAD
+        setattr(load, field, value)
+        clone = loop_program.clone()
+        with pytest.raises(ValueError, match=message):
+            clone.validate()
+
+    def test_pickle_round_trip(self, loop_program):
+        # compute_shard_task ships programs to process-pool workers.
+        restored = pickle.loads(pickle.dumps(loop_program))
+        assert restored == loop_program
+        assert restored is not loop_program
+        restored.validate()
+        compiler = Compiler(cache=False)
+        assert compiler.compile(restored, o3_setting()) == compiler.compile(
+            loop_program, o3_setting()
+        )
 
     def test_entry_must_exist(self, loop_program):
         with pytest.raises(ValueError, match="entry"):

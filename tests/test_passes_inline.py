@@ -167,8 +167,8 @@ class TestInlineTransformation:
         main = program.functions["main"]
         for block in main.blocks.values():
             for insn in block.instructions:
-                assert not insn.has_tag(TAG_PROLOGUE)
-                assert not insn.has_tag(TAG_EPILOGUE)
+                assert TAG_PROLOGUE not in insn.tags
+                assert TAG_EPILOGUE not in insn.tags
 
     def test_inlined_body_joins_enclosing_loop(self):
         program = _caller_with_loop_call()

@@ -140,7 +140,7 @@ class TestInvariantMotion:
         LoopInvariantMotionPass().apply(program, o3_setting(), PassStats())
         pre = program.functions["main"].blocks["pre"]
         hoisted = [insn for insn in pre.instructions if insn.expr == "inv"]
-        assert hoisted and not hoisted[0].has_tag(TAG_INVARIANT)
+        assert hoisted and TAG_INVARIANT not in hoisted[0].tags
 
 
 class TestUnswitch:

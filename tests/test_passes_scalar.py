@@ -354,7 +354,7 @@ class TestGcseAfterReload:
         GcseAfterReloadPass().apply(program, o3_setting(), stats)
         assert stats["gcse.reloads_removed"] == 1
         remaining = [
-            insn for insn in block.instructions if insn.has_tag(TAG_SPILL)
+            insn for insn in block.instructions if TAG_SPILL in insn.tags
         ]
         assert len(remaining) == 2
 

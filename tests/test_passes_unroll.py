@@ -118,7 +118,7 @@ class TestUnrollTransformation:
         function = program.functions["main"]
         clone_header = function.blocks["hdr.u1"]
         assert any(
-            insn.has_tag(TAG_LOCAL_REDUNDANT) for insn in clone_header.instructions
+            TAG_LOCAL_REDUNDANT in insn.tags for insn in clone_header.instructions
         )
 
     def test_carried_dependence_serialises_copies(self):

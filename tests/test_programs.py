@@ -152,7 +152,7 @@ class TestGenerator:
             for function in program.functions.values()
             for block in function.blocks.values()
             for insn in block.instructions
-            if insn.has_tag(TAG_LOCAL_REDUNDANT)
+            if TAG_LOCAL_REDUNDANT in insn.tags
         )
         total = program.size_insns
         assert 0.05 * total < tagged < 0.4 * total
@@ -167,7 +167,7 @@ class TestGenerator:
             1
             for block in program.functions["main"].blocks.values()
             for insn in block.instructions
-            if insn.opcode is Opcode.LOAD and insn.has_tag(TAG_INVARIANT)
+            if insn.opcode is Opcode.LOAD and TAG_INVARIANT in insn.tags
         )
         plain = sum(
             1
@@ -189,7 +189,7 @@ class TestGenerator:
             insn
             for block in program.functions["main"].blocks.values()
             for insn in block.instructions
-            if insn.has_tag(TAG_AFTER_STORE)
+            if TAG_AFTER_STORE in insn.tags
         ]
         assert after_store
         assert all(insn.stride == 0 for insn in after_store)
@@ -272,7 +272,7 @@ class TestGenerator:
             insn
             for block in program.functions["main"].blocks.values()
             for insn in block.instructions
-            if insn.has_tag(TAG_MERGEABLE_TAIL)
+            if TAG_MERGEABLE_TAIL in insn.tags
         ]
         assert len(tails) == 8  # two copies of four instructions
         assert len({insn.expr for insn in tails}) == 1

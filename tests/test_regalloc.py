@@ -49,7 +49,7 @@ def _program_with(block: BasicBlock) -> Program:
 
 
 def _spill_count(block: BasicBlock) -> int:
-    return sum(1 for insn in block.instructions if insn.has_tag(TAG_SPILL))
+    return sum(1 for insn in block.instructions if TAG_SPILL in insn.tags)
 
 
 class TestSpilling:
@@ -76,12 +76,12 @@ class TestSpilling:
         stores = [
             insn
             for insn in block.instructions
-            if insn.has_tag(TAG_SPILL) and insn.opcode is Opcode.STORE
+            if TAG_SPILL in insn.tags and insn.opcode is Opcode.STORE
         ]
         reloads = [
             insn
             for insn in block.instructions
-            if insn.has_tag(TAG_SPILL) and insn.opcode is Opcode.LOAD
+            if TAG_SPILL in insn.tags and insn.opcode is Opcode.LOAD
         ]
         assert len(stores) == len(reloads)
         assert {insn.expr for insn in stores} == {insn.expr for insn in reloads}
@@ -106,7 +106,7 @@ class TestSpilling:
         program = _program_with(block)
         RegisterAllocationPass().apply(program, o3_setting(), PassStats())
         for insn in block.instructions:
-            if insn.has_tag(TAG_SPILL):
+            if TAG_SPILL in insn.tags:
                 assert insn.region == "stack"
         program.validate()
 
