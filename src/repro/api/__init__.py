@@ -14,7 +14,9 @@ surface is split into four lazily-constructed facets:
 * **``session.data``** — the sharded, resumable experiment store.
 * **``session.protocol``** — the checkpointed paper-protocol fold grid.
 
-The pre-v2 flat ``Session`` methods remain as deprecation shims.
+:class:`Session` owns only the shared state (compiler, spaces, caches,
+backend, fitted model); the pre-v2 flat methods (``session.fit``,
+``session.evaluate_batch``, ...) were removed in favour of the facets.
 """
 
 from repro.api.backends import (

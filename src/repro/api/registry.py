@@ -463,15 +463,14 @@ class ModelRegistry:
         self,
         version: int | None = None,
         space: FlagSpace = DEFAULT_SPACE,
-        vectorize: bool = True,
         channel: str = DEFAULT_CHANNEL,
     ) -> tuple[OptimisationPredictor, ModelVersion]:
         """Rebuild a registered predictor (default: the channel's promoted one).
 
-        With ``vectorize=True`` the model comes back ranking-ready: the
-        promote-time sidecar arrays are attached when present (and valid
-        for this entry's digest), otherwise the tensors are rebuilt from
-        the pairs — bit-identical either way.
+        The model comes back ranking-ready with its kernel tensors stacked
+        once: from the promote-time sidecar arrays when present (and
+        valid for this entry's digest), otherwise from the pairs —
+        bit-identical either way.
         """
         if version is None:
             version = self.promoted_version(channel)
@@ -485,20 +484,18 @@ class ModelRegistry:
         else:
             promoted = version in self.channels().values()
         payload = self._read_entry(version)
-        predictor = OptimisationPredictor.from_state(
-            payload["model"], space=space, vectorize=False
-        )
-        if vectorize:
-            arrays = self._load_arrays(version, payload["digest"])
-            try:
-                if arrays is not None:
-                    predictor.ensure_tensors(
-                        features=arrays[0], theta=arrays[1]
-                    )
-                else:
-                    predictor.ensure_tensors()
-            except ValueError:
-                predictor.ensure_tensors()  # stale sidecar shapes: rebuild
+        arrays = self._load_arrays(version, payload["digest"])
+        try:
+            predictor = OptimisationPredictor.from_state(
+                payload["model"], space=space, arrays=arrays
+            )
+        except ValueError:
+            if arrays is None:
+                raise
+            # Stale sidecar shapes: stack from the pairs instead.
+            predictor = OptimisationPredictor.from_state(
+                payload["model"], space=space
+            )
         return predictor, ModelVersion(
             version=version,
             digest=payload["digest"],

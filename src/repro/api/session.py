@@ -16,14 +16,12 @@ and exposes them through four lazily-constructed facets:
 ``session.data`` manages the sharded experiment store, ``session.models``
 the model lifecycle (fit/predict/rank/persistence/registry),
 ``session.eval`` evaluation and search, and ``session.protocol`` the
-resumable paper protocol.  The pre-v2 flat methods (``session.fit``,
-``session.evaluate_batch``, ...) remain as thin shims that forward to the
-facets and emit a :class:`DeprecationWarning` once per process.
+resumable paper protocol.  The session itself only owns shared state and
+resolves names; every action lives on a facet.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 from repro.api.backends import resolve_backend
@@ -49,22 +47,6 @@ from repro.store import ExperimentStore
 
 __all__ = ["SEARCH_ALGORITHMS", "ProtocolRun", "Session"]
 
-#: Flat shim methods that have already warned this process (the
-#: DeprecationWarning fires once per method name, not per call).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(flat: str, replacement: str) -> None:
-    if flat in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(flat)
-    warnings.warn(
-        f"Session.{flat}() is deprecated; use session.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class Session:
     """Owns compiler, spaces, caches, backend, and the fitted model.
 
@@ -79,9 +61,6 @@ class Session:
         cache_dir: dataset cache root, overriding ``$REPRO_CACHE_DIR``.
         use_disk_cache: disable to keep datasets in memory only.
         compiler: share a memoising compiler across sessions if desired.
-        vectorize: route whole batches through the bit-identical
-            :func:`~repro.sim.vector.simulate_many` kernel when the
-            backend supports it (default on; purely a performance knob).
     """
 
     def __init__(
@@ -96,13 +75,11 @@ class Session:
         compiler: Compiler | None = None,
         flag_space: FlagSpace = DEFAULT_SPACE,
         machine_space: MicroArchSpace | None = None,
-        vectorize: bool = True,
     ):
         self.scale = self._resolve_scale(scale if scale is not None else "quick")
         self.backend = resolve_backend(backend)
         self.jobs = resolve_jobs(jobs)
         self.executor = executor
-        self.vectorize = vectorize
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.use_disk_cache = use_disk_cache
         self.compiler = compiler if compiler is not None else Compiler()
@@ -186,83 +163,3 @@ class Session:
             self.program(program),
             setting if setting is not None else o3_setting(),
         )
-
-    # ------------------------------------------------------ deprecated shims
-    # The flat pre-v2 surface.  Each method forwards to its facet and
-    # warns (once per process); behaviour is otherwise identical, and both
-    # surfaces share the same session state during migration.
-
-    def evaluate(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.eval.evaluate <EvalFacet.evaluate>`."""
-        _warn_deprecated("evaluate", "eval.evaluate")
-        return self.eval.evaluate(*args, **kwargs)
-
-    def evaluate_batch(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.eval.batch <EvalFacet.batch>`."""
-        _warn_deprecated("evaluate_batch", "eval.batch")
-        return self.eval.batch(*args, **kwargs)
-
-    def speedup_over_o3(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.eval.speedup_over_o3`."""
-        _warn_deprecated("speedup_over_o3", "eval.speedup_over_o3")
-        return self.eval.speedup_over_o3(*args, **kwargs)
-
-    def evaluator(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.eval.evaluator <EvalFacet.evaluator>`."""
-        _warn_deprecated("evaluator", "eval.evaluator")
-        return self.eval.evaluator(*args, **kwargs)
-
-    def search(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.eval.search <EvalFacet.search>`."""
-        _warn_deprecated("search", "eval.search")
-        return self.eval.search(*args, **kwargs)
-
-    def dataset(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.data.dataset <DataFacet.dataset>`."""
-        _warn_deprecated("dataset", "data.dataset")
-        return self.data.dataset(*args, **kwargs)
-
-    def experiment_store(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.data.store <DataFacet.store>`."""
-        _warn_deprecated("experiment_store", "data.store")
-        return self.data.store(*args, **kwargs)
-
-    def dataset_status(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.data.status <DataFacet.status>`."""
-        _warn_deprecated("dataset_status", "data.status")
-        return self.data.status(*args, **kwargs)
-
-    def build_dataset(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.data.build <DataFacet.build>`."""
-        _warn_deprecated("build_dataset", "data.build")
-        return self.data.build(*args, **kwargs)
-
-    def protocol_store(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.protocol.store <ProtocolFacet.store>`."""
-        _warn_deprecated("protocol_store", "protocol.store")
-        return self.protocol.store(*args, **kwargs)
-
-    def run_protocol(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.protocol.run <ProtocolFacet.run>`."""
-        _warn_deprecated("run_protocol", "protocol.run")
-        return self.protocol.run(*args, **kwargs)
-
-    def fit(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.models.fit <ModelsFacet.fit>`."""
-        _warn_deprecated("fit", "models.fit")
-        return self.models.fit(*args, **kwargs)
-
-    def predict(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.models.predict <ModelsFacet.predict>`."""
-        _warn_deprecated("predict", "models.predict")
-        return self.models.predict(*args, **kwargs)
-
-    def save_model(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.models.save <ModelsFacet.save>`."""
-        _warn_deprecated("save_model", "models.save")
-        return self.models.save(*args, **kwargs)
-
-    def load_model(self, *args, **kwargs):
-        """Deprecated: use :meth:`session.models.load <ModelsFacet.load>`."""
-        _warn_deprecated("load_model", "models.load")
-        return self.models.load(*args, **kwargs)

@@ -147,7 +147,7 @@ class SearchRequest:
         program: a :class:`Program` or MiBench name.
         machine: the target microarchitecture.
         algorithm: one of the registered algorithms (see
-            :data:`repro.api.session.SEARCH_ALGORITHMS`).
+            :data:`repro.api.SEARCH_ALGORITHMS`).
         budget: maximum number of distinct evaluations.
         seed: RNG seed for the stochastic drivers.
         backend: simulator backend override, as in EvaluationRequest.

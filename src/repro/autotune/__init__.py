@@ -9,8 +9,8 @@ simulate-many kernel — into one framework:
   :class:`SearchStrategy` protocol;
 * :mod:`~repro.autotune.scorer` — the budget-enforcing, batch-pricing
   :class:`BatchScorer`;
-* :mod:`~repro.autotune.strategies` — the four legacy searchers,
-  re-homed (``repro.search`` keeps thin bit-identical shims);
+* :mod:`~repro.autotune.strategies` — the four iterative baselines
+  (random, hill climbing, genetic, combined elimination);
 * :mod:`~repro.autotune.guided` — :class:`ModelSeededGenetic` and
   :class:`BeamSearch`, where the model proposes and the simulator
   disposes;

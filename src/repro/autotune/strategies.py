@@ -1,15 +1,15 @@
-"""The four iterative-compilation baselines, re-homed as strategies.
+"""The four iterative-compilation baselines as search strategies.
 
-Each class reproduces its legacy ``repro.search`` driver *bit for bit*
-(pinned by ``tests/golden/search_golden.json``): identical RNG draw
-sequences, identical evaluation order, identical tie-breaks.  What
-changed is the plumbing — candidates flow through the
-:class:`~repro.autotune.scorer.BatchScorer`, so independent batches
-(a random sample, a GA generation, a CE probing round) are priced in
-one vector-kernel pass, and the budget is enforced centrally.  The one
-observable divergence is deliberate: the legacy genetic and combined
-elimination drivers could overshoot their budget by one evaluation at
-boundary budgets; the scorer clamps both exactly at it.
+Each class reproduces the original standalone search driver *bit for
+bit* (pinned by ``tests/golden/search_golden.json``): identical RNG draw
+sequences, identical evaluation order, identical tie-breaks.  Candidates
+flow through the :class:`~repro.autotune.scorer.BatchScorer`, so
+independent batches (a random sample, a GA generation, a CE probing
+round) are priced in one vector-kernel pass, and the budget is enforced
+centrally.  The one observable divergence from the original drivers is
+deliberate: genetic search and combined elimination could overshoot
+their budget by one evaluation at boundary budgets; the scorer clamps
+both exactly at it.
 """
 
 from __future__ import annotations

@@ -95,14 +95,6 @@ class LeaseTable:
         meta_path = self.root / self.META_NAME
         meta = self._read_meta(meta_path)
         if meta is None:
-            if meta_path.exists():
-                # A table file that exists but cannot be parsed is
-                # damage, not absence: overwriting it would silently
-                # discard whatever grid it coordinated.
-                raise ClusterError(
-                    f"lease table at {meta_path} is corrupt "
-                    f"(quarantine with fsck)"
-                )
             atomic_write_text(
                 meta_path,
                 json.dumps(
@@ -131,11 +123,32 @@ class LeaseTable:
 
     @staticmethod
     def _read_meta(path: Path) -> dict | None:
+        """The table's metadata, or ``None`` when no table file exists.
+
+        Absence is decided by the read itself, never by a separate
+        ``exists()`` check: a sibling worker's atomic create can land
+        between the two, and its valid table would then look corrupt.
+        A file that exists but is not a JSON object is damage, not
+        absence — overwriting it would silently discard whatever grid
+        it coordinated — so it raises.
+        """
         try:
-            meta = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            text = path.read_text()
+        except FileNotFoundError:
             return None
-        return meta if isinstance(meta, dict) else None
+        except OSError as error:
+            raise ClusterError(
+                f"lease table at {path} is unreadable: {error}"
+            ) from error
+        try:
+            meta = json.loads(text)
+        except json.JSONDecodeError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ClusterError(
+                f"lease table at {path} is corrupt (quarantine with fsck)"
+            )
+        return meta
 
     # --------------------------------------------------------------- claims
     def _path(self, unit: str) -> Path:

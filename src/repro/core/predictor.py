@@ -53,7 +53,6 @@ class OptimisationPredictor:
         quantile: float = DEFAULT_QUANTILE,
         extended: bool = False,
         feature_mode: str = "both",
-        vectorize: bool = True,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1: {k}")
@@ -63,7 +62,6 @@ class OptimisationPredictor:
         self.quantile = quantile
         self.extended = extended
         self.feature_mode = feature_mode
-        self.vectorize = vectorize
         self._pairs: list[_TrainingPair] = []
         self._normaliser: FeatureNormaliser | None = None
         self._mask: np.ndarray | None = None
@@ -120,27 +118,16 @@ class OptimisationPredictor:
     def is_fitted(self) -> bool:
         return bool(self._pairs)
 
-    def _refresh_tensors(self) -> None:
-        if self.vectorize and self._pairs:
-            self._tensors = model_vector.PredictorTensors.from_pairs(
-                self._pairs, self.space
-            )
-        else:
-            self._tensors = None
-
-    def ensure_tensors(
-        self,
-        features: np.ndarray | None = None,
-        theta: np.ndarray | None = None,
+    def _refresh_tensors(
+        self, arrays: tuple[np.ndarray, np.ndarray] | None = None
     ) -> None:
-        """Attach (or rebuild) the batch-kernel tensors.
+        """Stack the fitted pairs into the ranking kernel's tensors, once.
 
-        The registry calls this with its precomputed promote-time sidecar
-        arrays so a loaded model is ranking-ready without re-stacking.
+        ``arrays`` are precomputed ``(features, theta)`` stacks (the
+        registry's promote-time sidecar); they are validated against the
+        pairs' shapes and used as-is instead of re-stacking.
         """
-        if not self.is_fitted:
-            raise RuntimeError("predictor is not fitted")
-        self.vectorize = True
+        features, theta = arrays if arrays is not None else (None, None)
         self._tensors = model_vector.PredictorTensors.from_pairs(
             self._pairs, self.space, features=features, theta=theta
         )
@@ -182,9 +169,16 @@ class OptimisationPredictor:
 
     @staticmethod
     def from_state(
-        state: dict, space: FlagSpace = DEFAULT_SPACE, vectorize: bool = True
+        state: dict,
+        space: FlagSpace = DEFAULT_SPACE,
+        arrays: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "OptimisationPredictor":
-        """Rebuild a fitted predictor from :meth:`get_state` output."""
+        """Rebuild a fitted predictor from :meth:`get_state` output.
+
+        ``arrays`` optionally supplies the pre-stacked ``(features,
+        theta)`` kernel tensors (see :meth:`_refresh_tensors`); a shape
+        mismatch raises :class:`ValueError`.
+        """
         if list(state["space_names"]) != list(space.names):
             raise ValueError(
                 "saved model's flag space does not match this build"
@@ -197,7 +191,6 @@ class OptimisationPredictor:
             quantile=float(params["quantile"]),
             extended=bool(params["extended"]),
             feature_mode=str(params["feature_mode"]),
-            vectorize=vectorize,
         )
         predictor._mask = np.array(state["mask"], dtype=bool)
         predictor._normaliser = FeatureNormaliser(
@@ -218,7 +211,7 @@ class OptimisationPredictor:
             )
             for entry in state["pairs"]
         ]
-        predictor._refresh_tensors()
+        predictor._refresh_tensors(arrays)
         return predictor
 
     def _query_vector(
@@ -245,42 +238,16 @@ class OptimisationPredictor:
         """Indices of every training row a prediction may consult.
 
         The single gate between the memorised training rows and any
-        prediction — the scalar *and* vectorised paths of
-        :meth:`predict_distribution` and :meth:`neighbours` all select
-        through it, exactly once per query, so instrumenting (or
-        auditing) this method observes *all* training data the model can
-        possibly touch.  The leave-one-out leakage guard relies on that.
-
-        Both branches return the same indices in the same (ascending)
-        order: the id-mask compares dense program/machine ids, the python
-        loop compares the objects themselves.
+        prediction — :meth:`predict_distribution`, the batched methods,
+        and :meth:`neighbours` all select through it, exactly once per
+        query, so instrumenting (or auditing) this method observes *all*
+        training data the model can possibly touch.  The leave-one-out
+        leakage guard relies on that.  Indices come back in ascending
+        order; the id-mask compares dense program/machine ids, so unknown
+        exclusion keys match nothing.
         """
-        if self._tensors is not None:
-            mask = self._tensors.candidate_mask(exclude_program, exclude_machine)
-            return np.nonzero(mask)[0]
-        return np.array(
-            [
-                index
-                for index, pair in enumerate(self._pairs)
-                if (exclude_program is None or pair.program != exclude_program)
-                and (
-                    exclude_machine is None or pair.machine != exclude_machine
-                )
-            ],
-            dtype=np.intp,
-        )
-
-    def _candidates(
-        self,
-        exclude_program: str | None,
-        exclude_machine: MicroArch | None,
-    ) -> list[_TrainingPair]:
-        """The training rows a prediction may consult, exclusions applied
-        (selected through the :meth:`_candidate_indices` audit gate)."""
-        return [
-            self._pairs[int(index)]
-            for index in self._candidate_indices(exclude_program, exclude_machine)
-        ]
+        mask = self._tensors.candidate_mask(exclude_program, exclude_machine)
+        return np.nonzero(mask)[0]
 
     # ------------------------------------------------------------ prediction
     def predict_distribution(
@@ -293,24 +260,50 @@ class OptimisationPredictor:
     ) -> IIDDistribution:
         """q(y|x*): the weighted mixture of the K nearest pairs (eq. 6).
 
-        The scalar reference implementation; with ``vectorize=True`` the
-        call routes through the batched kernel (a one-row batch), which is
-        bit-identical by construction and proven so by
+        Runs the batched kernel as a one-row batch; bit-identical to the
+        scalar :meth:`reference_knn` by construction, and proven so by
         ``tests/test_model_vector.py``.
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
-        if self._tensors is not None:
-            return self._predict_distribution_batch(
-                [counters],
-                [machine],
-                [exclude_program],
-                [exclude_machine],
-                [code_features],
-            )[0]
-        query = self._query_vector(counters, machine, code_features)
+        return self._predict_distribution_batch(
+            [counters],
+            [machine],
+            [exclude_program],
+            [exclude_machine],
+            [code_features],
+        )[0]
 
-        candidates = self._candidates(exclude_program, exclude_machine)
+    def reference_knn(
+        self,
+        counters: PerfCounters,
+        machine: MicroArch,
+        exclude_program: str | None = None,
+        exclude_machine: MicroArch | None = None,
+        code_features=None,
+    ) -> tuple[IIDDistribution, list[tuple[str, MicroArch, float]]]:
+        """The scalar reference for the kernel: eq. 6 as a Python loop.
+
+        Returns what :meth:`predict_distribution` and :meth:`neighbours`
+        return for the same query — the mixture and the K nearest
+        ``(program, machine, distance)`` rows — computed one candidate at
+        a time: exclusions compare the program and machine objects
+        themselves (an independent check of the kernel's id-mask), then
+        ``np.linalg.norm``, a stable argsort, and
+        :meth:`IIDDistribution.mix`.  Nothing on a serving or evaluation
+        path calls it; the equivalence suite and
+        ``benchmarks/bench_predict.py`` check and time the kernel
+        against it.
+        """
+        if not self.is_fitted:
+            raise RuntimeError("predictor is not fitted")
+        query = self._query_vector(counters, machine, code_features)
+        candidates = [
+            pair
+            for pair in self._pairs
+            if (exclude_program is None or pair.program != exclude_program)
+            and (exclude_machine is None or pair.machine != exclude_machine)
+        ]
         if not candidates:
             raise RuntimeError("no training pairs left after exclusions")
 
@@ -326,9 +319,13 @@ class OptimisationPredictor:
         weights = np.exp(logits)
         weights /= weights.sum()
 
-        return IIDDistribution.mix(
+        distribution = IIDDistribution.mix(
             [pair.distribution for pair in nearest], list(weights)
         )
+        return distribution, [
+            (pair.program, pair.machine, float(distance))
+            for pair, distance in zip(nearest, nearest_distances)
+        ]
 
     def predict(
         self,
@@ -418,8 +415,7 @@ class OptimisationPredictor:
         whole batch, bit-identical to the scalar loop.
 
         Exclusion/code-feature lists are per-query and optional (``None``
-        broadcasts ``None`` to every query).  Falls back to the scalar
-        loop when the model was built with ``vectorize=False``.
+        broadcasts ``None`` to every query).
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
@@ -429,11 +425,6 @@ class OptimisationPredictor:
         )
         if not args[1]:
             return []
-        if self._tensors is None:
-            return [
-                self.predict_distribution(c, m, ep, em, cf)
-                for c, m, ep, em, cf in zip(*args)
-            ]
         return self._predict_distribution_batch(*args)
 
     def predict_many(
@@ -488,29 +479,17 @@ class OptimisationPredictor:
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
         query = self._query_vector(counters, machine, code_features)
-        if self._tensors is not None:
-            indices = self._candidate_indices(exclude_program, exclude_machine)
-            if indices.size == 0:
-                raise RuntimeError("no training pairs left after exclusions")
-            top, top_distances = model_vector.nearest_neighbours(
-                self._tensors, query, indices, self.k
-            )
-            return [
-                (
-                    self._pairs[int(index)].program,
-                    self._pairs[int(index)].machine,
-                    float(distance),
-                )
-                for index, distance in zip(top, top_distances)
-            ]
-        candidates = self._candidates(exclude_program, exclude_machine)
-        if not candidates:
+        indices = self._candidate_indices(exclude_program, exclude_machine)
+        if indices.size == 0:
             raise RuntimeError("no training pairs left after exclusions")
-        distances = np.array(
-            [float(np.linalg.norm(pair.features - query)) for pair in candidates]
+        top, top_distances = model_vector.nearest_neighbours(
+            self._tensors, query, indices, self.k
         )
-        order = np.argsort(distances, kind="stable")[: self.k]
         return [
-            (candidates[int(i)].program, candidates[int(i)].machine, float(distances[int(i)]))
-            for i in order
+            (
+                self._pairs[int(index)].program,
+                self._pairs[int(index)].machine,
+                float(distance),
+            )
+            for index, distance in zip(top, top_distances)
         ]

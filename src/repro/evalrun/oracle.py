@@ -43,9 +43,6 @@ class RuntimeOracle:
             (needed only for the out-of-grid compile fallback).
         compiler: memoising compiler for the fallback; a private one is
             created when omitted.
-        vectorize: price batched fallbacks through the bit-identical
-            :func:`~repro.sim.vector.simulate_many` kernel (default) or
-            one scalar simulation per pair.
 
     Thread-safe: serial and thread executors may share one instance;
     concurrent duplicate work is benign (identical deterministic values)
@@ -57,10 +54,8 @@ class RuntimeOracle:
         training: TrainingSet,
         programs: Sequence[Program] | Mapping[str, Program],
         compiler: Compiler | None = None,
-        vectorize: bool = True,
     ):
         self.training = training
-        self.vectorize = vectorize
         if isinstance(programs, Mapping):
             self._programs = dict(programs)
         else:
@@ -179,22 +174,13 @@ class RuntimeOracle:
             # each distinct machine once, exactly like memoised
             # per-triple calls would.
             distinct = sorted({m for _, m in places})
-            if self.vectorize:
-                results = simulate_many(
-                    [BinarySignature.from_binary(binary)],
-                    [self.training.machines[m] for m in distinct],
-                )
-                seconds_by_machine = {
-                    m: float(results.seconds[0, i])
-                    for i, m in enumerate(distinct)
-                }
-            else:
-                seconds_by_machine = {
-                    m: simulate_analytic(
-                        binary, self.training.machines[m]
-                    ).seconds
-                    for m in distinct
-                }
+            results = simulate_many(
+                [BinarySignature.from_binary(binary)],
+                [self.training.machines[m] for m in distinct],
+            )
+            seconds_by_machine = {
+                m: float(results.seconds[0, i]) for i, m in enumerate(distinct)
+            }
             with self._lock:
                 self.simulation_calls += len(distinct)
                 for m, seconds in seconds_by_machine.items():

@@ -1,16 +1,9 @@
-"""Iterative-compilation baselines (the paper's related-work comparators)."""
+"""The evaluation oracle the iterative-compilation searches price against.
 
-from repro.search.combined_elimination import combined_elimination
-from repro.search.evaluator import Evaluator, SearchResult
-from repro.search.genetic import genetic_search
-from repro.search.hillclimb import hill_climb
-from repro.search.random_search import random_search
+The searches themselves — the paper's related-work baselines and the
+model-guided strategies — live in :mod:`repro.autotune`.
+"""
 
-__all__ = [
-    "Evaluator",
-    "SearchResult",
-    "combined_elimination",
-    "genetic_search",
-    "hill_climb",
-    "random_search",
-]
+from repro.search.evaluator import Evaluator, SearchResult, evaluations_to_reach
+
+__all__ = ["Evaluator", "SearchResult", "evaluations_to_reach"]

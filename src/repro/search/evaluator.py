@@ -30,8 +30,7 @@ class Evaluator:
     backend's ``run`` here so searches can target the trace tier too.
     ``batch_simulate`` is the matching explicit batch entry point (a
     backend's ``run_many``); it is never inferred from ``simulate``, so
-    injected wrappers and mocks are always honoured.  ``vectorize=False``
-    pins :meth:`evaluate_many` to the sequential scalar reference.
+    injected wrappers and mocks are always honoured.
     """
 
     program: Program
@@ -39,7 +38,6 @@ class Evaluator:
     compiler: Compiler = field(default_factory=Compiler)
     simulate: Callable[[CompiledBinary, MicroArch], SimulationResult] | None = None
     batch_simulate: Callable | None = None
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         self._cache: dict[FlagSetting, float] = {}
@@ -66,7 +64,7 @@ class Evaluator:
         sequential :meth:`evaluate` calls, including the memo and the
         ``evaluations`` count.  Falls back to the sequential path when a
         custom scalar ``simulate`` is injected without a matching
-        ``batch_simulate``, or when ``vectorize`` is off.
+        ``batch_simulate``.
         """
         canonicals = [setting.canonical() for setting in settings]
         run_many = self._run_many()
@@ -101,8 +99,6 @@ class Evaluator:
 
     def _run_many(self):
         """The batch simulation entry point, if this tier has one."""
-        if not self.vectorize:
-            return None
         if self.batch_simulate is not None:
             return self.batch_simulate
         if self.simulate is None:

@@ -570,9 +570,7 @@ class PredictionService:
             if cached is None:
                 try:
                     predictor, entry = self.registry.load(
-                        promoted,
-                        space=self.session.flag_space,
-                        vectorize=self.session.vectorize,
+                        promoted, space=self.session.flag_space
                     )
                 except RegistryError as error:
                     raise ServiceError(str(error), status=503)
@@ -813,15 +811,11 @@ class PredictionService:
         """Fill ``counters``/``code_features`` for one backend's entries.
 
         Batch-capable backends price the deduplicated binary × machine
-        grid in one ``run_many`` call; others (or a session with
-        ``vectorize=False``) fall back to the scalar per-item profile.
-        Both produce the exact counters a single ``/predict`` computes.
+        grid in one ``run_many`` call; backends without one (the trace
+        tier) profile item by item.  Both produce the exact counters a
+        single ``/predict`` computes.
         """
-        run_many = (
-            getattr(backend, "run_many", None)
-            if self.session.vectorize
-            else None
-        )
+        run_many = getattr(backend, "run_many", None)
         if run_many is None:
             for entry in entries:
                 profile, code_features = profile_with_model(

@@ -51,11 +51,13 @@ def compute_shard(
     order, by any executor — concatenates back to exactly what a single
     monolithic call would produce.
 
-    ``vectorize`` selects the :func:`repro.sim.vector.simulate_many`
-    kernel: one numpy pass over the whole (binary × machine) grid
-    instead of S×M scalar simulations.  The two paths are bit-identical
-    (the vector kernel's contract), so the flag is purely a performance
-    knob; ``False`` keeps the scalar reference loop.
+    Every caller runs the :func:`repro.sim.vector.simulate_many` kernel:
+    one numpy pass over the whole (binary × machine) grid instead of S×M
+    scalar simulations.  ``vectorize=False`` selects the scalar
+    :func:`~repro.sim.analytic.simulate_analytic` reference loop instead;
+    the two are bit-identical (the vector kernel's contract), and the
+    equivalence suite and the benchmarks call the reference this way to
+    check and time the kernel against it.
     """
     from repro.core.code_features import static_code_features
 
@@ -107,14 +109,13 @@ def compute_shard_task(
 ) -> ShardArrays:
     """Picklable process-pool entry point for :func:`compute_shard`.
 
-    The caller's compiler cannot cross the process boundary, so each
-    worker keeps its own memoised compiler — results are identical to
-    serial ones (compilation is deterministic) even for non-default
-    compilers.  A sixth ``vectorize`` slot is optional (older callers
-    ship five-tuples) and defaults to the kernel path.
+    ``work`` is ``(program, machines, settings, flag space, compiler
+    cache enabled)``.  The caller's compiler cannot cross the process
+    boundary, so each worker keeps its own memoised compiler — results
+    are identical to serial ones (compilation is deterministic) even for
+    non-default compilers.
     """
-    program, machines, settings, space, cache = work[:5]
-    vectorize = work[5] if len(work) > 5 else True
+    program, machines, settings, space, cache = work
     key = (space.specs, cache)
     if _WORKER_STATE.get("key") != key:
         _WORKER_STATE["key"] = key
@@ -123,10 +124,4 @@ def compute_shard_task(
     elif _WORKER_STATE.get("program") != program.name:
         _WORKER_STATE["compiler"].clear_cache()
         _WORKER_STATE["program"] = program.name
-    return compute_shard(
-        program,
-        machines,
-        settings,
-        _WORKER_STATE["compiler"],
-        vectorize=vectorize,
-    )
+    return compute_shard(program, machines, settings, _WORKER_STATE["compiler"])

@@ -49,9 +49,6 @@ class ExperimentRunner:
             lease table of :mod:`repro.cluster`, so any number of
             concurrent runner processes (this host or peers on a shared
             filesystem) drain the same store together.
-        vectorize: route each shard's simulations through the
-            bit-identical :func:`repro.sim.vector.simulate_many` kernel
-            (default) or the scalar reference loop.
         lease_ttl: for ``cluster`` only — seconds without a heartbeat
             before this store's leases count as stale and reclaimable.
     """
@@ -63,7 +60,6 @@ class ExperimentRunner:
         compiler: Compiler | None = None,
         jobs: int | None = 1,
         executor: str = "auto",
-        vectorize: bool = True,
         lease_ttl: float | None = None,
     ):
         if executor not in RUNNER_EXECUTORS:
@@ -74,7 +70,6 @@ class ExperimentRunner:
         self.compiler = compiler if compiler is not None else Compiler()
         self.jobs = resolve_jobs(jobs)
         self.executor = executor
-        self.vectorize = vectorize
         self.lease_ttl = lease_ttl
         if programs is None:
             from repro.programs.mibench import mibench_program
@@ -183,7 +178,6 @@ class ExperimentRunner:
                 settings,
                 self.compiler.space,
                 self.compiler.cache_enabled,
-                self.vectorize,
             )
         return (program, machines, settings)
 
@@ -208,9 +202,6 @@ class ExperimentRunner:
                 if state["program"] not in (None, program.name):
                     self.compiler.clear_cache()
                 state["program"] = program.name
-            return compute_shard(
-                program, machines, settings, self.compiler,
-                vectorize=self.vectorize,
-            )
+            return compute_shard(program, machines, settings, self.compiler)
 
         return work

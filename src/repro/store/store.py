@@ -552,8 +552,8 @@ class ExperimentStore:
         store's pending shards — the inverse of :meth:`assemble`, and
         bit-exact with shards computed directly (the digests match).
         Lets a store absorb a dataset produced elsewhere (another
-        session's memoised build, a legacy single-file cache) instead of
-        recomputing it.  Returns the number of shards written.
+        session's memoised build) instead of recomputing it.  Returns the
+        number of shards written.
         """
         grid = self.grid
         if (

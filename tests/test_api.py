@@ -93,8 +93,8 @@ class TestBackends:
 
     def test_backends_swappable_via_same_call(self, session):
         machine = xscale()
-        analytic = session.evaluate("sha", machine)
-        trace = session.evaluate("sha", machine, backend="trace")
+        analytic = session.eval.evaluate("sha", machine)
+        trace = session.eval.evaluate("sha", machine, backend="trace")
         assert analytic.backend == "analytic"
         assert trace.backend == "trace"
         assert analytic.runtime > 0 and trace.runtime > 0
@@ -105,7 +105,7 @@ class TestBackends:
 
 class TestEvaluate:
     def test_default_setting_is_o3(self, session):
-        result = session.evaluate("sha", xscale())
+        result = session.eval.evaluate("sha", xscale())
         assert result.setting == o3_setting()
         assert result.runtime == pytest.approx(result.simulation.seconds)
         assert result.cycles > 0
@@ -113,23 +113,23 @@ class TestEvaluate:
 
     def test_request_object_and_kwargs_agree(self, session):
         machine = xscale()
-        via_request = session.evaluate(EvaluationRequest("crc", machine))
-        via_kwargs = session.evaluate("crc", machine)
+        via_request = session.eval.evaluate(EvaluationRequest("crc", machine))
+        via_kwargs = session.eval.evaluate("crc", machine)
         assert via_request == via_kwargs
 
     def test_machine_required(self, session):
         with pytest.raises(TypeError):
-            session.evaluate("sha")
+            session.eval.evaluate("sha")
 
     def test_speedup_of_o3_is_one(self, session):
-        assert session.speedup_over_o3(
+        assert session.eval.speedup_over_o3(
             "sha", xscale(), o3_setting()
         ) == pytest.approx(1.0)
 
     def test_batch_accepts_tuples_and_preserves_order(self, session):
         machine = xscale()
         names = ["sha", "crc", "qsort", "sha"]
-        results = session.evaluate_batch([(name, machine) for name in names])
+        results = session.eval.batch([(name, machine) for name in names])
         assert [result.program for result in results] == names
 
     def test_batch_parallel_equals_serial(self, session):
@@ -141,16 +141,16 @@ class TestEvaluate:
             for machine in machines
             for setting in (None, lean)
         ]
-        serial = session.evaluate_batch(requests, jobs=1)
-        threaded = session.evaluate_batch(requests, jobs=2, executor="thread")
-        processed = session.evaluate_batch(requests, jobs=2, executor="process")
+        serial = session.eval.batch(requests, jobs=1)
+        threaded = session.eval.batch(requests, jobs=2, executor="thread")
+        processed = session.eval.batch(requests, jobs=2, executor="process")
         for reference, thread_run, process_run in zip(serial, threaded, processed):
             assert thread_run == reference
             assert process_run == reference
 
     def test_batch_backend_override_per_request(self, session):
         machine = xscale()
-        results = session.evaluate_batch(
+        results = session.eval.batch(
             [
                 EvaluationRequest("crc", machine),
                 EvaluationRequest("crc", machine, backend="trace"),
@@ -163,7 +163,7 @@ class TestModelLifecycle:
     @pytest.fixture(scope="class")
     def fitted(self, tiny_data):
         fitted_session = Session("tiny", use_disk_cache=False)
-        fitted_session.fit(tiny_data.training)
+        fitted_session.models.fit(tiny_data.training)
         return fitted_session
 
     def test_fit_records_fingerprint(self, fitted, tiny_data):
@@ -181,40 +181,42 @@ class TestModelLifecycle:
 
     def test_predict_requires_model(self):
         with pytest.raises(RuntimeError):
-            Session("tiny").predict("sha", xscale())
+            Session("tiny").models.predict("sha", xscale())
 
     def test_save_requires_model(self, tmp_path):
         with pytest.raises(RuntimeError):
-            Session("tiny").save_model(tmp_path / "model.json")
+            Session("tiny").models.save(tmp_path / "model.json")
 
     def test_predict_returns_speedup(self, fitted, tiny_data):
         machine = tiny_data.machines[0]
-        prediction = fitted.predict(
+        prediction = fitted.models.predict(
             "sha", machine, exclude_program="sha", exclude_machine=machine
         )
         assert prediction.program == "sha"
         assert prediction.speedup_over_o3 is not None
         assert prediction.speedup_over_o3 > 0
-        profile_only = fitted.predict("sha", machine, evaluate=False)
+        profile_only = fitted.models.predict("sha", machine, evaluate=False)
         assert profile_only.predicted_run is None
         assert profile_only.speedup_over_o3 is None
 
     def test_save_load_round_trip_bit_for_bit(self, fitted, tiny_data, tmp_path):
-        path = fitted.save_model(tmp_path / "model.json")
+        path = fitted.models.save(tmp_path / "model.json")
         restored_session = Session("tiny", use_disk_cache=False)
-        restored_session.load_model(path)
+        restored_session.models.load(path)
         assert restored_session.model_fingerprint == fitted.model_fingerprint
 
         for name in tiny_data.training.program_names[:3]:
             for machine in tiny_data.machines[:2]:
-                original = fitted.predict(name, machine, evaluate=False)
-                restored = restored_session.predict(name, machine, evaluate=False)
+                original = fitted.models.predict(name, machine, evaluate=False)
+                restored = restored_session.models.predict(
+                    name, machine, evaluate=False
+                )
                 assert restored.setting == original.setting
                 assert restored.profile.seconds == original.profile.seconds
 
         # The full predictive distribution survives exactly, not just the mode.
         machine = tiny_data.machines[0]
-        counters = fitted.evaluate("sha", machine).counters
+        counters = fitted.eval.evaluate("sha", machine).counters
         original = fitted.model.predict_distribution(counters, machine)
         restored = restored_session.model.predict_distribution(counters, machine)
         for probs_a, probs_b in zip(original.theta, restored.theta):
@@ -229,7 +231,7 @@ class TestModelLifecycle:
 
 class TestSearchApi:
     def test_search_runs_and_reports(self, session):
-        outcome = session.search(
+        outcome = session.eval.search(
             program="crc", machine=xscale(), algorithm="random", budget=12, seed=3
         )
         assert outcome.algorithm == "random"
@@ -244,17 +246,17 @@ class TestSearchApi:
         request = SearchRequest(
             program="crc", machine=xscale(), algorithm="random", budget=5, seed=3
         )
-        outcome = session.search(request)
+        outcome = session.eval.search(request)
         assert outcome.evaluations == 5
         with pytest.raises(TypeError):
-            session.search(request, budget=5)
+            session.eval.search(request, budget=5)
 
     def test_unknown_algorithm_rejected(self, session):
         with pytest.raises(ValueError):
-            session.search(program="crc", machine=xscale(), algorithm="bogus")
+            session.eval.search(program="crc", machine=xscale(), algorithm="bogus")
 
     def test_search_on_trace_backend(self, session):
-        outcome = session.search(
+        outcome = session.eval.search(
             program="crc",
             machine=xscale(),
             algorithm="random",
@@ -262,7 +264,7 @@ class TestSearchApi:
             seed=3,
             backend=TraceBackend(max_loop_iterations=64),
         )
-        analytic = session.search(
+        analytic = session.eval.search(
             program="crc", machine=xscale(), algorithm="random", budget=4, seed=3
         )
         # Same protocol, different timing tier: the o3 reference differs.
@@ -283,7 +285,7 @@ class TestSessionConfig:
             n_settings=2,
         )
         caching = Session(scale, cache_dir=tmp_path)
-        data = caching.dataset()
+        data = caching.data.dataset()
         assert data.training.runtimes.shape == (2, 2, 2)
         store_dirs = list(tmp_path.glob("store-apitest-*"))
         assert len(store_dirs) == 1
@@ -334,7 +336,7 @@ class TestSessionConfig:
         from repro.compiler.flags import FLAG_SPECS, FlagSpace
 
         fitted = Session("tiny", use_disk_cache=False)
-        fitted.fit(tiny_data.training)
-        path = fitted.save_model(tmp_path / "model.json")
+        fitted.models.fit(tiny_data.training)
+        path = fitted.models.save(tmp_path / "model.json")
         with pytest.raises(ValueError):
             load_predictor(path, space=FlagSpace(FLAG_SPECS[:5]))

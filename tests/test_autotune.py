@@ -9,6 +9,7 @@ import pytest
 
 from repro.autotune import (
     ALL_STRATEGIES,
+    BASELINE_STRATEGIES,
     BatchScorer,
     BeamSearch,
     GUIDED_STRATEGIES,
@@ -27,31 +28,21 @@ from repro.compiler.flags import DEFAULT_SPACE, o3_setting
 from repro.core.distribution import IIDDistribution
 from repro.machine.xscale import xscale
 from repro.programs import mibench_program
-from repro.search import (
-    Evaluator,
-    combined_elimination,
-    genetic_search,
-    hill_climb,
-    random_search,
-)
+from repro.search import Evaluator
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "search_golden.json").read_text()
 )
 
-LEGACY_DRIVERS = {
-    "random": lambda ev, p: random_search(ev, p["budget"], p["seed"]),
-    "hillclimb": lambda ev, p: hill_climb(ev, p["budget"], p["seed"]),
-    "genetic": lambda ev, p: genetic_search(
-        ev,
-        p["budget"],
-        p["seed"],
-        population_size=p.get("population_size", 20),
-    ),
-    "combined-elimination": lambda ev, p: combined_elimination(
-        ev, budget=p.get("budget")
-    ),
-}
+
+def run_golden_case(evaluator: Evaluator, case: dict):
+    """One golden case as a strategy run: ``budget`` and ``seed`` go to
+    :func:`run_strategy`, any other params to the strategy class."""
+    params = dict(case["params"])
+    budget = params.pop("budget")
+    seed = params.pop("seed", 0)
+    strategy = BASELINE_STRATEGIES[case["algorithm"]](**params)
+    return run_strategy(strategy, evaluator, budget, seed=seed)
 
 
 def make_evaluator(program_name: str = "sha") -> Evaluator:
@@ -175,18 +166,19 @@ class TestBatchScorer:
         assert not scorer.exhausted
 
 
-# ----------------------------------------------- golden shim bit-identity
+# ------------------------------------------- golden baseline bit-identity
 @pytest.mark.parametrize(
     "case",
     GOLDEN["cases"],
     ids=[f"{c['algorithm']}-{c['program']}" for c in GOLDEN["cases"]],
 )
 def test_legacy_shims_bit_identical_to_golden(case):
-    """The re-homed strategies reproduce the legacy drivers exactly:
-    same evaluations, same fresh-simulation count, same best setting,
-    same trajectory to the last bit."""
+    """The baseline strategies reproduce the original standalone search
+    drivers (which recorded ``search_golden.json``) exactly: same
+    evaluations, same fresh-simulation count, same best setting, same
+    trajectory to the last bit."""
     evaluator = make_evaluator(case["program"])
-    result = LEGACY_DRIVERS[case["algorithm"]](evaluator, case["params"])
+    result = run_golden_case(evaluator, case)
     assert result.evaluations == case["evaluations"]
     assert len(evaluator._cache) == case["simulations"]
     assert result.best_runtime == case["best_runtime"]

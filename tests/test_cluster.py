@@ -160,6 +160,34 @@ class TestLeaseTable:
         with pytest.raises(ValueError, match="ttl"):
             LeaseTable(tmp_path, "fp", ttl=0.0)
 
+    def test_sibling_create_right_after_absent_read_is_not_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: a same-grid sibling whose atomic table create lands
+        just after this worker found no table must not make the valid
+        table read as corrupt."""
+        real_read = LeaseTable._read_meta
+        raced = []
+
+        def racing_read(path):
+            meta = real_read(path)
+            if not raced:
+                raced.append(path)
+                LeaseTable(tmp_path, "fp", ttl=60.0)  # the sibling wins
+            return meta
+
+        monkeypatch.setattr(LeaseTable, "_read_meta", staticmethod(racing_read))
+        table = LeaseTable(tmp_path, "fp", ttl=60.0)
+        assert raced and table.fingerprint == "fp"
+
+    def test_unparseable_table_still_raises(self, tmp_path):
+        (tmp_path / LeaseTable.META_NAME).write_text('{"format": 1, "fing')
+        with pytest.raises(ClusterError, match="corrupt"):
+            LeaseTable(tmp_path, "fp", ttl=60.0)
+        (tmp_path / LeaseTable.META_NAME).write_text("[1, 2]")
+        with pytest.raises(ClusterError, match="corrupt"):
+            LeaseTable(tmp_path, "fp", ttl=60.0)
+
 
 class _FakeQueue:
     """A synthetic queue for worker-loop semantics, no simulation needed."""

@@ -259,22 +259,29 @@ class TestPredictor:
         with pytest.raises(RuntimeError):
             predictor.predict(_counters(), xscale())
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_unfitted_neighbours_raises_cleanly(self, vectorize):
+    @staticmethod
+    def _neighbours(predictor, reference):
+        """The kernel's neighbours(), or the scalar reference's."""
+        if reference:
+            return lambda *query, **kw: predictor.reference_knn(*query, **kw)[1]
+        return predictor.neighbours
+
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_unfitted_neighbours_raises_cleanly(self, reference):
         """Regression: neighbours() used to skip the is_fitted guard and
         die with AttributeError on the missing normaliser."""
-        predictor = OptimisationPredictor(vectorize=vectorize)
+        neighbours = self._neighbours(OptimisationPredictor(), reference)
         with pytest.raises(RuntimeError, match="not fitted"):
-            predictor.neighbours(_counters(), xscale())
+            neighbours(_counters(), xscale())
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_neighbours_exhausted_candidates_raise(self, tiny_data, vectorize):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_neighbours_exhausted_candidates_raise(self, tiny_data, reference):
         """Regression: neighbours() used to return [] silently where
         predict_distribution raises when exclusions empty the candidates."""
         training = tiny_data.training
-        predictor = OptimisationPredictor(
-            extended=training.extended, vectorize=vectorize
-        ).fit(training)
+        predictor = OptimisationPredictor(extended=training.extended).fit(
+            training
+        )
         only = training.program_names[0]
         predictor._pairs = [
             pair for pair in predictor._pairs if pair.program == only
@@ -282,7 +289,7 @@ class TestPredictor:
         predictor._refresh_tensors()
         counters = PerfCounters(*training.counters[0, 0, :])
         with pytest.raises(RuntimeError, match="no training pairs"):
-            predictor.neighbours(
+            self._neighbours(predictor, reference)(
                 counters, tiny_data.machines[0], exclude_program=only
             )
 

@@ -22,7 +22,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.dataset import _load, _save, load_or_build
+from repro.experiments.dataset import load_or_build
 
 
 class TestScales:
@@ -64,20 +64,6 @@ class TestDataset:
     def test_memory_cache_returns_same_object(self, tiny_data):
         again = load_or_build(tiny_data.scale, use_disk_cache=False)
         assert again is tiny_data
-
-    def test_disk_roundtrip(self, tiny_data, tmp_path):
-        path = tmp_path / "training-test"
-        _save(path, tiny_data.training)
-        loaded = _load(path)
-        assert loaded is not None
-        assert loaded.program_names == tiny_data.training.program_names
-        assert loaded.machines == tiny_data.training.machines
-        assert loaded.settings == tiny_data.training.settings
-        assert np.allclose(loaded.runtimes, tiny_data.training.runtimes)
-        assert np.allclose(loaded.counters, tiny_data.training.counters)
-
-    def test_load_missing_returns_none(self, tmp_path):
-        assert _load(tmp_path / "nope") is None
 
 
 class TestStaticExperiments:

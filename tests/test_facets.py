@@ -1,16 +1,15 @@
-"""Session API v2: facets, deprecation shims, and warning-clean examples."""
+"""Session API v2: facets, the unified search dispatch, and the examples."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-import repro.api.session as session_module
 from repro.api import (
+    SEARCH_ALGORITHMS,
     DataFacet,
     EvalFacet,
     EvaluationRequest,
@@ -18,6 +17,9 @@ from repro.api import (
     ProtocolFacet,
     Session,
 )
+from repro.autotune import GUIDED_STRATEGIES, run_strategy
+from repro.programs import mibench_program
+from repro.search import Evaluator
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -52,12 +54,11 @@ class TestFacetConstruction:
         assert fitted.models.fingerprint == fitted.model_fingerprint
         assert fitted.model_fingerprint is not None
 
-    def test_eval_facet_matches_flat_surface(self, session, machine):
-        via_facet = session.eval.evaluate("sha", machine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_shim = session.evaluate("sha", machine)
-        assert via_facet == via_shim
+    def test_session_has_no_flat_forwarders(self):
+        """Every action lives on a facet; the pre-v2 flat spellings are
+        gone from the Session class."""
+        for flat in _REMOVED_FLAT_METHODS:
+            assert not hasattr(Session, flat), flat
 
     def test_eval_batch_round_trip(self, session, machine):
         results = session.eval.batch(
@@ -96,40 +97,26 @@ class TestFacetConstruction:
         assert seen[0][2] == seen[1][2]  # stable total
 
 
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self, monkeypatch):
-        monkeypatch.setattr(session_module, "_DEPRECATION_WARNED", set())
+#: The pre-v2 flat Session methods, removed in favour of the facets.
+_REMOVED_FLAT_METHODS = (
+    "evaluate",
+    "evaluate_batch",
+    "speedup_over_o3",
+    "evaluator",
+    "search",
+    "dataset",
+    "experiment_store",
+    "dataset_status",
+    "build_dataset",
+    "protocol_store",
+    "run_protocol",
+    "fit",
+    "predict",
+    "save_model",
+    "load_model",
+)
 
-    def test_flat_method_warns_once_per_process(self, session, machine):
-        with pytest.warns(DeprecationWarning, match="session.eval.evaluate"):
-            session.evaluate("sha", machine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.evaluate("sha", machine)  # second call: silent
-
-    def test_each_shim_warns_independently(self, fitted, machine):
-        with pytest.warns(DeprecationWarning, match="models.predict"):
-            fitted.predict("sha", machine, evaluate=False)
-        with pytest.warns(DeprecationWarning, match="eval.search"):
-            fitted.search(program="sha", machine=machine, budget=3)
-
-    def test_shim_results_identical_to_facets(self, fitted, machine, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat_path = fitted.save_model(tmp_path / "flat.json")
-        facet_path = fitted.models.save(tmp_path / "facet.json")
-        assert flat_path.read_text() == facet_path.read_text()
-
-    def test_facet_calls_never_warn(self, fitted, machine):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            fitted.eval.evaluate("sha", machine)
-            fitted.models.predict("sha", machine, evaluate=False)
-            fitted.data.status()
-
-
-#: Flat spellings that must not appear in the migrated examples.
+#: Flat spellings that must not appear in the examples.
 _DEPRECATED_SPELLINGS = tuple(
     f".{name}("
     for name in (
@@ -157,7 +144,7 @@ class TestExamplesOnFacets:
     def test_example_uses_no_deprecated_spelling(self, example):
         text = (EXAMPLES_DIR / example).read_text()
         hits = [spelling for spelling in _DEPRECATED_SPELLINGS if spelling in text]
-        assert not hits, f"{example} still uses deprecated flat calls: {hits}"
+        assert not hits, f"{example} still uses removed flat calls: {hits}"
 
     @pytest.mark.parametrize(
         "example", sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
@@ -180,6 +167,69 @@ class TestExamplesOnFacets:
             f"{example} failed under -W error::DeprecationWarning:\n"
             f"{result.stdout}\n{result.stderr}"
         )
+
+
+#: Every name session.eval.search dispatches: six strategies plus an alias.
+SEARCH_NAMES = (
+    "random",
+    "hillclimb",
+    "genetic",
+    "combined-elimination",
+    "model-genetic",
+    "beam",
+    "ce",
+)
+
+
+class TestSearchDispatch:
+    def test_table_is_every_strategy_plus_ce(self):
+        assert set(SEARCH_ALGORITHMS) == set(SEARCH_NAMES)
+        assert SEARCH_ALGORITHMS["ce"] is SEARCH_ALGORITHMS["combined-elimination"]
+
+    @pytest.mark.parametrize("name", SEARCH_NAMES)
+    def test_facet_equals_direct_run_strategy(self, fitted, machine, name):
+        """The facet is one table lookup plus one run_strategy call; only
+        guided strategies get the profile-run distribution."""
+        outcome = fitted.eval.search(
+            program="sha", machine=machine, algorithm=name, budget=12, seed=5
+        )
+        evaluator = Evaluator(program=mibench_program("sha"), machine=machine)
+        o3_runtime = evaluator.o3_runtime()
+        distribution = None
+        if name in GUIDED_STRATEGIES:
+            profile = fitted.eval.evaluate("sha", machine)
+            distribution = fitted.model.predict_distribution(
+                profile.counters, machine
+            )
+        direct = run_strategy(
+            SEARCH_ALGORITHMS[name](),
+            evaluator,
+            12,
+            seed=5,
+            distribution=distribution,
+            o3_runtime=o3_runtime,
+        )
+        assert outcome.algorithm == name
+        assert outcome.o3_runtime == o3_runtime
+        assert outcome.best_setting == direct.best_setting
+        assert outcome.best_runtime == direct.best_runtime
+        assert outcome.evaluations == direct.evaluations
+        assert list(outcome.trajectory) == direct.trajectory
+
+    def test_unknown_name_lists_all_seven(self, session, machine):
+        with pytest.raises(ValueError) as excinfo:
+            session.eval.search(
+                program="sha", machine=machine, algorithm="nope", budget=5
+            )
+        for name in SEARCH_NAMES:
+            assert repr(name) in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", ["random", "ce"])
+    def test_zero_budget_rejected(self, session, machine, name):
+        with pytest.raises(ValueError, match="budget"):
+            session.eval.search(
+                program="sha", machine=machine, algorithm=name, budget=0
+            )
 
 
 class TestEvalTournament:

@@ -14,7 +14,7 @@ If a change is *intentional*, regenerate the fixture and commit the diff::
     import json
     from repro.api import Session
 
-    report = Session("tiny", use_disk_cache=False).run_protocol().report
+    report = Session("tiny", use_disk_cache=False).protocol.run().report
     golden = json.load(open("tests/golden/tiny_protocol_golden.json"))
     golden.update(
         protocol_fingerprint=report.payload["fingerprints"]["protocol"],

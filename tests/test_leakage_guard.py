@@ -3,12 +3,12 @@
 §5.1.1's claim is that the model never consults training data from the
 held-out program *or* the held-out machine.  Exclusion happens at query
 time through the predictor's single candidate gate
-(:meth:`OptimisationPredictor._candidate_indices`) — the scalar and
-vectorised prediction paths both select through it, exactly once per
-query — so instrumenting that gate observes every training row any
-prediction can possibly touch.  These tests record every consulted row
-across a full leave-one-out sweep and a full pipeline fold and assert
-the held-out rows never appear.
+(:meth:`OptimisationPredictor._candidate_indices`) — every prediction
+path selects through it, exactly once per query — so instrumenting that
+gate observes every training row any prediction can possibly touch.
+These tests record every consulted row across a full leave-one-out
+sweep and a full pipeline fold and assert the held-out rows never
+appear.
 """
 
 from __future__ import annotations

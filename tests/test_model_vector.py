@@ -1,27 +1,27 @@
 """The ranking kernel's contract: exact equality with the scalar model.
 
-:mod:`repro.core.vector` must reproduce the scalar
-:class:`~repro.core.predictor.OptimisationPredictor` float for float —
-every mixture theta, every ranked probability, every neighbour distance —
-because the service serialises rankings with :func:`canonical_json`, where
-bit-identity and byte-identity are the same thing.  The hypothesis suites
-assert that over random queries × machines × exclusions × K, the
-deterministic tests cover the batch API, the registry's promote-time
-sidecar, the service path, and the edge cases (ties in the top-K, batches
-that exhaust the candidates); the kernel-poison test proves
-``vectorize=False`` never touches the batch path.
+:mod:`repro.core.vector` must reproduce the scalar reference
+:meth:`~repro.core.predictor.OptimisationPredictor.reference_knn` float
+for float — every mixture theta, every ranked probability, every
+neighbour distance — because the service serialises rankings with
+:func:`canonical_json`, where bit-identity and byte-identity are the same
+thing.  The hypothesis suites assert that over random queries × machines
+× exclusions × K; the deterministic tests cover the batch API, the
+registry's promote-time sidecar (stacked once), the service path, and the
+edge cases (ties in the top-K, batches that exhaust the candidates).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ModelRegistry, Session
+from repro.api import ModelRegistry, RankedPrediction, RankedSetting, Session
 from repro.api.facets import ranked_prediction, ranked_prediction_many
 from repro.core import vector as model_vector
 from repro.core.predictor import OptimisationPredictor
@@ -44,8 +44,8 @@ machines_strategy = st.builds(
 )
 
 
-def clone_with(base: OptimisationPredictor, k: int, vectorize: bool):
-    """A fitted predictor sharing ``base``'s pairs with different knobs."""
+def clone_with(base: OptimisationPredictor, k: int):
+    """A fitted predictor sharing ``base``'s pairs with a different K."""
     clone = OptimisationPredictor(
         space=base.space,
         k=k,
@@ -53,7 +53,6 @@ def clone_with(base: OptimisationPredictor, k: int, vectorize: bool):
         quantile=base.quantile,
         extended=base.extended,
         feature_mode=base.feature_mode,
-        vectorize=vectorize,
     )
     clone._pairs = base._pairs
     clone._normaliser = base._normaliser
@@ -68,16 +67,27 @@ def assert_distribution_exact(reference, candidate) -> None:
         assert np.array_equal(a, b), f"theta drifted in dimension {dim}"
 
 
+def reference_distribution(model, *query, **exclusions):
+    """The scalar reference mixture for one query."""
+    return model.reference_knn(*query, **exclusions)[0]
+
+
+def reference_ranked(model, counters, machine, top, program=None):
+    """:func:`ranked_prediction`, ranked from the scalar reference."""
+    settings = tuple(
+        RankedSetting(rank=index + 1, setting=setting, probability=probability)
+        for index, (setting, probability) in enumerate(
+            reference_distribution(model, counters, machine).top_settings(top)
+        )
+    )
+    return RankedPrediction(program=program, machine=machine, settings=settings)
+
+
 @pytest.fixture(scope="module")
 def fitted(tiny_data):
     training = tiny_data.training
-    scalar = OptimisationPredictor(
-        extended=training.extended, vectorize=False
-    ).fit(training)
-    vector = OptimisationPredictor(
-        extended=training.extended, vectorize=True
-    ).fit(training)
-    return {"training": training, "scalar": scalar, "vector": vector}
+    model = OptimisationPredictor(extended=training.extended).fit(training)
+    return {"training": training, "model": model}
 
 
 class TestStableTopK:
@@ -139,27 +149,20 @@ class TestScalarVectorEquivalence:
         exclude_machine = (
             training.machines[m] if exclusion in ("machine", "both") else None
         )
-        scalar = clone_with(fitted["scalar"], k, vectorize=False)
-        vector = clone_with(fitted["scalar"], k, vectorize=True)
+        model = clone_with(fitted["model"], k)
+        query = (counters, query_machine, exclude_program, exclude_machine)
 
-        reference = scalar.predict_distribution(
-            counters, query_machine, exclude_program, exclude_machine
-        )
-        candidate = vector.predict_distribution(
-            counters, query_machine, exclude_program, exclude_machine
-        )
+        reference, reference_neighbours = model.reference_knn(*query)
+        candidate = model.predict_distribution(*query)
         assert_distribution_exact(reference, candidate)
         assert reference.mode() == candidate.mode()
         assert reference.top_settings(5) == candidate.top_settings(5)
-        assert scalar.neighbours(
-            counters, query_machine, exclude_program, exclude_machine
-        ) == vector.neighbours(
-            counters, query_machine, exclude_program, exclude_machine
-        )
+        assert model.neighbours(*query) == reference_neighbours
 
     def test_unseen_exclusion_keys_match_nothing(self, fitted):
         """Excluding a program/machine the model never trained on must be
-        a no-op on both paths (the id-mask maps unknowns to -1)."""
+        a no-op on the kernel and the reference (the id-mask maps unknowns
+        to -1)."""
         training = fitted["training"]
         counters = PerfCounters(*training.counters[0, 0, :])
         unknown_machine = next(
@@ -173,11 +176,11 @@ class TestScalarVectorEquivalence:
             )
             not in training.machines
         )
-        for predictor in (fitted["scalar"], fitted["vector"]):
-            baseline = predictor.predict_distribution(
-                counters, training.machines[0]
-            )
-            excluded = predictor.predict_distribution(
+        model = fitted["model"]
+        reference = functools.partial(reference_distribution, model)
+        for predict in (model.predict_distribution, reference):
+            baseline = predict(counters, training.machines[0])
+            excluded = predict(
                 counters,
                 training.machines[0],
                 exclude_program="no-such-program",
@@ -204,14 +207,15 @@ class TestBatchedMany:
     def test_batch_equals_scalar_singles(self, fitted):
         training = fitted["training"]
         queries = self._grid_queries(training)
-        batch = fitted["vector"].predict_distribution_many(
+        model = fitted["model"]
+        batch = model.predict_distribution_many(
             [q[0] for q in queries],
             [q[1] for q in queries],
             exclude_programs=[q[2] for q in queries],
             exclude_machines=[q[3] for q in queries],
         )
         for query, candidate in zip(queries, batch):
-            reference = fitted["scalar"].predict_distribution(*query)
+            reference = reference_distribution(model, *query)
             assert_distribution_exact(reference, candidate)
 
     def test_predict_many_and_rank_many_match(self, fitted):
@@ -219,26 +223,25 @@ class TestBatchedMany:
         queries = self._grid_queries(training)[:8]
         counters = [q[0] for q in queries]
         machines = [q[1] for q in queries]
-        for predictor in (fitted["vector"], fitted["scalar"]):
-            modes = predictor.predict_many(counters, machines)
-            ranks = predictor.rank_many(counters, machines, top=3)
-            for i, query in enumerate(queries):
-                reference = fitted["scalar"].predict_distribution(
-                    query[0], query[1]
-                )
-                assert modes[i] == reference.mode()
-                assert ranks[i] == reference.top_settings(3)
+        model = fitted["model"]
+        modes = model.predict_many(counters, machines)
+        ranks = model.rank_many(counters, machines, top=3)
+        for i, query in enumerate(queries):
+            reference = reference_distribution(model, query[0], query[1])
+            assert modes[i] == reference.mode()
+            assert ranks[i] == reference.top_settings(3)
 
     def test_empty_batch_and_length_mismatch(self, fitted):
-        assert fitted["vector"].predict_distribution_many([], []) == []
+        model = fitted["model"]
+        assert model.predict_distribution_many([], []) == []
         training = fitted["training"]
         counters = PerfCounters(*training.counters[0, 0, :])
         with pytest.raises(ValueError, match="equal length"):
-            fitted["vector"].predict_distribution_many(
+            model.predict_distribution_many(
                 [counters], training.machines[:2]
             )
         with pytest.raises(ValueError, match="exclude_programs"):
-            fitted["vector"].predict_distribution_many(
+            model.predict_distribution_many(
                 [counters], [training.machines[0]], exclude_programs=["a", "b"]
             )
 
@@ -248,24 +251,25 @@ class TestBatchedMany:
             model.predict_distribution_many([], [])
 
     def test_exhausted_candidates_raise_in_batch(self, fitted):
-        """Mixed batches surface the scalar path's RuntimeError when any
+        """Mixed batches surface the reference's RuntimeError when any
         query's exclusions wipe out every training pair."""
         training = fitted["training"]
         only = training.program_names[0]
-        base = fitted["scalar"]
-        for vectorize in (False, True):
-            narrowed = clone_with(base, base.k, vectorize)
-            narrowed._pairs = [
-                pair for pair in base._pairs if pair.program == only
-            ]
-            narrowed._refresh_tensors()
-            counters = PerfCounters(*training.counters[0, 0, :])
-            with pytest.raises(RuntimeError, match="no training pairs"):
-                narrowed.predict_distribution_many(
-                    [counters, counters],
-                    [training.machines[0]] * 2,
-                    exclude_programs=[None, only],
-                )
+        base = fitted["model"]
+        narrowed = clone_with(base, base.k)
+        narrowed._pairs = [pair for pair in base._pairs if pair.program == only]
+        narrowed._refresh_tensors()
+        counters = PerfCounters(*training.counters[0, 0, :])
+        with pytest.raises(RuntimeError, match="no training pairs"):
+            narrowed.reference_knn(
+                counters, training.machines[0], exclude_program=only
+            )
+        with pytest.raises(RuntimeError, match="no training pairs"):
+            narrowed.predict_distribution_many(
+                [counters, counters],
+                [training.machines[0]] * 2,
+                exclude_programs=[None, only],
+            )
 
     def test_ranked_prediction_many_payloads_are_byte_identical(self, fitted):
         training = fitted["training"]
@@ -279,10 +283,18 @@ class TestBatchedMany:
             for p in range(3)
             for m in range(3)
         ]
-        batch = ranked_prediction_many(fitted["vector"], queries)
+        model = fitted["model"]
+        batch = ranked_prediction_many(model, queries)
         for query, prediction in zip(queries, batch):
             single = ranked_prediction(
-                fitted["scalar"],
+                model,
+                query["counters"],
+                query["machine"],
+                query["top"],
+                program=query["program"],
+            )
+            reference = reference_ranked(
+                model,
                 query["counters"],
                 query["machine"],
                 query["top"],
@@ -291,6 +303,9 @@ class TestBatchedMany:
             assert canonical_json(prediction.payload()) == canonical_json(
                 single.payload()
             )
+            assert canonical_json(single.payload()) == canonical_json(
+                reference.payload()
+            )
 
 
 class TestRegistrySidecar:
@@ -298,7 +313,7 @@ class TestRegistrySidecar:
     def registered(self, tmp_path, fitted):
         registry = ModelRegistry(tmp_path / "registry")
         entry = registry.register(
-            fitted["scalar"], fingerprint="f" * 16, promote=True
+            fitted["model"], fingerprint="f" * 16, promote=True
         )
         return registry, entry
 
@@ -308,16 +323,16 @@ class TestRegistrySidecar:
         assert sidecar.exists()
         with np.load(sidecar) as data:
             assert str(data["digest"]) == entry.digest
-            assert data["features"].shape[0] == len(fitted["scalar"]._pairs)
+            assert data["features"].shape[0] == len(fitted["model"]._pairs)
             assert data["theta"].ndim == 3
 
         loaded, _ = registry.load(entry.version)
         assert loaded._tensors is not None
         assert np.array_equal(
-            loaded._tensors.features, fitted["vector"]._tensors.features
+            loaded._tensors.features, fitted["model"]._tensors.features
         )
         assert np.array_equal(
-            loaded._tensors.theta, fitted["vector"]._tensors.theta
+            loaded._tensors.theta, fitted["model"]._tensors.theta
         )
 
     def test_loaded_model_predicts_bit_identically(self, registered, fitted):
@@ -325,8 +340,8 @@ class TestRegistrySidecar:
         training = fitted["training"]
         loaded, _ = registry.load(entry.version)
         counters = PerfCounters(*training.counters[1, 2, :])
-        reference = fitted["scalar"].predict_distribution(
-            counters, training.machines[2]
+        reference = reference_distribution(
+            fitted["model"], counters, training.machines[2]
         )
         assert_distribution_exact(
             reference,
@@ -341,103 +356,109 @@ class TestRegistrySidecar:
         training = fitted["training"]
         counters = PerfCounters(*training.counters[0, 1, :])
         assert_distribution_exact(
-            fitted["scalar"].predict_distribution(
-                counters, training.machines[1]
+            reference_distribution(
+                fitted["model"], counters, training.machines[1]
             ),
             loaded.predict_distribution(counters, training.machines[1]),
         )
 
-    def test_vectorize_false_load_skips_tensors(self, registered):
+    def test_load_stacks_tensors_once_from_the_sidecar(
+        self, registered, monkeypatch
+    ):
+        """A valid sidecar is attached as-is: the pairs are never stacked
+        a second time (what keeps serve set-up time flat)."""
         registry, entry = registered
-        loaded, _ = registry.load(entry.version, vectorize=False)
-        assert loaded._tensors is None
+        real_from_pairs = model_vector.PredictorTensors.from_pairs.__func__
+        calls = []
+
+        def counting(cls, pairs, space, features=None, theta=None):
+            calls.append(features is not None and theta is not None)
+            return real_from_pairs(cls, pairs, space, features, theta)
+
+        monkeypatch.setattr(
+            model_vector.PredictorTensors, "from_pairs", classmethod(counting)
+        )
+        loaded, _ = registry.load(entry.version)
+        assert calls == [True]
+        assert loaded._tensors is not None
 
 
 class TestServiceBatchEquivalence:
     def test_batched_predict_matches_scalar_service_byte_for_byte(
         self, tmp_path, tiny_data
     ):
-        """The acceptance gate: batched /predict answers from the vector
-        service must serialise to the exact bytes the pre-PR scalar path
-        produces."""
+        """The acceptance gate: batched /predict answers must serialise to
+        the exact bytes the scalar reference ranks."""
         trainer = Session("tiny", cache_dir=tmp_path, use_disk_cache=False)
         trainer.models.fit(tiny_data.training)
         trainer.models.register(promote=True)
 
-        machine = dataclasses.asdict(tiny_data.training.machines[0])
+        machine = tiny_data.training.machines[0]
+        names = tiny_data.training.program_names[:3]
         payload = {
             "items": [
-                {"program": name, "machine": machine, "top": 3}
-                for name in tiny_data.training.program_names[:3]
+                {"program": name, "machine": dataclasses.asdict(machine), "top": 3}
+                for name in names
             ]
         }
-        responses = {}
-        for vectorize in (True, False):
-            session = Session(
-                "tiny",
-                cache_dir=tmp_path,
-                use_disk_cache=False,
-                vectorize=vectorize,
-            )
-            service = PredictionService(session)
-            model, _ = service._promoted_model()
-            assert (model._tensors is not None) == vectorize
-            responses[vectorize] = canonical_json(
-                {"results": service.predict(payload)["results"]}
-            )
-        assert responses[True] == responses[False]
+        session = Session("tiny", cache_dir=tmp_path, use_disk_cache=False)
+        service = PredictionService(session)
+        model, _ = service._promoted_model()
+        expected = [
+            reference_ranked(
+                model,
+                session.eval.evaluate(name, machine).counters,
+                machine,
+                3,
+                program=name,
+            ).payload()
+            for name in names
+        ]
+        assert canonical_json(service.predict(payload)["results"]) == (
+            canonical_json(expected)
+        )
 
 
 class TestRewiredCallSites:
-    def test_vectorize_false_pins_the_scalar_model_reference(
-        self, monkeypatch, tiny_data
+    def test_session_ranking_and_folds_match_reference(
+        self, tiny_data
     ):
-        """With the ranking kernel poisoned, a vectorize=False session must
-        still fit, rank, and fold — proof the knob selects the scalar
-        reference everywhere the model tier was rewired."""
-
-        def boom(*args, **kwargs):
-            raise AssertionError(
-                "model vector kernel used despite vectorize=False"
-            )
-
-        for attr in (
-            "predict_distributions",
-            "query_distances",
-            "stable_topk",
-            "nearest_neighbours",
-            "stack_state_arrays",
-        ):
-            monkeypatch.setattr(model_vector, attr, boom)
-        monkeypatch.setattr(
-            model_vector.PredictorTensors, "from_pairs", boom
-        )
-
+        """Every model-tier call site a session drives — ranking, batched
+        modes, neighbours, and a protocol fold — answers exactly what the
+        scalar reference answers."""
         training = tiny_data.training
-        session = Session("tiny", use_disk_cache=False, vectorize=False)
+        session = Session("tiny", use_disk_cache=False)
         model = session.models.fit(training)
-        assert model._tensors is None
-
+        machine = training.machines[0]
         counters = PerfCounters(*training.counters[0, 0, :])
-        ranked = session.models.rank_counters(
-            counters, training.machines[0], 3
+
+        ranked = session.models.rank_counters(counters, machine, 3)
+        assert canonical_json(ranked.payload()) == canonical_json(
+            reference_ranked(model, counters, machine, 3).payload()
         )
-        assert len(ranked.settings) == 3
-        assert model.predict_many([counters], [training.machines[0]])
-        assert model.neighbours(counters, training.machines[0])
+        reference, neighbours = model.reference_knn(counters, machine)
+        assert model.predict_many([counters], [machine]) == [reference.mode()]
+        assert model.neighbours(counters, machine) == neighbours
 
         from repro.evalrun.oracle import RuntimeOracle
         from repro.evalrun.pipeline import compute_fold
         from repro.evalrun.variants import BASE_VARIANT
 
-        oracle = RuntimeOracle(
-            training, tiny_data.programs, vectorize=False
-        )
+        program = training.program_names[0]
         record = compute_fold(
             training,
             BASE_VARIANT,
-            training.program_names[0],
-            oracle,
+            program,
+            RuntimeOracle(training, tiny_data.programs),
             model,
         )
         assert len(record.rows) == len(training.machines)
+        for m, row in enumerate(record.rows):
+            mode = reference_distribution(
+                model,
+                PerfCounters(*training.counters[0, m, :]),
+                training.machines[m],
+                program,
+                training.machines[m],
+            ).mode()
+            assert row.setting == mode.as_indices()

@@ -220,51 +220,52 @@ class TestRewiredCallSites:
         assert again == many
         assert batched.evaluations == len(settings_list)
 
-    def test_vectorize_false_pins_the_scalar_reference(self, monkeypatch):
-        """With the kernel poisoned, a vectorize=False session must still
-        run every hot path — proof the knob really selects the scalar
-        reference implementation everywhere, not just in eval.batch."""
+    def test_session_hot_paths_match_simulate_analytic(self):
+        """Every kernel path a session drives — a batch, a search, a
+        dataset build, and the oracle's off-grid fallback — answers
+        exactly what the scalar reference computes directly."""
         from repro.api import Session
+        from repro.evalrun.oracle import RuntimeOracle
+        from repro.store.compute import compute_shard
 
-        def boom(*args, **kwargs):
-            raise AssertionError("vector kernel used despite vectorize=False")
-
-        for target in (
-            "repro.sim.vector.simulate_many",
-            "repro.store.compute.simulate_many",
-            "repro.evalrun.oracle.simulate_many",
-            "repro.api.backends.simulate_grid",
-            "repro.search.evaluator.simulate_grid",
-        ):
-            module_name, attr = target.rsplit(".", 1)
-            module = __import__(module_name, fromlist=[attr])
-            monkeypatch.setattr(module, attr, boom)
-
-        session = Session("tiny", use_disk_cache=False, vectorize=False)
+        session = Session("tiny", use_disk_cache=False)
         machine = session.machines(1, seed=13)[0]
-        batch = session.eval.batch(
-            [("crc", machine), ("sha", machine)]
-        )
-        assert len(batch) == 2
+        batch = session.eval.batch([("crc", machine), ("sha", machine)])
+        for result in batch:
+            binary = session.compile(result.program)
+            assert result.simulation == simulate_analytic(binary, machine)
+
         outcome = session.eval.search(
             program="crc", machine=machine, algorithm="random",
             budget=4, seed=2,
         )
-        assert outcome.evaluations >= 4
-        session.data.build()  # scalar compute_shard on every shard
-        from repro.evalrun.oracle import RuntimeOracle
+        best = session.compile("crc", outcome.best_setting)
+        assert outcome.best_runtime == simulate_analytic(best, machine).seconds
 
         data = session.data.dataset()
-        oracle = RuntimeOracle(data.training, data.programs, vectorize=False)
-        from repro.compiler.flags import DEFAULT_SPACE
-
-        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
-        runtimes = oracle.runtime_many(
-            data.training.program_names[0],
-            [off_grid] * len(data.training.machines),
-            data.training.machines,
+        training = data.training
+        runtimes, o3_runtimes, counters, _ = compute_shard(
+            data.programs[0],
+            training.machines,
+            training.settings,
+            vectorize=False,
         )
-        assert len(runtimes) == len(data.training.machines)
+        assert np.array_equal(training.runtimes[0], runtimes)
+        assert np.array_equal(training.o3_runtimes[0], o3_runtimes)
+        assert np.array_equal(training.counters[0], counters)
+
+        oracle = RuntimeOracle(training, data.programs)
+        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
+        program = training.program_names[0]
+        seconds = oracle.runtime_many(
+            program, [off_grid] * len(training.machines), training.machines
+        )
+        assert oracle.simulation_calls == len(training.machines)
+        binary = Compiler().compile(data.programs[0], off_grid)
+        assert seconds == [
+            simulate_analytic(binary, each).seconds
+            for each in training.machines
+        ]
 
     def test_eval_facet_batch_vector_path(self):
         from repro.api import Session
@@ -277,10 +278,7 @@ class TestRewiredCallSites:
             for machine in machines
         ]
         fast = session.eval.batch(requests)
-        slow_session = Session(
-            scale="tiny", use_disk_cache=False, vectorize=False
-        )
-        slow = slow_session.eval.batch(requests)
+        slow = [session.eval.evaluate(*request) for request in requests]
         for got, want in zip(fast, slow):
             assert got.runtime == want.runtime
             assert got.simulation.counters == want.simulation.counters
