@@ -79,7 +79,7 @@ from repro.experiments.dataset import (
 )
 from repro.experiments.figures import seed_crossval_cache
 from repro.machine.params import MicroArch
-from repro.parallel import resolve_jobs, run_batch
+from repro.parallel import CLUSTER, resolve_strategy, run_batch
 from repro.search.evaluator import Evaluator
 from repro.sim.counters import PerfCounters
 from repro.sim.vector import GridIndex
@@ -293,20 +293,23 @@ class EvalFacet(_Facet):
             for request in requests
         ]
         items = [self._work_item(request) for request in normalised]
-        jobs = session.jobs if jobs is None else resolve_jobs(jobs)
         strategy = executor if executor is not None else session.executor
-        if strategy == "auto":
-            strategy = "process" if jobs > 1 else "serial"
-        if strategy != "process":
-            if self._vectorisable(items):
-                return self._batch_vectorised(items)
-            # Serial and thread runs share this process's memory, so they
-            # go through the session compiler and its memoisation.
-            def work(item):
-                return _evaluate_work(item, compiler=session.compiler)
-
-            return run_batch(work, items, jobs=jobs, executor=strategy)
-        return run_batch(_evaluate_work, items, jobs=jobs, executor=strategy)
+        if strategy == CLUSTER:
+            # Leases claim store units, not batch items: a cluster
+            # session evaluates its batches in this process.
+            strategy = "serial"
+        workers, strategy = resolve_strategy(
+            session.jobs if jobs is None else jobs, strategy, len(items)
+        )
+        if strategy == "process":
+            return run_batch(
+                _evaluate_work, items, jobs=workers, executor=strategy
+            )
+        if self._vectorisable(items):
+            return self._batch_vectorised(items)
+        # Serial runs share this process's memory, so they go through
+        # the session compiler and its memoisation.
+        return [_evaluate_work(item, compiler=session.compiler) for item in items]
 
     def _vectorisable(self, items: list[tuple]) -> bool:
         """True when the whole batch can ride one simulate-many pass."""

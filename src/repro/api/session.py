@@ -56,8 +56,9 @@ class Session:
         backend: default simulator backend (name, class, or instance).
         jobs: default worker count for batches and dataset builds
             (1 = serial, negative = all cores).
-        executor: default batch strategy — ``auto``, ``serial``,
-            ``thread``, or ``process``.
+        executor: default batch strategy — ``auto``, ``serial``, or
+            ``process``; ``cluster`` drains dataset builds and protocol
+            runs through the shared lease table.
         cache_dir: dataset cache root, overriding ``$REPRO_CACHE_DIR``.
         use_disk_cache: disable to keep datasets in memory only.
         compiler: share a memoising compiler across sessions if desired.

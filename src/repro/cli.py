@@ -47,6 +47,7 @@ from repro.api import (
     registry_root,
 )
 from repro.evalrun import resolve_artifacts, variants_for_artifacts
+from repro.parallel import RUNNER_EXECUTORS
 from repro.experiments.dataset import store_root
 from repro.store import StoreError
 from repro.experiments import (
@@ -746,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--executor",
         default="auto",
-        choices=("auto", "serial", "thread", "process", "cluster"),
+        choices=RUNNER_EXECUTORS,
         help=(
             "batch strategy for dataset builds; 'cluster' claims work "
             "through the shared lease table so concurrent invocations "

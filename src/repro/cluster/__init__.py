@@ -20,7 +20,8 @@ identical bytes.
 Entry points: ``repro-experiments worker`` (one process = one worker;
 ``--workers N`` spawns a local fleet), ``executor="cluster"`` on
 :class:`~repro.store.runner.ExperimentRunner` and
-:class:`~repro.evalrun.pipeline.EvaluationPipeline`, and
+:class:`~repro.evalrun.pipeline.EvaluationPipeline` (both are one
+:func:`drain` call, the loop every executor shares), and
 ``repro-experiments status`` for the live :class:`ClusterStatus` view.
 """
 
@@ -39,6 +40,7 @@ from repro.cluster.status import (
 from repro.cluster.worker import (
     ClusterWorker,
     WorkerReport,
+    drain,
     run_local_workers,
 )
 
@@ -54,6 +56,7 @@ __all__ = [
     "WorkQueue",
     "WorkerReport",
     "WorkerStats",
+    "drain",
     "run_local_workers",
     "store_cluster_status",
 ]

@@ -1,23 +1,30 @@
-"""Work queues: the shard and fold grids viewed as claimable units.
+"""Work queues: the shard and fold grids viewed as checkpointed units.
 
-A :class:`WorkQueue` adapts one resumable store to the worker loop's
-tiny contract — enumerate pending unit ids, check whether one is done,
-execute one — with the store's own manifest as the only source of truth.
-Unit ids are the stores' existing shard stems (``p0000-c0000`` for
-dataset shards, ``variant--program`` for protocol folds), so lease
-files, progress records, and store files all speak the same names.
+A queue is the one description of a unit family for
+:func:`repro.cluster.drain`: enumerate pending unit ids, check whether
+one is done, execute one — with the store's own manifest as the only
+source of truth.  Unit ids are the stores' existing shard stems
+(``p0000-c0000`` for dataset shards, ``variant--program`` for protocol
+folds), so lease files, progress records, and store files all speak the
+same names.
 
-Queues never talk to the lease table; the worker composes the two.  Both
-queues require an on-disk store (``root`` set) — the shared directory is
-what multiple processes coordinate through.
+For process pools a queue also carries a picklable per-unit ``task``
+with its ``initializer``/``initargs``, the per-unit ``item``, and
+``commit(unit, result)``, which checkpoints one result and returns its
+counts; ``execute(unit)`` is ``commit`` of the in-process computation.
+Only lease drains need an on-disk store (``cluster_root`` raises for
+memory stores); queues never talk to the lease table themselves.
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Protocol, Sequence
 
 from repro.cluster.lease import ClusterError
+from repro.evalrun.pipeline import _compute_fold_task, _init_protocol_worker
+from repro.store.compute import compute_shard, compute_shard_task
 
 #: Subdirectory of a store root holding all cluster state (leases,
 #: per-worker progress, the aggregated progress.json artifact).
@@ -25,7 +32,7 @@ CLUSTER_DIR = "cluster"
 
 
 class WorkQueue(Protocol):
-    """What the worker loop needs from a unit source."""
+    """What the lease worker loop needs from a unit source."""
 
     #: Manifest fingerprint every worker of one cluster must share.
     fingerprint: str
@@ -43,36 +50,46 @@ class WorkQueue(Protocol):
     def execute(self, unit: str) -> dict: ...
 
 
-def _require_root(store, what: str) -> Path:
+def _cluster_root(store, what: str) -> Path:
     if store.root is None:
         raise ClusterError(
             f"cluster execution needs an on-disk {what} (root=None is "
             f"memory-only; workers coordinate through the store directory)"
         )
-    return Path(store.root)
+    return Path(store.root) / CLUSTER_DIR
 
 
 class ShardQueue:
     """Dataset-build units: one store shard per unit.
 
-    Wraps an :class:`~repro.store.runner.ExperimentRunner` — the queue
-    computes each claimed shard through the runner's serial path (the
-    memoising compiler still amortises compilation across one worker's
-    consecutive same-program shards) and checkpoints it via the store's
-    ordinary atomic, append-only write.
+    Wraps an :class:`~repro.store.runner.ExperimentRunner`.  In-process
+    shards share the runner's memoising compiler, which amortises
+    compilation across consecutive same-program shards; process workers
+    keep their own (:func:`~repro.store.compute.compute_shard_task`).
+    Each shard is checkpointed via the store's ordinary atomic,
+    append-only write.
     """
 
     kind = "shard"
+    task = staticmethod(compute_shard_task)
+    initializer = None
+    initargs: tuple = ()
 
     def __init__(self, runner):
         self.runner = runner
         self.store = runner.store
-        root = _require_root(self.store, "experiment store")
         self.fingerprint = self.store.grid.fingerprint()
-        self.cluster_root = root / CLUSTER_DIR
-        self._keys = {key.stem(): key for key in self.store.grid.shard_keys()}
+        self.keys = {key.stem(): key for key in self.store.grid.shard_keys()}
+        # One settings list shared by every unit: the grid's setting axis
+        # is identical across shards, so building it per item would hold
+        # (and, for process pools, pickle) n_shards copies.
         self._settings = list(self.store.grid.settings)
-        self._work = runner._shard_function("serial")
+        self._lock = threading.Lock()
+        self._program: str | None = None
+
+    @property
+    def cluster_root(self) -> Path:
+        return _cluster_root(self.store, "experiment store")
 
     def total_units(self) -> int:
         return self.store.grid.n_shards
@@ -81,52 +98,96 @@ class ShardQueue:
         return [key.stem() for key in self.store.pending_keys()]
 
     def is_done(self, unit: str) -> bool:
-        return self.store.has_shard(self._keys[unit])
+        return self.store.has_shard(self.keys[unit])
+
+    def item(self, unit: str) -> tuple:
+        key = self.keys[unit]
+        compiler = self.runner.compiler
+        return (
+            self.runner.programs[key.program],
+            self.store.grid.chunk_of(key),
+            self._settings,
+            compiler.space,
+            compiler.cache_enabled,
+        )
+
+    def commit(self, unit: str, arrays) -> dict:
+        self.store.write_shard(self.keys[unit], arrays)
+        runtimes, o3_runtimes = arrays[0], arrays[1]
+        # Every setting *and* the -O3 baseline is simulated per machine.
+        return {"simulation_calls": runtimes.size + o3_runtimes.size}
 
     def execute(self, unit: str) -> dict:
-        key = self._keys[unit]
-        arrays = self._work(
-            self.runner._work_item(key, self._settings, "serial")
+        key = self.keys[unit]
+        program = self.runner.programs[key.program]
+        compiler = self.runner.compiler
+        # Clearing the shared compiler when the program changes bounds
+        # memory to roughly one program's binaries over an arbitrarily
+        # large grid (the program-major shard order makes same-program
+        # shards adjacent), mirroring compute_shard_task in process
+        # workers.  Compiler.compile reads its cache with one atomic
+        # .get(), so a clear racing another caller's compile costs at
+        # most a recompile, never correctness.
+        with self._lock:
+            if self._program not in (None, program.name):
+                compiler.clear_cache()
+            self._program = program.name
+        arrays = compute_shard(
+            program, self.store.grid.chunk_of(key), self._settings, compiler
         )
-        self.store.write_shard(key, arrays)
-        return {"simulation_calls": arrays[0].size}
+        return self.commit(unit, arrays)
 
 
 class FoldQueue:
     """Protocol-run units: one leave-one-out fold per unit.
 
-    Wraps an :class:`~repro.evalrun.pipeline.EvaluationPipeline`; each
-    claimed fold runs through the pipeline's serial fold path (shared
-    oracle, predictors fitted once per variant per worker) and lands via
-    the fold store's atomic write.  ``variants`` restricts the queue to a
-    subset of variant keys, mirroring the pipeline's ``--only`` path.
+    Wraps an :class:`~repro.evalrun.pipeline.EvaluationPipeline`.
+    In-process folds share the pipeline's oracle and fitted predictors;
+    process workers receive the training set once, through the pool
+    initializer, and fit their own.  Each fold lands via the fold
+    store's atomic write.  ``variants`` restricts the queue to a subset
+    of variant keys, mirroring the pipeline's ``--only`` path.
     """
 
     kind = "fold"
+    task = staticmethod(_compute_fold_task)
+    initializer = staticmethod(_init_protocol_worker)
 
     def __init__(self, pipeline, variants: Sequence[str] | None = None):
         self.pipeline = pipeline
         self.store = pipeline.store
-        root = _require_root(self.store, "fold store")
         self.fingerprint = self.store.protocol_fingerprint
-        self.cluster_root = root / CLUSTER_DIR
         self.variants = list(variants) if variants is not None else None
-        self._keys = {
+        self.keys = {
             key.stem(): key for key in self.store.fold_keys(self.variants)
         }
 
+    @property
+    def cluster_root(self) -> Path:
+        return _cluster_root(self.store, "fold store")
+
+    @property
+    def initargs(self) -> tuple:
+        pipeline = self.pipeline
+        return (pipeline.training, pipeline.programs, self.store.variants)
+
     def total_units(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def pending_units(self) -> list[str]:
         return [key.stem() for key in self.store.pending_keys(self.variants)]
 
     def is_done(self, unit: str) -> bool:
-        return self.store.has_fold(self._keys[unit])
+        return self.store.has_fold(self.keys[unit])
+
+    def item(self, unit: str) -> tuple[str, str]:
+        key = self.keys[unit]
+        return (key.variant, key.program)
+
+    def commit(self, unit: str, result) -> dict:
+        record, counts = result
+        self.store.write_fold(record)
+        return counts
 
     def execute(self, unit: str) -> dict:
-        record, sims, hits = self.pipeline._compute_fold_local(
-            self._keys[unit]
-        )
-        self.store.write_fold(record)
-        return {"simulation_calls": sims, "store_hits": hits}
+        return self.commit(unit, self.pipeline._folds.compute(self.item(unit)))

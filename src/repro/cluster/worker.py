@@ -1,6 +1,13 @@
-"""The worker loop: claim → verify → compute → checkpoint → release.
+"""The drain loop: every way a set of checkpointed units is computed.
 
-One :class:`ClusterWorker` is one process's share of a cluster drain.
+:func:`drain` is the one entry point: it scans a queue's pending units,
+caps them, and computes them serially, on a process pool, or — for the
+``cluster`` executor — through a :class:`ClusterWorker`, checkpointing
+each unit and summing its counts.  The local paths scan the store once
+per call; the lease path rescans, because peers complete units too.
+
+One :class:`ClusterWorker` is one process's share of a cluster drain
+(claim → verify → compute → checkpoint → release).
 Its loop re-derives everything from shared state each pass — pending
 units from the store manifest, availability from the lease table — so
 workers need no knowledge of each other and can join or die at any
@@ -38,6 +45,7 @@ from typing import Callable, Sequence
 from repro.cluster.lease import DEFAULT_LEASE_TTL, LeaseTable
 from repro.cluster.queue import WorkQueue
 from repro.cluster.status import ClusterProgress, ClusterStatus
+from repro.parallel import CLUSTER, resolve_strategy, run_batch_completed
 
 
 @dataclass
@@ -71,7 +79,9 @@ class ClusterWorker:
             drains; skipped units do not count).
         progress: optional free-text progress hook, CLI style.
         on_unit: optional structured hook, fired as ``on_unit(unit,
-            stats)`` right after each computed unit's checkpoint lands.
+            completed, total)`` right after each computed unit's
+            checkpoint lands (``completed`` counts every checkpointed
+            unit of the queue, peers' included).
     """
 
     def __init__(
@@ -82,7 +92,7 @@ class ClusterWorker:
         poll_interval: float | None = None,
         max_units: int | None = None,
         progress: Callable[[str], None] | None = None,
-        on_unit: Callable[[str, dict], None] | None = None,
+        on_unit: Callable[[str, int, int], None] | None = None,
     ):
         self.queue = queue
         self.worker_id = (
@@ -148,14 +158,16 @@ class ClusterWorker:
                     report.simulation_calls,
                     report.store_hits,
                 )
-                if self.on_unit is not None:
-                    self.on_unit(unit, stats)
-                if self.progress is not None:
+                if self.on_unit is not None or self.progress is not None:
+                    # Peers complete units too: count from a fresh scan.
                     done = total - len(self.queue.pending_units())
-                    self.progress(
-                        f"{self.queue.kind} {unit} done by "
-                        f"{self.worker_id} ({done}/{total})"
-                    )
+                    if self.on_unit is not None:
+                        self.on_unit(unit, done, total)
+                    if self.progress is not None:
+                        self.progress(
+                            f"{self.queue.kind} {unit} done by "
+                            f"{self.worker_id} ({done}/{total})"
+                        )
             if not claimed_any:
                 # Everything pending is leased by live peers: wait for
                 # them to finish (unit leaves pending) or die (lease
@@ -199,6 +211,81 @@ class ClusterWorker:
         finally:
             stop.set()
             beat.join()
+
+
+def drain(
+    queue,
+    *,
+    jobs: int | None = 1,
+    executor: str = "auto",
+    max_units: int | None = None,
+    progress: Callable[[str], None] | None = None,
+    on_unit: Callable[[str, int, int], None] | None = None,
+    lease_ttl: float | None = None,
+) -> dict:
+    """Compute up to ``max_units`` of a queue's pending units.
+
+    Each unit is checkpointed the moment it completes, so a killed drain
+    loses at most the units in flight and the next one skips the rest.
+    ``on_unit(unit, completed, total)`` then ``progress(message)`` fire
+    once per computed unit, after its checkpoint lands.  ``serial`` runs
+    ``queue.execute`` here; ``process`` fans ``queue.task`` over a pool
+    (a one-worker pool runs serially, so the initializer never pins its
+    payload here); ``cluster`` claims units through the lease table.
+    Returns ``computed`` and ``already_done`` (checkpointed before the
+    call) unit counts plus the sum of the units' counts dicts.
+    """
+    pending = queue.pending_units()
+    total = queue.total_units()
+    already = total - len(pending)
+    totals = {
+        "computed": 0,
+        "already_done": already,
+        "simulation_calls": 0,
+        "store_hits": 0,
+    }
+    if max_units is not None:
+        pending = pending[: max(max_units, 0)]
+    if not pending:
+        return totals  # and no cluster directory is created
+    if executor == CLUSTER:
+        report = ClusterWorker(
+            queue,
+            lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
+            max_units=max_units,
+            progress=progress,
+            on_unit=on_unit,
+        ).run()
+        totals["computed"] = report.units_completed
+        totals["simulation_calls"] = report.simulation_calls
+        totals["store_hits"] = report.store_hits
+        return totals
+
+    workers, strategy = resolve_strategy(jobs, executor, len(pending))
+    if strategy == "serial":
+        done = ((unit, queue.execute(unit)) for unit in pending)
+    else:
+        done = (
+            (pending[index], queue.commit(pending[index], result))
+            for index, result in run_batch_completed(
+                queue.task,
+                [queue.item(unit) for unit in pending],
+                jobs=workers,
+                executor=strategy,
+                initializer=queue.initializer,
+                initargs=queue.initargs,
+            )
+        )
+    for unit, counts in done:
+        totals["computed"] += 1
+        for name, value in counts.items():
+            totals[name] = totals.get(name, 0) + int(value)
+        completed = already + totals["computed"]
+        if on_unit is not None:
+            on_unit(unit, completed, total)
+        if progress is not None:
+            progress(f"{queue.kind} {unit} done ({completed}/{total})")
+    return totals
 
 
 def run_local_workers(

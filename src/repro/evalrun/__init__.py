@@ -3,9 +3,9 @@
 The paper's evaluation is a grid of independent *fold* tasks: one
 leave-one-out fold per (predictor variant, held-out program), where the
 variants are the paper's model plus every ablation of its design
-choices.  An :class:`EvaluationPipeline` executes that grid over the
-serial/thread/process executors of :mod:`repro.parallel`, checkpoints
-every completed fold into a :class:`FoldStore` (append-only,
+choices.  An :class:`EvaluationPipeline` drains that grid serially, on
+a process pool, or through cluster leases (:func:`repro.cluster.drain`),
+checkpoints every completed fold into a :class:`FoldStore` (append-only,
 digest-verified shards, same design as :mod:`repro.store`), and
 assembles the result into the complete paper artifact — figures, tables,
 headline numbers and ablations — rendered as markdown + JSON by

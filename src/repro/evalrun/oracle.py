@@ -44,9 +44,9 @@ class RuntimeOracle:
         compiler: memoising compiler for the fallback; a private one is
             created when omitted.
 
-    Thread-safe: serial and thread executors may share one instance;
-    concurrent duplicate work is benign (identical deterministic values)
-    and the counters are lock-guarded.
+    Thread-safe: concurrent callers may share one instance; duplicate
+    work is benign (identical deterministic values) and the counters are
+    lock-guarded.
     """
 
     def __init__(

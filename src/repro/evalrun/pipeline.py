@@ -15,7 +15,8 @@ priced through the :class:`~repro.evalrun.oracle.RuntimeOracle` — grid
 settings straight from the store, synthesised settings through the
 memoised compile-once fallback.  The assembled protocol is therefore
 bit-identical whichever executor, interruption pattern, or fold order
-produced it.
+produced it.  Folds drain through :func:`repro.cluster.drain`, the loop
+dataset shards share.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from repro.core.training import TrainingSet
 from repro.evalrun.foldstore import FoldKey, FoldRecord, FoldRow, FoldStore
 from repro.evalrun.oracle import RuntimeOracle
 from repro.evalrun.variants import VariantSpec, make_predictor
-from repro.parallel import (
-    CLUSTER,
-    RUNNER_EXECUTORS,
-    resolve_jobs,
-    resolve_strategy,
-    run_batch_completed,
-)
+from repro.parallel import RUNNER_EXECUTORS, resolve_jobs
 from repro.sim.counters import PerfCounters
 
 
@@ -133,10 +128,52 @@ class ProtocolResult:
             ) from None
 
 
-# ---------------------------------------------------------- process workers
-#: Per-process state for pool workers: the training payload, a memoised
-#: oracle, and one fitted predictor per variant.  Shipped once through the
-#: pool initializer instead of being pickled into every fold item.
+# ------------------------------------------------------------- fold workers
+class _FoldWorker:
+    """What computing folds needs: the training matrix, a memoised
+    oracle, and one fitted predictor per variant (fitted on first use).
+
+    A pipeline holds one for in-process folds; each process-pool worker
+    builds its own in :func:`_init_protocol_worker`.  Fold results are
+    identical either way — all of it is deterministic.
+    """
+
+    def __init__(
+        self,
+        training: TrainingSet,
+        oracle: RuntimeOracle,
+        variants: Sequence[VariantSpec],
+    ):
+        self.training = training
+        self.oracle = oracle
+        self.variants = {variant.key: variant for variant in variants}
+        self._predictors: dict[str, object] = {}
+        self._fit_lock = threading.Lock()
+
+    def compute(self, item: tuple[str, str]) -> tuple[FoldRecord, dict]:
+        """One fold and its counts: the oracle's simulations and store
+        hits during this fold."""
+        variant_key, program = item
+        variant = self.variants[variant_key]
+        with self._fit_lock:
+            predictor = self._predictors.get(variant_key)
+            if predictor is None:
+                predictor = make_predictor(variant, self.training).fit(
+                    self.training
+                )
+                self._predictors[variant_key] = predictor
+        oracle = self.oracle
+        sims_before = oracle.simulation_calls
+        hits_before = oracle.store_hits
+        record = compute_fold(self.training, variant, program, oracle, predictor)
+        return record, {
+            "simulation_calls": oracle.simulation_calls - sims_before,
+            "store_hits": oracle.store_hits - hits_before,
+        }
+
+
+#: Per-process state for pool workers: one :class:`_FoldWorker`, shipped
+#: once through the pool initializer instead of pickled into every item.
 _WORKER_STATE: dict = {}
 
 
@@ -145,31 +182,14 @@ def _init_protocol_worker(
     programs: list[Program],
     variants: list[VariantSpec],
 ) -> None:
-    _WORKER_STATE.clear()
-    _WORKER_STATE["training"] = training
-    _WORKER_STATE["oracle"] = RuntimeOracle(training, programs)
-    _WORKER_STATE["variants"] = {variant.key: variant for variant in variants}
-    _WORKER_STATE["predictors"] = {}
-
-
-def _compute_fold_task(item: tuple[str, str]) -> tuple[FoldRecord, int, int]:
-    """Picklable pool entry point; returns (record, sims, store hits)."""
-    variant_key, program = item
-    training = _WORKER_STATE["training"]
-    oracle: RuntimeOracle = _WORKER_STATE["oracle"]
-    variant = _WORKER_STATE["variants"][variant_key]
-    predictor = _WORKER_STATE["predictors"].get(variant_key)
-    if predictor is None:
-        predictor = make_predictor(variant, training).fit(training)
-        _WORKER_STATE["predictors"][variant_key] = predictor
-    sims_before = oracle.simulation_calls
-    hits_before = oracle.store_hits
-    record = compute_fold(training, variant, program, oracle, predictor)
-    return (
-        record,
-        oracle.simulation_calls - sims_before,
-        oracle.store_hits - hits_before,
+    _WORKER_STATE["folds"] = _FoldWorker(
+        training, RuntimeOracle(training, programs), variants
     )
+
+
+def _compute_fold_task(item: tuple[str, str]) -> tuple[FoldRecord, dict]:
+    """Picklable pool entry point; returns (record, counts)."""
+    return _WORKER_STATE["folds"].compute(item)
 
 
 class EvaluationPipeline:
@@ -181,12 +201,12 @@ class EvaluationPipeline:
             (only the oracle's out-of-grid fallback compiles them).
         store: the (possibly partially filled) fold store to complete.
         jobs: worker count (1 = serial, negative = all cores).
-        executor: ``auto``, ``serial``, ``thread``, ``process``, or
+        executor: ``auto``, ``serial``, ``process``, or
             ``cluster`` — the last claims folds through the shared
             lease table of :mod:`repro.cluster`, so any number of
             concurrent pipeline processes (this host or peers on a
             shared filesystem) drain the same fold store together.
-        compiler: memoising compiler shared by serial/thread fallback
+        compiler: memoising compiler shared by in-process fallback
             compilations; process workers build their own.
         lease_ttl: for ``cluster`` only — seconds without a heartbeat
             before this store's leases count as stale and reclaimable.
@@ -216,9 +236,7 @@ class EvaluationPipeline:
         self.executor = executor
         self.lease_ttl = lease_ttl
         self.oracle = RuntimeOracle(training, self.programs, compiler=compiler)
-        self._variants = {variant.key: variant for variant in store.variants}
-        self._predictors: dict[str, object] = {}
-        self._fit_lock = threading.Lock()
+        self._folds = _FoldWorker(training, self.oracle, store.variants)
 
     # ------------------------------------------------------------------ run
     def run(
@@ -239,59 +257,30 @@ class EvaluationPipeline:
         folds too) — the structured sibling of the free-text ``progress``
         hook, which the prediction service turns into live NDJSON events.
         """
-        requested = list(self.store.fold_keys(variants))
-        pending = [key for key in requested if not self.store.has_fold(key)]
-        skipped = len(requested) - len(pending)
-        if max_folds is not None:
-            pending = pending[: max(max_folds, 0)]
-        stats = PipelineRunStats(folds_skipped=skipped)
-        if not pending:
-            return stats
-        if self.executor == CLUSTER:
-            return self._run_cluster(
-                variants, max_folds, skipped, len(requested), progress, on_fold
-            )
+        from repro.cluster import FoldQueue, drain
 
-        workers, strategy = resolve_strategy(
-            self.jobs, self.executor, len(pending)
-        )
-        # With one effective worker the pool layer runs serially anyway;
-        # route through the local path so the process initializer never
-        # executes in (and pins the training payload into) this process.
-        if strategy == "process" and workers > 1:
-            function = _compute_fold_task
-            items = [(key.variant, key.program) for key in pending]
-            initializer = _init_protocol_worker
-            initargs = (self.training, self.programs, self.store.variants)
-        else:
-            function = self._compute_fold_local
-            items = list(pending)
-            initializer = None
-            initargs = ()
-
-        total = len(requested)
-        done = 0
-        for index, (record, sims, hits) in run_batch_completed(
-            function,
-            items,
+        queue = FoldQueue(self, variants)
+        totals = drain(
+            queue,
             jobs=self.jobs,
-            executor=strategy,
-            initializer=initializer,
-            initargs=initargs,
-        ):
-            self.store.write_fold(record)
-            done += 1
-            stats.folds_computed += 1
-            stats.simulation_calls += sims
-            stats.store_hits += hits
-            if on_fold is not None:
-                on_fold(pending[index], skipped + done, total)
-            if progress is not None:
-                progress(
-                    f"fold {pending[index].stem()} done "
-                    f"({skipped + done}/{total})"
+            executor=self.executor,
+            max_units=max_folds,
+            progress=progress,
+            on_unit=(
+                None
+                if on_fold is None
+                else lambda unit, completed, total: on_fold(
+                    queue.keys[unit], completed, total
                 )
-        return stats
+            ),
+            lease_ttl=self.lease_ttl,
+        )
+        return PipelineRunStats(
+            folds_computed=totals["computed"],
+            folds_skipped=totals["already_done"],
+            simulation_calls=totals["simulation_calls"],
+            store_hits=totals["store_hits"],
+        )
 
     def run_to_completion(
         self,
@@ -301,80 +290,6 @@ class EvaluationPipeline:
         """Finish every pending fold and assemble the protocol result."""
         self.run(variants=variants, progress=progress)
         return self.assemble(variants=variants)
-
-    # ------------------------------------------------------------ internals
-    def _run_cluster(
-        self,
-        variants: Sequence[str] | None,
-        max_folds: int | None,
-        skipped: int,
-        total: int,
-        progress: Callable[[str], None] | None,
-        on_fold: Callable[[FoldKey, int, int], None] | None,
-    ) -> PipelineRunStats:
-        """One cluster worker's share of the protocol: claim, compute,
-        checkpoint folds through the shared lease table.  Run any number
-        of these concurrently against the same fold store root."""
-        from repro.cluster import ClusterWorker, FoldQueue
-        from repro.cluster.lease import DEFAULT_LEASE_TTL
-
-        queue = FoldQueue(self, variants)
-        stats = PipelineRunStats(folds_skipped=skipped)
-
-        def on_unit(unit: str, unit_stats: dict) -> None:
-            stats.folds_computed += 1
-            stats.simulation_calls += int(
-                unit_stats.get("simulation_calls", 0)
-            )
-            stats.store_hits += int(unit_stats.get("store_hits", 0))
-            if on_fold is not None:
-                completed = total - len(
-                    self.store.pending_keys(queue.variants)
-                )
-                on_fold(queue._keys[unit], completed, total)
-
-        ClusterWorker(
-            queue,
-            lease_ttl=(
-                self.lease_ttl
-                if self.lease_ttl is not None
-                else DEFAULT_LEASE_TTL
-            ),
-            max_units=max_folds,
-            progress=progress,
-            on_unit=on_unit,
-        ).run()
-        return stats
-
-    def _predictor_for(self, variant_key: str):
-        with self._fit_lock:
-            predictor = self._predictors.get(variant_key)
-            if predictor is None:
-                variant = self._variants[variant_key]
-                predictor = make_predictor(variant, self.training).fit(
-                    self.training
-                )
-                self._predictors[variant_key] = predictor
-        return predictor
-
-    def _compute_fold_local(
-        self, key: FoldKey
-    ) -> tuple[FoldRecord, int, int]:
-        """Serial/thread work item: shares the pipeline's oracle and
-        fitted predictors (fold results are identical to process workers',
-        which rebuild both — all of it is deterministic)."""
-        predictor = self._predictor_for(key.variant)
-        sims_before = self.oracle.simulation_calls
-        hits_before = self.oracle.store_hits
-        record = compute_fold(
-            self.training, self._variants[key.variant], key.program,
-            self.oracle, predictor,
-        )
-        return (
-            record,
-            self.oracle.simulation_calls - sims_before,
-            self.oracle.store_hits - hits_before,
-        )
 
     # ------------------------------------------------------------- assembly
     def assemble(

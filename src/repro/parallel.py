@@ -1,11 +1,11 @@
 """Executor strategies for embarrassingly parallel batches.
 
 Compile-and-simulate of independent (program, setting, machine) triples
-has no shared state, so a batch can run serially, on a thread pool, or on
-a process pool.  Everything here guarantees *order preservation and
-result equality*: whichever strategy runs, item ``i`` of the output is
-the result of item ``i`` of the input, computed by the same deterministic
-function — so parallel output is bit-identical to serial output.
+has no shared state, so a batch can run serially or on a process pool.
+Everything here guarantees *order preservation and result equality*:
+whichever strategy runs, item ``i`` of the output is the result of item
+``i`` of the input, computed by the same deterministic function — so
+parallel output is bit-identical to serial output.
 
 Process workers must be able to pickle the work function and its items;
 callers pass a module-level function for that reason.
@@ -14,18 +14,14 @@ callers pass a module-level function for that reason.
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Recognised executor strategies.
-EXECUTORS = ("auto", "serial", "thread", "process")
+EXECUTORS = ("auto", "serial", "process")
 
 #: The lease-coordinated distributed strategy of :mod:`repro.cluster`.
 #: Not a batch strategy: a cluster run claims units through the shared
@@ -53,9 +49,9 @@ def resolve_strategy(
     """Validate an executor name and resolve the effective strategy.
 
     The single home of the ``auto`` policy (process when more than one
-    worker, else serial) and of the worker-count clamp, shared by
-    :func:`run_batch`, :func:`run_batch_completed`, and the store runner.
-    Returns ``(workers, executor)`` with ``executor`` never ``"auto"``.
+    worker, else serial) and of the worker-count clamp.  Returns
+    ``(workers, executor)``; ``executor`` is ``"process"`` only when
+    ``workers > 1``, and ``"serial"`` otherwise.
     """
     if executor not in EXECUTORS:
         raise ValueError(
@@ -64,7 +60,7 @@ def resolve_strategy(
     workers = resolve_jobs(jobs)
     if n_items is not None:
         workers = min(workers, max(n_items, 1))
-    if executor == "auto":
+    if executor == "auto" or workers <= 1:
         executor = "process" if workers > 1 else "serial"
     return workers, executor
 
@@ -77,24 +73,22 @@ def run_batch(
 ) -> list[R]:
     """Apply ``function`` to every item, preserving order.
 
+    The order-restoring view of :func:`run_batch_completed`.
+
     Args:
         function: deterministic per-item work; must be picklable (a
             module-level function) for the process strategy.
         items: the work items.
         jobs: worker count; 1 (or None/0) forces serial, negative uses
             every core.
-        executor: ``serial``, ``thread``, ``process``, or ``auto``
-            (process when ``jobs > 1``, else serial).
+        executor: ``serial``, ``process``, or ``auto`` (process when
+            ``jobs > 1``, else serial).
     """
     items = list(items)
-    workers, executor = resolve_strategy(jobs, executor, len(items))
-    if executor == "serial" or workers <= 1:
-        return [function(item) for item in items]
-    pool_type = (
-        ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    )
-    with pool_type(max_workers=workers) as pool:
-        return list(pool.map(function, items))
+    results: list = [None] * len(items)
+    for index, result in run_batch_completed(function, items, jobs, executor):
+        results[index] = result
+    return results
 
 
 def run_batch_completed(
@@ -109,8 +103,8 @@ def run_batch_completed(
     as each one finishes.
 
     Unlike :func:`run_batch`, results arrive in *completion* order, so a
-    caller that checkpoints each result (e.g. the experiment-store
-    runner) never holds more than the in-flight items un-persisted.  The
+    caller that checkpoints each result (e.g. :func:`repro.cluster.drain`)
+    never holds more than the in-flight items un-persisted.  The
     item/function contract is the same as :func:`run_batch`; item ``i``'s
     result is always paired with index ``i``, whatever order it arrives.
 
@@ -122,16 +116,13 @@ def run_batch_completed(
     """
     items = list(items)
     workers, executor = resolve_strategy(jobs, executor, len(items))
-    if executor == "serial" or workers <= 1:
+    if executor == "serial":
         if initializer is not None:
             initializer(*initargs)
         for index, item in enumerate(items):
             yield index, function(item)
         return
-    pool_type = (
-        ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    )
-    pool = pool_type(
+    pool = ProcessPoolExecutor(
         max_workers=workers, initializer=initializer, initargs=initargs
     )
     try:

@@ -139,7 +139,7 @@ class GridSpec:
         """All shard coordinates, program-major.
 
         Program-major order keeps one program's chunks adjacent, so a
-        serial or thread runner's memoising compiler reuses each
+        serial runner's memoising compiler reuses each
         (program, setting) binary across every chunk.
         """
         for program in range(self.n_programs):

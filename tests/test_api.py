@@ -44,9 +44,6 @@ class TestParallelHelpers:
     def test_run_batch_preserves_order(self):
         items = list(range(17))
         assert run_batch(_square, items) == [i * i for i in items]
-        assert run_batch(_square, items, jobs=4, executor="thread") == [
-            i * i for i in items
-        ]
         assert run_batch(_square, items, jobs=2, executor="process") == [
             i * i for i in items
         ]
@@ -142,11 +139,8 @@ class TestEvaluate:
             for setting in (None, lean)
         ]
         serial = session.eval.batch(requests, jobs=1)
-        threaded = session.eval.batch(requests, jobs=2, executor="thread")
         processed = session.eval.batch(requests, jobs=2, executor="process")
-        for reference, thread_run, process_run in zip(serial, threaded, processed):
-            assert thread_run == reference
-            assert process_run == reference
+        assert processed == serial
 
     def test_batch_backend_override_per_request(self, session):
         machine = xscale()

@@ -5,7 +5,7 @@ The load-bearing guarantees, each tested directly:
 * the fold store is append-only, digest-verified, and resumable;
 * the oracle answers grid settings from the store-assembled matrix with
   zero simulation and memoises the out-of-grid fallback;
-* `protocol.run` output is bit-identical across serial/thread/process
+* `protocol.run` output is bit-identical across serial/process
   executors and across a kill-and-resume cycle, with zero re-simulation
   of folds already checkpointed (the simulation-call counter);
 * the report renderer subsets artifacts and refuses missing variants.
@@ -207,9 +207,8 @@ class TestPipelineDeterminism:
 
     def test_bit_identical_across_executors(self, tiny_data):
         serial = self._report_bytes(tiny_data, "serial", 1)
-        thread = self._report_bytes(tiny_data, "thread", 4)
         process = self._report_bytes(tiny_data, "process", 2)
-        assert serial == thread == process
+        assert serial == process
 
     def test_kill_and_resume_is_bit_identical_with_zero_resim(self, tiny_data):
         keys = variants_for_artifacts(resolve_artifacts(SUBSET))
@@ -401,7 +400,7 @@ class TestReportCli:
             cli.main(
                 ["report", "--scale", "tiny", "--quiet", "--only", SUBSET,
                  "--cache-dir", cache, "--out", str(tmp_path / "out"),
-                 "--max-folds", "2", "--jobs", "2", "--executor", "thread"]
+                 "--max-folds", "2", "--jobs", "2", "--executor", "process"]
             )
             == 0
         )
@@ -409,7 +408,7 @@ class TestReportCli:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("resume with:")
         ][0]
-        for fragment in (f"--only {SUBSET}", "--jobs 2", "--executor thread",
+        for fragment in (f"--only {SUBSET}", "--jobs 2", "--executor process",
                          f"--cache-dir {cache}", "--out"):
             assert fragment in hint
 

@@ -294,7 +294,7 @@ class TestRunnerEquivalence:
             ).run_to_completion()
             assert training.fingerprint() == smoke_reference.fingerprint()
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_kill_and_resume_equivalence(
         self, tmp_path, smoke_grid, smoke_programs, smoke_reference, executor
     ):
