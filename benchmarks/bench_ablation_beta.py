@@ -1,14 +1,14 @@
 """Ablation: softmax sharpness beta in the KNN mixture (paper: beta = 1)."""
 
-from repro.experiments import beta_sweep
+from repro.evalrun import ARTIFACTS
 
 from conftest import emit
 
 
-def test_beta_sweep(benchmark, data):
+def test_ablate_beta(benchmark, data, protocol):
     result = benchmark.pedantic(
-        beta_sweep, args=(data,), kwargs={"betas": (0.25, 1.0, 16.0)},
-        rounds=1, iterations=1,
+        ARTIFACTS["ablate-beta"].build, args=(data, protocol), rounds=1,
+        iterations=1,
     )
-    assert len(result.rows) == 3
+    assert len(result.rows) == 4
     emit(result)

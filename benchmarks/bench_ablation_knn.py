@@ -1,14 +1,14 @@
 """Ablation: KNN neighbourhood size (paper claims insensitivity near K=7)."""
 
-from repro.experiments.ablations import knn_k_sweep
+from repro.evalrun import ARTIFACTS
 
 from conftest import emit
 
 
-def test_knn_k_sweep(benchmark, data):
+def test_ablate_k(benchmark, data, protocol):
     result = benchmark.pedantic(
-        knn_k_sweep, args=(data,), kwargs={"ks": (1, 3, 7, 15)}, rounds=1,
+        ARTIFACTS["ablate-k"].build, args=(data, protocol), rounds=1,
         iterations=1,
     )
-    assert len(result.rows) == 4
+    assert len(result.rows) == 6
     emit(result)

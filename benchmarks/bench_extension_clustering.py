@@ -6,27 +6,42 @@ cost of training on medoid pairs only.
 """
 
 from repro.core.clustering import reduce_training_set, training_cost
-from repro.core.crossval import leave_one_out
+from repro.core.crossval import CrossValResult
 from repro.core.predictor import OptimisationPredictor
+from repro.evalrun.oracle import RuntimeOracle
+from repro.evalrun.pipeline import compute_fold, fold_outcomes
+from repro.evalrun.variants import BASE_VARIANT
 
 
-def test_clustered_training_reduction(benchmark, data):
-    full_cost = training_cost(data.training)
-    pair_count = len(data.training.program_names) * len(data.training.machines)
+def test_clustered_training_reduction(benchmark, data, protocol):
+    training = data.training
+    full_cost = training_cost(training)
+    pair_count = len(training.program_names) * len(training.machines)
+    oracle = RuntimeOracle(training, data.programs, compiler=data.compiler)
+
+    def crossval(predictor) -> CrossValResult:
+        """Leave-one-out over the *full* pair grid: one fold per program."""
+        return CrossValResult(
+            outcomes=[
+                outcome
+                for name in training.program_names
+                for outcome in fold_outcomes(
+                    compute_fold(training, BASE_VARIANT, name, oracle, predictor),
+                    training,
+                )
+            ]
+        )
 
     def run():
-        rows = []
+        # The full-training reference row is the protocol's paper model.
+        full = protocol.base
+        rows = [(pair_count, 1.0, full.mean_speedup(), full.fraction_of_best())]
         for k in (max(pair_count // 8, 2), max(pair_count // 3, 3)):
-            reduced = reduce_training_set(data.training, k=k)
+            reduced = reduce_training_set(training, k=k)
             predictor = OptimisationPredictor(extended=data.scale.extended).fit(
                 reduced
             )
-            result = leave_one_out(
-                data.training,
-                data.programs,
-                compiler=data.compiler,
-                predictor=predictor,
-            )
+            result = crossval(predictor)
             rows.append(
                 (
                     k,

@@ -8,7 +8,9 @@ from repro.experiments import figure5
 from conftest import emit
 
 
-def test_figure5(benchmark, data):
-    result = benchmark.pedantic(figure5, args=(data,), rounds=1, iterations=1)
+def test_figure5(benchmark, data, protocol):
+    result = benchmark.pedantic(
+        figure5, args=(data, protocol.base), rounds=1, iterations=1
+    )
     assert result.correlation > 0.7
     emit(result)

@@ -9,8 +9,10 @@ from repro.experiments import figure7
 from conftest import emit
 
 
-def test_figure7(benchmark, data):
-    result = benchmark.pedantic(figure7, args=(data,), rounds=1, iterations=1)
+def test_figure7(benchmark, data, protocol):
+    result = benchmark.pedantic(
+        figure7, args=(data, protocol.base), rounds=1, iterations=1
+    )
     regions = result.regions()
     assert regions["high-headroom"][1] >= regions["low-headroom"][1]
     emit(result)

@@ -4,16 +4,17 @@ Paper shape: best 1.24x vs 1.23x on the base space; model 1.14x vs 1.16x —
 the approach transfers without modification.
 """
 
-from repro.experiments import figure6, figure10
+from repro.experiments import Figure10Result, figure6
 
 from conftest import emit
 
 
-def test_figure10(benchmark, data, extended_data):
+def test_figure10(benchmark, data, protocol, extended_data, extended_protocol):
     def run():
-        from repro.experiments.figures import Figure10Result
-
-        return Figure10Result(base=figure6(data), extended=figure6(extended_data))
+        return Figure10Result(
+            base=figure6(data, protocol.base),
+            extended=figure6(extended_data, extended_protocol.base),
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.extended.mean_model > 1.0

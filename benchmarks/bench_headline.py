@@ -5,8 +5,10 @@ from repro.experiments import headline
 from conftest import emit
 
 
-def test_headline(benchmark, data):
-    result = benchmark.pedantic(headline, args=(data,), rounds=1, iterations=1)
+def test_headline(benchmark, data, protocol):
+    result = benchmark.pedantic(
+        headline, args=(data, protocol.base), rounds=1, iterations=1
+    )
     assert result.mean_model_speedup > 1.0
     assert 0.3 < result.fraction_of_best <= 1.2
     assert result.correlation > 0.7

@@ -6,9 +6,9 @@ from repro.experiments import iterations_to_match
 from conftest import emit
 
 
-def test_iterations_to_match(benchmark, data):
+def test_iterations_to_match(benchmark, data, protocol):
     result = benchmark.pedantic(
-        iterations_to_match, args=(data,), rounds=1, iterations=1
+        iterations_to_match, args=(data, protocol.base), rounds=1, iterations=1
     )
     assert result.overall_mean >= 1.0
     emit(result)

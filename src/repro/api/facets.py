@@ -77,7 +77,6 @@ from repro.experiments.dataset import (
     protocol_store_root,
     store_status,
 )
-from repro.experiments.figures import seed_crossval_cache
 from repro.machine.params import MicroArch
 from repro.parallel import CLUSTER, resolve_strategy, run_batch
 from repro.search.evaluator import Evaluator
@@ -973,9 +972,5 @@ class ProtocolFacet(_Facet):
         if not store.is_complete(variant_keys):
             return ProtocolRun(stats=stats, status=store.status(), report=None)
         protocol = pipeline.assemble(variants=variant_keys)
-        if "base" in protocol.results:
-            # Figures/tables called outside the protocol now consume the
-            # checkpointed pipeline output instead of recomputing CV.
-            seed_crossval_cache(data, protocol.base)
         report = render_report(data, protocol, only=artifacts, formats=formats)
         return ProtocolRun(stats=stats, status=store.status(), report=report)

@@ -46,51 +46,33 @@ from repro.api import (
     Session,
     registry_root,
 )
-from repro.evalrun import resolve_artifacts, variants_for_artifacts
+from repro.evalrun import ARTIFACTS, resolve_artifacts, variants_for_artifacts
 from repro.parallel import RUNNER_EXECUTORS
 from repro.experiments.dataset import store_root
 from repro.store import StoreError
-from repro.experiments import (
-    beta_sweep,
-    feature_mode_sweep,
-    figure1,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    headline,
-    iid_vs_joint,
-    iterations_to_match,
-    knn_k_sweep,
-    quantile_sweep,
-    table1,
-    table2,
-)
+from repro.experiments import Figure10Result, figure6
 
-#: experiment name -> (needs data, runner, one-line description)
+#: experiment name -> (needs data, one-line description).  Every name but
+#: fig10 is an artifact of the paper-protocol report.
 EXPERIMENTS = {
-    "table1": (True, table1, "the 11 hardware counters of one -O3 profile run"),
-    "table2": (False, lambda: table2(), "the 288,000-point microarchitecture space"),
-    "fig1": (True, figure1, "per-pass speedup spread across machines (§2 motivation)"),
-    "fig3": (False, lambda: figure3(), "the 39-dimension optimisation space census"),
-    "fig4": (True, figure4, "best-found speedup per program (the 'Best' upper bound)"),
-    "fig5": (True, figure5, "speedup surface across the machine space"),
-    "fig6": (True, figure6, "predicted vs best speedup per program (leave-one-out)"),
-    "fig7": (True, figure7, "predicted vs best speedup per microarchitecture"),
-    "fig8": (True, figure8, "Hinton diagram: flag vs speedup mutual information"),
-    "fig9": (True, figure9, "Hinton diagram: feature vs best-flag mutual information"),
-    "fig10": (True, figure10, "extended space (frequency + issue width) results"),
-    "headline": (True, headline, "the paper's headline 'x% of Best' numbers"),
-    "iterations": (True, iterations_to_match, "search evaluations to match the model"),
-    "ablate-k": (True, knn_k_sweep, "sensitivity to the KNN neighbour count K"),
-    "ablate-beta": (True, beta_sweep, "sensitivity to the softmax temperature β"),
-    "ablate-quantile": (True, quantile_sweep, "sensitivity to the 'good' quantile"),
-    "ablate-features": (True, feature_mode_sweep, "counters-only vs descriptors-only"),
-    "ablate-iid": (True, iid_vs_joint, "IID factorisation vs joint voting"),
+    "table1": (True, "the 11 hardware counters of one -O3 profile run"),
+    "table2": (False, "the 288,000-point microarchitecture space"),
+    "fig1": (True, "per-pass speedup spread across machines (§2 motivation)"),
+    "fig3": (False, "the 39-dimension optimisation space census"),
+    "fig4": (True, "best-found speedup per program (the 'Best' upper bound)"),
+    "fig5": (True, "speedup surface across the machine space"),
+    "fig6": (True, "predicted vs best speedup per program (leave-one-out)"),
+    "fig7": (True, "predicted vs best speedup per microarchitecture"),
+    "fig8": (True, "Hinton diagram: flag vs speedup mutual information"),
+    "fig9": (True, "Hinton diagram: feature vs best-flag mutual information"),
+    "fig10": (True, "extended space (frequency + issue width) results"),
+    "headline": (True, "the paper's headline 'x% of Best' numbers"),
+    "iterations": (True, "search evaluations to match the model"),
+    "ablate-k": (True, "sensitivity to the KNN neighbour count K"),
+    "ablate-beta": (True, "sensitivity to the softmax temperature β"),
+    "ablate-quantile": (True, "sensitivity to the 'good' quantile"),
+    "ablate-features": (True, "counters-only vs descriptors-only"),
+    "ablate-iid": (True, "IID factorisation vs joint voting"),
 }
 
 #: Standalone subcommands (cannot be combined with experiment names).
@@ -126,7 +108,7 @@ def list_experiments() -> str:
     """Render the ``list`` subcommand's experiment catalogue."""
     width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
-    for name, (needs_data, _, description) in EXPERIMENTS.items():
+    for name, (needs_data, description) in EXPERIMENTS.items():
         tag = "dataset" if needs_data else "static "
         lines.append(f"  {name:<{width}s}  [{tag}]  {description}")
     lines.append(
@@ -1119,7 +1101,6 @@ def main(argv: list[str] | None = None) -> int:
     scale = session.scale
     progress = None if args.quiet else lambda message: print(f"  .. {message}")
 
-    data = None
     if any(EXPERIMENTS[name][0] for name in names):
         started = time.time()
         if not args.quiet:
@@ -1127,16 +1108,45 @@ def main(argv: list[str] | None = None) -> int:
                 f"building dataset [{scale.name}]: {len(scale.programs)} programs x "
                 f"{scale.n_machines} machines x {scale.n_settings} settings"
             )
-        data = session.data.dataset(progress=progress)
+        session.data.dataset(progress=progress)
         if not args.quiet:
             print(f"dataset ready in {time.time() - started:.1f}s\n")
 
+    rendered = _render_experiments(session, names, progress)
     for name in names:
-        needs_data, runner, _ = EXPERIMENTS[name]
-        result = runner(data) if needs_data else runner()
-        print(result.render())
+        print(rendered[name])
         print()
     return 0
+
+
+def _render_experiments(session: Session, names, progress) -> dict[str, str]:
+    """Render experiments through the session's checkpointed protocol.
+
+    One protocol run renders every requested artifact that needs the
+    dataset, so its folds land in (and are reused from) the session's
+    fold store, the one ``report`` reads.  Static artifacts need neither
+    data nor folds.  ``fig10`` runs ``fig6`` on the base and the extended
+    space.
+    """
+    rendered = {
+        name: ARTIFACTS[name].build(None, None).render()
+        for name in names
+        if not EXPERIMENTS[name][0]
+    }
+    wanted = [name for name in names if name in ARTIFACTS and name not in rendered]
+    if wanted:
+        report = session.protocol.run(only=wanted, progress=progress).report
+        for name in wanted:
+            rendered[name] = report.payload["artifacts"][name]["render"]
+    if "fig10" in names:
+        spaces = []
+        for scale in (session.scale, session.scale.with_extended()):
+            run = session.protocol.run(scale, only="fig6", progress=progress)
+            spaces.append(
+                figure6(session.data.dataset(scale), run.report.protocol.base)
+            )
+        rendered["fig10"] = Figure10Result(*spaces).render()
+    return rendered
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from repro.core.clustering import (
     training_cost,
 )
 from repro.core.code_features import CODE_FEATURE_NAMES, static_code_features
-from repro.core.crossval import CrossValResult, PairOutcome, leave_one_out
+from repro.core.crossval import CrossValResult, PairOutcome
 from repro.core.distribution import IIDDistribution, good_settings_by_runtime
 from repro.core.features import (
     FeatureNormaliser,
@@ -64,7 +64,6 @@ __all__ = [
     "good_settings_by_runtime",
     "hinton_feature_columns",
     "hinton_rows",
-    "leave_one_out",
     "mutual_information",
     "normalised_mutual_information",
     "quartile_bins",

@@ -1,26 +1,22 @@
-"""Leave-one-out cross-validation (§5.1.1).
+"""Leave-one-out cross-validation results (§5.1.1).
 
-For every (program, microarchitecture) pair: predict the best passes using
-a model that never consults training data from that program or that
-machine, compile the program with the prediction, execute it on the
-machine, and compare against -O3 and against the iterative-compilation
-"Best" (§5.1.2).
+For every (program, microarchitecture) pair the protocol predicts the
+best passes using a model that never consults training data from that
+program or that machine, compiles the program with the prediction,
+executes it on the machine, and compares against -O3 and against the
+iterative-compilation "Best" (§5.1.2).  The protocol itself runs as
+checkpointed folds in :mod:`repro.evalrun.pipeline`; this module holds
+the per-pair outcome and the aggregates the paper reports over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.compiler.flags import FlagSetting
-from repro.compiler.ir import Program
-from repro.compiler.pipeline import Compiler
-from repro.core.predictor import OptimisationPredictor
-from repro.core.training import TrainingSet
 from repro.machine.params import MicroArch
-from repro.sim.counters import PerfCounters
 
 
 @dataclass
@@ -101,91 +97,3 @@ class CrossValResult:
         for outcome in self.outcomes:
             grouped.setdefault(outcome.machine, []).append(outcome)
         return grouped
-
-
-def leave_one_out(
-    training: TrainingSet,
-    programs: Sequence[Program],
-    compiler: Compiler | None = None,
-    predictor: OptimisationPredictor | None = None,
-    progress: Callable[[str], None] | None = None,
-    oracle=None,
-) -> CrossValResult:
-    """Run the full §5.1.1 protocol.
-
-    The predictor is fitted once on all pairs; exclusion of the test
-    program and machine happens at query time, which is exact for a
-    memory-based model (the only global statistic, the feature normaliser,
-    changes negligibly and is shared for speed).
-
-    Predicted settings are priced through a
-    :class:`~repro.evalrun.oracle.RuntimeOracle` over the training
-    matrix: settings already in the sampled grid are read straight from
-    the (store-assembled) matrix, and only settings the model
-    synthesised outside the grid fall back to a memoised
-    compile-once/simulate-once path — never a redundant simulation.
-    Pass a shared ``oracle`` to pool that memoisation across several
-    sweeps over the same data (the ablations do).
-    """
-    if oracle is None:
-        from repro.evalrun.oracle import RuntimeOracle
-
-        oracle = RuntimeOracle(training, programs, compiler=compiler)
-    model = predictor if predictor is not None else OptimisationPredictor()
-    if not model.is_fitted:
-        model.fit(training)
-
-    result = CrossValResult()
-    for p, name in enumerate(training.program_names):
-        if progress is not None:
-            progress(f"cross-validation: {name} ({p + 1}/{len(training.program_names)})")
-        code_features = (
-            training.code_features[p, :]
-            if training.code_features is not None
-            else None
-        )
-        machines = list(training.machines)
-        counters_row = [
-            PerfCounters(*training.counters[p, m, :])
-            for m in range(len(machines))
-        ]
-        if hasattr(model, "predict_many"):
-            # One ranking-kernel pass for the whole machine row; duck-typed
-            # predictors (e.g. the joint-vote ablation) keep the scalar loop.
-            predictions = model.predict_many(
-                counters_row,
-                machines,
-                exclude_programs=[name] * len(machines),
-                exclude_machines=machines,
-                code_features=[code_features] * len(machines),
-            )
-        else:
-            predictions = [
-                model.predict(
-                    counters,
-                    machine,
-                    exclude_program=name,
-                    exclude_machine=machine,
-                    code_features=code_features,
-                )
-                for counters, machine in zip(counters_row, machines)
-            ]
-        # Price the whole machine row in one oracle batch: grid settings
-        # come straight from the matrix, and any out-of-grid predictions
-        # fall back through one vectorised simulate-many pass per setting
-        # instead of a scalar simulation per machine.
-        predicted_runtimes = oracle.runtime_many(
-            name, predictions, training.machines
-        )
-        for m, machine in enumerate(training.machines):
-            result.outcomes.append(
-                PairOutcome(
-                    program=name,
-                    machine=machine,
-                    predicted=predictions[m],
-                    predicted_runtime=predicted_runtimes[m],
-                    o3_runtime=float(training.o3_runtimes[p, m]),
-                    best_runtime=training.best_runtime(p, m),
-                )
-            )
-    return result

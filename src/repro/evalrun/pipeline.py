@@ -7,16 +7,18 @@ Kill it anywhere — signal, crash, ``max_folds`` cap — and the next run
 picks up exactly where it left off, never re-simulating a fold already
 on disk.
 
-Every fold is a pure function of (training matrix, variant, program):
-the predictor is fitted on the full matrix, exclusion of the held-out
-program and machine happens at query time (exact for the memory-based
-model, see :mod:`repro.core.crossval`), and predicted settings are
-priced through the :class:`~repro.evalrun.oracle.RuntimeOracle` — grid
-settings straight from the store, synthesised settings through the
-memoised compile-once fallback.  The assembled protocol is therefore
-bit-identical whichever executor, interruption pattern, or fold order
-produced it.  Folds drain through :func:`repro.cluster.drain`, the loop
-dataset shards share.
+This is the only implementation of the paper's §5.1.1 leave-one-out
+protocol: every figure, table and ablation reads its folds.  Every fold
+is a pure function of (training matrix, variant, program): the
+predictor is fitted once on the full matrix and the held-out program and
+machine are excluded at query time, which is exact for the memory-based
+model (the only global statistic, the feature normaliser, moves
+negligibly and is shared).  Predicted settings are priced through the
+:class:`~repro.evalrun.oracle.RuntimeOracle` — grid settings straight
+from the store, synthesised settings through the memoised compile-once
+fallback.  The assembled protocol is therefore bit-identical whichever
+executor, interruption pattern, or fold order produced it.  Folds drain
+through :func:`repro.cluster.drain`, the loop dataset shards share.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ def compute_fold(
             )
             for counters, machine in zip(counters_row, machines)
         ]
+    # One scalar oracle call per machine: most predictions fall outside
+    # the grid and each pairs with ~1 machine, where a batched
+    # one-signature simulate-many call measured slower than the scalar one.
     rows = []
     for m, machine in enumerate(training.machines):
         predicted = predicted_row[m]
@@ -304,6 +309,21 @@ class EvaluationPipeline:
         return assemble_protocol(self.store, self.training, variants=variants)
 
 
+def fold_outcomes(record: FoldRecord, training: TrainingSet) -> list[PairOutcome]:
+    """One fold's rows as evaluated leave-one-out pairs, in machine order."""
+    return [
+        PairOutcome(
+            program=record.key.program,
+            machine=training.machines[row.machine],
+            predicted=FlagSetting.from_indices(row.setting),
+            predicted_runtime=row.predicted_runtime,
+            o3_runtime=row.o3_runtime,
+            best_runtime=row.best_runtime,
+        )
+        for row in record.rows
+    ]
+
+
 def assemble_protocol(
     store: FoldStore,
     training: TrainingSet,
@@ -320,17 +340,7 @@ def assemble_protocol(
         outcomes = []
         for program in store.programs:
             record = store.read_fold(FoldKey(variant.key, program))
-            for row in record.rows:
-                outcomes.append(
-                    PairOutcome(
-                        program=program,
-                        machine=training.machines[row.machine],
-                        predicted=FlagSetting.from_indices(row.setting),
-                        predicted_runtime=row.predicted_runtime,
-                        o3_runtime=row.o3_runtime,
-                        best_runtime=row.best_runtime,
-                    )
-                )
+            outcomes.extend(fold_outcomes(record, training))
         results[variant.key] = CrossValResult(outcomes=outcomes)
     return ProtocolResult(
         variants=wanted,

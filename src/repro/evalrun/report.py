@@ -3,9 +3,11 @@
 One registry maps every artifact of the paper's evaluation — figures,
 tables, headline numbers, ablations — to the protocol variants it needs
 and a builder that renders it.  The figure/table builders are the
-existing :mod:`repro.experiments` reproductions, fed the pipeline's
-checkpointed cross-validation instead of recomputing it; the ablation
-tables are assembled directly from the protocol's variant results.
+:mod:`repro.experiments` reproductions, fed the pipeline's checkpointed
+cross-validation; the ablation tables are assembled from the protocol's
+variant results, one row per sweep value of
+:data:`~repro.evalrun.variants.SWEEPS`.  The CLI's figure, table and
+ablation subcommands print these same renders.
 
 Everything rendered here is a pure function of the training matrix and
 the checkpointed folds: no timestamps, no environment — so a report from
@@ -21,13 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.evalrun.pipeline import ProtocolResult
-from repro.evalrun.variants import (
-    BETAS,
-    FEATURE_MODES,
-    KNN_KS,
-    QUANTILES,
-)
-from repro.core.predictor import DEFAULT_BETA, DEFAULT_K, DEFAULT_QUANTILE
+from repro.evalrun.variants import SWEEPS
 
 #: Report schema version (covers the markdown layout and JSON payload).
 REPORT_FORMAT = 1
@@ -61,49 +57,6 @@ def _ablation_rows(protocol: ProtocolResult, entries) -> list:
             )
         )
     return rows
-
-
-def _knn_entries():
-    return [
-        (
-            "base" if k == DEFAULT_K else f"k-{k}",
-            f"K = {k}" + ("  (paper)" if k == DEFAULT_K else ""),
-        )
-        for k in KNN_KS
-    ]
-
-
-def _beta_entries():
-    return [
-        (
-            "base" if beta == DEFAULT_BETA else f"beta-{beta:g}",
-            f"beta = {beta:g}" + ("  (paper)" if beta == DEFAULT_BETA else ""),
-        )
-        for beta in BETAS
-    ]
-
-
-def _quantile_entries():
-    return [
-        (
-            "base" if quantile == DEFAULT_QUANTILE else f"quantile-{quantile:g}",
-            f"top {quantile:.0%}"
-            + ("  (paper)" if quantile == DEFAULT_QUANTILE else ""),
-        )
-        for quantile in QUANTILES
-    ]
-
-
-def _feature_entries(with_code: bool):
-    entries = []
-    for mode in FEATURE_MODES:
-        if mode == "with_code" and not with_code:
-            continue
-        key = "base" if mode == "both" else f"features-{mode}"
-        suffix = "  (paper)" if mode == "both" else ""
-        suffix = "  (§9 extension)" if mode == "with_code" else suffix
-        entries.append((key, mode + suffix))
-    return entries
 
 
 def _ablation(title: str, entries_for):
@@ -140,17 +93,12 @@ def _artifact_registry() -> dict[str, ArtifactSpec]:
     def spec(name, description, variants, build):
         return ArtifactSpec(name, description, tuple(variants), build)
 
+    def sweep(kind, name, description, title):
+        variants = ("base",) + tuple(v.key for v in SWEEPS[kind].variants())
+        return spec(name, description, variants,
+                    _ablation(title, SWEEPS[kind].rows))
+
     base = ("base",)
-    knn = ("base",) + tuple(f"k-{k}" for k in KNN_KS if k != DEFAULT_K)
-    beta = ("base",) + tuple(
-        f"beta-{b:g}" for b in BETAS if b != DEFAULT_BETA
-    )
-    quantile = ("base",) + tuple(
-        f"quantile-{q:g}" for q in QUANTILES if q != DEFAULT_QUANTILE
-    )
-    features = ("base",) + tuple(
-        f"features-{mode}" for mode in FEATURE_MODES if mode != "both"
-    )
     return {
         spec.name: spec
         for spec in (
@@ -166,14 +114,14 @@ def _artifact_registry() -> dict[str, ArtifactSpec]:
             spec("fig9", "MI(feature; best value) Hinton diagram", (), _data_only(figures.figure9)),
             spec("headline", "the paper's headline numbers", base, _base(tables.headline)),
             spec("iterations", "search evaluations to match the model", base, _base(tables.iterations_to_match)),
-            spec("ablate-k", "KNN neighbourhood-size sweep", knn,
-                 _ablation("Ablation: KNN neighbourhood size", lambda wc: _knn_entries())),
-            spec("ablate-beta", "softmax sharpness sweep", beta,
-                 _ablation("Ablation: softmax sharpness beta", lambda wc: _beta_entries())),
-            spec("ablate-quantile", "good-settings quantile sweep", quantile,
-                 _ablation("Ablation: good-settings quantile", lambda wc: _quantile_entries())),
-            spec("ablate-features", "feature-source sweep", features,
-                 _ablation("Ablation: feature sources", _feature_entries)),
+            sweep("knn", "ablate-k", "KNN neighbourhood-size sweep",
+                  "Ablation: KNN neighbourhood size"),
+            sweep("beta", "ablate-beta", "softmax sharpness sweep",
+                  "Ablation: softmax sharpness beta"),
+            sweep("quantile", "ablate-quantile", "good-settings quantile sweep",
+                  "Ablation: good-settings quantile"),
+            sweep("features", "ablate-features", "feature-source sweep",
+                  "Ablation: feature sources"),
             spec("ablate-iid", "IID factorisation vs joint voting", ("base", "joint"),
                  _ablation("Ablation: factorised (IID) vs dependence-aware prediction",
                            lambda wc: [("base", "IID mode  (paper)"), ("joint", "joint vote")])),

@@ -2,12 +2,13 @@
 
 The paper evaluates one model (K = 7, β = 1, top-5 % good set, (c, d)
 features, IID factorisation) and argues its design choices are
-insensitive; the ablation sweeps of :mod:`repro.experiments.ablations`
-measure those claims by re-running leave-one-out with one choice varied.
-Each distinct predictor configuration is one :class:`VariantSpec` here,
-and the sweep rows that coincide with the paper's defaults all map to
-the single ``base`` variant, so the pipeline never computes the same
-fold twice under two names.
+insensitive; the ablations measure those claims by re-running
+leave-one-out with one choice varied.  Each axis is one :class:`Sweep`
+here — its values, the paper's default, and the format of its variant
+keys and table labels — and each distinct predictor configuration is one
+:class:`VariantSpec`.  The sweep rows that coincide with the paper's
+defaults all map to the single ``base`` variant, so the pipeline never
+computes the same fold twice under two names.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from repro.core.predictor import (
     OptimisationPredictor,
 )
 from repro.core.training import TrainingSet
-
-#: Sweep values, matching the defaults of :mod:`repro.experiments.ablations`.
-KNN_KS: tuple[int, ...] = (1, 3, 5, 7, 11, 15)
-BETAS: tuple[float, ...] = (0.25, 1.0, 4.0, 16.0)
-QUANTILES: tuple[float, ...] = (0.01, 0.05, 0.10, 0.25)
-FEATURE_MODES: tuple[str, ...] = ("both", "counters", "descriptors", "with_code")
 
 
 @dataclass(frozen=True)
@@ -60,37 +55,79 @@ class VariantSpec:
         }
 
 
-def _knn_variant(k: int) -> VariantSpec:
-    return VariantSpec(
-        key=f"k-{k}", kind="knn", label=f"K = {k}", params=(("k", k),)
+@dataclass(frozen=True)
+class Sweep:
+    """One ablation axis: its values, the paper's choice, and their names.
+
+    ``key`` and ``label`` are format strings applied to a swept value.
+    The value equal to ``default`` is the paper's model, so its row reads
+    the ``base`` variant; every other value is a variant of its own.  An
+    ``extension`` value (a §9 future-work option) exists only when the
+    data carries static code features.
+    """
+
+    kind: str
+    param: str
+    values: tuple
+    default: object
+    key: str
+    label: str
+    extension: object = None
+
+    def _values(self, with_code: bool) -> tuple:
+        return tuple(
+            value
+            for value in self.values
+            if with_code or value != self.extension
+        )
+
+    def variants(self, with_code: bool = True) -> list[VariantSpec]:
+        """The non-default sweep points as protocol variants."""
+        return [
+            VariantSpec(
+                key=self.key.format(value),
+                kind=self.kind,
+                label=self.label.format(value),
+                params=((self.param, value),),
+            )
+            for value in self._values(with_code)
+            if value != self.default
+        ]
+
+    def rows(self, with_code: bool = True) -> list[tuple[str, str]]:
+        """(variant key, ablation-table row label) per value, in order."""
+        rows = []
+        for value in self._values(with_code):
+            label = self.label.format(value)
+            if value == self.default:
+                rows.append(("base", label + "  (paper)"))
+            elif value == self.extension:
+                rows.append((self.key.format(value), label + "  (§9 extension)"))
+            else:
+                rows.append((self.key.format(value), label))
+        return rows
+
+
+#: The four hyper-parameter sweeps, by variant kind, in grid order.
+SWEEPS: dict[str, Sweep] = {
+    sweep.kind: sweep
+    for sweep in (
+        Sweep("knn", "k", (1, 3, 5, 7, 11, 15), DEFAULT_K, "k-{}", "K = {}"),
+        Sweep(
+            "beta", "beta", (0.25, 1.0, 4.0, 16.0), DEFAULT_BETA,
+            "beta-{:g}", "beta = {:g}",
+        ),
+        Sweep(
+            "quantile", "quantile", (0.01, 0.05, 0.10, 0.25), DEFAULT_QUANTILE,
+            "quantile-{:g}", "top {:.0%}",
+        ),
+        Sweep(
+            "features", "feature_mode",
+            ("both", "counters", "descriptors", "with_code"), "both",
+            "features-{}", "{}", extension="with_code",
+        ),
     )
-
-
-def _beta_variant(beta: float) -> VariantSpec:
-    return VariantSpec(
-        key=f"beta-{beta:g}",
-        kind="beta",
-        label=f"beta = {beta:g}",
-        params=(("beta", beta),),
-    )
-
-
-def _quantile_variant(quantile: float) -> VariantSpec:
-    return VariantSpec(
-        key=f"quantile-{quantile:g}",
-        kind="quantile",
-        label=f"top {quantile:.0%}",
-        params=(("quantile", quantile),),
-    )
-
-
-def _features_variant(mode: str) -> VariantSpec:
-    return VariantSpec(
-        key=f"features-{mode}",
-        kind="features",
-        label=mode,
-        params=(("feature_mode", mode),),
-    )
+}
 
 
 BASE_VARIANT = VariantSpec(key="base", kind="paper", label="paper model")
@@ -104,17 +141,8 @@ def protocol_variants(with_code: bool = True) -> list[VariantSpec]:
     ``both`` features, IID mode) all resolve to ``base``.
     """
     variants: list[VariantSpec] = [BASE_VARIANT]
-    variants.extend(_knn_variant(k) for k in KNN_KS if k != DEFAULT_K)
-    variants.extend(_beta_variant(b) for b in BETAS if b != DEFAULT_BETA)
-    variants.extend(
-        _quantile_variant(q) for q in QUANTILES if q != DEFAULT_QUANTILE
-    )
-    for mode in FEATURE_MODES:
-        if mode == "both":
-            continue  # the paper's feature pair == base
-        if mode == "with_code" and not with_code:
-            continue
-        variants.append(_features_variant(mode))
+    for sweep in SWEEPS.values():
+        variants.extend(sweep.variants(with_code=with_code))
     variants.append(JOINT_VARIANT)
     return variants
 

@@ -2,16 +2,21 @@
 
 The paper fixes K = 7, β = 1, a top-5 % good-set, the (c, d) feature pair
 and a *factorised* (IID) distribution, asserting insensitivity or arguing
-simplicity.  Each ablation here re-runs leave-one-out cross-validation with
-one choice varied, so those assertions are measured rather than assumed:
+simplicity.  Each ablation re-runs leave-one-out cross-validation with
+one choice varied, so those assertions are measured rather than assumed.
+The varied predictors are variants of the checkpointed protocol
+(:mod:`repro.evalrun.variants` holds the swept values) and the report
+renders each sweep as an :class:`AblationResult`:
 
-* :func:`knn_k_sweep` — neighbourhood size (paper: "not sensitive");
-* :func:`quantile_sweep` — the "good settings" threshold;
-* :func:`feature_mode_sweep` — counters only vs descriptors only vs both
+* ``ablate-k`` — neighbourhood size (paper: "not sensitive");
+* ``ablate-beta`` — the softmax sharpness of eq. 6;
+* ``ablate-quantile`` — the "good settings" threshold;
+* ``ablate-features`` — counters only vs descriptors only vs both
   (the §5.3 crc analysis predicts counters alone are not enough);
-* :func:`iid_vs_joint` — the paper's IID mode against a dependence-aware
-  variant that votes over *concrete* good settings of the K neighbours,
-  preserving inter-flag correlations the factorisation discards.
+* ``ablate-iid`` — the paper's IID mode against
+  :class:`JointVotePredictor`, a dependence-aware variant that votes
+  over *concrete* good settings of the K neighbours, preserving
+  inter-flag correlations the factorisation discards.
 """
 
 from __future__ import annotations
@@ -21,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compiler.flags import FlagSetting
-from repro.core.crossval import CrossValResult, leave_one_out
 from repro.core.features import FeatureNormaliser, feature_vector
-from repro.core.predictor import (
-    DEFAULT_BETA,
-    DEFAULT_K,
-    DEFAULT_QUANTILE,
-    OptimisationPredictor,
-)
+from repro.core.predictor import DEFAULT_BETA, DEFAULT_K, DEFAULT_QUANTILE
 from repro.core.training import TrainingSet
-from repro.experiments.dataset import ExperimentData
 from repro.machine.params import MicroArch
 from repro.sim.counters import PerfCounters
 
@@ -60,113 +58,6 @@ class AblationResult:
                 f"{row.fraction_of_best:12.2%} {row.correlation:11.3f}"
             )
         return "\n".join(lines)
-
-
-def _shared_oracle(data: ExperimentData):
-    """One runtime oracle per sweep: every row reads grid settings from
-    the store-assembled matrix and shares one memoised fallback, so
-    varying a hyper-parameter never re-simulates a setting another row
-    (or variant) already priced.  Imported lazily — :mod:`repro.evalrun`
-    renders *these* sweeps, so a module-level import would be a cycle.
-    """
-    from repro.evalrun.oracle import RuntimeOracle
-
-    return RuntimeOracle(data.training, data.programs, compiler=data.compiler)
-
-
-def _evaluate(data: ExperimentData, predictor, oracle=None) -> AblationRow:
-    result = leave_one_out(
-        data.training,
-        data.programs,
-        compiler=data.compiler,
-        predictor=predictor,
-        oracle=oracle,
-    )
-    return AblationRow(
-        label="",
-        mean_speedup=result.mean_speedup(),
-        fraction_of_best=result.fraction_of_best(),
-        correlation=result.correlation_with_best(),
-    )
-
-
-def knn_k_sweep(
-    data: ExperimentData, ks: tuple[int, ...] = (1, 3, 5, 7, 11, 15)
-) -> AblationResult:
-    """§3.3.2 claims the technique is not sensitive to K around 7."""
-    oracle = _shared_oracle(data)
-    rows = []
-    for k in ks:
-        row = _evaluate(
-            data,
-            OptimisationPredictor(k=k, extended=data.scale.extended),
-            oracle=oracle,
-        )
-        row.label = f"K = {k}" + ("  (paper)" if k == DEFAULT_K else "")
-        rows.append(row)
-    return AblationResult(title="Ablation: KNN neighbourhood size", rows=rows)
-
-
-def beta_sweep(
-    data: ExperimentData, betas: tuple[float, ...] = (0.25, 1.0, 4.0, 16.0)
-) -> AblationResult:
-    """§3.3.2 sets β = 1 in the softmax weighting (eq. 6); large β collapses
-    the mixture onto the single nearest pair, small β flattens it towards a
-    plain K-average."""
-    oracle = _shared_oracle(data)
-    rows = []
-    for beta in betas:
-        row = _evaluate(
-            data,
-            OptimisationPredictor(beta=beta, extended=data.scale.extended),
-            oracle=oracle,
-        )
-        row.label = f"beta = {beta:g}" + (
-            "  (paper)" if beta == DEFAULT_BETA else ""
-        )
-        rows.append(row)
-    return AblationResult(title="Ablation: softmax sharpness beta", rows=rows)
-
-
-def quantile_sweep(
-    data: ExperimentData,
-    quantiles: tuple[float, ...] = (0.01, 0.05, 0.10, 0.25),
-) -> AblationResult:
-    """Footnote 1's top-5 % definition of the good set."""
-    oracle = _shared_oracle(data)
-    rows = []
-    for quantile in quantiles:
-        row = _evaluate(
-            data,
-            OptimisationPredictor(quantile=quantile, extended=data.scale.extended),
-            oracle=oracle,
-        )
-        row.label = f"top {quantile:.0%}" + (
-            "  (paper)" if quantile == DEFAULT_QUANTILE else ""
-        )
-        rows.append(row)
-    return AblationResult(title="Ablation: good-settings quantile", rows=rows)
-
-
-def feature_mode_sweep(data: ExperimentData) -> AblationResult:
-    """x = (c, d) against counters-only, descriptors-only, and the §9
-    extension adding static code features (the crc fix)."""
-    modes = ["both", "counters", "descriptors"]
-    if data.training.code_features is not None:
-        modes.append("with_code")
-    oracle = _shared_oracle(data)
-    rows = []
-    for mode in modes:
-        row = _evaluate(
-            data,
-            OptimisationPredictor(feature_mode=mode, extended=data.scale.extended),
-            oracle=oracle,
-        )
-        suffix = "  (paper)" if mode == "both" else ""
-        suffix = "  (§9 extension)" if mode == "with_code" else suffix
-        row.label = mode + suffix
-        rows.append(row)
-    return AblationResult(title="Ablation: feature sources", rows=rows)
 
 
 class JointVotePredictor:
@@ -245,20 +136,3 @@ class JointVotePredictor:
                 votes[setting] = votes.get(setting, 0.0) + weight / len(good)
         # Deterministic tie-break via the settings' index encoding.
         return max(votes.items(), key=lambda item: (item[1], item[0].as_indices()))[0]
-
-
-def iid_vs_joint(data: ExperimentData) -> AblationResult:
-    """The paper's factorised model vs the joint-vote variant."""
-    oracle = _shared_oracle(data)
-    iid_row = _evaluate(
-        data, OptimisationPredictor(extended=data.scale.extended), oracle=oracle
-    )
-    iid_row.label = "IID mode  (paper)"
-    joint_row = _evaluate(
-        data, JointVotePredictor(extended=data.scale.extended), oracle=oracle
-    )
-    joint_row.label = "joint vote"
-    return AblationResult(
-        title="Ablation: factorised (IID) vs dependence-aware prediction",
-        rows=[iid_row, joint_row],
-    )

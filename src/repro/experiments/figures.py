@@ -1,8 +1,11 @@
 """Reproduction of every figure in the paper's evaluation.
 
-Each ``figureN`` function takes the (cached) experiment data and returns a
-result dataclass with the numbers behind the paper's plot plus a
-``render()`` producing the same series as text.  The benches print these.
+Each ``figureN`` function takes the experiment data and returns a result
+dataclass with the numbers behind the paper's plot plus a ``render()``
+producing the same series as text.  Figures 5–7 also take the
+leave-one-out outcomes: the ``base`` variant of the checkpointed
+protocol (:mod:`repro.evalrun`), which is the only place they are
+computed.
 """
 
 from __future__ import annotations
@@ -12,15 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting
-from repro.core.crossval import CrossValResult, leave_one_out
+from repro.core.crossval import CrossValResult
 from repro.core.mutual_information import (
     feature_best_flag_mi,
     flag_speedup_mi,
     hinton_feature_columns,
     hinton_rows,
 )
-from repro.core.predictor import OptimisationPredictor
-from repro.experiments.dataset import ExperimentData, load_or_build
+from repro.experiments.dataset import ExperimentData
 from repro.machine.params import MicroArch
 from repro.machine.xscale import (
     xscale,
@@ -39,35 +41,6 @@ FIGURE1_PASSES: tuple[str, ...] = (
 )
 
 FIGURE1_PROGRAMS: tuple[str, ...] = ("rijndael_e", "untoast", "madplay")
-
-_CROSSVAL_CACHE: dict[str, CrossValResult] = {}
-
-
-def run_crossval(data: ExperimentData) -> CrossValResult:
-    """Leave-one-out CV for a dataset, memoised per scale."""
-    key = data.scale.fingerprint()
-    if key not in _CROSSVAL_CACHE:
-        predictor = OptimisationPredictor(extended=data.scale.extended)
-        _CROSSVAL_CACHE[key] = leave_one_out(
-            data.training, data.programs, compiler=data.compiler, predictor=predictor
-        )
-    return _CROSSVAL_CACHE[key]
-
-
-def seed_crossval_cache(data: ExperimentData, result: CrossValResult) -> None:
-    """Install a protocol-pipeline result as the memoised CV for a scale.
-
-    The pipeline's checkpointed base variant is the same computation as
-    :func:`run_crossval` (identical fold function, identical oracle), so
-    seeding lets every figure and table consume the resumable pipeline's
-    output instead of recomputing the sweep in-process.
-    """
-    _CROSSVAL_CACHE[data.scale.fingerprint()] = result
-
-
-def _crossval(data: ExperimentData, crossval: CrossValResult | None):
-    return crossval if crossval is not None else run_crossval(data)
-
 
 def _bar(value: float, scale: float, width: int = 10) -> str:
     filled = 0 if scale <= 0 else int(round(width * min(value / scale, 1.0)))
@@ -241,10 +214,7 @@ class Figure5Result:
         return "\n".join(lines)
 
 
-def figure5(
-    data: ExperimentData, crossval: CrossValResult | None = None
-) -> Figure5Result:
-    result = _crossval(data, crossval)
+def figure5(data: ExperimentData, crossval: CrossValResult) -> Figure5Result:
     P = len(data.training.program_names)
     M = len(data.training.machines)
     best = np.empty((P, M))
@@ -254,7 +224,7 @@ def figure5(
         for p, name in enumerate(data.training.program_names)
         for m, machine in enumerate(data.training.machines)
     }
-    for outcome in result.outcomes:
+    for outcome in crossval.outcomes:
         p, m = index[(outcome.program, outcome.machine)]
         best[p, m] = outcome.best_speedup
         predicted[p, m] = outcome.speedup
@@ -306,11 +276,8 @@ class Figure6Result:
         return "\n".join(lines)
 
 
-def figure6(
-    data: ExperimentData, crossval: CrossValResult | None = None
-) -> Figure6Result:
-    result = _crossval(data, crossval)
-    by_program = result.by_program()
+def figure6(data: ExperimentData, crossval: CrossValResult) -> Figure6Result:
+    by_program = crossval.by_program()
     programs = list(data.training.program_names)
     model = np.array(
         [
@@ -379,11 +346,8 @@ class Figure7Result:
         return "\n".join(lines)
 
 
-def figure7(
-    data: ExperimentData, crossval: CrossValResult | None = None
-) -> Figure7Result:
-    result = _crossval(data, crossval)
-    by_machine = result.by_machine()
+def figure7(data: ExperimentData, crossval: CrossValResult) -> Figure7Result:
+    by_machine = crossval.by_machine()
     machines = list(data.training.machines)
     model = np.array(
         [
@@ -470,7 +434,8 @@ def figure9(data: ExperimentData) -> HintonResult:
 # -------------------------------------------------------------------- fig 10
 @dataclass
 class Figure10Result:
-    """Figure 6 re-run on the extended (frequency × width) space."""
+    """Figure 6 re-run on the extended (frequency × width) space: one
+    protocol run per space, built by the ``fig10`` command."""
 
     base: Figure6Result
     extended: Figure6Result
@@ -486,15 +451,6 @@ class Figure10Result:
             self.extended.render(),
         ]
         return "\n".join(lines)
-
-
-def figure10(data: ExperimentData) -> Figure10Result:
-    """Build the extended-space dataset at the same scale and compare."""
-    extended_data = load_or_build(data.scale.with_extended())
-    return Figure10Result(
-        base=figure6(data),
-        extended=figure6(extended_data),
-    )
 
 
 # ------------------------------------------------------------------- helpers

@@ -17,7 +17,6 @@ import numpy as np
 from repro.compiler.flags import o3_setting
 from repro.core.crossval import CrossValResult
 from repro.experiments.dataset import ExperimentData
-from repro.experiments.figures import _crossval
 from repro.machine.params import BASE_GRID, EXTENDED_GRID, MicroArchSpace
 from repro.machine.xscale import xscale
 from repro.sim.analytic import simulate_analytic
@@ -123,20 +122,17 @@ class HeadlineResult:
         )
 
 
-def headline(
-    data: ExperimentData, crossval: CrossValResult | None = None
-) -> HeadlineResult:
-    result = _crossval(data, crossval)
+def headline(data: ExperimentData, crossval: CrossValResult) -> HeadlineResult:
     speedups = data.training.speedups()  # [P, S, M]
     worst = speedups.min(axis=1)  # worst setting per pair
     return HeadlineResult(
-        mean_model_speedup=result.mean_speedup(),
-        mean_best_speedup=result.mean_best_speedup(),
-        fraction_of_best=result.fraction_of_best(),
-        correlation=result.correlation_with_best(),
-        best_case_model=max(outcome.speedup for outcome in result.outcomes),
+        mean_model_speedup=crossval.mean_speedup(),
+        mean_best_speedup=crossval.mean_best_speedup(),
+        fraction_of_best=crossval.fraction_of_best(),
+        correlation=crossval.correlation_with_best(),
+        best_case_model=max(outcome.speedup for outcome in crossval.outcomes),
         best_case_available=max(
-            outcome.best_speedup for outcome in result.outcomes
+            outcome.best_speedup for outcome in crossval.outcomes
         ),
         worst_setting_mean=float(worst.mean()),
         worst_setting_min=float(worst.min()),
@@ -177,7 +173,7 @@ class IterationsToMatchResult:
 
 
 def iterations_to_match(
-    data: ExperimentData, crossval: CrossValResult | None = None
+    data: ExperimentData, crossval: CrossValResult
 ) -> IterationsToMatchResult:
     """Replay the training matrix as a random-search trajectory per pair.
 
@@ -185,14 +181,13 @@ def iterations_to_match(
     over their given order *is* a random search; the first index at which
     it reaches the model's runtime is the §5.3 statistic.
     """
-    result = _crossval(data, crossval)
     runtimes = data.training.runtimes  # [P, S, M]
     trajectory = np.minimum.accumulate(runtimes, axis=1)
     budget = runtimes.shape[1]
 
     model_runtime = {
         (outcome.program, outcome.machine): outcome.predicted_runtime
-        for outcome in result.outcomes
+        for outcome in crossval.outcomes
     }
     programs = list(data.training.program_names)
     mean_evaluations = np.zeros(len(programs))

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,61 @@ class TestCli:
             "headline",
             "iterations",
         }
+
+
+#: Every experiment the protocol's leave-one-out folds back.
+CV_EXPERIMENTS = [
+    "fig5", "fig6", "fig7", "headline", "iterations", "ablate-k",
+    "ablate-beta", "ablate-quantile", "ablate-features", "ablate-iid",
+]
+
+
+class TestProtocolBackedExperiments:
+    def test_sections_match_golden_artifact_fingerprints(self, tmp_path, capsys):
+        golden = json.loads(
+            (
+                Path(__file__).parent / "golden" / "tiny_protocol_golden.json"
+            ).read_text()
+        )["artifacts"]
+        assert cli.main(
+            CV_EXPERIMENTS
+            + ["--scale", "tiny", "--quiet", "--cache-dir", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        # Each render is printed with one blank line after it.
+        sections = out.split("\n\n")
+        assert sections[-1] == ""
+        assert len(sections[:-1]) == len(CV_EXPERIMENTS)
+        for name, section in zip(CV_EXPERIMENTS, sections):
+            digest = hashlib.sha256(section.encode()).hexdigest()[:16]
+            assert digest == golden[name], name
+
+    def test_report_reuses_folds_of_an_experiment_command(
+        self, tmp_path, capsys
+    ):
+        cache = str(tmp_path / "cache")
+        assert cli.main(
+            ["fig6", "--scale", "tiny", "--quiet", "--cache-dir", cache]
+        ) == 0
+        capsys.readouterr()
+        assert cli.main(
+            ["report", "--scale", "tiny", "--quiet", "--only", "fig6",
+             "--cache-dir", cache, "--out", str(tmp_path / "out")]
+        ) == 0
+        assert "protocol: 0 folds computed" in capsys.readouterr().out
+
+    def test_fig10_builds_both_spaces_under_cache_dir(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / "cache"
+        assert cli.main(
+            ["fig10", "--scale", "tiny", "--quiet", "--cache-dir", str(cache)]
+        ) == 0
+        assert "Figure 10" in capsys.readouterr().out
+        assert list(cache.glob("store-tiny-ext-*"))
+        assert list(cache.glob("protocol-tiny-ext-*"))
+        assert not (tmp_path / ".repro-cache").exists()
 
 
 class TestTournamentCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.flags import o3_setting
-from repro.core.crossval import CrossValResult, PairOutcome, leave_one_out
+from repro.core.crossval import CrossValResult
 from repro.core.mutual_information import (
     entropy,
     feature_best_flag_mi,
@@ -17,7 +17,6 @@ from repro.core.mutual_information import (
     normalised_mutual_information,
     quartile_bins,
 )
-from repro.core.predictor import OptimisationPredictor
 from repro.sim.counters import COUNTER_NAMES
 
 
@@ -79,12 +78,8 @@ class TestTrainingSet:
 
 class TestCrossValidation:
     @pytest.fixture(scope="class")
-    def cv_result(self, tiny_data):
-        predictor = OptimisationPredictor()
-        return leave_one_out(
-            tiny_data.training, tiny_data.programs, compiler=tiny_data.compiler,
-            predictor=predictor,
-        )
+    def cv_result(self, tiny_protocol):
+        return tiny_protocol.report.protocol.base
 
     def test_one_outcome_per_pair(self, tiny_data, cv_result):
         expected = len(tiny_data.training.program_names) * len(

@@ -280,13 +280,6 @@ class TestRunProtocolSession:
         assert set(payload["artifacts"]) == set(report.artifacts)
         assert payload["headline"]["mean_best_speedup"] >= 1.0
 
-    def test_figures_consume_pipeline_output(self, tiny_data, tiny_protocol):
-        """After protocol.run, run_crossval serves the checkpointed base
-        variant — figures and tables consume pipeline output."""
-        from repro.experiments.figures import run_crossval
-
-        assert run_crossval(tiny_data) is tiny_protocol.report.protocol.base
-
     def test_max_folds_cap_returns_incomplete(self, tiny_data):
         session = Session("tiny", use_disk_cache=False)
         store = session.protocol.store(tiny_data)
@@ -333,15 +326,6 @@ class TestReportRenderer:
         # While the base-only artifacts render fine.
         report = render_report(tiny_data, protocol, only="fig6,headline")
         assert report.artifacts == ["fig6", "headline"]
-
-    def test_ablation_tables_match_direct_sweeps(self, tiny_data, tiny_protocol):
-        """The report's ablation tables, assembled from checkpointed
-        folds, carry exactly the numbers of the in-process sweeps."""
-        from repro.experiments.ablations import knn_k_sweep
-
-        direct = knn_k_sweep(tiny_data)
-        rendered = tiny_protocol.report.payload["artifacts"]["ablate-k"]["render"]
-        assert rendered == direct.render()
 
 
 class TestReportCli:

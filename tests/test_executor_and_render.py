@@ -77,19 +77,19 @@ class TestRenderSurfaces:
             cells = line[len(line) - len(result.columns) :]
             assert set(cells) <= set(result.SHADES)
 
-    def test_figure7_render_contains_regions(self, tiny_data):
+    def test_figure7_render_contains_regions(self, tiny_data, tiny_protocol):
         from repro.experiments import figure7
 
-        text = figure7(tiny_data).render()
+        text = figure7(tiny_data, tiny_protocol.report.protocol.base).render()
         assert "low-headroom" in text
         assert "high-headroom" in text
 
-    def test_figure10_render_compares_spaces(self, tiny_data):
+    def test_figure10_render_compares_spaces(self, tiny_data, tiny_protocol):
         # Construct directly to avoid building an extended dataset here.
         from repro.experiments import figure6
         from repro.experiments.figures import Figure10Result
 
-        base = figure6(tiny_data)
+        base = figure6(tiny_data, tiny_protocol.report.protocol.base)
         result = Figure10Result(base=base, extended=base)
         text = result.render()
         assert "base space" in text

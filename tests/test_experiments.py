@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.evalrun import ARTIFACTS
 from repro.experiments import (
     FIGURE1_PASSES,
     PRESETS,
@@ -18,11 +19,24 @@ from repro.experiments import (
     headline,
     iterations_to_match,
     preset,
-    run_crossval,
     table1,
     table2,
 )
 from repro.experiments.dataset import load_or_build
+
+
+@pytest.fixture(scope="module")
+def base_crossval(tiny_protocol):
+    """The paper model's leave-one-out outcomes from the protocol run."""
+    return tiny_protocol.report.protocol.base
+
+
+@pytest.fixture(scope="module")
+def ablation(tiny_data, tiny_protocol):
+    """An ablation table as the report builds it from protocol folds."""
+    return lambda name: ARTIFACTS[name].build(
+        tiny_data, tiny_protocol.report.protocol
+    )
 
 
 class TestScales:
@@ -101,11 +115,8 @@ class TestDataExperiments:
         assert len(result.rows()) == len(tiny_data.training.program_names)
         assert "AVERAGE" in result.render()
 
-    def test_crossval_cached_per_scale(self, tiny_data):
-        assert run_crossval(tiny_data) is run_crossval(tiny_data)
-
-    def test_figure5_surfaces(self, tiny_data):
-        result = figure5(tiny_data)
+    def test_figure5_surfaces(self, tiny_data, base_crossval):
+        result = figure5(tiny_data, base_crossval)
         P = len(tiny_data.training.program_names)
         M = len(tiny_data.training.machines)
         assert result.best.shape == (P, M)
@@ -114,12 +125,12 @@ class TestDataExperiments:
         assert -1.0 <= result.correlation <= 1.0
         assert result.peak_best >= result.best.mean()
 
-    def test_figure6_model_below_best_on_average(self, tiny_data):
-        result = figure6(tiny_data)
+    def test_figure6_model_below_best_on_average(self, tiny_data, base_crossval):
+        result = figure6(tiny_data, base_crossval)
         assert result.mean_model <= result.mean_best + 0.05
 
-    def test_figure7_sorted_by_best(self, tiny_data):
-        result = figure7(tiny_data)
+    def test_figure7_sorted_by_best(self, tiny_data, base_crossval):
+        result = figure7(tiny_data, base_crossval)
         assert np.all(np.diff(result.best) >= -1e-12)
         regions = result.regions()
         assert set(regions) == {"low-headroom", "middle", "high-headroom"}
@@ -150,15 +161,15 @@ class TestDataExperiments:
             assert set(passes) == set(FIGURE1_PASSES)
         assert "rijndael_e" in result.render()
 
-    def test_headline_consistency(self, tiny_data):
-        result = headline(tiny_data)
+    def test_headline_consistency(self, tiny_data, base_crossval):
+        result = headline(tiny_data, base_crossval)
         assert result.mean_best_speedup >= result.mean_model_speedup - 0.05
         assert result.best_case_available >= result.best_case_model - 1e-9
         assert result.worst_setting_min <= result.worst_setting_mean
         assert "1.16" in result.render()  # paper reference value shown
 
-    def test_iterations_to_match(self, tiny_data):
-        result = iterations_to_match(tiny_data)
+    def test_iterations_to_match(self, tiny_data, base_crossval):
+        result = iterations_to_match(tiny_data, base_crossval)
         assert len(result.programs) == len(tiny_data.training.program_names)
         assert np.all(result.mean_evaluations >= 1)
         assert np.all(result.mean_evaluations <= result.budget)
@@ -167,25 +178,19 @@ class TestDataExperiments:
 
 
 class TestAblations:
-    def test_knn_sweep_rows(self, tiny_data):
-        from repro.experiments import knn_k_sweep
-
-        result = knn_k_sweep(tiny_data, ks=(1, 7))
-        assert [row.label.startswith("K = ") for row in result.rows] == [True, True]
+    def test_knn_sweep_rows(self, ablation):
+        result = ablation("ablate-k")
+        assert [row.label.startswith("K = ") for row in result.rows] == [True] * 6
         assert any("(paper)" in row.label for row in result.rows)
         assert "Ablation" in result.render()
 
-    def test_beta_sweep_rows(self, tiny_data):
-        from repro.experiments import beta_sweep
-
-        result = beta_sweep(tiny_data, betas=(1.0, 16.0))
-        assert len(result.rows) == 2
+    def test_beta_sweep_rows(self, ablation):
+        result = ablation("ablate-beta")
+        assert len(result.rows) == 4
         assert any("(paper)" in row.label for row in result.rows)
 
-    def test_feature_mode_sweep_includes_code_features(self, tiny_data):
-        from repro.experiments import feature_mode_sweep
-
-        result = feature_mode_sweep(tiny_data)
+    def test_feature_mode_sweep_includes_code_features(self, ablation):
+        result = ablation("ablate-features")
         labels = [row.label for row in result.rows]
         assert any(label.startswith("with_code") for label in labels)
         assert any(label.startswith("both") for label in labels)
@@ -204,8 +209,6 @@ class TestAblations:
                 all_good.update(tiny_data.training.good_settings(p, m))
         assert setting in all_good
 
-    def test_iid_vs_joint_shapes(self, tiny_data):
-        from repro.experiments import iid_vs_joint
-
-        result = iid_vs_joint(tiny_data)
+    def test_iid_vs_joint_shapes(self, ablation):
+        result = ablation("ablate-iid")
         assert {row.label.split()[0] for row in result.rows} == {"IID", "joint"}

@@ -11,8 +11,11 @@ from repro.core.clustering import (
     training_cost,
 )
 from repro.core.code_features import CODE_FEATURE_NAMES, static_code_features
-from repro.core.crossval import leave_one_out
+from repro.core.crossval import CrossValResult
 from repro.core.predictor import OptimisationPredictor
+from repro.evalrun.oracle import RuntimeOracle
+from repro.evalrun.pipeline import compute_fold, fold_outcomes
+from repro.evalrun.variants import BASE_VARIANT
 from repro.programs import mibench_program
 
 
@@ -75,14 +78,8 @@ class TestCodeFeatures:
         with pytest.raises(ValueError, match="code"):
             predictor.predict(counters, tiny_data.machines[0])
 
-    def test_with_code_crossval_runs(self, tiny_data):
-        predictor = OptimisationPredictor(feature_mode="with_code")
-        result = leave_one_out(
-            tiny_data.training,
-            tiny_data.programs,
-            compiler=tiny_data.compiler,
-            predictor=predictor,
-        )
+    def test_with_code_crossval_runs(self, tiny_data, tiny_protocol):
+        result = tiny_protocol.report.protocol.result("features-with_code")
         assert len(result.outcomes) == len(tiny_data.training.program_names) * len(
             tiny_data.training.machines
         )
@@ -168,12 +165,20 @@ class TestTrainingReduction:
         most of the model's benefit."""
         reduced = reduce_training_set(tiny_data.training, k=12)
         predictor = OptimisationPredictor().fit(reduced)
-        # Evaluate on the *full* pair grid.
-        result = leave_one_out(
-            tiny_data.training,
-            tiny_data.programs,
-            compiler=tiny_data.compiler,
-            predictor=predictor,
+        # Evaluate on the *full* pair grid, one protocol fold per program.
+        training = tiny_data.training
+        oracle = RuntimeOracle(
+            training, tiny_data.programs, compiler=tiny_data.compiler
+        )
+        result = CrossValResult(
+            outcomes=[
+                outcome
+                for name in training.program_names
+                for outcome in fold_outcomes(
+                    compute_fold(training, BASE_VARIANT, name, oracle, predictor),
+                    training,
+                )
+            ]
         )
         random_mean = tiny_data.training.speedups().mean()
         assert result.mean_speedup() > random_mean

@@ -11,12 +11,14 @@ If a change is *intentional*, regenerate the fixture and commit the diff::
 
     PYTHONPATH=src python - <<'EOF'
     import json
+    from repro.api import Session
     from repro.experiments.config import TINY
     from repro.experiments.dataset import load_or_build
     from repro.experiments.tables import headline
 
     data = load_or_build(TINY, use_disk_cache=False)
-    result = headline(data)
+    run = Session("tiny", use_disk_cache=False).protocol.run(only="headline")
+    result = headline(data, run.report.protocol.base)
     print(json.dumps({
         "scale": "tiny",
         "training_fingerprint": data.training.fingerprint(),
@@ -47,8 +49,8 @@ class TestGoldenRegression:
         every measured runtime bit-for-bit."""
         assert tiny_data.training.fingerprint() == golden["training_fingerprint"]
 
-    def test_headline_best_speedup_pinned(self, tiny_data, golden):
-        result = headline(tiny_data)
+    def test_headline_best_speedup_pinned(self, tiny_data, tiny_protocol, golden):
+        result = headline(tiny_data, tiny_protocol.report.protocol.base)
         assert result.mean_best_speedup == pytest.approx(
             golden["headline_mean_best_speedup"], rel=1e-12
         )

@@ -6,14 +6,12 @@ time through the predictor's single candidate gate
 (:meth:`OptimisationPredictor._candidate_indices`) — every prediction
 path selects through it, exactly once per query — so instrumenting that
 gate observes every training row any prediction can possibly touch.
-These tests record every consulted row across a full leave-one-out
-sweep and a full pipeline fold and assert the held-out rows never
-appear.
+These tests record every consulted row across every fold of a
+leave-one-out run and assert the held-out rows never appear.
 """
 
 from __future__ import annotations
 
-from repro.core.crossval import leave_one_out
 from repro.core.predictor import OptimisationPredictor
 from repro.evalrun.foldstore import FoldKey
 from repro.evalrun.oracle import RuntimeOracle
@@ -60,15 +58,19 @@ def _assert_no_leakage(queries):
             )
 
 
+def _run_every_fold(data, predictor) -> None:
+    """Compute one protocol fold per program with ``predictor``."""
+    training = data.training
+    oracle = RuntimeOracle(training, data.programs, compiler=data.compiler)
+    predictor.fit(training)
+    for program in training.program_names:
+        compute_fold(training, BASE_VARIANT, program, oracle, predictor)
+
+
 class TestLeaveOneOutLeakage:
     def test_no_heldout_row_ever_consulted(self, tiny_data):
         predictor = RecordingPredictor(extended=tiny_data.scale.extended)
-        leave_one_out(
-            tiny_data.training,
-            tiny_data.programs,
-            compiler=tiny_data.compiler,
-            predictor=predictor,
-        )
+        _run_every_fold(tiny_data, predictor)
         P = len(tiny_data.training.program_names)
         M = len(tiny_data.training.machines)
         assert len(predictor.queries) == P * M
@@ -78,12 +80,7 @@ class TestLeaveOneOutLeakage:
         """Each (program, machine) pair is predicted with exactly itself
         held out — the exclusions sweep the full grid."""
         predictor = RecordingPredictor(extended=tiny_data.scale.extended)
-        leave_one_out(
-            tiny_data.training,
-            tiny_data.programs,
-            compiler=tiny_data.compiler,
-            predictor=predictor,
-        )
+        _run_every_fold(tiny_data, predictor)
         seen = {
             (exclude_program, exclude_machine)
             for exclude_program, exclude_machine, _ in predictor.queries
@@ -96,8 +93,8 @@ class TestLeaveOneOutLeakage:
         assert seen == expected
 
     def test_pipeline_folds_hold_out_program_and_machine(self, tiny_data):
-        """The checkpointed pipeline path applies the same exclusions as
-        the direct leave_one_out sweep."""
+        """A single pipeline fold holds out its own program on every
+        machine and is keyed by its variant."""
         training = tiny_data.training
         oracle = RuntimeOracle(training, tiny_data.programs)
         predictor = RecordingPredictor(extended=training.extended).fit(training)
