@@ -37,6 +37,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.api import (
@@ -212,19 +213,19 @@ def _report(args, parser) -> int:
     progress = None if args.quiet else lambda message: print(f"  .. {message}")
     data = session.data.dataset(progress=progress)
     store = session.protocol.store(data)
-    # The resume gate judges completeness against the folds *this*
-    # selection needs: a finished `--only` run re-renders freely, while
-    # a partially computed selection demands an explicit --resume.
+    # Only an interrupted run leaves a requested variant partly computed;
+    # complete or untouched ones mark a finished run over another
+    # selection (`--only`, `fig6`), so the rest is simply computed.
     requested = variants_for_artifacts(
         resolve_artifacts(args.only),
         with_code=data.training.code_features is not None,
     )
-    pending = len(store.pending_keys(requested))
-    total = len(list(store.fold_keys(requested)))
-    if 0 < pending < total and not args.resume:
+    pending = Counter(key.variant for key in store.pending_keys(requested))
+    partial = [v for v, n in pending.items() if n < len(store.programs)]
+    if partial and not args.resume:
         parser.error(
-            f"protocol store at {store.status().root} already holds "
-            f"{total - pending}/{total} of the requested folds; "
+            f"protocol store at {store.status().root} holds a partly "
+            f"computed variant ({', '.join(partial)}); "
             "pass --resume to continue the interrupted protocol run"
         )
     started = time.time()

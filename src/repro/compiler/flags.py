@@ -16,6 +16,7 @@ gcc 4.2's ``-O3``: everything O3 enables is on at default parameter values;
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -153,7 +154,7 @@ class FlagSetting(Mapping):
     can be used as dictionary keys (e.g. for compilation caches).
     """
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("_values", "_hash", "_indices")
 
     def __init__(self, values: Mapping[str, object]):
         missing = set(FLAG_NAMES) - set(values)
@@ -167,6 +168,7 @@ class FlagSetting(Mapping):
                 raise ValueError(f"{name}: invalid value {value!r}")
         self._values = tuple(values[name] for name in FLAG_NAMES)
         self._hash = hash(self._values)
+        self._indices = None
 
     # Mapping interface -----------------------------------------------------
     def __getitem__(self, name: str) -> object:
@@ -202,9 +204,6 @@ class FlagSetting(Mapping):
             return False
         return bool(self[name]) if spec.is_boolean else True
 
-    def value(self, name: str) -> object:
-        return self[name]
-
     def with_values(self, **overrides: object) -> "FlagSetting":
         """A copy with some dimensions replaced."""
         values = dict(zip(FLAG_NAMES, self._values))
@@ -228,22 +227,37 @@ class FlagSetting(Mapping):
 
     def as_indices(self) -> tuple[int, ...]:
         """Encode as per-dimension value indices (for the ML model)."""
-        return tuple(
-            _SPEC_BY_NAME[name].values.index(value)
-            for name, value in zip(FLAG_NAMES, self._values)
-        )
+        if self._indices is None:
+            self._indices = tuple(
+                spec.values.index(value)
+                for spec, value in zip(FLAG_SPECS, self._values)
+            )
+        return self._indices
 
     @staticmethod
     def from_indices(indices: Sequence[int]) -> "FlagSetting":
+        """The setting taking value ``indices[d]`` of dimension ``d``; an
+        index that is not an integer in ``[0, cardinality)`` raises
+        :class:`ValueError`.  Spec values need none of ``__init__``'s checks."""
         if len(indices) != len(FLAG_SPECS):
             raise ValueError("wrong number of dimensions")
-        values = {
-            spec.name: spec.values[index]
-            for spec, index in zip(FLAG_SPECS, indices)
-        }
-        return FlagSetting(values)
+        try:
+            checked = tuple(map(operator.index, indices))
+            if min(checked) < 0:
+                raise IndexError
+            values = tuple(map(tuple.__getitem__, _VALUES, checked))
+        except (TypeError, IndexError):
+            raise ValueError(
+                f"indices must be integers in [0, cardinality): {indices!r}"
+            ) from None
+        setting = FlagSetting.__new__(FlagSetting)
+        setting._values = values
+        setting._hash = hash(values)
+        setting._indices = checked
+        return setting
 
 
+_VALUES = tuple(spec.values for spec in FLAG_SPECS)
 _INDEX_BY_NAME = {name: index for index, name in enumerate(FLAG_NAMES)}
 
 

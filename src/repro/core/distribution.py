@@ -54,10 +54,12 @@ class IIDDistribution:
         if not good_settings:
             raise ValueError("cannot fit a distribution to zero settings")
         theta: list[np.ndarray] = []
-        for dim, spec in enumerate(space.specs):
-            counts = np.full(spec.cardinality, smoothing, dtype=float)
-            for setting in good_settings:
-                counts[setting.as_indices()[dim]] += 1.0
+        columns = zip(*(setting.as_indices() for setting in good_settings))
+        for spec, column in zip(space.specs, columns):
+            counts = [smoothing] * spec.cardinality
+            for index in column:
+                counts[index] += 1.0
+            counts = np.array(counts, dtype=float)
             theta.append(counts / counts.sum())
         return IIDDistribution(space=space, theta=theta)
 
@@ -69,65 +71,22 @@ class IIDDistribution:
         indices = [int(np.argmax(probs)) for probs in self.theta]
         return FlagSetting.from_indices(indices)
 
-    def prob(self, setting: FlagSetting) -> float:
-        return math.exp(self.log_prob(setting))
-
     def top_settings(self, count: int) -> list[tuple[FlagSetting, float]]:
         """The ``count`` most probable settings with their probabilities.
 
-        Best-first enumeration over the factorised space: each dimension's
-        values are ranked by probability, the all-argmax combination is
-        the mode, and every popped combination spawns one child per
-        dimension by stepping that dimension to its next-ranked value.
-        Fully deterministic — ties break on the per-dimension probability
-        ranks, themselves tied to the lower value index — so the ranking
-        (the prediction service's contract) is reproducible bit-for-bit.
+        Best-first over rank vectors (values ranked by probability, ties
+        to the lower index).  A vector's one canonical parent is itself
+        with its last non-zero dimension stepped back, so a popped vector
+        whose last stepped dimension is ``L`` pushes a child per ``d >= L``
+        with a next rank; no ``seen`` set.  On the ``(-p, ranks)`` heap a
+        parent sorts before its children (p no smaller, ranks smaller), so
+        the order, ties included, equals enumerating every child.  Each
+        product runs left to right over the dimensions: bit-exact.
         """
-        import heapq
-
-        if count < 1:
-            raise ValueError(f"count must be >= 1: {count}")
-        # Per-dimension value indices, most probable first; ties break to
-        # the lower value index, matching mode().
-        orders = [
-            sorted(range(len(probs)), key=lambda j: (-float(probs[j]), j))
-            for probs in self.theta
+        return [
+            (FlagSetting.from_indices(indices), probability)
+            for indices, probability in _best_first(self.theta, count)
         ]
-        # The same probabilities, pre-gathered in rank order as python
-        # floats: probability() is the enumeration's hot loop, and a
-        # list index is several times cheaper than a numpy scalar read.
-        # The multiply sequence is unchanged, so products are bit-exact.
-        ranked_probs = [
-            [float(probs[j]) for j in order]
-            for probs, order in zip(self.theta, orders)
-        ]
-
-        def indices_of(ranks: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(order[rank] for order, rank in zip(orders, ranks))
-
-        def probability(ranks: tuple[int, ...]) -> float:
-            product = 1.0
-            for dim_probs, rank in zip(ranked_probs, ranks):
-                product *= dim_probs[rank]
-            return product
-
-        start = tuple(0 for _ in orders)
-        heap = [(-probability(start), start)]
-        seen = {start}
-        ranked: list[tuple[FlagSetting, float]] = []
-        while heap and len(ranked) < count:
-            negative, ranks = heapq.heappop(heap)
-            ranked.append(
-                (FlagSetting.from_indices(indices_of(ranks)), -negative)
-            )
-            for dim, rank in enumerate(ranks):
-                if rank + 1 >= len(orders[dim]):
-                    continue
-                child = ranks[:dim] + (rank + 1,) + ranks[dim + 1 :]
-                if child not in seen:
-                    seen.add(child)
-                    heapq.heappush(heap, (-probability(child), child))
-        return ranked
 
     def log_prob(self, setting: FlagSetting) -> float:
         total = 0.0
@@ -196,6 +155,52 @@ class IIDDistribution:
             for count in distinct.values()
         )
         return self.cross_entropy(settings) - empirical_entropy
+
+
+def _best_first(
+    theta: Sequence[np.ndarray], count: int
+) -> list[tuple[list[int], float]]:
+    """:meth:`IIDDistribution.top_settings` over any multinomials."""
+    import heapq
+
+    if count < 1:
+        raise ValueError(f"count must be >= 1: {count}")
+    cardinalities = np.array([len(probs) for probs in theta])
+    dims = len(cardinalities)
+    every_dim = np.arange(dims)
+    unit = np.eye(dims, dtype=int)
+    # One [dims, max_cardinality] table, padded with -inf so the padding
+    # ranks last; a stable argsort breaks ties to the lower value index.
+    valid = np.arange(cardinalities.max()) < cardinalities[:, None]
+    table = np.full(valid.shape, -np.inf)
+    table[valid] = np.concatenate(theta).astype(float)
+    order = np.argsort(-table, axis=1, kind="stable")
+    # ranked[d, r]: the probability of dimension d's r-th ranked value.
+    ranked = np.take_along_axis(table, order, axis=1)
+    orders = order.tolist()
+    last_rank = (cardinalities - 1).tolist()
+
+    mode = np.multiply.accumulate(ranked[:, 0])[-1].item()
+    heap = [(-mode, (0,) * dims, 0)]
+    out: list[tuple[list[int], float]] = []
+    while heap:
+        negative, ranks, last = heapq.heappop(heap)
+        out.append(
+            ([order[rank] for order, rank in zip(orders, ranks)], -negative)
+        )
+        if len(out) == count:
+            break
+        stepped = [d for d in range(last, dims) if ranks[d] < last_rank[d]]
+        # Row c of ``children`` is child c: the parent with dimension
+        # stepped[c] moved to its next rank.  Its factors form column c
+        # of ``block``, and a running product down the rows multiplies
+        # each column left to right like a scalar loop.
+        children = np.array(ranks) + unit[stepped]
+        block = ranked[every_dim[:, None], children.T]
+        products = np.multiply.accumulate(block, axis=0)[-1].tolist()
+        for child, dim, product in zip(children.tolist(), stepped, products):
+            heapq.heappush(heap, (-product, tuple(child), dim))
+    return out
 
 
 def good_settings_by_runtime(

@@ -14,6 +14,7 @@ consults data from the program or microarchitecture it is predicting for.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -117,6 +118,16 @@ class OptimisationPredictor:
     @property
     def is_fitted(self) -> bool:
         return bool(self._pairs)
+
+    def with_query(self, k: int, beta: float) -> "OptimisationPredictor":
+        """A view with its own query-time K and β that shares this model's
+        fitted pairs, normaliser, mask and tensors (K and β act only at
+        query time, so nothing is re-fitted)."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1: {k}")
+        view = copy.copy(self)
+        view.k, view.beta = k, beta
+        return view
 
     def _refresh_tensors(
         self, arrays: tuple[np.ndarray, np.ndarray] | None = None

@@ -30,6 +30,7 @@ from typing import Callable, Mapping, Sequence
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import Program
 from repro.core.crossval import CrossValResult, PairOutcome
+from repro.core.predictor import OptimisationPredictor
 from repro.core.training import TrainingSet
 from repro.evalrun.foldstore import FoldKey, FoldRecord, FoldRow, FoldStore
 from repro.evalrun.oracle import RuntimeOracle
@@ -136,7 +137,8 @@ class ProtocolResult:
 # ------------------------------------------------------------- fold workers
 class _FoldWorker:
     """What computing folds needs: the training matrix, a memoised
-    oracle, and one fitted predictor per variant (fitted on first use).
+    oracle, and one fitted predictor per variant (fitted on first use;
+    variants differing only in K and β share one fit through views).
 
     A pipeline holds one for in-process folds; each process-pool worker
     builds its own in :func:`_init_protocol_worker`.  Fold results are
@@ -153,7 +155,17 @@ class _FoldWorker:
         self.oracle = oracle
         self.variants = {variant.key: variant for variant in variants}
         self._predictors: dict[str, object] = {}
+        self._fits: dict[tuple, OptimisationPredictor] = {}
         self._fit_lock = threading.Lock()
+
+    def _fit(self, variant: VariantSpec):
+        predictor = make_predictor(variant, self.training)
+        if not isinstance(predictor, OptimisationPredictor):
+            return predictor.fit(self.training)
+        key = (predictor.quantile, predictor.feature_mode)
+        if key not in self._fits:
+            self._fits[key] = predictor.fit(self.training)
+        return self._fits[key].with_query(predictor.k, predictor.beta)
 
     def compute(self, item: tuple[str, str]) -> tuple[FoldRecord, dict]:
         """One fold and its counts: the oracle's simulations and store
@@ -163,10 +175,7 @@ class _FoldWorker:
         with self._fit_lock:
             predictor = self._predictors.get(variant_key)
             if predictor is None:
-                predictor = make_predictor(variant, self.training).fit(
-                    self.training
-                )
-                self._predictors[variant_key] = predictor
+                predictor = self._predictors[variant_key] = self._fit(variant)
         oracle = self.oracle
         sims_before = oracle.simulation_calls
         hits_before = oracle.store_hits

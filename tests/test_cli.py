@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.api import Session
 
 
 class TestCli:
@@ -260,6 +261,40 @@ class TestProtocolBackedExperiments:
              "--cache-dir", cache, "--out", str(tmp_path / "out")]
         ) == 0
         assert "protocol: 0 folds computed" in capsys.readouterr().out
+
+    def test_full_report_after_an_experiment_command_needs_no_resume(
+        self, tmp_path, capsys
+    ):
+        """`fig6` leaves the base variant complete and every other one
+        untouched: a finished subset run, so a full `report` computes
+        just the missing folds without asking for --resume."""
+        cache = str(tmp_path / "cache")
+        assert cli.main(
+            ["fig6", "--scale", "tiny", "--quiet", "--cache-dir", cache]
+        ) == 0
+        store = Session("tiny", cache_dir=cache).protocol.store()
+        missing = len(store.pending_keys())
+        assert 0 < missing < store.n_folds
+        capsys.readouterr()
+        assert cli.main(
+            ["report", "--scale", "tiny", "--quiet", "--cache-dir", cache,
+             "--out", str(tmp_path / "out")]
+        ) == 0
+        assert (
+            f"protocol: {missing} folds computed" in capsys.readouterr().out
+        )
+
+    def test_report_after_a_capped_report_still_demands_resume(
+        self, tmp_path, capsys
+    ):
+        cache = str(tmp_path / "cache")
+        args = ["report", "--scale", "tiny", "--quiet", "--cache-dir", cache,
+                "--out", str(tmp_path / "out")]
+        assert cli.main(args + ["--max-folds", "3"]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args)
+        assert exit_info.value.code == 2
+        assert "partly computed variant (base)" in capsys.readouterr().err
 
     def test_fig10_builds_both_spaces_under_cache_dir(
         self, tmp_path, capsys, monkeypatch

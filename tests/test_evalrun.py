@@ -34,7 +34,10 @@ from repro.evalrun import (
     resolve_artifacts,
     variants_for_artifacts,
 )
-from repro.evalrun.pipeline import assemble_protocol
+from repro.core.predictor import OptimisationPredictor
+from repro.evalrun.pipeline import assemble_protocol, compute_fold
+from repro.evalrun.variants import make_predictor
+from repro.sim.counters import PerfCounters
 
 
 def _variants(tiny_data):
@@ -269,6 +272,74 @@ class TestPipelineDeterminism:
         assert stats.simulation_calls == 0
 
 
+class TestOneFitPerKey:
+    """The fold worker fits once per (quantile, feature mode) and hands
+    the K and β variants views of that fit; the memo must never serve a
+    prediction a fresh fit would not."""
+
+    def test_one_fit_per_key_and_folds_equal_fresh_fits(
+        self, tiny_data, monkeypatch
+    ):
+        fits = []
+        real_fit = OptimisationPredictor.fit
+
+        def counted(predictor, training):
+            fits.append((predictor.quantile, predictor.feature_mode))
+            return real_fit(predictor, training)
+
+        monkeypatch.setattr(OptimisationPredictor, "fit", counted)
+        store = _store(tiny_data)
+        _pipeline(tiny_data, store).run()
+        monkeypatch.undo()
+        variants = _variants(tiny_data)
+        keys = {
+            (float(v.param("quantile", 0.05)), v.param("feature_mode", "both"))
+            for v in variants
+            if v.kind != "joint"
+        }
+        assert len(fits) == len(set(fits)) == len(keys) == 7
+
+        training = tiny_data.training
+        oracle = RuntimeOracle(training, tiny_data.programs)
+        for variant in variants:
+            fresh = make_predictor(variant, training).fit(training)
+            for program in store.programs:
+                record = compute_fold(training, variant, program, oracle, fresh)
+                stored = store.read_fold(FoldKey(variant.key, program))
+                assert json.dumps(stored.payload()) == json.dumps(
+                    record.payload()
+                ), variant.key
+
+    def test_view_has_its_own_k_and_beta(self, tiny_data):
+        training = tiny_data.training
+        base = OptimisationPredictor().fit(training)
+        queries = (
+            [PerfCounters(*training.counters[p, 0, :])
+             for p in range(len(training.program_names))],
+            [training.machines[0]] * len(training.program_names),
+            list(training.program_names),
+        )
+
+        def thetas(predictor):
+            return [
+                [probs.tolist() for probs in distribution.theta]
+                for distribution in predictor.predict_distribution_many(
+                    *queries
+                )
+            ]
+
+        before = thetas(base)
+        view = base.with_query(1, 4.0)
+        assert (view.k, view.beta, base.k, base.beta) == (1, 4.0, 7, 1.0)
+        assert view._tensors is base._tensors  # shared, not re-fitted
+        assert thetas(view) != before
+        fresh = OptimisationPredictor(k=1, beta=4.0).fit(training)
+        assert thetas(view) == thetas(fresh)
+        assert thetas(base) == before
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            base.with_query(0, 1.0)
+
+
 class TestRunProtocolSession:
     def test_session_protocol_end_to_end(self, tiny_protocol):
         report = tiny_protocol.report
@@ -361,22 +432,29 @@ class TestReportCli:
         ).read_bytes()
 
     def test_completed_only_run_rerenders_without_resume(
-        self, tiny_data, tmp_path
+        self, tiny_data, tmp_path, capsys
     ):
         """A finished --only selection is complete for what it needs:
         re-invoking the identical command re-renders without --resume,
-        and widening the selection demands --resume (its folds are a
-        partially computed superset)."""
+        and widening the selection computes only the new variants' folds
+        (every requested variant is complete or untouched, so nothing
+        was interrupted)."""
         cache = str(tmp_path / "cache")
         args = ["report", "--scale", "tiny", "--quiet", "--only", "headline",
                 "--cache-dir", cache, "--out", str(tmp_path)]
         assert cli.main(args) == 0
         assert cli.main(args) == 0  # complete for 'headline': no --resume
-        with pytest.raises(SystemExit):  # wider selection: partial now
-            cli.main(
-                ["report", "--scale", "tiny", "--quiet", "--only", SUBSET,
-                 "--cache-dir", cache, "--out", str(tmp_path)]
-            )
+        capsys.readouterr()
+        assert cli.main(
+            ["report", "--scale", "tiny", "--quiet", "--only", SUBSET,
+             "--cache-dir", cache, "--out", str(tmp_path)]
+        ) == 0
+        widened = len(variants_for_artifacts(["ablate-k"])) - 1  # minus base
+        programs = len(tiny_data.training.program_names)
+        assert (
+            f"protocol: {widened * programs} folds computed"
+            in capsys.readouterr().out
+        )
 
     def test_incomplete_hint_echoes_selection_flags(self, tiny_data, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -139,6 +139,16 @@ class TestServiceCore:
         assert evaluated["runtime_seconds"] > 0
         assert set(evaluated["counters"]) == set(COUNTER_NAMES)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 1.5], ids=repr)
+    def test_evaluate_rejects_bad_indices_with_400(self, service, bad):
+        machine = dataclasses.asdict(xscale())
+        for setting in ({"indices": [bad] * 39}, [bad] * 39):
+            with pytest.raises(ServiceError, match="bad setting") as excinfo:
+                service.evaluate(
+                    {"program": "sha", "machine": machine, "setting": setting}
+                )
+            assert excinfo.value.status == 400
+
     def test_promotion_takes_effect_without_restart(self, service, deployment):
         machine = dataclasses.asdict(xscale())
         before = service.predict({"program": "sha", "machine": machine})
