@@ -52,8 +52,13 @@ from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.predictor import OptimisationPredictor
 from repro.core.vector import stack_state_arrays
 from repro.ioutil import (
+    ArtifactError,
+    Finding,
+    Scrub,
     atomic_write_bytes,
     atomic_write_text,
+    load_npz,
+    read_json_object,
     tmp_sibling,
     write_text_with_faults,
 )
@@ -68,6 +73,7 @@ DEFAULT_CHANNEL = "default"
 _CHANNEL_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
 _MODEL_FILE = re.compile(r"^v(\d{4,})\.json$")
+_ARRAYS_FILE = re.compile(r"^v(\d{4,})\.arrays\.npz$")
 
 
 def validate_channel(channel: str) -> str:
@@ -80,7 +86,7 @@ def validate_channel(channel: str) -> str:
     return channel
 
 
-class RegistryError(RuntimeError):
+class RegistryError(ArtifactError):
     """A registry entry is missing, corrupt, or from another format."""
 
 
@@ -108,6 +114,28 @@ def _entry_digest(payload: dict) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _channel_state(state: dict) -> dict:
+    """One channel's pointer state with its versions as ints."""
+    current = state.get("current")
+    return {
+        "current": None if current is None else int(current),
+        "history": [int(item) for item in state.get("history", [])],
+    }
+
+
+def _model_version(version: int, payload: dict, channels: dict[str, int]) -> "ModelVersion":
+    """An entry's provenance, promoted on each channel whose current it is."""
+    promoting = tuple(sorted(name for name, current in channels.items() if current == version))
+    return ModelVersion(
+        version=version,
+        digest=payload["digest"],
+        fingerprint=payload.get("fingerprint"),
+        metadata=dict(payload.get("metadata", {})),
+        promoted=bool(promoting),
+        channels=promoting,
+    )
 
 
 @dataclass(frozen=True)
@@ -184,38 +212,26 @@ class ModelRegistry:
         channels = self.channels()
         entries = []
         for version in self.versions():
-            payload = self._read_entry(version)
-            promoting = tuple(
-                sorted(name for name, current in channels.items() if current == version)
-            )
-            entries.append(
-                ModelVersion(
-                    version=version,
-                    digest=payload["digest"],
-                    fingerprint=payload.get("fingerprint"),
-                    metadata=dict(payload.get("metadata", {})),
-                    promoted=bool(promoting),
-                    channels=promoting,
-                )
-            )
+            entries.append(_model_version(version, self._read_entry(version), channels))
         return entries
 
     def _read_entry(self, version: int) -> dict:
         path = self._model_path(version)
-        if not path.exists():
-            raise RegistryError(f"no model v{version:04d} in registry {self.root}")
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise RegistryError(f"model v{version:04d} is unreadable: {error}")
+            payload = read_json_object(path, RegistryError)
+        except FileNotFoundError:
+            raise RegistryError(f"no model v{version:04d} in registry {self.root}") from None
         if payload.get("format") != REGISTRY_FORMAT:
             raise RegistryError(
                 f"model v{version:04d} uses format {payload.get('format')!r}, "
-                f"expected {REGISTRY_FORMAT}"
+                f"expected {REGISTRY_FORMAT}",
+                path=path,
             )
-        if _entry_digest(payload) != payload.get("digest"):
+        if "model" not in payload or _entry_digest(payload) != payload.get("digest"):
             raise RegistryError(
-                f"model v{version:04d} is corrupt: content digest mismatch"
+                f"model v{version:04d} is corrupt: content digest mismatch",
+                "digest-mismatch",
+                path,
             )
         return payload
 
@@ -259,15 +275,9 @@ class ModelRegistry:
             finally:
                 tmp.unlink(missing_ok=True)
             break
-        entry = ModelVersion(
-            version=version,
-            digest=payload["digest"],
-            fingerprint=fingerprint,
-            metadata=dict(payload["metadata"]),
-        )
         if promote:
             return self.promote(version, channel=channel)
-        return entry
+        return _model_version(version, payload, {})
 
     # -------------------------------------------------------------- promotion
     @contextlib.contextmanager
@@ -295,37 +305,26 @@ class ModelRegistry:
         top-level ``current``/``history``; those read back as the default
         channel, so nothing is migrated on disk until the next promote.
         """
-        path = self._promoted_path()
-        if not path.exists():
+        try:
+            payload = read_json_object(self._promoted_path(), RegistryError)
+        except FileNotFoundError:
             payload = {"format": REGISTRY_FORMAT, "current": None, "history": []}
-        else:
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as error:
-                raise RegistryError(f"promotion pointer is unreadable: {error}")
-            if payload.get("format") != REGISTRY_FORMAT:
-                raise RegistryError(
-                    f"promotion pointer uses format {payload.get('format')!r}, "
-                    f"expected {REGISTRY_FORMAT}"
-                )
-        channels = {
-            name: {
-                "current": (
-                    None if state.get("current") is None else int(state["current"])
-                ),
-                "history": [int(item) for item in state.get("history", [])],
+        if payload.get("format") != REGISTRY_FORMAT:
+            raise RegistryError(
+                f"promotion pointer uses format {payload.get('format')!r}, "
+                f"expected {REGISTRY_FORMAT}"
+            )
+        try:
+            channels = {
+                name: _channel_state(state)
+                for name, state in payload.get("channels", {}).items()
             }
-            for name, state in payload.get("channels", {}).items()
-        }
-        if DEFAULT_CHANNEL not in channels and (
-            payload.get("current") is not None or payload.get("history")
-        ):
-            channels[DEFAULT_CHANNEL] = {
-                "current": (
-                    None if payload.get("current") is None else int(payload["current"])
-                ),
-                "history": [int(item) for item in payload.get("history", [])],
-            }
+            if DEFAULT_CHANNEL not in channels and (
+                payload.get("current") is not None or payload.get("history")
+            ):
+                channels[DEFAULT_CHANNEL] = _channel_state(payload)
+        except (AttributeError, TypeError, ValueError) as error:
+            raise RegistryError(f"promotion pointer is malformed ({error!r})") from error
         payload["channels"] = channels
         return payload
 
@@ -391,21 +390,24 @@ class ModelRegistry:
     def _load_arrays(
         self, version: int, digest: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The promote-time sidecar arrays, or ``None`` when absent, torn,
-        or written for a different entry digest."""
+        """The promote-time sidecar arrays, or ``None`` when absent.
+
+        A torn sidecar, or one written for a different entry digest,
+        raises :class:`RegistryError`; its readers rebuild instead.
+        """
         path = self._arrays_path(version)
         if not path.exists():
             return None
-        try:
-            with np.load(path) as data:
-                if str(data["digest"]) != digest:
-                    return None
-                return (
-                    np.array(data["features"], dtype=float),
-                    np.array(data["theta"], dtype=float),
-                )
-        except Exception:  # noqa: BLE001 - any corruption means "rebuild"
-            return None
+        stored, features, theta = load_npz(
+            path, ("digest", "features", "theta"), RegistryError
+        )
+        if str(stored) != digest:
+            raise RegistryError(
+                f"ranking sidecar v{version:04d} is keyed to a different entry digest",
+                "digest-mismatch",
+                path,
+            )
+        return np.array(features, dtype=float), np.array(theta, dtype=float)
 
     def promote(
         self, version: int, channel: str = DEFAULT_CHANNEL
@@ -424,14 +426,7 @@ class ModelRegistry:
                 state["history"].append(previous)
             state["current"] = version
             self._write_promoted_locked(channels)
-        return ModelVersion(
-            version=version,
-            digest=entry["digest"],
-            fingerprint=entry.get("fingerprint"),
-            metadata=dict(entry.get("metadata", {})),
-            promoted=True,
-            channels=(channel,),
-        )
+        return _model_version(version, entry, {channel: version})
 
     def rollback(self, channel: str = DEFAULT_CHANNEL) -> ModelVersion:
         """Re-promote the channel's previously promoted version."""
@@ -449,14 +444,7 @@ class ModelRegistry:
             state["current"] = version
             channels[channel] = state
             self._write_promoted_locked(channels)
-        return ModelVersion(
-            version=version,
-            digest=entry["digest"],
-            fingerprint=entry.get("fingerprint"),
-            metadata=dict(entry.get("metadata", {})),
-            promoted=True,
-            channels=(channel,),
-        )
+        return _model_version(version, entry, {channel: version})
 
     # ----------------------------------------------------------------- loading
     def load(
@@ -480,11 +468,11 @@ class ModelRegistry:
                     f"{channel!r}; register one with promote=True or call "
                     "promote()"
                 )
-            promoted = True
-        else:
-            promoted = version in self.channels().values()
         payload = self._read_entry(version)
-        arrays = self._load_arrays(version, payload["digest"])
+        try:
+            arrays = self._load_arrays(version, payload["digest"])
+        except RegistryError:
+            arrays = None  # torn or stale sidecar: stack from the pairs
         try:
             predictor = OptimisationPredictor.from_state(
                 payload["model"], space=space, arrays=arrays
@@ -496,20 +484,86 @@ class ModelRegistry:
             predictor = OptimisationPredictor.from_state(
                 payload["model"], space=space
             )
-        return predictor, ModelVersion(
-            version=version,
-            digest=payload["digest"],
-            fingerprint=payload.get("fingerprint"),
-            metadata=dict(payload.get("metadata", {})),
-            promoted=promoted,
-            channels=tuple(
-                sorted(
-                    name
-                    for name, current in self.channels().items()
-                    if current == version
+        return predictor, _model_version(version, payload, self.channels())
+
+    # ------------------------------------------------------------------- scrub
+    @classmethod
+    def scrub(cls, root: Path, repair: bool) -> list[Finding]:
+        """Classify every registry artifact with the reader's own checks.
+        Read-only unless ``repair``: quarantine damaged entries and an
+        unreadable pointer (promotions reset), delete torn or stale
+        ranking sidecars (they rebuild on demand), and rewrite a pointer
+        naming damaged or missing versions from its own history."""
+        registry = cls(root)
+        scrub = Scrub(root, "registry", repair)
+        digests: dict[int, str] = {}  # version -> digest, verified entries only
+        model_dir = registry._model_dir()
+        paths = sorted(model_dir.iterdir()) if model_dir.is_dir() else []
+        for path in paths:
+            match = _MODEL_FILE.match(path.name)
+            if path.name.endswith(".tmp"):
+                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
+            elif match is not None:
+                version = int(match.group(1))
+                try:
+                    digests[version] = registry._read_entry(version)["digest"]
+                except RegistryError as error:
+                    scrub.damage(path, "model", error, "quarantine")
+                else:
+                    scrub.note(path, "model")
+        for path in paths:
+            match = _ARRAYS_FILE.match(path.name)
+            if match is None:
+                continue
+            version = int(match.group(1))
+            if version not in digests:
+                scrub.note(
+                    path, "arrays", "orphaned", "ranking sidecar without a valid entry", "delete"
                 )
-            ),
-        )
+                continue
+            try:
+                registry._load_arrays(version, digests[version])
+            except RegistryError as error:
+                scrub.damage(path, "arrays", error, "delete")
+            else:
+                scrub.note(path, "arrays")
+        pointer = registry._promoted_path()
+        if pointer.exists():
+            try:
+                channels = registry._read_promoted()["channels"]
+            except RegistryError as error:
+                scrub.damage(pointer, "pointer", error, "quarantine")
+                return scrub.findings
+            broken = sorted(
+                name
+                for name, state in channels.items()
+                if not {state["current"], *state["history"]} <= {None, *digests}
+            )
+            if broken:
+                scrub.note(
+                    pointer, "pointer", "orphaned",
+                    "channels point at missing or corrupt versions: " + ", ".join(broken),
+                    "rewrite", fix=lambda: registry._drop_versions(set(digests)),
+                )
+            else:
+                scrub.note(pointer, "pointer")
+        return scrub.findings
+
+    def _drop_versions(self, valid: set[int]) -> bool:
+        """Rewrite the pointer without versions outside ``valid``: each
+        channel's history backs up a vanished current version, and a
+        channel left with nothing to promote is dropped."""
+        with self._pointer_lock():
+            kept = {}
+            for name, state in self._read_promoted()["channels"].items():
+                history = [v for v in state["history"] if v in valid]
+                current = state["current"]
+                if current is not None and current not in valid:
+                    current = history.pop() if history else None
+                if current is not None or history:
+                    kept[name] = {"current": current, "history": history}
+            self._write_promoted_locked(kept)
+        return True
 
     def render(self) -> str:
         """Human-readable inventory for the CLI ``models`` command."""

@@ -301,7 +301,7 @@ def _store_status(args) -> int:
         return 0
     try:
         print(session.data.status().render())
-    except (StoreError, OSError, json.JSONDecodeError) as error:
+    except (StoreError, OSError) as error:
         print(
             f"store at {root} is not usable: {error}\n"
             f"delete the directory and rebuild with: "
@@ -315,7 +315,7 @@ def _store_status(args) -> int:
             session.data.store(),
             args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
         )
-    except (ClusterError, StoreError, OSError, json.JSONDecodeError):
+    except (ClusterError, StoreError, OSError):
         cluster = None  # cluster dir unreadable; the store view stands alone
     if cluster is not None:
         print(cluster.render())

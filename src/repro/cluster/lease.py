@@ -34,9 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ioutil import (
+    ArtifactError,
     atomic_write_text,
     exclusive_create,
     guarded_os_call,
+    read_json_object,
     with_retries,
 )
 
@@ -50,7 +52,7 @@ LEASE_FORMAT = 1
 DEFAULT_LEASE_TTL = 60.0
 
 
-class ClusterError(RuntimeError):
+class ClusterError(ArtifactError):
     """A cluster directory is unusable: wrong manifest, version, or corrupt."""
 
 
@@ -93,8 +95,7 @@ class LeaseTable:
         self.ttl = float(ttl)
         self.root.mkdir(parents=True, exist_ok=True)
         meta_path = self.root / self.META_NAME
-        meta = self._read_meta(meta_path)
-        if meta is None:
+        if self.read_table(meta_path, fingerprint) is None:
             atomic_write_text(
                 meta_path,
                 json.dumps(
@@ -106,20 +107,33 @@ class LeaseTable:
             # Two same-fingerprint creators race benignly (identical
             # bytes); re-read so a different-fingerprint loser still
             # fails fast instead of trusting its own write.
-            meta = self._read_meta(meta_path)
+            if self.read_table(meta_path, fingerprint) is None:
+                raise ClusterError(f"unreadable lease table at {meta_path}")
+
+    @classmethod
+    def read_table(cls, path: Path, fingerprint: str | None) -> dict | None:
+        """The table's metadata, checked; ``None`` when no table exists.
+
+        A table of another format, or (given a ``fingerprint``) of
+        another grid, raises :class:`ClusterError` like a corrupt one.
+        """
+        meta = cls._read_meta(path)
         if meta is None:
-            raise ClusterError(f"unreadable lease table at {meta_path}")
+            return None
         if meta.get("format") != LEASE_FORMAT:
             raise ClusterError(
-                f"lease table at {self.root} uses format "
-                f"{meta.get('format')!r}, expected {LEASE_FORMAT}"
+                f"lease table at {path.parent} uses format "
+                f"{meta.get('format')!r}, expected {LEASE_FORMAT}",
+                path=path,
             )
-        if meta.get("fingerprint") != fingerprint:
+        if fingerprint is not None and meta.get("fingerprint") != fingerprint:
             raise ClusterError(
-                f"lease table at {self.root} coordinates a different "
+                f"lease table at {path.parent} coordinates a different "
                 f"manifest ({meta.get('fingerprint')} != {fingerprint}); "
-                f"every worker of one cluster must hold the same grid"
+                f"every worker of one cluster must hold the same grid",
+                path=path,
             )
+        return meta
 
     @staticmethod
     def _read_meta(path: Path) -> dict | None:
@@ -133,22 +147,9 @@ class LeaseTable:
         it coordinated — so it raises.
         """
         try:
-            text = path.read_text()
+            return read_json_object(path, ClusterError)
         except FileNotFoundError:
             return None
-        except OSError as error:
-            raise ClusterError(
-                f"lease table at {path} is unreadable: {error}"
-            ) from error
-        try:
-            meta = json.loads(text)
-        except json.JSONDecodeError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise ClusterError(
-                f"lease table at {path} is corrupt (quarantine with fsck)"
-            )
-        return meta
 
     # --------------------------------------------------------------- claims
     def _path(self, unit: str) -> Path:
@@ -229,12 +230,7 @@ class LeaseTable:
 
     def owner_of(self, unit: str) -> str | None:
         """The recorded owner, or ``None`` when unleased/unreadable."""
-        try:
-            payload = json.loads(self._path(unit).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        owner = payload.get("owner") if isinstance(payload, dict) else None
-        return owner if isinstance(owner, str) else None
+        return _lease_owner(self._path(unit))
 
     def heartbeat(self, unit: str, owner: str) -> bool:
         """Refresh the lease's mtime; False when the lease was lost.
@@ -276,6 +272,15 @@ class LeaseTable:
         return scan_leases(self.root, self.ttl)
 
 
+def _lease_owner(path: Path) -> str | None:
+    """A claim file's recorded owner, or ``None`` when it is unreadable."""
+    try:
+        owner = read_json_object(path).get("owner")
+    except (OSError, ArtifactError):
+        return None
+    return owner if isinstance(owner, str) else None
+
+
 def scan_leases(root: str | Path, ttl: float) -> list[LeaseInfo]:
     """Read-only scan of a lease directory.
 
@@ -290,12 +295,7 @@ def scan_leases(root: str | Path, ttl: float) -> list[LeaseInfo]:
             age = max(0.0, time.time() - path.stat().st_mtime)
         except OSError:
             continue  # released between glob and stat
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        owner = payload.get("owner") if isinstance(payload, dict) else None
-        owner = owner if isinstance(owner, str) else None
+        owner = _lease_owner(path)
         unit = path.name[: -len(LeaseTable.SUFFIX)]
         found.append(
             LeaseInfo(

@@ -18,8 +18,14 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cluster.lease import LEASE_FORMAT, LeaseInfo, LeaseTable, scan_leases
-from repro.ioutil import atomic_write_text
+from repro.cluster.lease import (
+    DEFAULT_LEASE_TTL,
+    ClusterError,
+    LeaseInfo,
+    LeaseTable,
+    scan_leases,
+)
+from repro.ioutil import ArtifactError, Scrub, atomic_write_text, read_json_object
 
 PROGRESS_DIR = "progress"
 PROGRESS_ARTIFACT = "progress.json"
@@ -87,6 +93,30 @@ class WorkerStats:
     def units_per_sec(self) -> float:
         return self.units / self.elapsed if self.elapsed > 0 else 0.0
 
+    @classmethod
+    def read(cls, path: Path, now: float) -> "WorkerStats":
+        """Parse one progress file; damage raises :class:`ClusterError`.
+
+        Progress rewrites are atomic, so a zero-byte, torn or malformed
+        file is damage, never a concurrent writer.
+        """
+        payload = read_json_object(path, ClusterError)
+        try:
+            return cls(
+                worker_id=str(payload["worker"]),
+                units=int(payload["units"]),
+                skipped=int(payload["skipped"]),
+                simulation_calls=int(payload["simulation_calls"]),
+                store_hits=int(payload["store_hits"]),
+                elapsed=max(0.0, float(payload["updated"]) - float(payload["started"])),
+                idle=max(0.0, now - float(payload["updated"])),
+                done=bool(payload.get("done")),
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            raise ClusterError(
+                f"progress file {path.name} is malformed ({error!r})", path=path
+            ) from error
+
 
 @dataclass
 class ClusterStatus:
@@ -141,20 +171,10 @@ class ClusterStatus:
             # create directories, rewrite metadata, and raise on a
             # corrupt or foreign table, none of which a status view may
             # do.  Damage is reported instead.
-            table_path = lease_root / LeaseTable.META_NAME
-            if table_path.exists():
-                try:
-                    meta = json.loads(table_path.read_text())
-                    if not isinstance(meta, dict):
-                        raise ValueError("not an object")
-                except (OSError, json.JSONDecodeError, ValueError):
-                    corrupt_files.append(f"{LeaseTable.LEASE_SUBDIR}/{LeaseTable.META_NAME}")
-                else:
-                    if (
-                        meta.get("format") != LEASE_FORMAT
-                        or meta.get("fingerprint") != queue.fingerprint
-                    ):
-                        corrupt_files.append(f"{LeaseTable.LEASE_SUBDIR}/{LeaseTable.META_NAME}")
+            try:
+                LeaseTable.read_table(lease_root / LeaseTable.META_NAME, queue.fingerprint)
+            except ClusterError:
+                corrupt_files.append(f"{LeaseTable.LEASE_SUBDIR}/{LeaseTable.META_NAME}")
             leases = scan_leases(lease_root, ttl)
             corrupt_files.extend(
                 f"{LeaseTable.LEASE_SUBDIR}/{lease.unit}{LeaseTable.SUFFIX}"
@@ -167,29 +187,11 @@ class ClusterStatus:
             now = time.time()
             for path in sorted(progress_root.glob("*.json")):
                 try:
-                    payload = json.loads(path.read_text())
-                    workers.append(
-                        WorkerStats(
-                            worker_id=str(payload["worker"]),
-                            units=int(payload["units"]),
-                            skipped=int(payload["skipped"]),
-                            simulation_calls=int(payload["simulation_calls"]),
-                            store_hits=int(payload["store_hits"]),
-                            elapsed=max(
-                                0.0,
-                                float(payload["updated"])
-                                - float(payload["started"]),
-                            ),
-                            idle=max(0.0, now - float(payload["updated"])),
-                            done=bool(payload.get("done")),
-                        )
-                    )
-                except OSError:
+                    workers.append(WorkerStats.read(path, now))
+                except FileNotFoundError:
                     continue  # deleted between glob and read
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    # Zero-byte or torn progress file: report it, never
-                    # a traceback.  (Progress rewrites are atomic, so
-                    # this is damage, not a concurrent writer.)
+                except ClusterError:
+                    # Report the damage, never a traceback.
                     corrupt_files.append(f"{PROGRESS_DIR}/{path.name}")
         total = queue.total_units()
         return cls(
@@ -269,6 +271,62 @@ class ClusterStatus:
         for name in self.corrupt_files:
             lines.append(f"    corrupt: {name} (quarantine with fsck)")
         return "\n".join(lines)
+
+
+def scrub_cluster(
+    scrub: Scrub, store_root: Path, fingerprint: str | None, ttl: float | None
+) -> None:
+    """Add a store's cluster files to its scrub, judged as status reads
+    them (the table against the manifest's ``fingerprint`` when it
+    verified).  Repairs quarantine a damaged table and delete unreadable
+    or stale leases, tombstones, temp files and damaged progress files."""
+    from repro.cluster.queue import CLUSTER_DIR
+
+    cluster_root = store_root / CLUSTER_DIR
+    lease_root = cluster_root / LeaseTable.LEASE_SUBDIR
+    if lease_root.is_dir():
+        table = lease_root / LeaseTable.META_NAME
+        try:
+            if LeaseTable.read_table(table, fingerprint) is not None:
+                scrub.note(table, "lease-table")
+        except ClusterError as error:
+            scrub.damage(table, "lease-table", error, "quarantine")
+        ttl = DEFAULT_LEASE_TTL if ttl is None else ttl
+        for lease in scan_leases(lease_root, ttl):
+            path = lease_root / f"{lease.unit}{LeaseTable.SUFFIX}"
+            if lease.corrupt:
+                scrub.note(
+                    path, "lease", "corrupt", "claim file with an unreadable payload", "delete"
+                )
+            elif lease.stale:
+                scrub.note(
+                    path, "lease", "stale-lease",
+                    f"owner {lease.owner} silent for {lease.age:.0f}s (ttl {ttl:.0f}s)", "delete",
+                )
+            else:
+                scrub.note(path, "lease")
+        for path in sorted(lease_root.iterdir()):
+            if path.name.endswith(".reclaim"):
+                scrub.note(
+                    path, "lease", "orphaned", "reclaim tombstone a steal left behind", "delete"
+                )
+            elif path.name.endswith(".tmp"):
+                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
+    progress_root = cluster_root / PROGRESS_DIR
+    now = time.time()
+    for path in sorted(progress_root.glob("*.json")) if progress_root.is_dir() else ():
+        try:
+            WorkerStats.read(path, now)
+        except ClusterError as error:
+            scrub.damage(path, "progress", error, "delete")
+        else:
+            scrub.note(path, "progress")
+    artifact = cluster_root / PROGRESS_ARTIFACT
+    if artifact.exists():
+        try:
+            read_json_object(artifact)
+        except ArtifactError as error:
+            scrub.damage(artifact, "progress", error, "delete")
 
 
 @dataclass

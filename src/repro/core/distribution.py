@@ -36,8 +36,13 @@ class IIDDistribution:
         for spec, probs in zip(self.space.specs, self.theta):
             if len(probs) != spec.cardinality:
                 raise ValueError(f"{spec.name}: wrong multinomial arity")
-            if abs(float(np.sum(probs)) - 1.0) > 1e-6:
+            # θ can come from a file on disk.  The ufunc reductions skip
+            # np.sum/np.min's dispatch (this runs per predicted
+            # distribution), and the sum test is phrased so NaN fails it.
+            if not abs(float(np.add.reduce(probs)) - 1.0) <= 1e-6:
                 raise ValueError(f"{spec.name}: probabilities must sum to 1")
+            if np.minimum.reduce(probs) < 0.0:
+                raise ValueError(f"{spec.name}: probabilities must be non-negative")
 
     # ------------------------------------------------------------- fitting
     @staticmethod

@@ -26,13 +26,20 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from repro.evalrun.variants import VariantSpec
-from repro.ioutil import DEFAULT_RETRY, atomic_write_text
+from repro.ioutil import (
+    DEFAULT_RETRY,
+    ArtifactError,
+    Finding,
+    Scrub,
+    atomic_write_text,
+    read_json_object,
+)
 
 #: Manifest/shard schema version; bump on incompatible layout changes.
 FOLD_FORMAT = 1
 
 
-class FoldStoreError(RuntimeError):
+class FoldStoreError(ArtifactError):
     """A fold store is unusable: wrong protocol, version, or corrupt."""
 
 
@@ -118,6 +125,33 @@ def fold_fingerprint(record: FoldRecord) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _load_fold(path: Path, protocol_fingerprint: str | None) -> tuple[FoldRecord, str]:
+    """Load one fold shard and its digest: the check the readers and
+    ``scrub`` share.
+
+    Damage raises :class:`FoldStoreError` carrying its status: a torn or
+    unparseable file, a fold of another protocol (``orphaned``), a
+    malformed record, or a digest mismatch.
+    """
+    shard = read_json_object(path, FoldStoreError)
+    if protocol_fingerprint not in (None, shard.get("protocol_fingerprint")):
+        raise FoldStoreError(
+            f"fold {path.stem} belongs to a different protocol", "orphaned", path
+        )
+    try:
+        record = FoldRecord.from_payload(shard["record"])
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise FoldStoreError(
+            f"fold {path.stem} is corrupt: malformed record ({error!r})", path=path
+        ) from error
+    digest = fold_fingerprint(record)
+    if digest != shard.get("fingerprint"):
+        raise FoldStoreError(
+            f"fold {path.stem} is corrupt: digest mismatch", "digest-mismatch", path
+        )
+    return record, digest
+
+
 @dataclass
 class FoldStoreStatus:
     """Progress snapshot of one fold store."""
@@ -188,7 +222,7 @@ class FoldStore:
         #: fingerprint() never has to re-read shard files.
         self._known_digests: dict[FoldKey, str] = {}
         if self.root is not None:
-            manifest = self._read_manifest()
+            manifest = self._read_manifest(self.root)
             if manifest is None:
                 self._write_manifest()
             elif manifest["protocol_fingerprint"] != fingerprint:
@@ -198,16 +232,19 @@ class FoldStore:
                 )
 
     # ------------------------------------------------------------- manifest
-    def _read_manifest(self) -> dict | None:
-        path = self.root / self.MANIFEST_NAME
-        if not path.exists():
+    @classmethod
+    def _read_manifest(cls, root: Path) -> dict | None:
+        try:
+            manifest = read_json_object(root / cls.MANIFEST_NAME, FoldStoreError)
+        except FileNotFoundError:
             return None
-        manifest = json.loads(path.read_text())
         if manifest.get("format") != FOLD_FORMAT:
             raise FoldStoreError(
-                f"store at {self.root} uses format "
+                f"store at {root} uses format "
                 f"{manifest.get('format')!r}, expected {FOLD_FORMAT}"
             )
+        if not isinstance(manifest.get("protocol_fingerprint"), str):
+            raise FoldStoreError(f"store manifest at {root} names no protocol")
         return manifest
 
     def _write_manifest(self) -> None:
@@ -256,28 +293,12 @@ class FoldStore:
             return key in self._memory
         if key in self._known_complete:
             return True
-        path = self._fold_path(key)
-        if not path.exists():
-            return False
-        # Any unreadable, truncated, schema-malformed, or digest-broken
-        # shard is simply pending: the fold recomputes rather than the
-        # resume crashing on a half-written or foreign file.
+        # Any missing, unreadable, truncated, schema-malformed, or
+        # digest-broken shard is simply pending: the fold recomputes
+        # rather than the resume crashing on a half-written or foreign file.
         try:
-            shard = json.loads(path.read_text())
-            if shard.get("protocol_fingerprint") != self.protocol_fingerprint:
-                return False
-            record = FoldRecord.from_payload(shard["record"])
-        except (
-            OSError,
-            json.JSONDecodeError,
-            AttributeError,  # top-level JSON is not even an object
-            KeyError,
-            TypeError,
-            ValueError,
-        ):
-            return False
-        digest = fold_fingerprint(record)
-        if digest != shard.get("fingerprint"):
+            _, digest = _load_fold(self._fold_path(key), self.protocol_fingerprint)
+        except (OSError, FoldStoreError):
             return False
         self._known_complete.add(key)
         self._known_digests[key] = digest
@@ -325,35 +346,17 @@ class FoldStore:
         self._known_complete.add(key)
         self._known_digests[key] = digest
 
-    def read_fold(self, key: FoldKey, verify: bool = True) -> FoldRecord:
-        """Load one fold, verifying its content digest by default."""
+    def read_fold(self, key: FoldKey) -> FoldRecord:
+        """Load one fold, verifying its content digest."""
         if self.root is None:
             try:
                 return self._memory[key]
             except KeyError:
                 raise FoldStoreError(f"fold {key.stem()} not in store") from None
-        path = self._fold_path(key)
-        if not path.exists():
-            raise FoldStoreError(f"fold {key.stem()} not in store")
         try:
-            shard = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise FoldStoreError(
-                f"fold {key.stem()} is torn or corrupt ({error}); "
-                f"quarantine with fsck and resume"
-            ) from error
-        if not isinstance(shard, dict):
-            raise FoldStoreError(f"fold {key.stem()} is corrupt: not an object")
-        if shard.get("protocol_fingerprint") != self.protocol_fingerprint:
-            raise FoldStoreError(
-                f"fold {key.stem()} belongs to a different protocol"
-            )
-        record = FoldRecord.from_payload(shard["record"])
-        if verify and fold_fingerprint(record) != shard.get("fingerprint"):
-            raise FoldStoreError(
-                f"fold {key.stem()} is corrupt: digest mismatch"
-            )
-        return record
+            return _load_fold(self._fold_path(key), self.protocol_fingerprint)[0]
+        except FileNotFoundError:
+            raise FoldStoreError(f"fold {key.stem()} not in store") from None
 
     def fingerprint(self, variants: Sequence[str] | None = None) -> str:
         """Content digest over every (requested) fold, in grid order.
@@ -375,6 +378,41 @@ class FoldStore:
                 self._known_digests[key] = fold_digest
             digest.update(fold_digest.encode())
         return digest.hexdigest()[:16]
+
+    # ---------------------------------------------------------------- scrub
+    @classmethod
+    def scrub(cls, root: Path, repair: bool, ttl: float | None = None) -> list[Finding]:
+        """Classify every artifact under a fold-store root with the
+        reader's checks; read-only unless ``repair`` (quarantine damaged
+        folds, delete temp files).  A manifest that does not verify pins
+        no protocol, so the folds are then judged on their own digests.
+        """
+        from repro.cluster.status import scrub_cluster
+
+        scrub = Scrub(root, f"fold-store {root.name}", repair)
+        fingerprint = None
+        try:
+            manifest = cls._read_manifest(root)
+            if manifest is None:
+                raise FoldStoreError(f"no fold-store manifest at {root}")
+            fingerprint = manifest["protocol_fingerprint"]
+        except FoldStoreError as error:
+            scrub.damage(root / cls.MANIFEST_NAME, "manifest", error, "quarantine")
+        else:
+            scrub.note(root / cls.MANIFEST_NAME, "manifest")
+        fold_dir = root / cls.FOLD_DIR
+        for path in sorted(fold_dir.iterdir()) if fold_dir.is_dir() else ():
+            if path.name.endswith(".tmp"):
+                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
+            elif path.suffix == ".json":
+                try:
+                    _load_fold(path, fingerprint)
+                except FoldStoreError as error:
+                    scrub.damage(path, "fold", error, "quarantine")
+                else:
+                    scrub.note(path, "fold")
+        scrub_cluster(scrub, root, fingerprint, ttl)
+        return scrub.findings
 
     # --------------------------------------------------------------- status
     def status(self) -> FoldStoreStatus:

@@ -18,7 +18,9 @@ injectable, deterministic, and cheap to leave compiled in:
   ``repro-experiments fsck``: classifies every artifact of every store
   (ok / torn-tail / digest-mismatch / orphaned / stale-lease / corrupt)
   and under ``--repair`` quarantines or truncates the damage so the next
-  resume rebuilds exactly the broken units.
+  resume rebuilds exactly the broken units.  Each store owns its
+  verification — its ``scrub`` runs the checks its reader runs — and
+  fsck only walks the cache root and dispatches to the stores.
 * :mod:`repro.faults.chaos` — the chaos harness behind
   ``repro-experiments chaos``: drives real dataset builds, protocol
   runs, cluster drains, and serving sessions under randomized fault

@@ -20,16 +20,25 @@ copies.  Routing every durable write through here buys two things:
   ``FileNotFoundError`` from a reclaimed lease — are never retried, and
   :class:`~repro.faults.FaultInjected` (a simulated crash, not an
   ``OSError``) always propagates.
+
+The read side shares one vocabulary too: every store's reader raises an
+:class:`ArtifactError` whose ``status`` classifies the damage, and each
+store's ``scrub`` records those errors as :class:`Finding` entries
+through a :class:`Scrub`, which applies the repair (quarantine, delete,
+or a store-specific fix) when asked.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from repro.faults import core as faults
 from repro.faults.core import FaultInjected, Injection
@@ -274,6 +283,172 @@ def guarded_os_call(
     if retries is None:
         return attempt()
     return with_retries(attempt, policy=retries, seed_key=seed_key)
+
+
+# ------------------------------------------------------------- verification
+#: The directory inside each store that scrub repairs move damage into.
+QUARANTINE_DIR = "quarantine"
+
+#: What a reader's damage message tells its caller to do (a scrub's
+#: finding, which is that step, drops it).
+_HINT = "; quarantine with fsck"
+
+
+class ArtifactError(RuntimeError):
+    """A durable artifact failed its reader's checks.
+
+    ``status`` classifies the damage in fsck's vocabulary (``torn-tail``,
+    ``digest-mismatch``, ``orphaned`` or ``corrupt``) and ``path`` names
+    the damaged file, so a store's scrub records what its reader raised.
+    """
+
+    def __init__(self, message: str, status: str = "corrupt", path: Path | None = None):
+        super().__init__(message)
+        self.status = status
+        self.path = path
+
+
+def read_json_object(path: Path, error: type[ArtifactError] = ArtifactError) -> dict:
+    """Parse a file holding one JSON object, raising ``error`` on damage.
+
+    A zero-byte file is a ``torn-tail`` (its writer died before any byte
+    landed); unreadable, unparseable or non-object content is ``corrupt``.
+    A missing file raises :class:`FileNotFoundError`: absence is for the
+    caller to judge, not damage.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise error(f"{path.name} is unreadable ({exc}){_HINT}", path=path) from exc
+    if not data:
+        raise error(f"{path.name} is torn: zero bytes{_HINT}", "torn-tail", path)
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path.name} is corrupt ({exc}){_HINT}", path=path) from exc
+    if not isinstance(payload, dict):
+        raise error(f"{path.name} is corrupt: not a JSON object{_HINT}", path=path)
+    return payload
+
+
+def load_npz(
+    path: Path, names: Sequence[str], error: type[ArtifactError] = ArtifactError
+) -> tuple[np.ndarray, ...]:
+    """The named arrays of one ``.npz`` file, or ``error`` (``torn-tail``).
+
+    Any failure counts as a file that does not load: damaged bytes can
+    trip zipfile, zlib or numpy's header parser anywhere.
+    """
+    try:
+        with np.load(path) as handle:
+            return tuple(handle[name] for name in names)
+    except Exception as exc:  # noqa: BLE001 - see above
+        raise error(
+            f"{Path(path).name} does not load ({exc!r}){_HINT}",
+            "torn-tail",
+            Path(path),
+        ) from exc
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One artifact's classification (and what repair did, if asked)."""
+
+    path: str  # relative to the scanned root
+    store: str  # which store family the artifact belongs to
+    kind: str  # artifact kind: shard, sidecar, fold, model, pointer, ...
+    status: str  # ok, or the damage class an ArtifactError carries
+    detail: str = ""
+    repair: str = ""  # planned/applied remedy: quarantine, truncate, delete, rewrite
+    repaired: bool = False
+
+    def describe(self) -> str:
+        parts = [f"{self.status:<15s} {self.path}"]
+        if self.detail:
+            parts.append(f"({self.detail})")
+        if self.repaired:
+            parts.append(f"[repaired: {self.repair}]")
+        elif self.repair:
+            parts.append(f"[repair: {self.repair}]")
+        return " ".join(parts)
+
+
+def _quarantine(path: Path, store_root: Path) -> Path | None:
+    """Move one damaged artifact into the store's quarantine directory."""
+    if not path.exists():
+        return None
+    target_dir = store_root / QUARANTINE_DIR
+    target_dir.mkdir(parents=True, exist_ok=True)
+    target = target_dir / path.name
+    counter = 0
+    while target.exists():
+        counter += 1
+        target = target_dir / f"{path.name}.{counter}"
+    path.rename(target)
+    return target
+
+
+class Scrub:
+    """One store's scrub pass: its findings, each repair applied as noted.
+
+    Paths are recorded relative to ``root`` and quarantined artifacts
+    move into ``root``'s quarantine directory.  Nothing on disk changes
+    unless ``repair`` is set.
+    """
+
+    def __init__(self, root: Path, store: str, repair: bool):
+        self.root = Path(root)
+        self.store = store
+        self.repair = repair
+        self.findings: list[Finding] = []
+
+    def note(
+        self,
+        path: Path,
+        kind: str,
+        status: str = "ok",
+        detail: str = "",
+        repair: str = "",
+        also: tuple[Path, ...] = (),
+        fix: Callable[[], bool] | None = None,
+    ) -> None:
+        """Record one artifact's finding and, when repairing, its remedy.
+
+        ``quarantine`` and ``delete`` act on ``path`` and its companions
+        ``also`` (a shard's sidecar shares its fate); any other remedy is
+        ``fix``, which applies it and returns whether it worked.
+        """
+        repaired = False
+        if self.repair and status != "ok" and repair:
+            try:
+                if fix is not None:
+                    repaired = bool(fix())
+                else:
+                    for target in (path, *also):
+                        if repair == "quarantine":
+                            _quarantine(target, self.root)
+                        else:
+                            target.unlink(missing_ok=True)
+                    repaired = True
+            except (OSError, ArtifactError):
+                repaired = False
+        try:
+            relative = str(path.relative_to(self.root))
+        except ValueError:
+            relative = str(path)
+        self.findings.append(
+            Finding(relative, self.store, kind, status, detail, repair, repaired)
+        )
+
+    def damage(
+        self, path: Path, kind: str, error: ArtifactError, repair: str, also: tuple[Path, ...] = ()
+    ) -> None:
+        """Record what a reader raised, at the path it blamed (else ``path``)."""
+        detail = str(error).removesuffix(_HINT)
+        self.note(error.path or path, kind, error.status, detail, repair, also)
 
 
 __all__ = [

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import queue
 import re
 import shutil
@@ -47,7 +48,14 @@ import threading
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.ioutil import atomic_write_text, fsync_append
+from repro.ioutil import (
+    ArtifactError,
+    Finding,
+    Scrub,
+    atomic_write_text,
+    fsync_append,
+    read_json_object,
+)
 
 #: Event types that end a job's stream.
 TERMINAL_EVENTS = ("complete", "failed")
@@ -106,20 +114,18 @@ class JobJournal:
         return journal
 
     def load_meta(self) -> dict | None:
-        """The job's identity, or ``None`` when missing/torn/foreign."""
-        path = self.root / self.META_NAME
+        """The job's identity, or ``None`` when missing, torn, or foreign
+        (a job id other than its directory's name)."""
         try:
-            meta = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            meta = read_json_object(self.root / self.META_NAME)
+        except (OSError, ArtifactError):
             return None
-        if not isinstance(meta, dict) or meta.get("format") != JOB_FORMAT:
-            return None
-        if not isinstance(meta.get("id"), str):
+        if meta.get("format") != JOB_FORMAT or meta.get("id") != self.root.name:
             return None
         return meta
 
-    def load_snapshot(self, job_id: str) -> tuple[list[dict], str] | None:
-        """The compacted history, verified, or ``None`` to fall back.
+    def _read_snapshot(self, job_id: str) -> tuple[list[dict], str]:
+        """The compacted history, verified; raises :class:`ArtifactError`.
 
         The chain digest is recomputed from the seed over the stored
         events; a mismatch (tampering, truncation survived by a
@@ -127,28 +133,36 @@ class JobJournal:
         rather than trusting an unverifiable prefix.
         """
         path = self.root / self.SNAPSHOT_NAME
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(data, dict) or data.get("format") != JOB_FORMAT:
-            return None
-        if data.get("id") != job_id:
-            return None
+        data = read_json_object(path)
         events = data.get("events")
-        if not isinstance(events, list) or not all(
-            isinstance(event, dict) for event in events
+        if (
+            data.get("format") != JOB_FORMAT
+            or data.get("id") != job_id
+            or not isinstance(events, list)
+            or not all(isinstance(event, dict) for event in events)
         ):
-            return None
+            raise ArtifactError(f"snapshot of {job_id} is malformed or foreign", path=path)
         chain = _chain_seed(job_id)
         for event in events:
             chain = _chain_digest(chain, event)
         if data.get("chain") != chain:
-            return None
+            raise ArtifactError(f"snapshot of {job_id} fails its chain verification", path=path)
         return events, chain
 
+    def load_snapshot(self, job_id: str) -> tuple[list[dict], str] | None:
+        """The verified compacted history, or ``None`` to fall back."""
+        try:
+            return self._read_snapshot(job_id)
+        except (OSError, ArtifactError):
+            return None
+
     def load_events(self, job_id: str) -> tuple[list[dict], str]:
-        """Replay the verified journal prefix and its final chain digest.
+        """Replay the verified journal prefix and its final chain digest."""
+        events, chain, _, _ = self.replay(job_id)
+        return events, chain
+
+    def replay(self, job_id: str) -> tuple[list[dict], str, int, int]:
+        """:meth:`load_events` plus the journal's verified and total bytes.
 
         Replay stops at the first unparseable, newline-less (a kill mid
         append), or chain-breaking line: everything before it is verified
@@ -166,16 +180,19 @@ class JobJournal:
         if snapshot is not None:
             snapshot_events, chain = snapshot
             events.extend(dict(event) for event in snapshot_events)
-        path = self.root / self.EVENTS_NAME
-        if not path.exists():
-            return events, chain
-        with open(path, "rb") as handle:
+        verified = size = 0
+        try:
+            handle = open(self.root / self.EVENTS_NAME, "rb")
+        except FileNotFoundError:
+            return events, chain, verified, size
+        with handle:
+            size = os.fstat(handle.fileno()).st_size
             for line in handle:
                 if not line.endswith(b"\n"):
                     break  # torn tail: the append a kill interrupted
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
+                except ValueError:  # JSONDecodeError and UnicodeDecodeError
                     break
                 if not isinstance(record, dict) or not isinstance(
                     record.get("event"), dict
@@ -186,7 +203,18 @@ class JobJournal:
                     break  # tampered or out-of-order: distrust the rest
                 events.append(record["event"])
                 chain = expected
-        return events, chain
+                verified += len(line)
+        return events, chain, verified, size
+
+    def truncate_events(self, length: int) -> bool:
+        """Cut the journal back to its first ``length`` (verified) bytes."""
+        path = self.root / self.EVENTS_NAME
+        if length == 0:
+            path.unlink()
+        else:
+            with open(path, "r+b") as handle:
+                handle.truncate(length)
+        return True
 
     def append(self, event: dict, chain: str) -> str:
         """Durably append one event line; returns the new chain digest."""
@@ -399,7 +427,7 @@ class JobManager:
                 continue
             journal = JobJournal(path)
             meta = journal.load_meta()
-            if meta is None or meta["id"] != path.name:
+            if meta is None:
                 # Torn or foreign meta: not a recoverable job.  The job
                 # directory stays untouched for fsck to quarantine, and
                 # the manager reports itself degraded rather than
@@ -426,6 +454,46 @@ class JobManager:
                 self._ensure_worker_locked()
             for job in resumable:
                 self._queue.put(job)
+
+    @classmethod
+    def scrub(cls, root: Path, repair: bool) -> list[Finding]:
+        """Classify every job's meta, snapshot and journal as recovery
+        reads them.  Read-only unless ``repair``: quarantine a job whose
+        meta does not load and an unverifiable snapshot, truncate a torn
+        journal tail to its verified prefix, delete temp files."""
+        scrub = Scrub(root, "jobs", repair)
+        for path in sorted(root.iterdir()):
+            if not path.is_dir() or _JOB_DIR.match(path.name) is None:
+                continue
+            journal = JobJournal(path)
+            if journal.load_meta() is None:
+                scrub.note(
+                    path, "job", "corrupt", "unreadable or foreign job metadata", "quarantine"
+                )
+                continue
+            scrub.note(path / JobJournal.META_NAME, "meta")
+            snapshot = path / JobJournal.SNAPSHOT_NAME
+            if snapshot.exists():
+                try:
+                    journal._read_snapshot(path.name)
+                except ArtifactError as error:
+                    scrub.damage(snapshot, "snapshot", error, "quarantine")
+                else:
+                    scrub.note(snapshot, "snapshot")
+            events = path / JobJournal.EVENTS_NAME
+            if events.exists():
+                _, _, verified, size = journal.replay(path.name)
+                if verified < size:
+                    scrub.note(
+                        events, "journal", "torn-tail",
+                        f"verified prefix {verified} of {size} bytes; the tail does not replay",
+                        "truncate", fix=lambda: journal.truncate_events(verified),
+                    )
+                else:
+                    scrub.note(events, "journal")
+            for stray in sorted(path.glob("*.tmp")):
+                scrub.note(stray, "tmp", "orphaned", "temp file from a killed writer", "delete")
+        return scrub.findings
 
     def _ensure_worker_locked(self) -> None:
         """Start the drain thread if needed; caller holds ``self._lock``

@@ -31,9 +31,7 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -42,9 +40,13 @@ import numpy as np
 
 from repro.ioutil import (
     DEFAULT_RETRY,
+    ArtifactError,
+    Finding,
+    Scrub,
     atomic_write_bytes,
     atomic_write_text,
-    tmp_sibling,
+    load_npz,
+    read_json_object,
 )
 
 from repro.compiler.flags import FlagSetting
@@ -69,7 +71,7 @@ DEFAULT_CHUNK_MACHINES = 8
 _SHARD_ARRAY_NAMES = ("runtimes", "o3_runtimes", "counters", "code_features")
 
 
-class StoreError(RuntimeError):
+class StoreError(ArtifactError):
     """A store directory is unusable: wrong grid, version, or corrupt."""
 
 
@@ -277,15 +279,15 @@ class ExperimentStore:
         #: pending/status/write scans of a long run.
         self._known_complete: set[ShardKey] = set()
         if self.root is not None:
-            manifest = self._read_manifest()
+            manifest = self._read_manifest(self.root)
             if manifest is None:
                 self.grid = grid
                 self._write_manifest()
             else:
-                if manifest["grid_fingerprint"] != grid.fingerprint():
+                if manifest.get("grid_fingerprint") != grid.fingerprint():
                     raise StoreError(
                         f"store at {self.root} holds a different grid "
-                        f"({manifest['grid_fingerprint']} != {grid.fingerprint()})"
+                        f"({manifest.get('grid_fingerprint')} != {grid.fingerprint()})"
                     )
                 # Adopt the manifest's chunking: shard boundaries were
                 # fixed when the store was created.
@@ -300,34 +302,43 @@ class ExperimentStore:
     @classmethod
     def open(cls, root: str | Path) -> "ExperimentStore":
         """Open an existing store from its manifest alone."""
-        root = Path(root)
-        manifest_path = root / cls.MANIFEST_NAME
-        if not manifest_path.exists():
-            raise StoreError(f"no store manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text())
-        grid = GridSpec(
-            program_names=tuple(manifest["program_names"]),
-            machines=tuple(
-                MicroArch(**fields) for fields in manifest["machines"]
-            ),
-            settings=tuple(
-                FlagSetting.from_indices(indices)
-                for indices in manifest["settings"]
-            ),
-            extended=bool(manifest["extended"]),
-            chunk_machines=int(manifest["chunk_machines"]),
-            metadata=dict(manifest["metadata"]),
-        )
-        return cls(grid, root)
+        return cls(cls._pinned_grid(Path(root)), root)
 
-    def _read_manifest(self) -> dict | None:
-        path = self.root / self.MANIFEST_NAME
-        if not path.exists():
+    @classmethod
+    def _pinned_grid(cls, root: Path) -> GridSpec:
+        """The grid the manifest pins, checked against its own fingerprint."""
+        manifest = cls._read_manifest(root)
+        if manifest is None:
+            raise StoreError(f"no store manifest at {root / cls.MANIFEST_NAME}")
+        try:
+            grid = GridSpec(
+                program_names=tuple(manifest["program_names"]),
+                machines=tuple(
+                    MicroArch(**fields) for fields in manifest["machines"]
+                ),
+                settings=tuple(
+                    FlagSetting.from_indices(indices)
+                    for indices in manifest["settings"]
+                ),
+                extended=bool(manifest["extended"]),
+                chunk_machines=int(manifest["chunk_machines"]),
+                metadata=dict(manifest["metadata"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise StoreError(f"store manifest at {root} is malformed ({error!r})") from error
+        if grid.fingerprint() != manifest.get("grid_fingerprint"):
+            raise StoreError(f"store manifest at {root} does not match its own grid")
+        return grid
+
+    @classmethod
+    def _read_manifest(cls, root: Path) -> dict | None:
+        try:
+            manifest = read_json_object(root / cls.MANIFEST_NAME, StoreError)
+        except FileNotFoundError:
             return None
-        manifest = json.loads(path.read_text())
         if manifest.get("format") != STORE_FORMAT:
             raise StoreError(
-                f"store at {self.root} uses format "
+                f"store at {root} uses format "
                 f"{manifest.get('format')!r}, expected {STORE_FORMAT}"
             )
         return manifest
@@ -391,13 +402,8 @@ class ExperimentStore:
             # of tripping over it at read time.
             if npz_path.stat().st_size == 0:
                 return False
-        except OSError:
-            return False
-        if not sidecar_path.exists():
-            return False
-        try:
-            sidecar = json.loads(sidecar_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            sidecar = read_json_object(sidecar_path, StoreError)
+        except (OSError, StoreError):
             return False
         if sidecar.get("grid_fingerprint") != self.grid.fingerprint():
             return False
@@ -474,26 +480,9 @@ class ExperimentStore:
                 return self._memory[key]
             except KeyError:
                 raise StoreError(f"shard {key.stem()} not in store") from None
-        npz_path, sidecar_path = self._shard_paths(key)
         if not self.has_shard(key):
             raise StoreError(f"shard {key.stem()} not in store")
-        try:
-            with np.load(npz_path) as handle:
-                arrays = tuple(handle[name] for name in _SHARD_ARRAY_NAMES)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
-            raise StoreError(
-                f"shard {key.stem()} is torn or corrupt ({error}); "
-                f"quarantine with fsck and resume"
-            ) from error
-        if verify:
-            sidecar = json.loads(sidecar_path.read_text())
-            digest = shard_fingerprint(arrays)
-            if digest != sidecar["fingerprint"]:
-                raise StoreError(
-                    f"shard {key.stem()} is corrupt: digest {digest} != "
-                    f"recorded {sidecar['fingerprint']}"
-                )
-        return arrays
+        return _load_shard(*self._shard_paths(key), verify=verify)
 
     def shard_digest(self, key: ShardKey) -> str:
         """The recorded (disk) or computed (memory) content digest."""
@@ -596,6 +585,55 @@ class ExperimentStore:
             digest.update(self.shard_digest(key).encode())
         return digest.hexdigest()[:16]
 
+    # ---------------------------------------------------------------- scrub
+    @classmethod
+    def scrub(cls, root: Path, repair: bool, ttl: float | None = None) -> list[Finding]:
+        """Classify every artifact under a store root with the reader's
+        checks.  Read-only unless ``repair``: quarantine damaged shard
+        units whole (arrays and sidecar together), delete temp files.  A
+        manifest that does not verify pins no grid, so shards are then
+        judged on their own digests."""
+        from repro.cluster.status import scrub_cluster
+
+        scrub = Scrub(root, f"experiment-store {root.name}", repair)
+        grid_fingerprint = None
+        try:
+            grid_fingerprint = cls._pinned_grid(root).fingerprint()
+        except StoreError as error:
+            scrub.damage(root / cls.MANIFEST_NAME, "manifest", error, "quarantine")
+        else:
+            scrub.note(root / cls.MANIFEST_NAME, "manifest")
+        shard_dir = root / cls.SHARD_DIR
+        units: dict[str, dict[str, Path]] = {}
+        for path in sorted(shard_dir.iterdir()) if shard_dir.is_dir() else ():
+            if path.name.endswith(".tmp"):
+                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
+            elif path.suffix in (".npz", ".json"):
+                units.setdefault(path.stem, {})[path.suffix] = path
+        for stem in sorted(units):
+            npz_path, sidecar_path = units[stem].get(".npz"), units[stem].get(".json")
+            if npz_path is None:
+                scrub.note(
+                    sidecar_path, "sidecar", "orphaned", "sidecar without its arrays", "quarantine"
+                )
+            elif sidecar_path is None:
+                scrub.note(
+                    npz_path, "shard", "orphaned", "array file without its sidecar", "quarantine"
+                )
+            else:
+                try:
+                    _load_shard(npz_path, sidecar_path, grid_fingerprint)
+                except StoreError as error:
+                    on_sidecar = error.path == sidecar_path
+                    scrub.damage(
+                        npz_path, "sidecar" if on_sidecar else "shard", error, "quarantine",
+                        also=(npz_path if on_sidecar else sidecar_path,),
+                    )
+                else:
+                    scrub.note(npz_path, "shard")
+        scrub_cluster(scrub, root, grid_fingerprint, ttl)
+        return scrub.findings
+
     # --------------------------------------------------------------- status
     def status(self) -> StoreStatus:
         grid = self.grid
@@ -638,5 +676,30 @@ def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:
     return digest.hexdigest()[:16]
 
 
-# ``tmp_sibling`` and ``atomic_write_text`` moved to :mod:`repro.ioutil`
-# (shared with every durable store); re-exported above for back-compat.
+def _load_shard(
+    npz_path: Path,
+    sidecar_path: Path,
+    grid_fingerprint: str | None = None,
+    verify: bool = True,
+) -> ShardArrays:
+    """Load one shard unit: the check ``read_shard`` and ``scrub`` share.
+
+    With ``verify`` the sidecar is parsed and the arrays' digest checked
+    against it; a ``grid_fingerprint`` also rejects a unit from another
+    grid.  Damage raises :class:`StoreError` carrying its status and the
+    file to blame.
+    """
+    sidecar = read_json_object(sidecar_path, StoreError) if verify else {}
+    if grid_fingerprint is not None and sidecar.get("grid_fingerprint") != grid_fingerprint:
+        raise StoreError(f"shard {npz_path.stem} is from a different grid", "orphaned", npz_path)
+    arrays = load_npz(npz_path, _SHARD_ARRAY_NAMES, StoreError)
+    if verify:
+        digest = shard_fingerprint(arrays)
+        if digest != sidecar.get("fingerprint"):
+            raise StoreError(
+                f"shard {npz_path.stem} is corrupt: digest {digest} != "
+                f"recorded {sidecar.get('fingerprint')}",
+                "digest-mismatch",
+                npz_path,
+            )
+    return arrays

@@ -129,6 +129,22 @@ class TestFoldStore:
             assert not fresh.has_fold(record.key)
             assert record.key in fresh.pending_keys()
 
+    def test_malformed_record_reads_as_fold_store_error(self, tiny_data, tmp_path):
+        """``read_fold`` diagnoses a shard without a record, or with
+        malformed rows, instead of leaking a ``KeyError``."""
+        store = _store(tiny_data, root=tmp_path / "proto")
+        record = _record()
+        store.write_fold(record)
+        path = store._fold_path(record.key)
+        shard = json.loads(path.read_text())
+        no_record = {key: value for key, value in shard.items() if key != "record"}
+        bad_rows = dict(shard, record=dict(shard["record"], rows=[{"machine": 0}]))
+        for malformed in (no_record, bad_rows):
+            path.write_text(json.dumps(malformed))
+            fresh = _store(tiny_data, root=tmp_path / "proto")
+            with pytest.raises(FoldStoreError, match="corrupt"):
+                fresh.read_fold(record.key)
+
     def test_reopen_rejects_different_protocol(self, tiny_data, tmp_path):
         _store(tiny_data, root=tmp_path / "proto")
         variants = _variants(tiny_data)

@@ -403,10 +403,18 @@ class TestHealthDegraded:
             registry=trainer.models.registry(registry_root),
             jobs_dir=jobs_dir,
         )
-        health = service.health()
-        assert health["status"] == "degraded"
-        reasons = " ".join(health["reasons"])
-        assert "pointer" in reasons and "job-0001" in reasons
+        # Torn JSON, and pointers that parse but hold the wrong shapes.
+        for pointer in (
+            "{ torn",
+            "[]",
+            '{"format": 1, "current": 1, "history": ["x"]}',
+            '{"format": 1, "current": "one", "history": []}',
+        ):
+            (registry_root / "promoted.json").write_text(pointer)
+            health = service.health()
+            assert health["status"] == "degraded"
+            reasons = " ".join(health["reasons"])
+            assert "pointer" in reasons and "job-0001" in reasons
 
     def test_healthy_service_still_reports_ok(self, tmp_path, tiny_data):
         from repro.api import Session

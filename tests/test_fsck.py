@@ -28,15 +28,10 @@ from repro.evalrun.pipeline import EvaluationPipeline
 from repro.evalrun.variants import make_predictor, protocol_fingerprint, variant_by_key
 from repro.experiments.config import Scale
 from repro.experiments.dataset import grid_for_scale
-from repro.faults.fsck import (
-    QUARANTINE_DIR,
-    FsckReport,
-    fsck_cache,
-    fsck_path,
-    scrub_jobs,
-)
+from repro.faults.fsck import FsckReport, fsck_cache, fsck_path
+from repro.ioutil import QUARANTINE_DIR
 from repro.programs.mibench import mibench_program
-from repro.service.jobs import JobJournal
+from repro.service.jobs import JobJournal, JobManager
 from repro.store import ExperimentRunner, ExperimentStore
 
 SMOKE = Scale(name="smoke", programs=("crc", "search"), n_machines=4, n_settings=6)
@@ -266,7 +261,7 @@ class TestRegistryScrub:
 class TestJobsScrub:
     def _report(self, root, repair):
         report = FsckReport(root=str(root), repair=repair)
-        scrub_jobs(root, repair, report)
+        report.findings.extend(JobManager.scrub(root, repair))
         return report
 
     def test_torn_journal_tail_truncates_to_verified_prefix(self, tmp_path):
@@ -348,6 +343,30 @@ class TestClusterScrub:
         assert sorted(p.name for p in leases.iterdir()) == ["c.lease"]
         assert not (progress / "w1.json").exists()
         assert (root / QUARANTINE_DIR / LeaseTable.META_NAME).exists()
+
+
+class TestMalformedInput:
+    """JSON that parses but holds the wrong shape is ``corrupt``, never a crash."""
+
+    def test_list_manifests_are_corrupt(self, cache_copy, smoke_grid, clean_cache):
+        manifests = (
+            f"store-smoke-{smoke_grid.fingerprint()}/manifest.json",
+            f"protocol-smoke-{clean_cache['protocol_fingerprint']}/manifest.json",
+        )
+        for manifest in manifests:
+            (cache_copy / manifest).write_text("[]")
+        report = fsck_cache(cache_copy)
+        for manifest in manifests:
+            assert _status_of(report, manifest).status == "corrupt"
+
+    def test_non_integer_pointer_versions_are_corrupt(self, cache_copy):
+        pointer = cache_copy / "registry" / "promoted.json"
+        for content in (
+            '{"format": 1, "current": "two", "history": [1]}',
+            '{"format": 1, "current": 2, "history": ["one"]}',
+        ):
+            pointer.write_text(content)
+            assert _status_of(fsck_cache(cache_copy), "promoted.json").status == "corrupt"
 
 
 class TestFsckCli:

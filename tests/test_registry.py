@@ -106,6 +106,30 @@ class TestIntegrity:
         with pytest.raises(RegistryError, match="format"):
             registry.load(entry.version)
 
+    def test_malformed_entry_shapes_raise_registry_error(self, fitted_session, registry):
+        entry = fitted_session.models.register(registry=registry, promote=True)
+        path = registry._model_path(entry.version)
+        payload = json.loads(path.read_text())
+        del payload["model"]
+        for content in ("[]", json.dumps(payload)):
+            path.write_text(content)
+            with pytest.raises(RegistryError):
+                registry.load()
+
+    def test_malformed_pointer_shapes_raise_registry_error(self, fitted_session, registry):
+        fitted_session.models.register(registry=registry, promote=True)
+        pointer = registry.root / ModelRegistry.PROMOTED_NAME
+        for content in (
+            "[]",
+            '{"format": 1, "current": 1, "history": ["x"]}',
+            '{"format": 1, "current": "one", "history": []}',
+            '{"format": 1, "channels": {"default": [1]}}',
+            '{"format": 1, "channels": []}',
+        ):
+            pointer.write_text(content)
+            with pytest.raises(RegistryError):
+                registry.channels()
+
     def test_registered_files_never_rewritten(self, fitted_session, registry):
         entry = fitted_session.models.register(registry=registry)
         path = registry._model_path(entry.version)
