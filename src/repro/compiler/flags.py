@@ -154,7 +154,7 @@ class FlagSetting(Mapping):
     can be used as dictionary keys (e.g. for compilation caches).
     """
 
-    __slots__ = ("_values", "_hash", "_indices")
+    __slots__ = ("_values", "_hash", "_indices", "_canonical")
 
     def __init__(self, values: Mapping[str, object]):
         missing = set(FLAG_NAMES) - set(values)
@@ -169,6 +169,7 @@ class FlagSetting(Mapping):
         self._values = tuple(values[name] for name in FLAG_NAMES)
         self._hash = hash(self._values)
         self._indices = None
+        self._canonical = None
 
     # Mapping interface -----------------------------------------------------
     def __getitem__(self, name: str) -> object:
@@ -215,15 +216,23 @@ class FlagSetting(Mapping):
 
         Two settings that differ only in dimensions masked by a disabled
         parent produce identical binaries; canonicalisation makes them
-        compare equal, which tightens compilation caches.
+        compare equal, which tightens compilation caches.  The result is
+        computed once per instance, and a canonical setting is its own
+        canonical form.
         """
-        values = {}
-        for spec in FLAG_SPECS:
-            if spec.parent is not None and not self[spec.parent]:
-                values[spec.name] = spec.o3
+        if self._canonical is None:
+            values = self._values
+            collapsed = tuple(
+                o3 if parent is not None and not values[parent] else value
+                for value, o3, parent in zip(values, _O3_VALUES, _PARENT_INDEX)
+            )
+            if collapsed == values:
+                self._canonical = self
             else:
-                values[spec.name] = self[spec.name]
-        return FlagSetting(values)
+                canonical = FlagSetting._from_values(collapsed)
+                canonical._canonical = canonical
+                self._canonical = canonical
+        return self._canonical
 
     def as_indices(self) -> tuple[int, ...]:
         """Encode as per-dimension value indices (for the ML model)."""
@@ -250,15 +259,29 @@ class FlagSetting(Mapping):
             raise ValueError(
                 f"indices must be integers in [0, cardinality): {indices!r}"
             ) from None
+        setting = FlagSetting._from_values(values)
+        setting._indices = checked
+        return setting
+
+    @staticmethod
+    def _from_values(values: tuple) -> "FlagSetting":
+        """A setting over an already-valid value tuple, unchecked."""
         setting = FlagSetting.__new__(FlagSetting)
         setting._values = values
         setting._hash = hash(values)
-        setting._indices = checked
+        setting._indices = None
+        setting._canonical = None
         return setting
 
 
 _VALUES = tuple(spec.values for spec in FLAG_SPECS)
 _INDEX_BY_NAME = {name: index for index, name in enumerate(FLAG_NAMES)}
+_O3_VALUES = tuple(spec.o3 for spec in FLAG_SPECS)
+#: Per dimension, the index of its gating parent (``None`` if ungated).
+_PARENT_INDEX = tuple(
+    None if spec.parent is None else _INDEX_BY_NAME[spec.parent]
+    for spec in FLAG_SPECS
+)
 
 
 class FlagSpace:

@@ -239,10 +239,17 @@ class BasicBlock:
     is_loop_header: bool = False
 
     def __post_init__(self) -> None:
+        problem = self.problem()
+        if problem is not None:
+            raise ValueError(problem)
+
+    def problem(self) -> str | None:
+        """The first violated field invariant, or ``None`` if valid."""
         if not 0.0 <= self.taken_prob <= 1.0:
-            raise ValueError(f"taken_prob out of range: {self.taken_prob}")
+            return f"taken_prob out of range: {self.taken_prob}"
         if not 0.0 <= self.predictability <= 1.0:
-            raise ValueError(f"predictability out of range: {self.predictability}")
+            return f"predictability out of range: {self.predictability}"
+        return None
 
     @property
     def size_bytes(self) -> int:
@@ -264,18 +271,15 @@ class BasicBlock:
         return list(self.instructions[:-1]), term
 
     def clone(self, new_label: str | None = None) -> "BasicBlock":
-        return BasicBlock(
-            label=new_label or self.label,
-            instructions=[insn.clone() for insn in self.instructions],
-            successors=list(self.successors),
-            exec_count=self.exec_count,
-            taken_prob=self.taken_prob,
-            predictability=self.predictability,
-            invariant_branch=self.invariant_branch,
-            pad_bytes=self.pad_bytes,
-            aligned=self.aligned,
-            is_loop_header=self.is_loop_header,
-        )
+        """A copy with its own instruction and successor lists.  Like
+        :meth:`Instruction.clone` it skips the field checks, which
+        :meth:`Program.validate` re-runs on every compile's final IR."""
+        copy = object.__new__(BasicBlock)
+        copy.__dict__.update(self.__dict__)
+        copy.label = new_label or self.label
+        copy.instructions = [insn.clone() for insn in self.instructions]
+        copy.successors = list(self.successors)
+        return copy
 
 
 @dataclass
@@ -449,12 +453,16 @@ class Program:
         * every block successor exists in the same function;
         * every CALL has a defined callee;
         * every memory instruction references a declared region;
-        * every instruction satisfies :meth:`Instruction.problem` (the
-          field checks that :meth:`Instruction.clone` skips).
+        * every block and instruction satisfies :meth:`BasicBlock.problem`
+          and :meth:`Instruction.problem` (the field checks that their
+          ``clone`` methods skip).
         """
         for function in self.functions.values():
             for label in function.layout:
                 block = function.blocks[label]
+                problem = block.problem()
+                if problem is not None:
+                    raise ValueError(f"{function.name}/{label}: {problem}")
                 for successor in block.successors:
                     if successor not in function.blocks:
                         raise ValueError(

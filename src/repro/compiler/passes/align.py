@@ -26,6 +26,14 @@ class AlignPass(Pass):
     """All four ``-falign-*`` flags, applied in one layout walk."""
 
     name = "align"
+    reads = frozenset(
+        {
+            "falign_functions",
+            "falign_loops",
+            "falign_jumps",
+            "falign_labels",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return any(

@@ -24,10 +24,25 @@ class PassStats(Counter):
 
 
 class Pass:
-    """An optimisation pass gated by one or more flags."""
+    """An optimisation pass gated by one or more flags.
+
+    A pass's behaviour — whether it is enabled and everything ``run``
+    does to the IR and the stats — may depend only on the program and
+    on the flags named in :attr:`reads`.  :meth:`Compiler.compile_many
+    <repro.compiler.pipeline.Compiler.compile_many>` relies on this: it
+    runs a pass once for all settings of a batch that agree on its
+    ``reads`` (or all disable it) and so share the IR up to it.  A pass
+    that consults a flag outside ``reads``, in ``enabled``, ``run`` or
+    any helper, would hand some settings another setting's IR;
+    ``tests/test_pass_reads.py`` checks every declaration.
+    """
 
     #: Human-readable pass name, used as the stats prefix.
     name: str = "pass"
+
+    #: Every flag ``enabled`` or ``run`` looks at, helpers included.
+    #: Each pass declares its own; there is deliberately no default.
+    reads: frozenset[str]
 
     def enabled(self, flags: FlagSetting) -> bool:
         raise NotImplementedError

@@ -89,6 +89,7 @@ class CsePass(Pass):
     """The first CSE run (always on at O1+; scope widened by two flags)."""
 
     name = "cse"
+    reads = frozenset({"fcse_follow_jumps", "fcse_skip_blocks"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         # gcc runs CSE at every optimisation level the paper considers; the
@@ -106,6 +107,13 @@ class RerunCsePass(Pass):
     """``-frerun-cse-after-loop``: clean up after unrolling/loop opts."""
 
     name = "rerun_cse"
+    reads = frozenset(
+        {
+            "fre_run_cse_after_loop",
+            "fcse_follow_jumps",
+            "fcse_skip_blocks",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fre_run_cse_after_loop"])

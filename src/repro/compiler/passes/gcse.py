@@ -109,6 +109,16 @@ class GcsePass(Pass):
     """``-fgcse`` with its load/store-motion and LAS sub-flags."""
 
     name = "gcse"
+    reads = frozenset(
+        {
+            "fgcse",
+            "param_max_gcse_passes",
+            "fexpensive_optimizations",
+            "fno_gcse_lm",
+            "fgcse_sm",
+            "fgcse_las",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fgcse"])
@@ -187,6 +197,7 @@ class GcseAfterReloadPass(Pass):
     """
 
     name = "gcse_after_reload"
+    reads = frozenset({"fgcse", "fgcse_after_reload"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fgcse"]) and bool(flags["fgcse_after_reload"])

@@ -43,6 +43,17 @@ class InlineFunctionsPass(Pass):
     """``-finline-functions`` with the paper's six inlining parameters."""
 
     name = "inline"
+    reads = frozenset(
+        {
+            "finline_functions",
+            "param_inline_call_cost",
+            "param_max_inline_insns_auto",
+            "param_large_function_insns",
+            "param_large_function_growth",
+            "param_large_unit_insns",
+            "param_inline_unit_growth",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["finline_functions"])

@@ -47,6 +47,7 @@ class ThreadJumpsPass(Pass):
     """``-fthread-jumps``: remove jump-to-jump trampolines."""
 
     name = "thread_jumps"
+    reads = frozenset({"fthread_jumps"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fthread_jumps"])
@@ -75,6 +76,7 @@ class CrossJumpPass(Pass):
     """``-fcrossjumping``: merge duplicated tail blocks."""
 
     name = "crossjump"
+    reads = frozenset({"fcrossjumping", "fexpensive_optimizations"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fcrossjumping"])

@@ -73,6 +73,7 @@ class LoopInvariantMotionPass(Pass):
     """The always-on first invariant-motion sweep (chain depth 1)."""
 
     name = "loop_im"
+    reads = frozenset()
 
     def enabled(self, flags: FlagSetting) -> bool:
         return True
@@ -86,6 +87,7 @@ class RerunLoopOptPass(Pass):
     """``-frerun-loop-opt``: the second sweep (chain depth 2)."""
 
     name = "rerun_loop_opt"
+    reads = frozenset({"frerun_loop_opt"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["frerun_loop_opt"])
@@ -99,6 +101,7 @@ class UnswitchLoopsPass(Pass):
     """``-funswitch-loops``: hoist invariant conditionals out of loops."""
 
     name = "unswitch"
+    reads = frozenset({"funswitch_loops"})
 
     #: Do not unswitch loops whose body exceeds this size (gcc has the same
     #: kind of guard via --param max-unswitch-insns, which bounds the
@@ -188,6 +191,7 @@ class StrengthReducePass(Pass):
     """``-fstrength-reduce``: induction-variable MUL → ADD."""
 
     name = "strength_reduce"
+    reads = frozenset({"fstrength_reduce"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fstrength_reduce"])

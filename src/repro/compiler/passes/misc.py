@@ -17,6 +17,7 @@ class PeepholePass(Pass):
     generator marked as peephole-removable."""
 
     name = "peephole"
+    reads = frozenset({"fpeephole2"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fpeephole2"])
@@ -36,6 +37,7 @@ class SiblingCallPass(Pass):
     """
 
     name = "sibcall"
+    reads = frozenset({"foptimize_sibling_calls"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["foptimize_sibling_calls"])

@@ -40,6 +40,7 @@ class ReorderBlocksPass(Pass):
     """``-freorder-blocks``: hot-path-first code layout."""
 
     name = "reorder"
+    reads = frozenset({"freorder_blocks"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["freorder_blocks"])

@@ -324,6 +324,14 @@ class ScheduleInsnsPass(Pass):
     """``-fschedule-insns`` with interblock and speculative sub-flags."""
 
     name = "schedule"
+    reads = frozenset(
+        {
+            "fschedule_insns",
+            "fno_sched_interblock",
+            "fno_sched_spec",
+            "fexpensive_optimizations",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["fschedule_insns"])

@@ -17,6 +17,7 @@ class TreeVrpPass(Pass):
     """``-ftree-vrp``: delete range checks proven redundant by value ranges."""
 
     name = "tree_vrp"
+    reads = frozenset({"ftree_vrp"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["ftree_vrp"])
@@ -31,6 +32,7 @@ class TreePrePass(Pass):
     """``-ftree-pre``: delete partially redundant expressions."""
 
     name = "tree_pre"
+    reads = frozenset({"ftree_pre"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["ftree_pre"])

@@ -53,6 +53,13 @@ class UnrollLoopsPass(Pass):
     """``-funroll-loops`` with ``max-unroll-times``/``max-unrolled-insns``."""
 
     name = "unroll"
+    reads = frozenset(
+        {
+            "funroll_loops",
+            "param_max_unroll_times",
+            "param_max_unrolled_insns",
+        }
+    )
 
     def enabled(self, flags: FlagSetting) -> bool:
         return bool(flags["funroll_loops"])

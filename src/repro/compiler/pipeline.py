@@ -9,6 +9,8 @@ register allocation (the -fschedule-insns/spill interaction of the paper's
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from repro.compiler.binary import CompiledBinary, finalize
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
 from repro.compiler.ir import Program
@@ -65,6 +67,16 @@ class Compiler:
     settings that differ only in dimensions masked by a disabled parent flag
     share one compilation, exactly as they would share one gcc invocation's
     behaviour.
+
+    :meth:`compile_many` compiles a batch of settings for one program as a
+    depth-first walk of a pass-prefix trie.  The key of a setting at level
+    *k* is what pass *k* observes of it: nothing when the setting disables
+    the pass, else the values of the pass's declared ``reads``.  Settings
+    that agree on passes 0..*k* share one run of each of them on one
+    working IR.  A node with *c* children snapshots the IR for the first
+    *c*−1 of them and hands the working copy to the last, so a batch takes
+    one clone per leaf, as separate compiles would.  :meth:`compile` is a
+    batch of one.
     """
 
     def __init__(self, space: FlagSpace = DEFAULT_SPACE, cache: bool = True):
@@ -75,31 +87,80 @@ class Compiler:
 
     def compile(self, program: Program, setting: FlagSetting) -> CompiledBinary:
         """Run the pass pipeline over a fresh copy of ``program``."""
-        canonical = setting.canonical()
-        key = (program.name, canonical)
-        if self._cache_enabled:
-            # Single atomic read (not check-then-index) so a concurrent
-            # clear_cache() can only cause a recompile, never a KeyError.
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
+        return self.compile_many(program, [setting])[0]
 
-        working = program.clone()
-        stats = PassStats()
-        for optimisation in self._passes:
-            optimisation.apply(working, canonical, stats)
-        working.validate()
-        binary = finalize(working, setting, stats)
-        if self._cache_enabled:
-            self._cache[key] = binary
-        return binary
+    def compile_many(
+        self, program: Program, settings: Sequence[FlagSetting]
+    ) -> list[CompiledBinary]:
+        """``[self.compile(program, s) for s in settings]``, sharing passes.
+
+        Each binary's ``setting`` is the setting passed in; with the memo
+        on, a setting whose canonical form came earlier (in this batch or
+        before) gets that earlier binary, as :meth:`compile` would.
+        """
+        binaries: list[CompiledBinary | None] = [None] * len(settings)
+        pending: dict[FlagSetting, list[int]] = {}
+        for index, setting in enumerate(settings):
+            canonical = setting.canonical()
+            if self._cache_enabled:
+                # Single atomic read (not check-then-index) so a concurrent
+                # clear_cache() can only cause a recompile, never a KeyError.
+                cached = self._cache.get((program.name, canonical))
+                if cached is not None:
+                    binaries[index] = cached
+                    continue
+            pending.setdefault(canonical, []).append(index)
+
+        def finish(working: Program, stats: PassStats, leaf: list[FlagSetting]) -> None:
+            working.validate()
+            for canonical in leaf:
+                binary = None
+                for index in pending[canonical]:
+                    if binary is None or not self._cache_enabled:
+                        binary = finalize(working, settings[index], PassStats(stats))
+                    binaries[index] = binary
+                if self._cache_enabled:
+                    self._cache[(program.name, canonical)] = binary
+
+        if pending:
+            self._walk(program.clone(), PassStats(), 0, list(pending), finish)
+        return binaries
+
+    def _walk(
+        self,
+        working: Program,
+        stats: PassStats,
+        level: int,
+        group: list[FlagSetting],
+        finish: Callable[[Program, PassStats, list[FlagSetting]], None],
+    ) -> None:
+        """Run passes ``level``.. over ``working`` for ``group``, canonical
+        settings that every earlier pass treated alike."""
+        for level in range(level, len(self._passes)):
+            optimisation = self._passes[level]
+            if len(group) > 1:
+                children: dict[tuple | None, list[FlagSetting]] = {}
+                for canonical in group:
+                    children.setdefault(
+                        _observed(optimisation, canonical), []
+                    ).append(canonical)
+                *branches, group = children.values()
+                for branch in branches:
+                    self._walk(working.clone(), PassStats(stats), level, branch, finish)
+            optimisation.apply(working, group[0], stats)
+        finish(working, stats, group)
 
     @property
     def cache_enabled(self) -> bool:
         return self._cache_enabled
 
-    def cache_info(self) -> dict[str, int]:
-        return {"entries": len(self._cache)}
-
     def clear_cache(self) -> None:
         self._cache.clear()
+
+
+def _observed(optimisation: Pass, flags: FlagSetting) -> tuple | None:
+    """What ``optimisation`` can see of ``flags``: ``None`` when they
+    disable it, else the values of its declared ``reads``."""
+    if not optimisation.enabled(flags):
+        return None
+    return tuple(flags[name] for name in optimisation.reads)

@@ -46,6 +46,7 @@ class RegisterAllocationPass(Pass):
     """Always-on register allocation; flags modulate the policy."""
 
     name = "regalloc"
+    reads = frozenset({"fregmove", "fcaller_saves"})
 
     def enabled(self, flags: FlagSetting) -> bool:
         return True

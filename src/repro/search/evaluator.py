@@ -58,8 +58,9 @@ class Evaluator:
     def evaluate_many(self, settings: Sequence[FlagSetting]) -> list[float]:
         """Runtimes of many settings, batched through the vector kernel.
 
-        Compiles each uncached setting (first-seen order) and prices all
-        the binaries against this evaluator's machine in one
+        Compiles the uncached settings (first-seen order) as one
+        :meth:`~repro.compiler.pipeline.Compiler.compile_many` batch and
+        prices all the binaries against this evaluator's machine in one
         :func:`~repro.sim.vector.simulate_many` pass — bit-identical to
         sequential :meth:`evaluate` calls, including the memo and the
         ``evaluations`` count.  Falls back to the sequential path when a
@@ -77,10 +78,7 @@ class Evaluator:
                 seen.add(canonical)
                 fresh.append(canonical)
         if fresh:
-            binaries = [
-                self.compiler.compile(self.program, canonical)
-                for canonical in fresh
-            ]
+            binaries = self.compiler.compile_many(self.program, fresh)
             results = run_many(binaries, [self.machine])
             for s, canonical in enumerate(fresh):
                 self._cache[canonical] = float(results.seconds[s, 0])

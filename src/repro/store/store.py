@@ -28,9 +28,11 @@ which is how cache-less builds and tests run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,6 +158,12 @@ class GridSpec:
         experiment regardless of how the machine axis is chunked, so the
         chunk size lives only in the manifest.
         """
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        # Computed once per grid: every field it digests is immutable, and
+        # shard reads and scans check it once per shard.
         digest = hashlib.sha256()
         digest.update(repr(self.program_names).encode())
         for machine in self.machines:
@@ -482,7 +490,7 @@ class ExperimentStore:
                 raise StoreError(f"shard {key.stem()} not in store") from None
         if not self.has_shard(key):
             raise StoreError(f"shard {key.stem()} not in store")
-        return _load_shard(*self._shard_paths(key), verify=verify)
+        return _load_shard(*self._shard_paths(key), self.grid, key, verify=verify)
 
     def shard_digest(self, key: ShardKey) -> str:
         """The recorded (disk) or computed (memory) content digest."""
@@ -596,9 +604,9 @@ class ExperimentStore:
         from repro.cluster.status import scrub_cluster
 
         scrub = Scrub(root, f"experiment-store {root.name}", repair)
-        grid_fingerprint = None
+        grid = None
         try:
-            grid_fingerprint = cls._pinned_grid(root).fingerprint()
+            grid = cls._pinned_grid(root)
         except StoreError as error:
             scrub.damage(root / cls.MANIFEST_NAME, "manifest", error, "quarantine")
         else:
@@ -622,7 +630,8 @@ class ExperimentStore:
                 )
             else:
                 try:
-                    _load_shard(npz_path, sidecar_path, grid_fingerprint)
+                    key = None if grid is None else _shard_key(stem, grid)
+                    _load_shard(npz_path, sidecar_path, grid, key)
                 except StoreError as error:
                     on_sidecar = error.path == sidecar_path
                     scrub.damage(
@@ -631,7 +640,7 @@ class ExperimentStore:
                     )
                 else:
                     scrub.note(npz_path, "shard")
-        scrub_cluster(scrub, root, grid_fingerprint, ttl)
+        scrub_cluster(scrub, root, None if grid is None else grid.fingerprint(), ttl)
         return scrub.findings
 
     # --------------------------------------------------------------- status
@@ -676,23 +685,57 @@ def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:
     return digest.hexdigest()[:16]
 
 
+def _shard_key(stem: str, grid: GridSpec) -> ShardKey:
+    """The grid coordinates a shard file name spells, or ``StoreError``
+    (``orphaned``) if it names no shard of ``grid``."""
+    match = re.fullmatch(r"p(\d{4,})-c(\d{4,})", stem)
+    key = None if match is None else ShardKey(int(match[1]), int(match[2]))
+    if key is None or key.program >= grid.n_programs or key.chunk >= grid.n_chunks:
+        raise StoreError(f"{stem} names no shard of this grid", "orphaned")
+    return key
+
+
 def _load_shard(
     npz_path: Path,
     sidecar_path: Path,
-    grid_fingerprint: str | None = None,
+    grid: GridSpec | None = None,
+    key: ShardKey | None = None,
     verify: bool = True,
 ) -> ShardArrays:
     """Load one shard unit: the check ``read_shard`` and ``scrub`` share.
 
     With ``verify`` the sidecar is parsed and the arrays' digest checked
-    against it; a ``grid_fingerprint`` also rejects a unit from another
-    grid.  Damage raises :class:`StoreError` carrying its status and the
-    file to blame.
+    against it.  A ``grid`` also rejects a unit from another grid, and a
+    unit whose extent — the sidecar's ``machine_start``/``machine_stop``
+    and the arrays' shapes — is not ``key``'s chunk of that grid (the
+    chunking is outside the grid fingerprint, so an edited
+    ``chunk_machines`` leaves old shards that fit no chunk).  Damage
+    raises :class:`StoreError` carrying its status and the file to blame.
     """
     sidecar = read_json_object(sidecar_path, StoreError) if verify else {}
-    if grid_fingerprint is not None and sidecar.get("grid_fingerprint") != grid_fingerprint:
-        raise StoreError(f"shard {npz_path.stem} is from a different grid", "orphaned", npz_path)
+    if grid is not None and verify:
+        if sidecar.get("grid_fingerprint") != grid.fingerprint():
+            raise StoreError(
+                f"shard {npz_path.stem} is from a different grid", "orphaned", npz_path
+            )
+        extent = (sidecar.get("machine_start"), sidecar.get("machine_stop"))
+        if extent != grid.chunk_range(key.chunk):
+            raise StoreError(
+                f"shard {npz_path.stem} is corrupt: it covers machines {extent}, "
+                f"not chunk {key.chunk}'s {grid.chunk_range(key.chunk)}",
+                "corrupt",
+                sidecar_path,
+            )
     arrays = load_npz(npz_path, _SHARD_ARRAY_NAMES, StoreError)
+    if grid is not None:
+        for (name, shape), array in zip(grid.shard_shapes(key).items(), arrays):
+            if array.shape != shape:
+                raise StoreError(
+                    f"shard {npz_path.stem} is corrupt: {name} shape "
+                    f"{array.shape} != {shape}",
+                    "corrupt",
+                    npz_path,
+                )
     if verify:
         digest = shard_fingerprint(arrays)
         if digest != sidecar.get("fingerprint"):

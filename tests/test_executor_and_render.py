@@ -19,9 +19,15 @@ class TestExecutorFacade:
 
     def test_custom_compiler_respected(self):
         program = mibench_program("sha")
-        compiler = Compiler()
-        simulate(program, xscale(), compiler=compiler)
-        assert compiler.cache_info()["entries"] == 1
+        compiled = []
+
+        class RecordingCompiler(Compiler):
+            def compile(self, program, setting):
+                compiled.append((program.name, setting))
+                return super().compile(program, setting)
+
+        simulate(program, xscale(), compiler=RecordingCompiler())
+        assert compiled == [("sha", o3_setting())]
 
     def test_setting_override(self, compiler):
         program = mibench_program("search")

@@ -252,6 +252,17 @@ class TestFunctionAndProgram:
         with pytest.raises(ValueError, match=message):
             clone.validate()
 
+    @pytest.mark.parametrize(
+        "field, value", [("taken_prob", 1.5), ("predictability", -0.1)]
+    )
+    def test_validate_rejects_block_fields_clone_skips(
+        self, loop_program, field, value
+    ):
+        setattr(loop_program.functions["main"].blocks["body"], field, value)
+        clone = loop_program.clone()
+        with pytest.raises(ValueError, match=f"body: {field} out of range"):
+            clone.validate()
+
     def test_pickle_round_trip(self, loop_program):
         # compute_shard_task ships programs to process-pool workers.
         restored = pickle.loads(pickle.dumps(loop_program))

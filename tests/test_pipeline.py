@@ -80,10 +80,12 @@ class TestCompiler:
 
     def test_clear_cache(self, compiler, o3):
         program = simple_loop_program()
-        compiler.compile(program, o3)
-        assert compiler.cache_info()["entries"] == 1
+        first = compiler.compile(program, o3)
+        assert compiler.compile(program, o3) is first
         compiler.clear_cache()
-        assert compiler.cache_info()["entries"] == 0
+        again = compiler.compile(program, o3)
+        assert again is not first
+        assert again.code_bytes == first.code_bytes
 
 
 class TestMiBenchCompilation:

@@ -1,6 +1,8 @@
 """Tests for the sharded, resumable experiment store (repro.store)."""
 
+import dataclasses
 import json
+import pickle
 import threading
 
 import numpy as np
@@ -92,6 +94,18 @@ class TestGridSpec:
             )
         )
         assert bigger.fingerprint() != smoke_grid.fingerprint()
+
+    def test_memoised_fingerprint_follows_derived_grids(self, smoke_grid):
+        known = smoke_grid.fingerprint()
+        for changed in (
+            dataclasses.replace(smoke_grid, machines=smoke_grid.machines[:-1]),
+            dataclasses.replace(smoke_grid, settings=smoke_grid.settings[:-1]),
+            dataclasses.replace(smoke_grid, extended=not smoke_grid.extended),
+        ):
+            assert changed.fingerprint() != known
+        rechunked = dataclasses.replace(smoke_grid, chunk_machines=1)
+        assert rechunked.fingerprint() == known
+        assert pickle.loads(pickle.dumps(smoke_grid)).fingerprint() == known
 
     def test_empty_grid_rejected(self, smoke_grid):
         with pytest.raises(ValueError):
@@ -338,6 +352,48 @@ class TestRunnerEquivalence:
         assert len(store.completed_keys()) == 3
         assert runner.run() == 1  # only the one pending shard is recomputed
         assert runner.run() == 0  # complete store: nothing to do
+
+    def test_edited_chunking_fails_reads_and_scrub(
+        self, tmp_path, smoke_grid, smoke_programs
+    ):
+        """``chunk_machines`` is outside the grid fingerprint, so an edited
+        manifest keeps its old shards.  Their extents no longer match the
+        chunks: reads and scrub must call them corrupt, not hand numpy
+        arrays of the wrong width to ``assemble``."""
+        root = tmp_path / "store"
+        ExperimentRunner(
+            ExperimentStore(smoke_grid, root=root), programs=smoke_programs
+        ).run()
+        manifest_path = root / ExperimentStore.MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["chunk_machines"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+
+        resumed = ExperimentStore(smoke_grid, root=root)
+        assert resumed.grid.chunk_machines == 1
+        ExperimentRunner(resumed, programs=smoke_programs).run()
+        assert resumed.is_complete()
+        with pytest.raises(StoreError, match="corrupt") as caught:
+            resumed.assemble()
+        assert caught.value.status == "corrupt"
+        for stale in ("p0000-c0000", "p0000-c0001", "p0001-c0000"):
+            with pytest.raises(StoreError, match="corrupt"):
+                resumed.read_shard(ShardKey(int(stale[1:5]), int(stale[7:])))
+        assert resumed.read_shard(ShardKey(0, 2))[0].shape == (SMOKE.n_settings, 1)
+
+        # A unit named for no chunk of the grid belongs to no grid cell.
+        for suffix in (".npz", ".json"):
+            source = root / "shards" / f"p0000-c0002{suffix}"
+            (root / "shards" / f"p0009-c0000{suffix}").write_bytes(source.read_bytes())
+        statuses = {
+            finding.path: finding.status
+            for finding in ExperimentStore.scrub(root, repair=False)
+        }
+        assert statuses["shards/p0009-c0000.npz"] == "orphaned"
+        # The sidecar's recorded extent is what disagrees with the grid.
+        assert statuses["shards/p0000-c0000.json"] == "corrupt"
+        assert statuses["shards/p0001-c0001.json"] == "corrupt"
+        assert statuses["shards/p0000-c0002.npz"] == "ok"
 
     def test_runner_rejects_misaligned_programs(self, smoke_grid, smoke_programs):
         store = ExperimentStore(smoke_grid, root=None)
