@@ -41,7 +41,8 @@ def _fitted_model(scale_name: str):
 
 def reference_ranked(model, query) -> RankedPrediction:
     """One ranked prediction through the scalar reference: what
-    :func:`~repro.api.facets.ranked_prediction` returns, computed by
+    :func:`~repro.api.facets.ranked_prediction_many` returns for the
+    query, computed by
     :meth:`~repro.core.predictor.OptimisationPredictor.reference_knn`."""
     distribution, _ = model.reference_knn(query["counters"], query["machine"])
     return RankedPrediction(

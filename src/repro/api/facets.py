@@ -46,6 +46,7 @@ from repro.api.types import (
     SearchOutcome,
     SearchRequest,
 )
+from repro.compiler.binary import CompiledBinary
 from repro.compiler.flags import FlagSetting, o3_setting
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
@@ -80,6 +81,7 @@ from repro.experiments.dataset import (
 from repro.machine.params import MicroArch
 from repro.parallel import CLUSTER, resolve_strategy, run_batch
 from repro.search.evaluator import Evaluator
+from repro.sim.analytic import SimulationResult
 from repro.sim.counters import PerfCounters
 from repro.sim.vector import GridIndex
 from repro.store import ExperimentRunner, ExperimentStore, StoreStatus
@@ -136,95 +138,72 @@ def _evaluate_work(
     )
 
 
-def profile_with_model(model, binary, machine, backend):
-    """The §3.4 profiling step against an explicit model: one run of the
-    -O3 ``binary`` plus the static code features the model's feature mode
-    demands.  Shared by :meth:`ModelsFacet.predict`/``rank`` and the
-    prediction service's program-spec path, so the two cannot drift.
-    Returns ``(profile, code_features)``."""
-    profile = backend.run(binary, machine)
-    code_features = None
+def profile_pairs(
+    model: OptimisationPredictor,
+    backend: SimulatorBackend,
+    pairs: Sequence[tuple[CompiledBinary, MicroArch]],
+) -> list[tuple[SimulationResult, object]]:
+    """The §3.4 profiling step for (-O3 binary, machine) pairs: one
+    ``backend.run`` per pair plus the static code features ``model``'s
+    feature mode demands (once per distinct binary).  Returns
+    ``(profile, code_features)`` per pair, so every caller — the models
+    facet, the guided search and each ``/predict`` form — profiles
+    exactly alike.
+
+    Pairs are priced one by one even on a backend with ``run_many``:
+    the grid kernel has a fixed cost of about a millisecond per call and
+    prices the whole binary × machine product, so it loses to ``run``
+    on the small, sparse sets of pairs a ``/predict`` batch carries.
+    """
+    profiles = [backend.run(binary, machine) for binary, machine in pairs]
+    codes: dict[int, object] = {}
     if model.feature_mode == "with_code":
         from repro.core.code_features import static_code_features
 
-        code_features = static_code_features(binary)
-    return profile, code_features
-
-
-def ranked_prediction(
-    model: OptimisationPredictor,
-    counters: PerfCounters,
-    machine: MicroArch,
-    top: int = 5,
-    code_features=None,
-    program: str | None = None,
-) -> RankedPrediction:
-    """Top-N ranked settings from an explicit fitted model.
-
-    The shared core of :meth:`ModelsFacet.rank_counters` and the
-    prediction service's ``/predict`` — taking the model as an argument
-    (instead of reading the session's mutable slot) keeps a concurrent
-    promotion from swapping the model mid-request.
-    """
-    distribution = model.predict_distribution(
-        counters, machine, code_features=code_features
-    )
-    ranked = tuple(
-        RankedSetting(rank=index + 1, setting=setting, probability=probability)
-        for index, (setting, probability) in enumerate(
-            distribution.top_settings(top)
-        )
-    )
-    return RankedPrediction(program=program, machine=machine, settings=ranked)
+        binaries = {id(binary): binary for binary, _ in pairs}
+        codes = {key: static_code_features(binary) for key, binary in binaries.items()}
+    return [
+        (profile, codes.get(id(binary)))
+        for profile, (binary, _) in zip(profiles, pairs)
+    ]
 
 
 def ranked_prediction_many(
     model: OptimisationPredictor,
     queries: Sequence[dict],
 ) -> list[RankedPrediction]:
-    """Batched :func:`ranked_prediction`: one ranking-kernel pass for the
-    whole batch, bit-identical per item to the single-query path.
+    """Top-N ranked settings for a batch of queries, from an explicit model.
 
-    Each query is a mapping with ``counters`` and ``machine`` plus optional
-    ``top`` (default 5), ``code_features``, and ``program`` — the shape the
-    service's batched ``/predict`` already parses.  Models without a batch
-    kernel (duck-typed predictors) fall back to the scalar loop.
+    The one ranking entry: :meth:`ModelsFacet.rank_counters` ranks a
+    batch of one, ``/predict`` every request it answers together — one
+    ranking-kernel pass, bit-identical per query to a batch of one.
+    Taking the model as an argument (instead of reading the session's
+    mutable slot) keeps a concurrent promotion from swapping it
+    mid-request.
+
+    Each query is a mapping with ``counters`` and ``machine`` plus
+    optional ``top`` (default 5), ``code_features`` and ``program``.
     """
-    if not hasattr(model, "predict_distribution_many"):
-        return [
-            ranked_prediction(
-                model,
-                query["counters"],
-                query["machine"],
-                query.get("top", 5),
-                code_features=query.get("code_features"),
-                program=query.get("program"),
-            )
-            for query in queries
-        ]
     distributions = model.predict_distribution_many(
         [query["counters"] for query in queries],
         [query["machine"] for query in queries],
         code_features=[query.get("code_features") for query in queries],
     )
-    predictions = []
-    for query, distribution in zip(queries, distributions):
-        ranked = tuple(
-            RankedSetting(
-                rank=index + 1, setting=setting, probability=probability
-            )
-            for index, (setting, probability) in enumerate(
-                distribution.top_settings(query.get("top", 5))
-            )
+    return [
+        RankedPrediction(
+            program=query.get("program"),
+            machine=query["machine"],
+            settings=tuple(
+                RankedSetting(
+                    rank=index + 1, setting=setting, probability=probability
+                )
+                for index, (setting, probability) in enumerate(
+                    distribution.top_settings(query.get("top", 5))
+                )
+            ),
         )
-        predictions.append(
-            RankedPrediction(
-                program=query.get("program"),
-                machine=query["machine"],
-                settings=ranked,
-            )
-        )
-    return predictions
+        for query, distribution in zip(queries, distributions)
+    ]
 
 
 class _Facet:
@@ -459,15 +438,10 @@ class EvalFacet(_Facet):
         used by the tournament so the model never consults training
         data for the program it is searching.
         """
-        session = self._session
         if model is None:
-            model = session.models._require_model()
-        resolved = session.program(program)
-        active_backend = (
-            session.backend if backend is None else resolve_backend(backend)
-        )
-        profile, code_features = profile_with_model(
-            model, session.compile(resolved), machine, active_backend
+            model = self._session.models._require_model()
+        resolved, _, profile, code_features = self._session.models._profile(
+            program, machine, backend, model
         )
         return model.predict_distribution(
             profile.counters,
@@ -697,16 +671,19 @@ class ModelsFacet(_Facet):
         program: Program | str,
         machine: MicroArch,
         backend: object | None,
+        model: OptimisationPredictor | None = None,
     ):
-        """The §3.4 profiling step: one -O3 run plus optional code features."""
+        """The §3.4 profiling step for one pair (default model: the
+        session's): one -O3 run plus optional code features."""
         session = self._session
-        model = self._require_model()
+        if model is None:
+            model = self._require_model()
         resolved = session.program(program)
         active_backend = (
             session.backend if backend is None else resolve_backend(backend)
         )
-        profile, code_features = profile_with_model(
-            model, session.compile(resolved), machine, active_backend
+        ((profile, code_features),) = profile_pairs(
+            model, active_backend, [(session.compile(resolved), machine)]
         )
         return resolved, active_backend, profile, code_features
 
@@ -785,14 +762,14 @@ class ModelsFacet(_Facet):
         program: str | None = None,
     ) -> RankedPrediction:
         """Ranked settings straight from a feature vector (no profiling run)."""
-        return ranked_prediction(
-            self._require_model(),
-            counters,
-            machine,
-            top,
-            code_features=code_features,
-            program=program,
-        )
+        query = {
+            "counters": counters,
+            "machine": machine,
+            "top": top,
+            "code_features": code_features,
+            "program": program,
+        }
+        return ranked_prediction_many(self._require_model(), [query])[0]
 
     # ------------------------------------------------------------ persistence
     def save(self, path: str | Path) -> Path:

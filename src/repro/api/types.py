@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.flags import FlagSetting
+from repro.compiler.flags import FLAG_NAMES, FlagSetting
 from repro.compiler.ir import Program
 from repro.machine.params import MicroArch
 from repro.search.evaluator import evaluations_to_reach
@@ -106,7 +106,7 @@ class RankedSetting:
         return {
             "rank": self.rank,
             "indices": list(self.setting.as_indices()),
-            "flags": dict(self.setting),
+            "flags": dict(zip(FLAG_NAMES, self.setting.values())),
             "probability": self.probability,
         }
 

@@ -571,7 +571,6 @@ def _serve(args, parser) -> int:
         registry=_registry(args),
         channel=args.channel if args.channel is not None else DEFAULT_CHANNEL,
         batching=not args.no_batch,
-        batch_window=args.batch_window if args.batch_window is not None else 0.0,
         max_inflight=(
             args.max_inflight if args.max_inflight is not None else 64
         ),
@@ -819,16 +818,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with 'serve': disable /predict request micro-batching",
     )
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        help=(
-            "with 'serve': seconds the micro-batcher waits to gather "
-            "concurrent /predict requests (default: 0 — coalesce only "
-            "requests already queued)"
-        ),
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -1055,11 +1044,10 @@ def main(argv: list[str] | None = None) -> int:
     ):
         parser.error("--host/--port only apply to the 'serve' command")
     if args.experiments != ["serve"] and (
-        args.no_batch or args.batch_window is not None or args.max_inflight is not None
+        args.no_batch or args.max_inflight is not None
     ):
         parser.error(
-            "--no-batch/--batch-window/--max-inflight only apply to the "
-            "'serve' command"
+            "--no-batch/--max-inflight only apply to the 'serve' command"
         )
     if args.experiments not in (["train"], ["models"], ["serve"]) and (
         args.channel is not None

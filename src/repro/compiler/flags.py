@@ -181,6 +181,10 @@ class FlagSetting(Mapping):
     def __len__(self) -> int:
         return len(FLAG_NAMES)
 
+    def values(self) -> tuple:
+        """The values in :data:`FLAG_NAMES` order, as the stored tuple."""
+        return self._values
+
     def __hash__(self) -> int:
         return self._hash
 

@@ -455,25 +455,6 @@ class OptimisationPredictor:
             )
         ]
 
-    def rank_many(
-        self,
-        counters_list,
-        machines,
-        top: int,
-        exclude_programs=None,
-        exclude_machines=None,
-        code_features=None,
-    ) -> list[list[tuple[FlagSetting, float]]]:
-        """Batched top-``top`` rankings: one kernel pass for the mixture
-        distributions, then the deterministic best-first enumeration."""
-        return [
-            distribution.top_settings(top)
-            for distribution in self.predict_distribution_many(
-                counters_list, machines, exclude_programs, exclude_machines,
-                code_features,
-            )
-        ]
-
     def neighbours(
         self,
         counters: PerfCounters,

@@ -39,11 +39,7 @@ from typing import Iterator
 
 from repro.api import ModelRegistry, RegistryError, Session
 from repro.api.backends import resolve_backend
-from repro.api.facets import (
-    profile_with_model,
-    ranked_prediction,
-    ranked_prediction_many,
-)
+from repro.api.facets import profile_pairs, ranked_prediction_many
 from repro.api.registry import DEFAULT_CHANNEL, validate_channel
 from repro.compiler.flags import FlagSetting
 from repro.evalrun import resolve_artifacts
@@ -94,61 +90,41 @@ class ServiceMetrics:
 
     Latencies are kept in a bounded window per key; percentiles are
     computed on read (nearest-rank), so recording stays O(1) per request.
-    Endpoints and routing channels are separate key spaces: ``/predict``
-    traffic lands in one endpoint bucket *and* in the bucket of the
-    channel whose promoted model answered it, so a slow canary model is
-    visible without un-mixing the shared endpoint window.
+    Endpoints and routing channels are separate key spaces of one table:
+    ``/predict`` traffic lands in one endpoint bucket *and* in the bucket
+    of the channel whose promoted model answered it, so a slow canary
+    model is visible without un-mixing the shared endpoint window.
     """
 
     WINDOW = 1024
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-        self._errors: dict[str, int] = {}
-        self._latencies: dict[str, list[float]] = {}
-        self._channel_counts: dict[str, int] = {}
-        self._channel_errors: dict[str, int] = {}
-        self._channel_latencies: dict[str, list[float]] = {}
+        #: (space, key) -> [count, errors, latency window]; ``space`` is
+        #: the snapshot section, "endpoints" or "channels".
+        self._table: dict[tuple[str, str], list] = {}
         self._started = time.monotonic()
 
-    def _record(
-        self,
-        counts: dict[str, int],
-        errors: dict[str, int],
-        latencies: dict[str, list[float]],
-        key: str,
-        seconds: float,
-        error: bool,
-    ) -> None:
-        counts[key] = counts.get(key, 0) + 1
-        if error:
-            errors[key] = errors.get(key, 0) + 1
-        window = latencies.setdefault(key, [])
-        window.append(seconds)
-        if len(window) > self.WINDOW:
-            del window[: len(window) - self.WINDOW]
+    def _record(self, space: str, key: str, seconds: float, error: bool) -> None:
+        with self._lock:
+            row = self._table.get((space, key))
+            if row is None:
+                row = self._table[space, key] = [0, 0, []]
+            row[0] += 1
+            row[1] += bool(error)
+            window = row[2]
+            window.append(seconds)
+            if len(window) > self.WINDOW:
+                del window[: len(window) - self.WINDOW]
 
     def observe(self, endpoint: str, seconds: float, error: bool = False) -> None:
-        with self._lock:
-            self._record(
-                self._counts, self._errors, self._latencies,
-                endpoint, seconds, error,
-            )
+        self._record("endpoints", endpoint, seconds, error)
 
     def observe_channel(
         self, channel: str, seconds: float, error: bool = False
     ) -> None:
         """Attribute one answered (or failed) request to a routing channel."""
-        with self._lock:
-            self._record(
-                self._channel_counts,
-                self._channel_errors,
-                self._channel_latencies,
-                channel,
-                seconds,
-                error,
-            )
+        self._record("channels", channel, seconds, error)
 
     @staticmethod
     def _percentile(ordered: list[float], fraction: float) -> float:
@@ -161,50 +137,27 @@ class ServiceMetrics:
         index = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
         return ordered[index]
 
-    @classmethod
-    def _summarise(
-        cls,
-        counts: dict[str, int],
-        errors: dict[str, int],
-        latencies: dict[str, list[float]],
-    ) -> dict:
-        summaries = {}
-        for key, count in sorted(counts.items()):
-            ordered = sorted(latencies.get(key, []))
-            summary = {
-                "count": count,
-                "errors": errors.get(key, 0),
-            }
-            if ordered:
-                summary["latency_ms"] = {
-                    "mean": sum(ordered) / len(ordered) * 1000.0,
-                    "p50": cls._percentile(ordered, 0.50) * 1000.0,
-                    "p90": cls._percentile(ordered, 0.90) * 1000.0,
-                    "p99": cls._percentile(ordered, 0.99) * 1000.0,
-                    "max": ordered[-1] * 1000.0,
-                }
-            summaries[key] = summary
-        return summaries
-
     def snapshot(self) -> dict:
         with self._lock:
-            counts = dict(self._counts)
-            errors = dict(self._errors)
-            latencies = {key: list(window) for key, window in self._latencies.items()}
-            channel_counts = dict(self._channel_counts)
-            channel_errors = dict(self._channel_errors)
-            channel_latencies = {
-                key: list(window)
-                for key, window in self._channel_latencies.items()
+            rows = {
+                space_key: (count, errors, list(window))
+                for space_key, (count, errors, window) in self._table.items()
             }
             uptime = time.monotonic() - self._started
-        return {
-            "uptime_seconds": uptime,
-            "endpoints": self._summarise(counts, errors, latencies),
-            "channels": self._summarise(
-                channel_counts, channel_errors, channel_latencies
-            ),
-        }
+        snapshot = {"uptime_seconds": uptime, "endpoints": {}, "channels": {}}
+        for (space, key), (count, errors, window) in sorted(rows.items()):
+            summary = {"count": count, "errors": errors}
+            if window:
+                ordered = sorted(window)
+                summary["latency_ms"] = {
+                    "mean": sum(ordered) / len(ordered) * 1000.0,
+                    "p50": self._percentile(ordered, 0.50) * 1000.0,
+                    "p90": self._percentile(ordered, 0.90) * 1000.0,
+                    "p99": self._percentile(ordered, 0.99) * 1000.0,
+                    "max": ordered[-1] * 1000.0,
+                }
+            snapshot[space][key] = summary
+        return snapshot
 
 
 class LoadLimiter:
@@ -272,31 +225,26 @@ class _PendingPredict:
 
 
 class PredictBatcher:
-    """Coalesce concurrent single ``/predict`` requests into one pass.
+    """Coalesce concurrent single ``/predict`` requests into one answer.
 
     Batching is contention-driven: the first thread to arrive becomes
-    the dispatcher, optionally sleeps a tiny gather ``window``, then
-    drains everything queued behind it into one ranking-kernel pass
-    (:func:`~repro.api.facets.ranked_prediction_many`).  Requests that
-    arrive while a dispatch is in flight queue up and form the next
+    the dispatcher and drains everything queued behind it (up to
+    :data:`MAX_BATCH_ITEMS`) without waiting to gather more.  Requests
+    that arrive while a dispatch is in flight queue up and form the next
     batch, so under load batches grow naturally while an idle server
-    with ``window=0`` adds no latency at all.
+    adds no latency at all.
 
-    Each member's payload is parsed, profiled, and ranked by exactly the
-    code the unbatched path uses, so per-request responses are
-    byte-identical to unbatched answers — including per-request errors,
-    which are raised in the caller's own thread.
+    Each drained batch is answered by
+    :meth:`PredictionService._answer` once per routing channel — the
+    routine the unbatched and ``items`` forms use too — so per-request
+    responses are byte-identical to unbatched answers, including
+    per-request errors, which are raised in the caller's own thread.
+    A payload's error fails only that payload, except a profiling
+    failure, which fails the payloads profiled on the same backend.
     """
 
-    def __init__(
-        self,
-        service: "PredictionService",
-        window: float = 0.0,
-        max_items: int = MAX_BATCH_ITEMS,
-    ):
+    def __init__(self, service: "PredictionService"):
         self._service = service
-        self.window = window
-        self.max_items = max_items
         self._condition = threading.Condition()
         self._pending: list[_PendingPredict] = []
         self._dispatching = False
@@ -308,8 +256,7 @@ class PredictBatcher:
         with self._condition:
             return {
                 "enabled": True,
-                "window_seconds": self.window,
-                "max_items": self.max_items,
+                "max_items": MAX_BATCH_ITEMS,
                 "batches": self._batches,
                 "requests": self._requests,
                 "max_batch": self._max_batch,
@@ -328,20 +275,14 @@ class PredictBatcher:
                     self._condition.wait()
                     continue
                 self._dispatching = True
-            batch: list[_PendingPredict] = []
-            try:
-                if self.window:
-                    time.sleep(self.window)
-                with self._condition:
-                    batch = self._pending[: self.max_items]
-                    del self._pending[: len(batch)]
-                    if batch:
-                        self._batches += 1
-                        self._requests += len(batch)
-                        if len(batch) > self._max_batch:
-                            self._max_batch = len(batch)
+                batch = self._pending[:MAX_BATCH_ITEMS]
+                del self._pending[: len(batch)]
                 if batch:
-                    self._dispatch(batch)
+                    self._batches += 1
+                    self._requests += len(batch)
+                    self._max_batch = max(self._max_batch, len(batch))
+            try:
+                self._dispatch(batch)
             finally:
                 with self._condition:
                     self._dispatching = False
@@ -354,7 +295,7 @@ class PredictBatcher:
         return request.response
 
     def _dispatch(self, batch: list[_PendingPredict]) -> None:
-        """Answer a drained batch, grouped by routing channel."""
+        """Answer a drained batch, one :meth:`_answer` call per channel."""
         groups: dict[str | None, list[_PendingPredict]] = {}
         for member in batch:
             try:
@@ -365,70 +306,16 @@ class PredictBatcher:
             groups.setdefault(channel, []).append(member)
         for channel, members in groups.items():
             try:
-                self._dispatch_channel(channel, members)
+                answers = self._service._answer(
+                    channel, [member.payload for member in members]
+                )
             except BaseException as error:
-                for member in members:
-                    if member.response is None and member.error is None:
-                        member.error = error
-
-    def _dispatch_channel(
-        self, channel: str | None, members: list[_PendingPredict]
-    ) -> None:
-        service = self._service
-        try:
-            model, info = service._promoted_model(channel)
-        except ServiceError as error:
-            for member in members:
-                member.error = error
-            return
-
-        live: list[tuple[_PendingPredict, dict]] = []
-        for member in members:
-            try:
-                live.append((member, service._parse_predict_entry(member.payload)))
-            except ServiceError as error:
-                member.error = error
-
-        # Program-spec members profile together: one run_many grid pass
-        # per backend, exactly as the explicit `items` batch form does.
-        profile_groups: dict[object, list[tuple[_PendingPredict, dict]]] = {}
-        for member, entry in live:
-            if entry["binary"] is not None:
-                profile_groups.setdefault(entry["backend"], []).append((member, entry))
-        for backend, group in profile_groups.items():
-            try:
-                service._profile_group(model, backend, [entry for _, entry in group])
-            except BaseException as error:
-                failed = {id(entry) for _, entry in group}
-                for member, _ in group:
-                    member.error = error
-                live = [pair for pair in live if id(pair[1]) not in failed]
-        if not live:
-            return
-
-        try:
-            ranked_batch = ranked_prediction_many(
-                model, [entry for _, entry in live]
-            )
-        except ValueError:
-            # Attribute the failure per member; survivors still answer.
-            for member, entry in live:
-                try:
-                    ranked = ranked_prediction(
-                        model,
-                        entry["counters"],
-                        entry["machine"],
-                        entry["top"],
-                        code_features=entry["code_features"],
-                        program=entry["program"],
-                    )
-                except ValueError as error:
-                    member.error = ServiceError(str(error))
+                answers = [error] * len(members)
+            for member, answer in zip(members, answers):
+                if isinstance(answer, BaseException):
+                    member.error = answer
                 else:
-                    member.response = {"model": info, **ranked.payload()}
-            return
-        for (member, _), ranked in zip(live, ranked_batch):
-            member.response = {"model": info, **ranked.payload()}
+                    member.response = answer
 
 
 # ------------------------------------------------------------ payload codecs
@@ -503,8 +390,6 @@ class PredictionService:
         *,
         channel: str = DEFAULT_CHANNEL,
         batching: bool = True,
-        batch_window: float = 0.0,
-        batch_max: int = MAX_BATCH_ITEMS,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         jobs_dir=None,
         persist_jobs: bool = True,
@@ -519,11 +404,7 @@ class PredictionService:
             raise ValueError(str(error))
         self.metrics = ServiceMetrics()
         self.limiter = LoadLimiter(max_inflight=max_inflight)
-        self.batcher = (
-            PredictBatcher(self, window=batch_window, max_items=batch_max)
-            if batching
-            else None
-        )
+        self.batcher = PredictBatcher(self) if batching else None
         if jobs_dir is None and persist_jobs and session.use_disk_cache:
             jobs_dir = jobs_root(session.cache_dir)
         self.jobs = JobManager(self._run_job, root=jobs_dir)
@@ -637,24 +518,15 @@ class PredictionService:
     def predict(self, payload: dict) -> dict:
         """``POST /predict``: features or program-spec in, ranked settings out.
 
-        The ranked list is exactly what ``session.models.rank(...)`` /
-        ``rank_counters(...)`` produce on the promoted model — both go
-        through :func:`~repro.api.facets.ranked_prediction`, so the
-        service serialises the same payload bit-for-bit.  The model and
-        the provenance echoed back are captured together, once, so the
-        response always names the version that actually answered.
-
-        A payload with an ``items`` array is a batch: each element is a
-        single-predict payload, answered in order and returned under
-        ``results``, with program-spec profiling routed through the
-        vectorised simulate-many kernel (one pass over the batch's
-        binary × machine grid).  Per-item payloads are byte-identical to
-        what ``len(items)`` single requests would return.
-
-        Single payloads route through the micro-batcher (when enabled):
-        concurrent requests coalesce into one kernel pass, with each
-        caller's payload — and each caller's error — exactly what the
-        unbatched path would produce.
+        Every form is answered by :meth:`_answer`, so the ranked list is
+        exactly what ``session.models.rank(...)`` /
+        ``rank_counters(...)`` produce on the promoted model, serialised
+        bit-for-bit.  A single payload goes through the micro-batcher
+        (when enabled), which answers concurrent requests together, or
+        else alone in the caller's thread.  A payload with an ``items``
+        array is a batch: its elements are single-predict payloads,
+        answered in order under ``results``, each byte-identical to the
+        single request.
 
         Every request is also attributed to its routing channel in the
         metrics (``self.channel`` when the payload names none), so
@@ -667,11 +539,13 @@ class PredictionService:
         started = time.perf_counter()
         try:
             if "items" in payload:
-                response = self._predict_batch(payload)
+                response = self._predict_items(channel, payload)
             elif self.batcher is not None:
                 response = self.batcher.submit(payload)
             else:
-                response = self._predict_one(payload)
+                (response,) = self._answer(channel, [payload])
+                if isinstance(response, Exception):
+                    raise response
         except BaseException:
             self.metrics.observe_channel(
                 name, time.perf_counter() - started, error=True
@@ -680,34 +554,94 @@ class PredictionService:
         self.metrics.observe_channel(name, time.perf_counter() - started)
         return response
 
-    def _predict_one(self, payload: dict) -> dict:
-        """The unbatched single-predict path (ground truth for batching)."""
-        model, info = self._promoted_model(_channel_from(payload))
-        entry = self._parse_predict_entry(payload)
-        if entry["binary"] is not None:
-            profile, code_features = profile_with_model(
-                model, entry["binary"], entry["machine"], entry["backend"]
+    def _predict_items(self, channel: str | None, payload: dict) -> dict:
+        """The ``items`` form: the lowest-index failing item fails the
+        whole request, its message prefixed with ``items[i]:``."""
+        items = payload["items"]
+        if not isinstance(items, list) or not items:
+            raise ServiceError("'items' must be a non-empty array of predict payloads")
+        if len(items) > MAX_BATCH_ITEMS:
+            raise ServiceError(
+                f"batch too large: {len(items)} items (max {MAX_BATCH_ITEMS})"
             )
-            entry["counters"] = profile.counters
-            entry["code_features"] = code_features
+        answers = self._answer(channel, items, payload.get("top", 5))
+        for index, answer in enumerate(answers):
+            if isinstance(answer, ServiceError):
+                raise ServiceError(f"items[{index}]: {answer}", status=answer.status)
+            if isinstance(answer, Exception):
+                raise answer
+        return {
+            "model": answers[0]["model"],
+            "results": [
+                {key: value for key, value in answer.items() if key != "model"}
+                for answer in answers
+            ],
+        }
+
+    def _answer(
+        self, channel: str | None, payloads: list, default_top: int = 5
+    ) -> list[dict | Exception]:
+        """Answer single-predict payloads routed to one channel: the one
+        ``/predict`` path, in order, a response or an exception each.
+
+        The promoted model is read once, so every answer names the
+        version that produced it.  Program-spec payloads are profiled
+        together per backend (:func:`~repro.api.facets.profile_pairs`)
+        and all valid payloads are ranked in one
+        :func:`~repro.api.facets.ranked_prediction_many` call; only if
+        that raises ``ValueError`` are they re-ranked one by one, to pin
+        the 400 on the payloads that caused it.  A backend whose profiling
+        raises fails only its own payloads, with that exception.
+        """
+        model, info = self._promoted_model(channel)
+        answers: list = [None] * len(payloads)
+        entries: dict[int, dict] = {}
+        for index, payload in enumerate(payloads):
+            try:
+                entries[index] = self._parse_predict_entry(payload, default_top)
+            except ServiceError as error:
+                answers[index] = error
+
+        by_backend: dict[object, list[int]] = {}
+        for index, entry in entries.items():
+            if entry["binary"] is not None:
+                by_backend.setdefault(entry["backend"], []).append(index)
+        for backend, indices in by_backend.items():
+            try:
+                profiles = profile_pairs(
+                    model,
+                    backend,
+                    [(entries[i]["binary"], entries[i]["machine"]) for i in indices],
+                )
+            except Exception as error:
+                for index in indices:
+                    answers[index] = error
+                    del entries[index]
+                continue
+            for index, (profile, code_features) in zip(indices, profiles):
+                entries[index]["counters"] = profile.counters
+                entries[index]["code_features"] = code_features
+
         try:
-            ranked = ranked_prediction(
-                model,
-                entry["counters"],
-                entry["machine"],
-                entry["top"],
-                code_features=entry["code_features"],
-                program=entry["program"],
+            ranked = ranked_prediction_many(model, list(entries.values()))
+        except ValueError:
+            ranked = []
+            for entry in entries.values():
+                try:
+                    ranked.extend(ranked_prediction_many(model, [entry]))
+                except ValueError as error:
+                    ranked.append(ServiceError(str(error)))
+        for index, prediction in zip(entries, ranked):
+            answers[index] = (
+                prediction
+                if isinstance(prediction, ServiceError)
+                else {"model": info, **prediction.payload()}
             )
-        except ValueError as error:
-            raise ServiceError(str(error))
-        return {"model": info, **ranked.payload()}
+        return answers
 
     def _parse_predict_entry(self, item: dict, default_top: int = 5) -> dict:
         """Validate one predict payload into a ranking-ready entry.
 
-        Shared by the single path, the explicit ``items`` batch, and the
-        micro-batcher, so all three reject and answer identically.
         Program-spec entries come back with ``binary``/``backend`` set
         and ``counters`` still to be profiled.
         """
@@ -749,101 +683,6 @@ class PredictionService:
         else:
             raise ServiceError("needs 'program' or 'counters'")
         return entry
-
-    # ------------------------------------------------------------ batch predict
-    def _predict_batch(self, payload: dict) -> dict:
-        """The ``items`` form of ``/predict``: many queries, one pass.
-
-        Counter items rank directly; program-spec items are profiled in
-        bulk — each distinct program compiled once, the whole
-        (binary × machine) grid priced by the backend's ``run_many``
-        (the vectorised kernel for the analytic tier).  Item order is
-        preserved and each element of ``results`` matches the
-        corresponding single-request payload bit-for-bit.
-        """
-        model, info = self._promoted_model(_channel_from(payload))
-        items = payload["items"]
-        if not isinstance(items, list) or not items:
-            raise ServiceError("'items' must be a non-empty array of predict payloads")
-        if len(items) > MAX_BATCH_ITEMS:
-            raise ServiceError(
-                f"batch too large: {len(items)} items (max {MAX_BATCH_ITEMS})"
-            )
-        default_top = payload.get("top", 5)
-
-        parsed: list[dict] = []
-        profile_groups: dict[object, list[int]] = {}
-        for index, item in enumerate(items):
-            try:
-                entry = self._parse_predict_entry(item, default_top)
-            except ServiceError as error:
-                raise ServiceError(f"items[{index}]: {error}", status=error.status)
-            if entry["binary"] is not None:
-                profile_groups.setdefault(entry["backend"], []).append(index)
-            parsed.append(entry)
-
-        for backend, indices in profile_groups.items():
-            self._profile_group(model, backend, [parsed[i] for i in indices])
-
-        try:
-            # One ranking-kernel pass for the whole batch; each result is
-            # bit-identical to the corresponding single-request payload.
-            ranked_batch = ranked_prediction_many(model, parsed)
-        except ValueError:
-            # Re-run item by item only to attribute the failure.
-            for index, entry in enumerate(parsed):
-                try:
-                    ranked_prediction(
-                        model,
-                        entry["counters"],
-                        entry["machine"],
-                        entry["top"],
-                        code_features=entry["code_features"],
-                        program=entry["program"],
-                    )
-                except ValueError as error:
-                    raise ServiceError(f"items[{index}]: {error}")
-            raise
-        results = [ranked.payload() for ranked in ranked_batch]
-        return {"model": info, "results": results}
-
-    def _profile_group(self, model, backend, entries: list[dict]) -> None:
-        """Fill ``counters``/``code_features`` for one backend's entries.
-
-        Batch-capable backends price the deduplicated binary × machine
-        grid in one ``run_many`` call; backends without one (the trace
-        tier) profile item by item.  Both produce the exact counters a
-        single ``/predict`` computes.
-        """
-        run_many = getattr(backend, "run_many", None)
-        if run_many is None:
-            for entry in entries:
-                profile, code_features = profile_with_model(
-                    model, entry["binary"], entry["machine"], backend
-                )
-                entry["counters"] = profile.counters
-                entry["code_features"] = code_features
-            return
-
-        from repro.sim.vector import GridIndex
-
-        rows, cols = GridIndex(), GridIndex()
-        coords = [
-            (
-                rows.add(id(entry["binary"]), lambda: entry["binary"]),
-                cols.add(entry["machine"], lambda: entry["machine"]),
-            )
-            for entry in entries
-        ]
-        grid = run_many(rows.values, cols.values)
-        features = [None] * len(rows.values)
-        if model.feature_mode == "with_code":
-            from repro.core.code_features import static_code_features
-
-            features = [static_code_features(binary) for binary in rows.values]
-        for entry, (row, col) in zip(entries, coords):
-            entry["counters"] = PerfCounters(*grid.counters[row, col, :])
-            entry["code_features"] = features[row]
 
     def evaluate(self, payload: dict) -> dict:
         """``POST /evaluate``: compile-and-simulate one triple."""

@@ -405,15 +405,15 @@ class ExperimentStore:
         npz_path, sidecar_path = self._shard_paths(key)
         try:
             # A zero-byte array file is the torn tail an out-of-space or
-            # killed writer leaves behind; treat it — like any unreadable
-            # sidecar — as pending so resume recomputes the shard instead
-            # of tripping over it at read time.
+            # killed writer leaves behind; treat it — like an unreadable
+            # sidecar or one that fits no chunk of this grid — as pending
+            # so resume recomputes the shard instead of tripping over it
+            # at read time.
             if npz_path.stat().st_size == 0:
                 return False
             sidecar = read_json_object(sidecar_path, StoreError)
+            _check_sidecar(sidecar, self.grid, key, npz_path, sidecar_path)
         except (OSError, StoreError):
-            return False
-        if sidecar.get("grid_fingerprint") != self.grid.fingerprint():
             return False
         self._known_complete.add(key)
         return True
@@ -695,6 +695,32 @@ def _shard_key(stem: str, grid: GridSpec) -> ShardKey:
     return key
 
 
+def _check_sidecar(
+    sidecar: dict,
+    grid: GridSpec,
+    key: ShardKey,
+    npz_path: Path,
+    sidecar_path: Path,
+) -> None:
+    """Raise :class:`StoreError` unless ``sidecar`` records a unit of
+    ``grid`` covering exactly ``key``'s chunk.  The chunking is outside
+    the grid fingerprint, so an edited ``chunk_machines`` leaves old
+    shards that fit no chunk: :meth:`ExperimentStore.has_shard` counts
+    them as pending, reads and scrub as corrupt."""
+    if sidecar.get("grid_fingerprint") != grid.fingerprint():
+        raise StoreError(
+            f"shard {npz_path.stem} is from a different grid", "orphaned", npz_path
+        )
+    extent = (sidecar.get("machine_start"), sidecar.get("machine_stop"))
+    if extent != grid.chunk_range(key.chunk):
+        raise StoreError(
+            f"shard {npz_path.stem} is corrupt: it covers machines {extent}, "
+            f"not chunk {key.chunk}'s {grid.chunk_range(key.chunk)}",
+            "corrupt",
+            sidecar_path,
+        )
+
+
 def _load_shard(
     npz_path: Path,
     sidecar_path: Path,
@@ -714,18 +740,7 @@ def _load_shard(
     """
     sidecar = read_json_object(sidecar_path, StoreError) if verify else {}
     if grid is not None and verify:
-        if sidecar.get("grid_fingerprint") != grid.fingerprint():
-            raise StoreError(
-                f"shard {npz_path.stem} is from a different grid", "orphaned", npz_path
-            )
-        extent = (sidecar.get("machine_start"), sidecar.get("machine_stop"))
-        if extent != grid.chunk_range(key.chunk):
-            raise StoreError(
-                f"shard {npz_path.stem} is corrupt: it covers machines {extent}, "
-                f"not chunk {key.chunk}'s {grid.chunk_range(key.chunk)}",
-                "corrupt",
-                sidecar_path,
-            )
+        _check_sidecar(sidecar, grid, key, npz_path, sidecar_path)
     arrays = load_npz(npz_path, _SHARD_ARRAY_NAMES, StoreError)
     if grid is not None:
         for (name, shape), array in zip(grid.shard_shapes(key).items(), arrays):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ModelRegistry, RankedPrediction, RankedSetting, Session
-from repro.api.facets import ranked_prediction, ranked_prediction_many
+from repro.api.facets import ranked_prediction_many
 from repro.core import vector as model_vector
 from repro.core.predictor import OptimisationPredictor
 from repro.machine.params import BASE_GRID, EXTENDED_GRID, MicroArch
@@ -73,7 +73,8 @@ def reference_distribution(model, *query, **exclusions):
 
 
 def reference_ranked(model, counters, machine, top, program=None):
-    """:func:`ranked_prediction`, ranked from the scalar reference."""
+    """One :func:`ranked_prediction_many` answer, ranked from the scalar
+    reference."""
     settings = tuple(
         RankedSetting(rank=index + 1, setting=setting, probability=probability)
         for index, (setting, probability) in enumerate(
@@ -218,18 +219,26 @@ class TestBatchedMany:
             reference = reference_distribution(model, *query)
             assert_distribution_exact(reference, candidate)
 
-    def test_predict_many_and_rank_many_match(self, fitted):
+    def test_predict_many_and_batched_ranking_match(self, fitted):
         training = fitted["training"]
         queries = self._grid_queries(training)[:8]
         counters = [q[0] for q in queries]
         machines = [q[1] for q in queries]
         model = fitted["model"]
         modes = model.predict_many(counters, machines)
-        ranks = model.rank_many(counters, machines, top=3)
+        ranks = ranked_prediction_many(
+            model,
+            [
+                {"counters": c, "machine": m, "top": 3}
+                for c, m in zip(counters, machines)
+            ],
+        )
         for i, query in enumerate(queries):
             reference = reference_distribution(model, query[0], query[1])
             assert modes[i] == reference.mode()
-            assert ranks[i] == reference.top_settings(3)
+            assert [
+                (entry.setting, entry.probability) for entry in ranks[i].settings
+            ] == reference.top_settings(3)
 
     def test_empty_batch_and_length_mismatch(self, fitted):
         model = fitted["model"]
@@ -286,13 +295,7 @@ class TestBatchedMany:
         model = fitted["model"]
         batch = ranked_prediction_many(model, queries)
         for query, prediction in zip(queries, batch):
-            single = ranked_prediction(
-                model,
-                query["counters"],
-                query["machine"],
-                query["top"],
-                program=query["program"],
-            )
+            (single,) = ranked_prediction_many(model, [query])
             reference = reference_ranked(
                 model,
                 query["counters"],

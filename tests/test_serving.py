@@ -379,10 +379,93 @@ class TestMicroBatching:
         assert isinstance(bad.error, ServiceError)
         assert "bad machine" in str(bad.error)
 
+    def test_profiling_failure_fails_only_its_backend(self, deployment, monkeypatch):
+        from repro.service import service as service_module
+        from repro.service.service import _PendingPredict
+
+        class BrokenBackend:
+            def run(self, binary, machine):
+                raise RuntimeError("simulator down")
+
+        monkeypatch.setattr(
+            service_module, "resolve_backend", lambda name: BrokenBackend()
+        )
+        payload = _counters_payload(deployment)
+        expected = canonical_json(
+            PredictionService(deployment, batching=False).predict(payload)
+        )
+        isolated = PredictionService(deployment)
+        broken = _PendingPredict(
+            {
+                "program": "sha",
+                "machine": dataclasses.asdict(xscale()),
+                "backend": "broken",
+            }
+        )
+        isolated.batcher._pending.append(broken)
+        answer = isolated.batcher.submit(dict(payload))
+        assert canonical_json(answer) == expected
+        assert isolated.batcher.snapshot()["max_batch"] == 2
+        assert isinstance(broken.error, RuntimeError)
+        assert "simulator down" in str(broken.error)
+
     def test_batching_can_be_disabled(self, plain_service, deployment):
         assert plain_service.batcher is None
         answer = plain_service.predict(_counters_payload(deployment))
         assert answer["settings"]
+
+
+@pytest.fixture(scope="module")
+def code_deployment(tmp_path_factory, tiny_data):
+    """A registry whose promoted model ranks with static code features,
+    so a counters-only request fails inside the ranking kernel."""
+    cache = tmp_path_factory.mktemp("code-cache")
+    trainer = Session("tiny", cache_dir=cache)
+    trainer.models.fit(tiny_data.training, feature_mode="with_code")
+    trainer.models.register(promote=True)
+    return Session("tiny", cache_dir=cache, use_disk_cache=False)
+
+
+class TestRankingErrors:
+    """A ``ValueError`` from the ranking kernel is a 400 for the request
+    that caused it, in every request form, and spares its batch peers."""
+
+    @staticmethod
+    def _program_payload():
+        return {"program": "sha", "machine": dataclasses.asdict(xscale()), "top": 3}
+
+    def test_unbatched_request_names_the_code_features(self, code_deployment):
+        svc = PredictionService(code_deployment, batching=False)
+        with pytest.raises(ServiceError, match="code features") as excinfo:
+            svc.predict(_counters_payload(code_deployment))
+        assert excinfo.value.status == 400
+
+    def test_micro_batch_peer_answers_as_if_alone(self, code_deployment):
+        from repro.service.service import _PendingPredict
+
+        expected = canonical_json(
+            PredictionService(code_deployment, batching=False).predict(
+                self._program_payload()
+            )
+        )
+        batched = PredictionService(code_deployment)
+        failing = _PendingPredict(_counters_payload(code_deployment))
+        batched.batcher._pending.append(failing)
+        answer = batched.batcher.submit(self._program_payload())
+        assert canonical_json(answer) == expected
+        assert batched.batcher.snapshot()["max_batch"] == 2
+        assert isinstance(failing.error, ServiceError)
+        assert failing.error.status == 400
+        assert "code features" in str(failing.error)
+
+    def test_items_form_names_the_failing_item(self, code_deployment):
+        svc = PredictionService(code_deployment, batching=False)
+        items = [_counters_payload(code_deployment), self._program_payload()]
+        with pytest.raises(
+            ServiceError, match=r"^items\[0\]: .*code features"
+        ) as excinfo:
+            svc.predict({"items": items})
+        assert excinfo.value.status == 400
 
 
 class TestChannels:

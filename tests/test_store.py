@@ -354,12 +354,13 @@ class TestRunnerEquivalence:
         assert runner.run() == 0  # complete store: nothing to do
 
     def test_edited_chunking_fails_reads_and_scrub(
-        self, tmp_path, smoke_grid, smoke_programs
+        self, tmp_path, smoke_grid, smoke_programs, smoke_reference
     ):
         """``chunk_machines`` is outside the grid fingerprint, so an edited
         manifest keeps its old shards.  Their extents no longer match the
         chunks: reads and scrub must call them corrupt, not hand numpy
-        arrays of the wrong width to ``assemble``."""
+        arrays of the wrong width to ``assemble``, and a resume must
+        count them as pending and recompute them."""
         root = tmp_path / "store"
         ExperimentRunner(
             ExperimentStore(smoke_grid, root=root), programs=smoke_programs
@@ -369,21 +370,15 @@ class TestRunnerEquivalence:
         manifest["chunk_machines"] = 1
         manifest_path.write_text(json.dumps(manifest))
 
-        resumed = ExperimentStore(smoke_grid, root=root)
-        assert resumed.grid.chunk_machines == 1
-        ExperimentRunner(resumed, programs=smoke_programs).run()
-        assert resumed.is_complete()
-        with pytest.raises(StoreError, match="corrupt") as caught:
-            resumed.assemble()
-        assert caught.value.status == "corrupt"
-        for stale in ("p0000-c0000", "p0000-c0001", "p0001-c0000"):
-            with pytest.raises(StoreError, match="corrupt"):
-                resumed.read_shard(ShardKey(int(stale[1:5]), int(stale[7:])))
-        assert resumed.read_shard(ShardKey(0, 2))[0].shape == (SMOKE.n_settings, 1)
+        edited = ExperimentStore(smoke_grid, root=root)
+        assert edited.grid.chunk_machines == 1
+        assert edited.completed_keys() == []
+        with pytest.raises(StoreError, match="not in store"):
+            edited.read_shard(ShardKey(0, 0))
 
         # A unit named for no chunk of the grid belongs to no grid cell.
         for suffix in (".npz", ".json"):
-            source = root / "shards" / f"p0000-c0002{suffix}"
+            source = root / "shards" / f"p0000-c0001{suffix}"
             (root / "shards" / f"p0009-c0000{suffix}").write_bytes(source.read_bytes())
         statuses = {
             finding.path: finding.status
@@ -391,9 +386,20 @@ class TestRunnerEquivalence:
         }
         assert statuses["shards/p0009-c0000.npz"] == "orphaned"
         # The sidecar's recorded extent is what disagrees with the grid.
-        assert statuses["shards/p0000-c0000.json"] == "corrupt"
-        assert statuses["shards/p0001-c0001.json"] == "corrupt"
-        assert statuses["shards/p0000-c0002.npz"] == "ok"
+        for stale in ("p0000-c0000", "p0000-c0001", "p0001-c0000", "p0001-c0001"):
+            assert statuses[f"shards/{stale}.json"] == "corrupt"
+        for suffix in (".npz", ".json"):
+            (root / "shards" / f"p0009-c0000{suffix}").unlink()
+
+        # The first resume recomputes the stale shards itself.
+        ExperimentRunner(edited, programs=smoke_programs).run()
+        assert edited.is_complete()
+        assert edited.read_shard(ShardKey(0, 2))[0].shape == (SMOKE.n_settings, 1)
+        assert edited.assemble().fingerprint() == smoke_reference.fingerprint()
+        assert all(
+            finding.status == "ok"
+            for finding in ExperimentStore.scrub(root, repair=False)
+        )
 
     def test_runner_rejects_misaligned_programs(self, smoke_grid, smoke_programs):
         store = ExperimentStore(smoke_grid, root=None)
