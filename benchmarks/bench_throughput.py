@@ -115,21 +115,22 @@ def emit_artifact(out: str, smoke: bool) -> dict:
     scalar_timing = throughput(measure(scalar, rounds=3), pairs)
     vector_timing = throughput(measure(vector, rounds=3), pairs)
 
-    # The artifact also certifies equivalence: a speedup from a kernel
-    # that drifted from the reference would be worthless.
+    # The artifact also certifies equivalence on the kernel's outputs,
+    # seconds and counters: a speedup from a kernel that drifted from
+    # the reference would be worthless.
     import numpy as np
 
-    reference = np.array(
-        [
-            [simulate_analytic(b, m).seconds for m in machines]
-            for b in binaries
-        ]
-    )
+    reference = [[simulate_analytic(b, m) for m in machines] for b in binaries]
     vectored = simulate_many(
         [BinarySignature.from_binary(b) for b in binaries],
         MachineMatrix.from_machines(machines),
-    ).seconds
-    if not np.array_equal(reference, vectored):
+    )
+    seconds = np.array([[r.seconds for r in row] for row in reference])
+    counters = np.array([[r.counters.vector() for r in row] for row in reference])
+    if not (
+        np.array_equal(seconds, vectored.seconds)
+        and np.array_equal(counters, vectored.counters)
+    ):
         raise SystemExit("vector kernel drifted from the scalar reference")
 
     payload = {

@@ -27,7 +27,6 @@ from repro.sim.analytic import (
     simulate_analytic,
 )
 from repro.sim.trace import simulate_trace
-from repro.sim.vector import VectorResults, simulate_grid
 
 
 @runtime_checkable
@@ -48,20 +47,6 @@ class AnalyticBackend:
 
     def run(self, binary: CompiledBinary, machine: MicroArch) -> SimulationResult:
         return simulate_analytic(binary, machine)
-
-    def run_many(
-        self,
-        binaries: list[CompiledBinary],
-        machines: list[MicroArch],
-    ) -> VectorResults:
-        """Every (binary × machine) pair in one vectorised kernel pass.
-
-        Bit-identical to calling :meth:`run` per pair; batch-aware
-        callers (``session.eval.batch``, the search evaluator, the
-        service's batched ``/predict``) detect this method's presence to
-        route whole grids through :func:`repro.sim.vector.simulate_many`.
-        """
-        return simulate_grid(binaries, machines)
 
 
 @dataclass(frozen=True)

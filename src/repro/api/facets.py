@@ -83,7 +83,6 @@ from repro.parallel import CLUSTER, resolve_strategy, run_batch
 from repro.search.evaluator import Evaluator
 from repro.sim.analytic import SimulationResult
 from repro.sim.counters import PerfCounters
-from repro.sim.vector import GridIndex
 from repro.store import ExperimentRunner, ExperimentStore, StoreStatus
 
 #: Search algorithms :meth:`EvalFacet.search` runs: every tournament
@@ -149,11 +148,6 @@ def profile_pairs(
     ``(profile, code_features)`` per pair, so every caller — the models
     facet, the guided search and each ``/predict`` form — profiles
     exactly alike.
-
-    Pairs are priced one by one even on a backend with ``run_many``:
-    the grid kernel has a fixed cost of about a millisecond per call and
-    prices the whole binary × machine product, so it loses to ``run``
-    on the small, sparse sets of pairs a ``/predict`` batch carries.
     """
     profiles = [backend.run(binary, machine) for binary, machine in pairs]
     codes: dict[int, object] = {}
@@ -283,53 +277,9 @@ class EvalFacet(_Facet):
             return run_batch(
                 _evaluate_work, items, jobs=workers, executor=strategy
             )
-        if self._vectorisable(items):
-            return self._batch_vectorised(items)
         # Serial runs share this process's memory, so they go through
         # the session compiler and its memoisation.
         return [_evaluate_work(item, compiler=session.compiler) for item in items]
-
-    def _vectorisable(self, items: list[tuple]) -> bool:
-        """True when the whole batch can ride one simulate-many pass."""
-        if len(items) < 2:
-            return False
-        first_backend = items[0][3]
-        return hasattr(first_backend, "run_many") and all(
-            item[3] == first_backend for item in items
-        )
-
-    def _batch_vectorised(self, items: list[tuple]) -> list[EvaluationResult]:
-        """One kernel pass over the batch's (binary × machine) grid.
-
-        Compiles each distinct (program, setting) once through the
-        session compiler, prices the full grid with the backend's
-        ``run_many``, and materialises per-request results — bit-identical
-        to the per-item path, just without S×M scalar simulations.
-        """
-        compiler = self._session.compiler
-        backend = items[0][3]
-        rows, cols = GridIndex(), GridIndex()
-        coords = [
-            (
-                rows.add(
-                    (id(program), setting.canonical()),
-                    lambda: compiler.compile(program, setting),
-                ),
-                cols.add(machine, lambda: machine),
-            )
-            for program, setting, machine, _ in items
-        ]
-        results = backend.run_many(rows.values, cols.values)
-        return [
-            EvaluationResult(
-                program=program.name,
-                machine=machine,
-                setting=setting.canonical(),
-                backend=backend.name,
-                simulation=results.result(row, col),
-            )
-            for (program, setting, machine, _), (row, col) in zip(items, coords)
-        ]
 
     def speedup_over_o3(
         self,
@@ -364,7 +314,6 @@ class EvalFacet(_Facet):
             machine=machine,
             compiler=session.compiler,
             simulate=active_backend.run,
-            batch_simulate=getattr(active_backend, "run_many", None),
         )
 
     def search(
@@ -505,7 +454,6 @@ class EvalFacet(_Facet):
                 machine=machine,
                 compiler=session.compiler,
                 simulate=active_backend.run,
-                batch_simulate=getattr(active_backend, "run_many", None),
             )
 
         def distribution_for(program: Program, machine: MicroArch):

@@ -1,8 +1,9 @@
 """Model-guided autotuning: strategies, batched scoring, tournaments.
 
 The subsystem that connects the paper's three pillars — the iterative
-search baselines, the fitted predictive model, and the vectorised
-simulate-many kernel — into one framework:
+search baselines, the fitted predictive model, and the compile-and-price
+evaluator (trie-batched compiles, one simulator call per fresh binary) —
+into one framework:
 
 * :mod:`~repro.autotune.core` — :class:`SearchBudget` /
   :class:`SearchTrace` / :class:`SearchContext` and the

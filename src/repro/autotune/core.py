@@ -3,8 +3,9 @@
 ``repro.autotune`` unifies iterative compiler search under one framework.
 A *strategy* proposes candidate flag settings; a :class:`BatchScorer`
 (see :mod:`repro.autotune.scorer`) prices them through the memoising
-:class:`~repro.search.evaluator.Evaluator` — batched, so whole
-generations ride the vectorised simulate-many kernel — and records every
+:class:`~repro.search.evaluator.Evaluator` — batched, so a whole
+generation's uncached settings compile as one pass-prefix trie, each
+fresh binary then priced by one simulator call — and records every
 candidate into a :class:`SearchTrace`.  The trace is the single source
 of truth for the paper's §5.3 metrics: evaluations-to-match-best and
 simulations consumed.

@@ -2,12 +2,12 @@
 
 Strategies hand the scorer whole batches (a GA generation, a CE probing
 round, a beam) and the scorer prices them in one
-:meth:`~repro.search.evaluator.Evaluator.evaluate_many` pass — one
-compile per uncached canonical setting plus a single vectorised
-simulate-many call — instead of candidate-at-a-time scalar simulation.
-Results are bit-identical to the sequential path (the PR-5 kernel
-guarantee), so re-homing the legacy drivers onto the scorer changes
-their cost, not their answers.
+:meth:`~repro.search.evaluator.Evaluator.evaluate_many` pass: the
+uncached canonical settings compile as one pass-prefix trie batch, then
+each fresh binary is priced with one simulator call.  A single
+candidate is a batch of one, so sequential strategies share the same
+memo, accounting and trace path, and results do not depend on how a
+strategy groups its candidates.
 
 Budget enforcement lives here, not in the strategies: any request that
 would cross the budget is truncated to the remaining allowance, so
@@ -79,16 +79,6 @@ class BatchScorer:
         return runtimes
 
     def score_one(self, setting: FlagSetting, source: str) -> float | None:
-        """Price one candidate, or ``None`` when the budget is exhausted.
-
-        Single candidates skip the batch kernel (a 1-wide batch would
-        only add overhead) but share the same memo, accounting, and
-        trace path.
-        """
-        if self.exhausted:
-            return None
-        canonical = setting.canonical()
-        fresh = not self.evaluator.is_cached(canonical)
-        runtime = self.evaluator.evaluate(setting)
-        self.trace.record(setting, runtime, source, fresh)
-        return runtime
+        """Price one candidate, or ``None`` when the budget is exhausted."""
+        runtimes = self.score([setting], source)
+        return runtimes[0] if runtimes else None

@@ -5,7 +5,7 @@ bit* (pinned by ``tests/golden/search_golden.json``): identical RNG draw
 sequences, identical evaluation order, identical tie-breaks.  Candidates
 flow through the :class:`~repro.autotune.scorer.BatchScorer`, so
 independent batches (a random sample, a GA generation, a CE probing
-round) are priced in one vector-kernel pass, and the budget is enforced
+round) compile as one pass-prefix trie batch, and the budget is enforced
 centrally.  The one observable divergence from the original drivers is
 deliberate: genetic search and combined elimination could overshoot
 their budget by one evaluation at boundary budgets; the scorer clamps
@@ -70,7 +70,8 @@ class RandomSearch:
 class HillClimb:
     """First-improvement hill climbing with random restarts (Almagor
     et al. [2]).  Inherently sequential — each step depends on the last
-    runtime — so candidates go through :meth:`BatchScorer.score_one`."""
+    runtime — so candidates go through :meth:`BatchScorer.score_one`, a
+    batch of one."""
 
     name = "hillclimb"
     deterministic = False

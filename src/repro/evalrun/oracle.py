@@ -7,7 +7,9 @@ machine, so the oracle answers those lookups without touching the
 compiler or simulator at all; only settings the model synthesised
 outside the sampled grid fall back to compile-and-simulate — and that
 fallback is memoised compile-once/simulate-once, shared across every
-fold that asks.
+fold that asks.  A fold's fallback settings compile as one pass-prefix
+trie batch and each (binary, machine) pair is priced with one
+``simulate_analytic`` call.
 
 The oracle also guards fold evaluation against silently swapping in a
 different binary: every compiled binary is checked to carry exactly the
@@ -26,7 +28,6 @@ from repro.compiler.pipeline import Compiler
 from repro.core.training import TrainingSet
 from repro.machine.params import MicroArch
 from repro.sim.analytic import simulate_analytic
-from repro.sim.vector import BinarySignature, simulate_many
 
 
 class OracleError(RuntimeError):
@@ -106,25 +107,7 @@ class RuntimeOracle:
         self, program: str, setting: FlagSetting, machine: MicroArch
     ) -> float:
         """Seconds for one triple: grid lookup first, simulate only if new."""
-        p = self.program_index(program)
-        m = self.machine_index(machine)
-        canonical = setting.canonical()
-        s = self._setting_index.get(canonical)
-        if s is not None:
-            with self._lock:
-                self.store_hits += 1
-            return float(self.training.runtimes[p, s, m])
-
-        key = (program, canonical, m)
-        cached = self._fallback_runtimes.get(key)
-        if cached is not None:
-            return cached
-        binary = self._compile_checked(program, canonical)
-        seconds = simulate_analytic(binary, machine).seconds
-        with self._lock:
-            self.simulation_calls += 1
-            self._fallback_runtimes[key] = seconds
-        return seconds
+        return self._runtimes(program, [setting], [machine])[0]
 
     def runtime_many(
         self,
@@ -134,17 +117,24 @@ class RuntimeOracle:
     ) -> list[float]:
         """Seconds for ``(program, settings[i], machines[i])`` triples.
 
-        The batched form of :meth:`runtime`: in-grid settings still read
-        straight from the training matrix, but all out-of-grid fallback
-        pairs of one setting are compiled once and priced in a single
-        :func:`~repro.sim.vector.simulate_many` pass instead of one
-        scalar simulation per machine.  Results, memoisation keys, and
-        the ``store_hits``/``simulation_calls`` counters are exactly
-        what the equivalent sequence of :meth:`runtime` calls produces
-        (the vector kernel is bit-identical to the scalar model).
+        The batched form of :meth:`runtime`: answers, the fallback memo
+        and the ``store_hits``/``simulation_calls`` counters are exactly
+        what the same sequence of :meth:`runtime` calls produces, but
+        every out-of-grid setting compiles in one
+        :meth:`~repro.compiler.pipeline.Compiler.compile_many` batch.
         """
         if len(settings) != len(machines):
             raise ValueError("settings and machines must pair up")
+        return self._runtimes(program, settings, machines)
+
+    def _runtimes(
+        self,
+        program: str,
+        settings: Sequence[FlagSetting],
+        machines: Sequence[MicroArch],
+    ) -> list[float]:
+        """Both public lookups' one body; neither calls the other, so a
+        wrapper around either sees each lookup once."""
         p = self.program_index(program)
         machine_indices = [self.machine_index(machine) for machine in machines]
         canonicals = [setting.canonical() for setting in settings]
@@ -167,33 +157,36 @@ class RuntimeOracle:
         if store_hits:
             with self._lock:
                 self.store_hits += store_hits
+        if not pending:
+            return answers
 
-        for canonical, places in pending.items():
-            binary = self._compile_checked(program, canonical)
+        binaries = self._compile_checked(program, list(pending))
+        for (canonical, places), binary in zip(pending.items(), binaries):
             # A setting may pair with the same machine twice; simulate
-            # each distinct machine once, exactly like memoised
-            # per-triple calls would.
-            distinct = sorted({m for _, m in places})
-            results = simulate_many(
-                [BinarySignature.from_binary(binary)],
-                [self.training.machines[m] for m in distinct],
-            )
-            seconds_by_machine = {
-                m: float(results.seconds[0, i]) for i, m in enumerate(distinct)
-            }
+            # each distinct machine once, as memoised per-triple calls do.
+            seconds_by_machine: dict[int, float] = {}
+            for position, m in places:
+                seconds = seconds_by_machine.get(m)
+                if seconds is None:
+                    seconds = simulate_analytic(
+                        binary, self.training.machines[m]
+                    ).seconds
+                    seconds_by_machine[m] = seconds
+                answers[position] = seconds
             with self._lock:
-                self.simulation_calls += len(distinct)
+                self.simulation_calls += len(seconds_by_machine)
                 for m, seconds in seconds_by_machine.items():
                     self._fallback_runtimes[(program, canonical, m)] = seconds
-            for position, m in places:
-                answers[position] = seconds_by_machine[m]
         return answers
 
     # ------------------------------------------------------------ fallback
-    def _compile_checked(self, program: str, canonical: FlagSetting):
-        """Compile through the memoising compiler, verifying identity.
+    def _compile_checked(
+        self, program: str, canonicals: Sequence[FlagSetting]
+    ) -> list:
+        """Compile one trie batch through the memoising compiler,
+        verifying every binary's identity.
 
-        The returned binary must be *the* binary of (program, setting):
+        Each returned binary must be *the* binary of (program, setting):
         a cache or executor bug that swapped in another program's binary,
         or one compiled under different flags, would silently corrupt
         every downstream paper number, so it is checked here instead of
@@ -202,16 +195,19 @@ class RuntimeOracle:
         source = self._programs.get(program)
         if source is None:
             raise OracleError(f"no Program object for {program!r}")
-        binary = self.compiler.compile(source, canonical)
-        if binary.program_name != program:
-            raise OracleError(
-                f"binary swap: asked for {program!r}, "
-                f"got {binary.program_name!r}"
+        binaries = self.compiler.compile_many(source, canonicals)
+        for canonical, binary in zip(canonicals, binaries, strict=True):
+            if binary.program_name != program:
+                raise OracleError(
+                    f"binary swap: asked for {program!r}, "
+                    f"got {binary.program_name!r}"
+                )
+            recorded = (
+                binary.setting.canonical() if binary.setting is not None else None
             )
-        recorded = binary.setting.canonical() if binary.setting is not None else None
-        if recorded != canonical:
-            raise OracleError(
-                f"binary swap: {program!r} binary was compiled under a "
-                "different flag setting than requested"
-            )
-        return binary
+            if recorded != canonical:
+                raise OracleError(
+                    f"binary swap: {program!r} binary was compiled under a "
+                    "different flag setting than requested"
+                )
+        return binaries

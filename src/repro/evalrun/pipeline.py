@@ -83,21 +83,21 @@ def compute_fold(
             )
             for counters, machine in zip(counters_row, machines)
         ]
-    # One scalar oracle call per machine: most predictions fall outside
-    # the grid and each pairs with ~1 machine, where a batched
-    # one-signature simulate-many call measured slower than the scalar one.
-    rows = []
-    for m, machine in enumerate(training.machines):
-        predicted = predicted_row[m]
-        rows.append(
-            FoldRow(
-                machine=m,
-                setting=predicted.as_indices(),
-                predicted_runtime=oracle.runtime(program, predicted, machine),
-                o3_runtime=float(training.o3_runtimes[p, m]),
-                best_runtime=training.best_runtime(p, m),
-            )
+    # One oracle call per fold: the out-of-grid predictions compile as
+    # one pass-prefix trie batch, and each pair is priced on its own.
+    predicted_runtimes = oracle.runtime_many(program, predicted_row, machines)
+    rows = [
+        FoldRow(
+            machine=m,
+            setting=predicted.as_indices(),
+            predicted_runtime=predicted_runtime,
+            o3_runtime=float(training.o3_runtimes[p, m]),
+            best_runtime=training.best_runtime(p, m),
         )
+        for m, (predicted, predicted_runtime) in enumerate(
+            zip(predicted_row, predicted_runtimes)
+        )
+    ]
     return FoldRecord(key=FoldKey(variant.key, program), rows=tuple(rows))
 
 

@@ -18,7 +18,6 @@ from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.machine.params import MicroArch
 from repro.sim.analytic import SimulationResult, simulate_analytic
-from repro.sim.vector import simulate_grid
 
 
 @dataclass
@@ -28,16 +27,13 @@ class Evaluator:
     ``simulate`` makes the timing tier pluggable: it defaults to the fast
     analytic model, and :class:`repro.api.Session` injects a simulator
     backend's ``run`` here so searches can target the trace tier too.
-    ``batch_simulate`` is the matching explicit batch entry point (a
-    backend's ``run_many``); it is never inferred from ``simulate``, so
-    injected wrappers and mocks are always honoured.
+    Every fresh binary is priced by one ``simulate`` call.
     """
 
     program: Program
     machine: MicroArch
     compiler: Compiler = field(default_factory=Compiler)
     simulate: Callable[[CompiledBinary, MicroArch], SimulationResult] | None = None
-    batch_simulate: Callable | None = None
 
     def __post_init__(self) -> None:
         self._cache: dict[FlagSetting, float] = {}
@@ -45,43 +41,27 @@ class Evaluator:
 
     def evaluate(self, setting: FlagSetting) -> float:
         """Runtime in seconds of the program compiled with ``setting``."""
-        canonical = setting.canonical()
-        if canonical in self._cache:
-            return self._cache[canonical]
-        binary = self.compiler.compile(self.program, canonical)
-        runner = self.simulate if self.simulate is not None else simulate_analytic
-        runtime = runner(binary, self.machine).seconds
-        self._cache[canonical] = runtime
-        self.evaluations += 1
-        return runtime
+        return self.evaluate_many([setting])[0]
 
     def evaluate_many(self, settings: Sequence[FlagSetting]) -> list[float]:
-        """Runtimes of many settings, batched through the vector kernel.
+        """Runtimes of many settings, memoised per canonical setting.
 
         Compiles the uncached settings (first-seen order) as one
         :meth:`~repro.compiler.pipeline.Compiler.compile_many` batch and
-        prices all the binaries against this evaluator's machine in one
-        :func:`~repro.sim.vector.simulate_many` pass — bit-identical to
-        sequential :meth:`evaluate` calls, including the memo and the
-        ``evaluations`` count.  Falls back to the sequential path when a
-        custom scalar ``simulate`` is injected without a matching
-        ``batch_simulate``.
+        prices each fresh binary on this evaluator's machine with one
+        ``simulate`` call.  ``evaluations`` counts the fresh settings.
         """
         canonicals = [setting.canonical() for setting in settings]
-        run_many = self._run_many()
-        if run_many is None:
-            return [self.evaluate(canonical) for canonical in canonicals]
-        fresh: list[FlagSetting] = []
-        seen: set[FlagSetting] = set()
-        for canonical in canonicals:
-            if canonical not in self._cache and canonical not in seen:
-                seen.add(canonical)
-                fresh.append(canonical)
+        fresh = [
+            canonical
+            for canonical in dict.fromkeys(canonicals)
+            if canonical not in self._cache
+        ]
         if fresh:
+            runner = self.simulate if self.simulate is not None else simulate_analytic
             binaries = self.compiler.compile_many(self.program, fresh)
-            results = run_many(binaries, [self.machine])
-            for s, canonical in enumerate(fresh):
-                self._cache[canonical] = float(results.seconds[s, 0])
+            for canonical, binary in zip(fresh, binaries):
+                self._cache[canonical] = runner(binary, self.machine).seconds
                 self.evaluations += 1
         return [self._cache[canonical] for canonical in canonicals]
 
@@ -94,14 +74,6 @@ class Evaluator:
         aliases of a cached setting report cached too.
         """
         return setting.canonical() in self._cache
-
-    def _run_many(self):
-        """The batch simulation entry point, if this tier has one."""
-        if self.batch_simulate is not None:
-            return self.batch_simulate
-        if self.simulate is None:
-            return simulate_grid
-        return None
 
     def o3_runtime(self) -> float:
         return self.evaluate(o3_setting())

@@ -17,7 +17,6 @@ from repro.sim.vector import (
     BinarySignature,
     MachineMatrix,
     VectorResults,
-    simulate_grid,
     simulate_many,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "observable_outputs",
     "simulate",
     "simulate_analytic",
-    "simulate_grid",
     "simulate_many",
     "simulate_trace",
 ]

@@ -1,12 +1,14 @@
 """The vectorised simulate-many kernel: one numpy pass over (S × M).
 
-:func:`simulate_many` computes everything :func:`~repro.sim.analytic.
-simulate_analytic` computes — seconds, cycles, the 11 Table 1 counters,
-energy, and the full cycle breakdown — for S binaries × M machines in
-one broadcast pass instead of S×M scalar calls.  It is the hot tier
-under :func:`repro.store.compute.compute_shard`, the evalrun oracle's
-out-of-grid fallback, ``session.eval.batch`` and the batched ``/predict``
-endpoint.
+:func:`simulate_many` computes the runtimes and the 11 Table 1 counters
+:func:`~repro.sim.analytic.simulate_analytic` computes, for S binaries ×
+M machines in one broadcast pass instead of S×M scalar calls.  It serves
+one caller, :func:`repro.store.compute.compute_shard`, whose dense
+(settings × machine chunk) grids amortise the kernel's fixed cost of
+about a millisecond per call (signatures, padding, the machine matrix).
+Every other pricing path — search, protocol folds, ``session.eval``,
+``/predict`` — prices its few (binary, machine) pairs one by one through
+a backend's ``run``, which beats the kernel at those shapes.
 
 Bit-compatibility is the contract, not an aspiration: the kernel is
 *exactly* equal to the scalar model, float for float, because every
@@ -20,15 +22,16 @@ operation is ordered the same way the scalar code orders it:
   loops over the padded axis accumulating ``[S, M]`` slabs, so per-pair
   accumulation order matches the scalar loops term by term (masked-out
   padding contributes an exact ``+ 0.0``);
-* machine-dependent Cacti quantities (hit/miss cycles, read energies,
-  effective capacities) are computed per machine by the *scalar* Cacti
-  model when a :class:`MachineMatrix` is built, so no transcendental
-  function is ever re-evaluated by a (potentially differently-rounded)
-  numpy routine.
+* machine-dependent Cacti quantities (hit/miss cycles, effective
+  capacities) are computed per machine by the *scalar* Cacti model when
+  a :class:`MachineMatrix` is built, so no transcendental function is
+  ever re-evaluated by a (potentially differently-rounded) numpy
+  routine.
 
 The scalar model stays as the executable reference; the hypothesis
 equivalence suite (``tests/test_sim_vector.py``) asserts pairwise exact
-equality over random programs × settings × machines.
+equality of seconds and counters over random programs × settings ×
+machines.
 """
 
 from __future__ import annotations
@@ -39,24 +42,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.compiler.binary import CompiledBinary
-from repro.machine.cacti import dcache_timing, icache_timing, read_energy_nj
+from repro.machine.cacti import dcache_timing, icache_timing
 from repro.machine.params import MicroArch
 from repro.sim.analytic import (
     CALL_OVERHEAD_CYCLES,
-    CORE_ENERGY_PER_INSN,
     FIXED_LATENCY,
-    MEMORY_ENERGY_PER_MISS,
     MISPREDICT_PENALTY,
     REENTRY_FRACTION,
     SEQUENTIAL_FETCH_OVERLAP,
     STORE_MISS_FACTOR,
     TABLE_LOCALITY,
     THRASH_RAMP,
-    CycleBreakdown,
-    SimulationResult,
     effective_capacity,
 )
-from repro.sim.counters import COUNTER_NAMES, PerfCounters
+from repro.sim.counters import COUNTER_NAMES
 
 #: Access-kind codes for the padded access arrays (order matches the
 #: scalar ``access_dcache_misses`` branch order).
@@ -68,18 +67,6 @@ _KIND_CODES = {
     "table": KIND_TABLE,
     "chase": KIND_CHASE,
 }
-
-#: Breakdown component names in :meth:`CycleBreakdown.total` order.
-BREAKDOWN_NAMES: tuple[str, ...] = (
-    "issue",
-    "dependence_stalls",
-    "icache_misses",
-    "fetch_bubbles",
-    "branch_mispredictions",
-    "dcache_misses",
-    "call_overhead",
-)
-
 
 @dataclass(frozen=True)
 class BinarySignature:
@@ -227,10 +214,10 @@ def _append_access(access, iterations, kinds, regions, strides, counts, stores, 
 class MachineMatrix:
     """The Cacti timing model vectorised over a machine-parameter matrix.
 
-    Every machine-dependent quantity the analytic model consumes, as an
-    ``[M]`` float64 array.  Cacti latencies/energies are computed by the
-    scalar (lru-cached) model per machine at construction, so the matrix
-    is exact by construction and costs O(M) to build.
+    Every machine-dependent quantity the kernel's runtimes and counters
+    consume, as an ``[M]`` float64 array.  Cacti latencies are computed
+    by the scalar (lru-cached) model per machine at construction, so the
+    matrix is exact by construction and costs O(M) to build.
     """
 
     machines: tuple[MicroArch, ...]
@@ -240,12 +227,10 @@ class MachineMatrix:
     ic_capacity: np.ndarray
     ic_hit_cycles: np.ndarray
     ic_miss_penalty: np.ndarray
-    ic_read_energy: np.ndarray
     dl1_block: np.ndarray
     dc_capacity: np.ndarray
     dc_hit_cycles: np.ndarray
     dc_miss_penalty: np.ndarray
-    dc_read_energy: np.ndarray
     btb_entries: np.ndarray
     btb_assoc: np.ndarray
     load_latency: np.ndarray
@@ -270,24 +255,12 @@ class MachineMatrix:
             ),
             ic_hit_cycles=arr([t.hit_cycles for t in ic]),
             ic_miss_penalty=arr([t.miss_penalty_cycles for t in ic]),
-            ic_read_energy=arr(
-                [
-                    read_energy_nj(m.il1_size, m.il1_assoc, m.il1_block)
-                    for m in machines
-                ]
-            ),
             dl1_block=arr([m.dl1_block for m in machines]),
             dc_capacity=arr(
                 [effective_capacity(m.dl1_size, m.dl1_assoc) for m in machines]
             ),
             dc_hit_cycles=dc_hit,
             dc_miss_penalty=arr([t.miss_penalty_cycles for t in dc]),
-            dc_read_energy=arr(
-                [
-                    read_energy_nj(m.dl1_size, m.dl1_assoc, m.dl1_block)
-                    for m in machines
-                ]
-            ),
             btb_entries=arr([m.btb_entries for m in machines]),
             btb_assoc=arr([m.btb_assoc for m in machines]),
             load_latency=1.0 + dc_hit,
@@ -296,51 +269,18 @@ class MachineMatrix:
 
 @dataclass(frozen=True)
 class VectorResults:
-    """The full (S × M) simulation tensors, plus per-pair materialisation.
+    """The (S × M) outputs a shard build reads.
 
-    ``seconds``/``cycles``/``energy_nj`` are ``[S, M]``; ``counters`` is
-    ``[S, M, 11]`` in :data:`~repro.sim.counters.COUNTER_NAMES` order;
-    ``breakdown`` maps each :data:`BREAKDOWN_NAMES` component to its
-    ``[S, M]`` slab; ``detail`` likewise for the scalar model's detail
-    dict.  :meth:`result` reconstructs the exact
-    :class:`~repro.sim.analytic.SimulationResult` of one pair.
+    ``seconds`` is ``[S, M]``; ``counters`` is ``[S, M, 11]`` in
+    :data:`~repro.sim.counters.COUNTER_NAMES` order.
     """
 
-    signatures: tuple[BinarySignature, ...]
-    machine_matrix: MachineMatrix
     seconds: np.ndarray
-    cycles: np.ndarray
     counters: np.ndarray
-    energy_nj: np.ndarray
-    breakdown: dict[str, np.ndarray]
-    detail: dict[str, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.seconds.shape
-
-    def result(self, s: int, m: int) -> SimulationResult:
-        """Materialise one pair as a scalar :class:`SimulationResult`."""
-        breakdown = CycleBreakdown(
-            **{name: float(self.breakdown[name][s, m]) for name in BREAKDOWN_NAMES}
-        )
-        counters = PerfCounters(
-            **{
-                name: float(self.counters[s, m, k])
-                for k, name in enumerate(COUNTER_NAMES)
-            }
-        )
-        detail = {
-            name: float(values[s, m]) for name, values in self.detail.items()
-        }
-        return SimulationResult(
-            cycles=float(self.cycles[s, m]),
-            seconds=float(self.seconds[s, m]),
-            counters=counters,
-            breakdown=breakdown,
-            energy_nj=float(self.energy_nj[s, m]),
-            detail=detail,
-        )
 
 
 def _pad(rows: Sequence[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +300,11 @@ def simulate_many(
     signatures: Sequence[BinarySignature],
     machine_matrix: MachineMatrix | Sequence[MicroArch],
 ) -> VectorResults:
-    """Run the analytic model over every (signature × machine) pair.
+    """Runtimes and counters of every (signature × machine) pair.
 
-    Exactly equal, float for float, to calling ``simulate_analytic`` on
-    each pair — see the module docstring for why.
+    Exactly equal, float for float, to the ``seconds`` and ``counters``
+    of ``simulate_analytic`` on each pair — see the module docstring for
+    why.
     """
     if not isinstance(machine_matrix, MachineMatrix):
         machine_matrix = MachineMatrix.from_machines(machine_matrix)
@@ -561,67 +502,4 @@ def simulate_many(
     counters[:, :, 9] = col("mix_mac") / dyn + zeros  # mac_usage
     counters[:, :, 10] = col("mix_shift") / dyn + zeros  # shift_usage
 
-    # --- energy --------------------------------------------------------------
-    energy = (
-        dyn_insns * (mm.ic_read_energy[None, :] + CORE_ENERGY_PER_INSN)
-        + dyn_memory * mm.dc_read_energy[None, :]
-        + (ic_misses + dc_misses) * MEMORY_ENERGY_PER_MISS
-    )
-
-    return VectorResults(
-        signatures=signatures,
-        machine_matrix=mm,
-        seconds=seconds,
-        cycles=cycles,
-        counters=counters,
-        energy_nj=energy,
-        breakdown={
-            "issue": issue,
-            "dependence_stalls": stalls,
-            "icache_misses": icache_component,
-            "fetch_bubbles": fetch_bubbles,
-            "branch_mispredictions": branch_component,
-            "dcache_misses": dcache_component,
-            "call_overhead": call_overhead,
-        },
-        detail={
-            "ic_misses": ic_misses,
-            "dc_misses": dc_misses,
-            "btb_miss_rate": btb_miss_rate,
-            "mispredict_rate": mispredict_rate,
-            "load_latency": np.broadcast_to(load_latency, (S, M)),
-        },
-    )
-
-
-def simulate_grid(
-    binaries: Sequence[CompiledBinary],
-    machines: MachineMatrix | Sequence[MicroArch],
-) -> VectorResults:
-    """Convenience wrapper: signatures + matrix + one kernel pass."""
-    return simulate_many(
-        [BinarySignature.from_binary(binary) for binary in binaries], machines
-    )
-
-
-class GridIndex:
-    """Deduplicating index for one axis of a simulate-many grid.
-
-    Batch callers (``session.eval.batch``, the service's batched
-    ``/predict``) map arbitrary request lists onto a dense
-    (binary × machine) grid: each axis keeps first-seen order, and
-    ``add`` returns the axis position for a key, invoking ``make`` only
-    when the key is new (so e.g. compilation happens once per distinct
-    setting).
-    """
-
-    def __init__(self):
-        self.values: list = []
-        self._positions: dict = {}
-
-    def add(self, key, make) -> int:
-        position = self._positions.get(key)
-        if position is None:
-            position = self._positions[key] = len(self.values)
-            self.values.append(make())
-        return position
+    return VectorResults(seconds=seconds, counters=counters)

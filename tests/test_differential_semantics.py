@@ -192,10 +192,10 @@ class _SwappingCompiler(Compiler):
         self.wrong_program = wrong_program
         self.wrong_setting = wrong_setting
 
-    def compile(self, program, setting):
+    def compile_many(self, program, settings):
         if self.wrong_program is not None:
-            return super().compile(self.wrong_program, setting)
-        return super().compile(program, self.wrong_setting)
+            return super().compile_many(self.wrong_program, settings)
+        return super().compile_many(program, [self.wrong_setting] * len(settings))
 
 
 class TestNoSilentBinarySwap:

@@ -4,7 +4,9 @@ The load-bearing guarantees, each tested directly:
 
 * the fold store is append-only, digest-verified, and resumable;
 * the oracle answers grid settings from the store-assembled matrix with
-  zero simulation and memoises the out-of-grid fallback;
+  zero simulation and memoises the out-of-grid fallback; its batched
+  form (one ``runtime_many`` call per fold) equals the same sequence of
+  ``runtime`` calls and still rejects a swapped binary;
 * `protocol.run` output is bit-identical across serial/process
   executors and across a kill-and-resume cycle, with zero re-simulation
   of folds already checkpointed (the simulation-call counter);
@@ -34,9 +36,13 @@ from repro.evalrun import (
     resolve_artifacts,
     variants_for_artifacts,
 )
+from repro.compiler.flags import DEFAULT_SPACE, o3_setting
+from repro.compiler.pipeline import Compiler
 from repro.core.predictor import OptimisationPredictor
+from repro.evalrun.oracle import OracleError
 from repro.evalrun.pipeline import assemble_protocol, compute_fold
 from repro.evalrun.variants import make_predictor
+from repro.sim.analytic import simulate_analytic
 from repro.sim.counters import PerfCounters
 
 
@@ -174,6 +180,31 @@ class TestFoldStore:
         assert "pending" in status.render()
 
 
+class _SwappingCompiler(Compiler):
+    """Hands back another program's binary, or one compiled under other
+    flags, from the batch entry every compile goes through."""
+
+    def __init__(self, wrong_program=None, wrong_setting=None):
+        super().__init__(cache=False)
+        self.wrong_program = wrong_program
+        self.wrong_setting = wrong_setting
+
+    def compile_many(self, program, settings):
+        if self.wrong_program is not None:
+            return super().compile_many(self.wrong_program, settings)
+        return super().compile_many(program, [self.wrong_setting] * len(settings))
+
+
+class _FixedPredictor:
+    """A duck-typed predictor that proposes one setting everywhere."""
+
+    def __init__(self, setting):
+        self.setting = setting
+
+    def predict(self, counters, machine, **_):
+        return self.setting
+
+
 class TestRuntimeOracle:
     def test_grid_setting_is_a_store_hit(self, tiny_data):
         oracle = RuntimeOracle(tiny_data.training, tiny_data.programs)
@@ -199,8 +230,80 @@ class TestRuntimeOracle:
         assert first == second
         assert oracle.simulation_calls == 1  # memoised, not re-simulated
 
+    def test_runtime_many_equals_runtime_sequence(self, tiny_data):
+        """In-grid, out-of-grid and repeated (setting, machine) pairs:
+        one batched call answers, counts and memoises exactly like the
+        same sequence of single calls."""
+        training = tiny_data.training
+        program = training.program_names[2]
+        machines = list(training.machines)
+        off_grid = DEFAULT_SPACE.sample_many(2, seed=991)
+        unrolled = o3_setting().with_values(funroll_loops=True)
+        settings = (
+            [training.settings[3], off_grid[0], unrolled, off_grid[1]]
+            * len(machines)
+        )[: 2 * len(machines)]
+        pairs = list(zip(settings, machines * 2))
+        pairs += [pairs[1], pairs[1], (training.settings[3], machines[0])]
+
+        batched = RuntimeOracle(training, tiny_data.programs)
+        sequential = RuntimeOracle(training, tiny_data.programs)
+        many = batched.runtime_many(
+            program, [s for s, _ in pairs], [m for _, m in pairs]
+        )
+        each = [sequential.runtime(program, s, m) for s, m in pairs]
+        assert many == each
+        assert batched.store_hits == sequential.store_hits > 0
+        assert batched.simulation_calls == sequential.simulation_calls > 0
+        assert batched._fallback_runtimes == sequential._fallback_runtimes
+        # A second batch is answered from the store and the memo alone.
+        again = batched.runtime_many(
+            program, [s for s, _ in pairs], [m for _, m in pairs]
+        )
+        assert again == many
+        assert batched.simulation_calls == sequential.simulation_calls
+
+    def test_runtime_many_prices_with_simulate_analytic(self, tiny_data):
+        training = tiny_data.training
+        oracle = RuntimeOracle(training, tiny_data.programs)
+        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
+        program = training.program_names[0]
+        seconds = oracle.runtime_many(
+            program, [off_grid] * len(training.machines), training.machines
+        )
+        assert oracle.simulation_calls == len(training.machines)
+        binary = Compiler().compile(tiny_data.programs[0], off_grid)
+        assert seconds == [
+            simulate_analytic(binary, each).seconds
+            for each in training.machines
+        ]
+
+    @pytest.mark.parametrize("swap", ["program", "setting"])
+    def test_batched_fold_path_rejects_swapped_binary(self, tiny_data, swap):
+        training = tiny_data.training
+        program = training.program_names[0]
+        wrong = tiny_data.programs[1] if swap == "program" else None
+        compiler = _SwappingCompiler(
+            wrong_program=wrong,
+            wrong_setting=o3_setting() if swap == "setting" else None,
+        )
+        oracle = RuntimeOracle(training, tiny_data.programs, compiler=compiler)
+        predictor = _FixedPredictor(
+            o3_setting().with_values(funroll_loops=True)
+        )
+        variant = _variants(tiny_data)[0]
+        with pytest.raises(OracleError, match="binary swap"):
+            compute_fold(training, variant, program, oracle, predictor)
+
+        honest = RuntimeOracle(training, tiny_data.programs)
+        record = compute_fold(training, variant, program, honest, predictor)
+        binary = Compiler().compile(tiny_data.programs[0], predictor.setting)
+        assert [row.predicted_runtime for row in record.rows] == [
+            simulate_analytic(binary, machine).seconds
+            for machine in training.machines
+        ]
+
     def test_unknown_program_and_machine_rejected(self, tiny_data):
-        from repro.evalrun.oracle import OracleError
         from repro.machine.xscale import xscale
 
         oracle = RuntimeOracle(tiny_data.training, tiny_data.programs)

@@ -66,6 +66,17 @@ class TestFacetConstruction:
         )
         assert [result.program for result in results] == ["sha", "crc"]
 
+    def test_eval_batch_equals_evaluate(self, session):
+        """A serial batch is the per-request evaluate path, item by item:
+        every simulation field, program, machine and setting agree."""
+        machines = session.machines(2, seed=31)
+        requests = [
+            (name, each) for name in ("crc", "search") for each in machines
+        ]
+        batch = session.eval.batch(requests)
+        single = [session.eval.evaluate(*request) for request in requests]
+        assert batch == single
+
     def test_models_predict_and_rank_agree(self, fitted, machine):
         prediction = fitted.models.predict("sha", machine, evaluate=False)
         ranked = fitted.models.rank("sha", machine, top=3)

@@ -1,14 +1,14 @@
 """The vector kernel's contract: exact equality with the scalar model.
 
-:func:`repro.sim.vector.simulate_many` must reproduce
-:func:`repro.sim.analytic.simulate_analytic` float for float — seconds,
-cycles, every Table 1 counter, energy, every breakdown component, and
-the detail dict — because the golden fingerprints and the byte-identical
-protocol guarantees all hash its outputs.  The hypothesis suite here
-asserts that pairwise over random generated programs × random flag
-settings × random Table 2 machines; the deterministic tests cover the
-rewired call sites and the structural edge cases (no loops, no accesses,
-padding across dissimilar binaries).
+:func:`repro.sim.vector.simulate_many` must reproduce the seconds and
+every Table 1 counter of :func:`repro.sim.analytic.simulate_analytic`
+float for float — the two outputs shard builds store — because the
+golden fingerprints and the byte-identical protocol guarantees all hash
+them.  The hypothesis suite here asserts that pairwise over random
+generated programs × random flag settings × random Table 2 machines;
+the deterministic tests cover the kernel's call site, the per-pair
+pricing paths every other caller takes, and the structural edge cases
+(no loops, no accesses, padding across dissimilar binaries).
 """
 
 import numpy as np
@@ -23,13 +23,7 @@ from repro.machine.params import BASE_GRID, EXTENDED_GRID, MicroArch, MicroArchS
 from repro.programs import mibench_program
 from repro.sim.analytic import simulate_analytic
 from repro.sim.counters import COUNTER_NAMES
-from repro.sim.vector import (
-    BREAKDOWN_NAMES,
-    BinarySignature,
-    MachineMatrix,
-    simulate_grid,
-    simulate_many,
-)
+from repro.sim.vector import BinarySignature, MachineMatrix, simulate_many
 
 FUZZ_PROGRAMS = ("search", "crc", "qsort", "rawcaudio")
 
@@ -67,20 +61,18 @@ def binaries_strategy(draw):
     return Compiler(cache=False).compile(program, setting)
 
 
+def kernel_grid(binaries, machines):
+    """Signatures plus one kernel pass, as ``compute_shard`` runs it."""
+    return simulate_many(
+        [BinarySignature.from_binary(binary) for binary in binaries],
+        MachineMatrix.from_machines(machines),
+    )
+
+
 def assert_pair_exact(reference, results, s: int, m: int) -> None:
-    """One (binary, machine) pair: every scalar output, bit for bit."""
-    vec = results.result(s, m)
-    assert vec.seconds == reference.seconds
-    assert vec.cycles == reference.cycles
-    assert vec.energy_nj == reference.energy_nj
-    assert vec.counters.vector() == reference.counters.vector()
-    for name in BREAKDOWN_NAMES:
-        assert getattr(vec.breakdown, name) == getattr(reference.breakdown, name)
-    assert vec.detail == reference.detail
-    # The raw tensors agree with the materialised views.
+    """One (binary, machine) pair: seconds and counters, bit for bit."""
     assert float(results.seconds[s, m]) == reference.seconds
     assert tuple(results.counters[s, m, :]) == reference.counters.vector()
-    assert float(results.energy_nj[s, m]) == reference.energy_nj
 
 
 class TestHypothesisEquivalence:
@@ -90,7 +82,7 @@ class TestHypothesisEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_single_pair_exact(self, binary, machine):
-        results = simulate_grid([binary], [machine])
+        results = kernel_grid([binary], [machine])
         assert_pair_exact(simulate_analytic(binary, machine), results, 0, 0)
 
     @given(
@@ -102,7 +94,7 @@ class TestHypothesisEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_batch_grid_exact(self, binaries, machines):
         """Dissimilar binaries share one padded batch without cross-talk."""
-        results = simulate_grid(binaries, machines)
+        results = kernel_grid(binaries, machines)
         assert results.shape == (len(binaries), len(machines))
         for s, binary in enumerate(binaries):
             for m, machine in enumerate(machines):
@@ -119,8 +111,8 @@ class TestHypothesisEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_batching_is_order_free(self, binary, machines):
         """A pair's value never depends on its batch neighbours."""
-        alone = simulate_grid([binary], [machines[0]])
-        together = simulate_grid([binary], machines)
+        alone = kernel_grid([binary], [machines[0]])
+        together = kernel_grid([binary], machines)
         assert float(alone.seconds[0, 0]) == float(together.seconds[0, 0])
         assert np.array_equal(alone.counters[0, 0, :], together.counters[0, 0, :])
 
@@ -133,7 +125,7 @@ class TestStructuralEdges:
         settings_list = [o3_setting()] + DEFAULT_SPACE.sample_many(5, seed=9)
         binaries = [compiler.compile(program, s) for s in settings_list]
         machines = MicroArchSpace(extended=True).sample(16, seed=5)
-        results = simulate_grid(binaries, machines)
+        results = kernel_grid(binaries, machines)
         for s, binary in enumerate(binaries):
             for m, machine in enumerate(machines):
                 assert_pair_exact(
@@ -149,7 +141,7 @@ class TestStructuralEdges:
             mibench_program("madplay"), o3_setting()
         )
         machines = MicroArchSpace().sample(3, seed=1)
-        results = simulate_grid([binary, other], machines)
+        results = kernel_grid([binary, other], machines)
         for s, b in enumerate((binary, other)):
             for m, machine in enumerate(machines):
                 assert_pair_exact(simulate_analytic(b, machine), results, s, m)
@@ -180,7 +172,7 @@ class TestStructuralEdges:
     def test_counter_tensor_layout(self):
         binary = Compiler().compile(mibench_program("crc"), o3_setting())
         machine = MicroArchSpace().sample(1, seed=3)[0]
-        results = simulate_grid([binary], [machine])
+        results = kernel_grid([binary], [machine])
         reference = simulate_analytic(binary, machine)
         for k, name in enumerate(COUNTER_NAMES):
             assert float(results.counters[0, 0, k]) == getattr(
@@ -221,11 +213,11 @@ class TestRewiredCallSites:
         assert batched.evaluations == len(settings_list)
 
     def test_session_hot_paths_match_simulate_analytic(self):
-        """Every kernel path a session drives — a batch, a search, a
-        dataset build, and the oracle's off-grid fallback — answers
-        exactly what the scalar reference computes directly."""
+        """Every pricing path a session drives — a batch, a search and a
+        dataset build — answers exactly what the scalar reference
+        computes directly.  The protocol oracle's equivalent lives in
+        ``tests/test_evalrun.py``."""
         from repro.api import Session
-        from repro.evalrun.oracle import RuntimeOracle
         from repro.store.compute import compute_shard
 
         session = Session("tiny", use_disk_cache=False)
@@ -253,33 +245,3 @@ class TestRewiredCallSites:
         assert np.array_equal(training.runtimes[0], runtimes)
         assert np.array_equal(training.o3_runtimes[0], o3_runtimes)
         assert np.array_equal(training.counters[0], counters)
-
-        oracle = RuntimeOracle(training, data.programs)
-        off_grid = DEFAULT_SPACE.sample_many(1, seed=991)[0]
-        program = training.program_names[0]
-        seconds = oracle.runtime_many(
-            program, [off_grid] * len(training.machines), training.machines
-        )
-        assert oracle.simulation_calls == len(training.machines)
-        binary = Compiler().compile(data.programs[0], off_grid)
-        assert seconds == [
-            simulate_analytic(binary, each).seconds
-            for each in training.machines
-        ]
-
-    def test_eval_facet_batch_vector_path(self):
-        from repro.api import Session
-
-        session = Session(scale="tiny", use_disk_cache=False)
-        machines = session.machines(2, seed=31)
-        requests = [
-            (name, machine)
-            for name in ("crc", "search")
-            for machine in machines
-        ]
-        fast = session.eval.batch(requests)
-        slow = [session.eval.evaluate(*request) for request in requests]
-        for got, want in zip(fast, slow):
-            assert got.runtime == want.runtime
-            assert got.simulation.counters == want.simulation.counters
-            assert got.program == want.program and got.machine == want.machine
