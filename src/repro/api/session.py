@@ -97,36 +97,32 @@ class Session:
         self._memory_stores: dict[str, ExperimentStore] = {}
         #: Likewise for protocol fold stores, keyed by protocol fingerprint.
         self._memory_fold_stores: dict[str, FoldStore] = {}
-        #: Facets, constructed on first access.
-        self._facets: dict[str, object] = {}
 
     # --------------------------------------------------------------- facets
-    def _facet(self, name: str, factory):
-        facet = self._facets.get(name)
-        if facet is None:
-            facet = factory(self)
-            self._facets[name] = facet
-        return facet
+    # Facets are stateless views holding the session, built on each
+    # access.  Caching them on the session would make a reference cycle,
+    # so a used session (with its compiler, memo and dataset) would be
+    # freed only by a cyclic GC pass.
 
     @property
     def data(self) -> DataFacet:
         """Dataset lifecycle: the sharded, resumable experiment store."""
-        return self._facet("data", DataFacet)
+        return DataFacet(self)
 
     @property
     def models(self) -> ModelsFacet:
         """Model lifecycle: fit/predict/rank, persistence, the registry."""
-        return self._facet("models", ModelsFacet)
+        return ModelsFacet(self)
 
     @property
     def eval(self) -> EvalFacet:
         """Evaluation: one triple, parallel batches, search baselines."""
-        return self._facet("eval", EvalFacet)
+        return EvalFacet(self)
 
     @property
     def protocol(self) -> ProtocolFacet:
         """The resumable paper protocol: fold store, pipeline, report."""
-        return self._facet("protocol", ProtocolFacet)
+        return ProtocolFacet(self)
 
     # ------------------------------------------------------------- resolvers
     @staticmethod

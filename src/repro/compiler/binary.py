@@ -10,7 +10,7 @@ microarchitecture, mirroring the paper's Figure 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.compiler.flags import FlagSetting
@@ -117,12 +117,21 @@ class CompiledBinary:
 
 
 def finalize(
-    program: Program,
+    program: Program | CompiledBinary,
     setting: FlagSetting | None,
     stats: PassStats | None = None,
 ) -> CompiledBinary:
-    """Summarise an optimised program into a :class:`CompiledBinary`."""
+    """Summarise an optimised program into a :class:`CompiledBinary`.
+
+    ``program`` may instead be a binary already summarised from the same
+    final IR: it is then rebound to ``setting`` and ``stats`` without
+    walking the IR again (the pass memo finalizes each distinct final IR
+    once).  The rebound binary shares the summary's fields, which no
+    consumer mutates.
+    """
     stats = stats if stats is not None else PassStats()
+    if isinstance(program, CompiledBinary):
+        return replace(program, setting=setting, stats=stats)
 
     mix = {"alu": 0.0, "mac": 0.0, "shift": 0.0, "load": 0.0, "store": 0.0, "ctrl": 0.0}
     stall_profile: dict[tuple[str, int], float] = {}

@@ -147,6 +147,12 @@ FLAG_NAMES: tuple[str, ...] = tuple(spec.name for spec in FLAG_SPECS)
 _SPEC_BY_NAME: dict[str, FlagSpec] = {spec.name: spec for spec in FLAG_SPECS}
 
 
+#: ``FlagSetting._canonical`` of a setting that is its own canonical
+#: form.  Pointing the setting at itself would be a reference cycle, which
+#: only the cyclic GC frees; ``True`` also survives pickling as itself.
+_IS_CANONICAL = True
+
+
 class FlagSetting(Mapping):
     """An immutable, hashable point in the optimisation space.
 
@@ -224,19 +230,22 @@ class FlagSetting(Mapping):
         computed once per instance, and a canonical setting is its own
         canonical form.
         """
-        if self._canonical is None:
+        canonical = self._canonical
+        if canonical is _IS_CANONICAL:
+            return self
+        if canonical is None:
             values = self._values
             collapsed = tuple(
                 o3 if parent is not None and not values[parent] else value
                 for value, o3, parent in zip(values, _O3_VALUES, _PARENT_INDEX)
             )
             if collapsed == values:
-                self._canonical = self
-            else:
-                canonical = FlagSetting._from_values(collapsed)
-                canonical._canonical = canonical
-                self._canonical = canonical
-        return self._canonical
+                self._canonical = _IS_CANONICAL
+                return self
+            canonical = FlagSetting._from_values(collapsed)
+            canonical._canonical = _IS_CANONICAL
+            self._canonical = canonical
+        return canonical
 
     def as_indices(self) -> tuple[int, ...]:
         """Encode as per-dimension value indices (for the ML model)."""

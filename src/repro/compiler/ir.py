@@ -25,7 +25,8 @@ deterministic and owns no randomness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from functools import partial
 from typing import Iterable, Iterator
 
 
@@ -134,17 +135,31 @@ ALL_TAGS = frozenset(
 )
 
 
-@dataclass(slots=True)
-class Instruction:
-    """One IR instruction.
+#: Default of :meth:`Instruction.replace`'s arguments: keep the field.
+_KEEP: object = object()
 
-    Instructions are slotted because a compile clones every instruction
-    of the program at least once.  Construction validates the fields;
-    :meth:`clone` copies them verbatim without re-validating.  Instead
-    :meth:`Program.validate`, which every compile runs on its final IR,
-    re-checks every instruction (dep distances and kinds, tags, memory
-    regions, callees), so a pass that mutates an instruction into an
-    invalid state still fails the compile.
+
+class _ContentIdSlot:
+    """Holds :class:`Instruction`'s content id (0 until the pass memo
+    interns its content) in a slot that is not a dataclass field, so it
+    stays out of equality, ``repr``, pickles and :func:`dataclasses.fields`."""
+
+    __slots__ = ("_cid",)
+
+
+@dataclass(slots=True, frozen=True, init=False)
+class Instruction(_ContentIdSlot):
+    """One IR instruction; immutable, and shared between program copies.
+
+    A pass never changes an instruction in place: it puts a modified copy
+    (:meth:`replace`) into its block's list instead.
+    So :meth:`Program.clone` copies only the block lists and shares every
+    instruction, and an instruction's content can be named once by an
+    interned id (see :mod:`repro.compiler.memo`).  Construction validates
+    the fields; the copies skip it, and :meth:`Program.validate`, which
+    every compile runs on its final IR, re-checks every instruction (dep
+    distances and kinds, tags, memory regions, callees), so a pass that
+    builds an invalid instruction still fails the compile.
 
     Attributes:
         opcode: operation class.
@@ -176,10 +191,32 @@ class Instruction:
     callee: str | None = None
     chain: int = 1
 
-    def __post_init__(self) -> None:
-        if self.latency == 0:
-            self.latency = DEFAULT_LATENCY[self.opcode.category]
-        if self.opcode is Opcode.CALL and self.callee is None:
+    def __init__(
+        self,
+        opcode: Opcode,
+        expr: str | None = None,
+        region: str | None = None,
+        stride: int = 0,
+        deps: tuple[tuple[int, str], ...] = (),
+        latency: int = 0,
+        tags: frozenset[str] = frozenset(),
+        callee: str | None = None,
+        chain: int = 1,
+    ) -> None:
+        # Written out with the slot setters: a frozen dataclass's
+        # generated __init__ (object.__setattr__ per field) takes over
+        # twice as long, and program generation builds every instruction.
+        _set_opcode(self, opcode)
+        _set_expr(self, expr)
+        _set_region(self, region)
+        _set_stride(self, stride)
+        _set_deps(self, deps)
+        _set_latency(self, latency or DEFAULT_LATENCY[opcode.category])
+        _set_tags(self, tags)
+        _set_callee(self, callee)
+        _set_chain(self, chain)
+        _set_content_id(self, 0)
+        if opcode is Opcode.CALL and callee is None:
             raise ValueError("CALL requires a callee")
         problem = self.problem()
         if problem is not None:
@@ -198,23 +235,81 @@ class Instruction:
                 return f"unknown dep kind {kind!r}"
         return None
 
-    def clone(self) -> "Instruction":
-        """A field-for-field copy; the fields are not re-validated."""
-        copy = object.__new__(Instruction)
-        copy.opcode = self.opcode
-        copy.expr = self.expr
-        copy.region = self.region
-        copy.stride = self.stride
-        copy.deps = self.deps
-        copy.latency = self.latency
-        copy.tags = self.tags
-        copy.callee = self.callee
-        copy.chain = self.chain
+    def replace(
+        self,
+        *,
+        opcode: Opcode = _KEEP,
+        expr: str | None = _KEEP,
+        region: str | None = _KEEP,
+        stride: int = _KEEP,
+        deps: tuple[tuple[int, str], ...] = _KEEP,
+        latency: int = _KEEP,
+        tags: frozenset[str] = _KEEP,
+        callee: str | None = _KEEP,
+        chain: int = _KEEP,
+    ) -> "Instruction":
+        """A copy with the given fields changed; they are not re-validated.
+
+        Spelled out field by field: the dependence rewrites of deletion,
+        insertion and scheduling make most of a compile's copies."""
+        copy = _new_instruction()
+        _set_opcode(copy, self.opcode if opcode is _KEEP else opcode)
+        _set_expr(copy, self.expr if expr is _KEEP else expr)
+        _set_region(copy, self.region if region is _KEEP else region)
+        _set_stride(copy, self.stride if stride is _KEEP else stride)
+        _set_deps(copy, self.deps if deps is _KEEP else deps)
+        _set_latency(copy, self.latency if latency is _KEEP else latency)
+        _set_tags(copy, self.tags if tags is _KEEP else tags)
+        _set_callee(copy, self.callee if callee is _KEEP else callee)
+        _set_chain(copy, self.chain if chain is _KEEP else chain)
+        _set_content_id(copy, 0)
         return copy
+
+    def content(self) -> tuple:
+        """Every field, with the opcode as its string value: equal contents
+        mean equal instructions.  (Hashing ``Opcode`` members would go
+        through ``Enum.__hash__``, a Python-level call.)"""
+        return (
+            self.opcode._value_,
+            self.expr,
+            self.region,
+            self.stride,
+            self.deps,
+            self.latency,
+            self.tags,
+            self.callee,
+            self.chain,
+        )
 
     @property
     def size_bytes(self) -> int:
         return INSTRUCTION_BYTES
+
+
+def _read_only(self, name: str, value=None) -> None:
+    raise FrozenInstanceError(f"cannot assign to {name!r}: instructions are immutable")
+
+
+# The generated frozen ``__setattr__`` of a slotted class raises TypeError
+# for a name that is not a field (a CPython quirk); any assignment should
+# raise FrozenInstanceError, an AttributeError.
+Instruction.__setattr__ = _read_only
+Instruction.__delattr__ = _read_only
+
+# Slot setters that bypass ``__setattr__``, for building copies.
+_new_instruction = partial(object.__new__, Instruction)
+(
+    _set_opcode,
+    _set_expr,
+    _set_region,
+    _set_stride,
+    _set_deps,
+    _set_latency,
+    _set_tags,
+    _set_callee,
+    _set_chain,
+) = (Instruction.__dict__[field.name].__set__ for field in fields(Instruction))
+_set_content_id = Instruction._cid.__set__
 
 
 @dataclass
@@ -271,13 +366,13 @@ class BasicBlock:
         return list(self.instructions[:-1]), term
 
     def clone(self, new_label: str | None = None) -> "BasicBlock":
-        """A copy with its own instruction and successor lists.  Like
-        :meth:`Instruction.clone` it skips the field checks, which
+        """A copy with its own instruction and successor lists that shares
+        the (immutable) instructions.  It skips the field checks, which
         :meth:`Program.validate` re-runs on every compile's final IR."""
         copy = object.__new__(BasicBlock)
         copy.__dict__.update(self.__dict__)
         copy.label = new_label or self.label
-        copy.instructions = [insn.clone() for insn in self.instructions]
+        copy.instructions = list(self.instructions)
         copy.successors = list(self.successors)
         return copy
 

@@ -1,9 +1,11 @@
 """Shared machinery for optimisation passes.
 
-Passes mutate a working copy of the program IR.  The two fiddly operations —
-deleting and inserting instructions while keeping dependence distances
-consistent — live here so each pass stays small and every pass preserves the
-IR invariants the same way.
+Passes mutate a working copy of the program IR: its functions, blocks and
+block lists, never an instruction (instructions are immutable and shared
+between copies; a rewrite puts a modified copy into the list).  The two
+fiddly operations — deleting and inserting instructions while keeping
+dependence distances consistent — live here so each pass stays small and
+every pass preserves the IR invariants the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ class Pass:
     that consults a flag outside ``reads``, in ``enabled``, ``run`` or
     any helper, would hand some settings another setting's IR;
     ``tests/test_pass_reads.py`` checks every declaration.
+
+    It must also depend only on the IR's *content*: the fields of its
+    functions, blocks, loops, regions and instructions, in order, never
+    on object identity or on anything outside the program.  Two
+    equal-content copies must come out equal, with equal stats.  The
+    compiler's pass memo (:mod:`repro.compiler.memo`) relies on this: it
+    names an IR state by its content and replays a recorded transition
+    instead of running the pass again.  ``tests/test_pass_reads.py``
+    checks this as well.
     """
 
     #: Human-readable pass name, used as the stats prefix.
@@ -55,6 +66,14 @@ class Pass:
         if self.enabled(flags):
             self.run(program, flags, stats)
             stats[f"{self.name}.ran"] += 1
+
+    def observed(self, flags: FlagSetting) -> tuple | None:
+        """What the pass can see of ``flags``: ``None`` when they disable
+        it, else the values of its declared :attr:`reads`.  Settings with
+        equal observations get equal runs on equal IR."""
+        if not self.enabled(flags):
+            return None
+        return tuple(flags[name] for name in self.reads)
 
 
 def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
@@ -93,7 +112,9 @@ def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
                     continue
                 else:
                     new_deps.append((new_index - old_to_new[producer], kind))
-            insn.deps = tuple(new_deps)
+            deps = tuple(new_deps)
+            if deps != insn.deps:
+                insn = insn.replace(deps=deps)
         new_instructions.append(insn)
     removed = len(old_instructions) - len(new_instructions)
     block.instructions = new_instructions
@@ -112,19 +133,22 @@ def insert_instructions(
     count = len(new_insns)
     if count == 0:
         return
-    for old_index in range(position, len(block.instructions)):
-        insn = block.instructions[old_index]
+    instructions = block.instructions
+    for old_index in range(position, len(instructions)):
+        insn = instructions[old_index]
         if not insn.deps:
             continue
         new_deps = []
+        stretched = False
         for distance, kind in insn.deps:
-            producer = old_index - distance
-            if producer < position:
+            if old_index - distance < position:
                 new_deps.append((distance + count, kind))
+                stretched = True
             else:
                 new_deps.append((distance, kind))
-        insn.deps = tuple(new_deps)
-    block.instructions[position:position] = list(new_insns)
+        if stretched:
+            instructions[old_index] = insn.replace(deps=tuple(new_deps))
+    instructions[position:position] = list(new_insns)
 
 
 def remove_tagged(

@@ -165,8 +165,8 @@ class GcsePass(Pass):
             block = function.blocks[label]
             insn = block.instructions[index]
             delete_instructions(block, [index])
-            hoisted = insn.clone()
-            hoisted.deps = ()  # operands are invariant, available long before
+            # Operands are invariant, available long before.
+            hoisted = insn.replace(deps=())
             position = len(preheader.instructions)
             if preheader.terminator is not None:
                 position -= 1
@@ -181,8 +181,7 @@ class GcsePass(Pass):
             block = function.blocks[label]
             insn = block.instructions[index]
             delete_instructions(block, [index])
-            sunk = insn.clone()
-            sunk.deps = ()
+            sunk = insn.replace(deps=())
             insert_instructions(exit_block, 0, [sunk])
             stats["gcse.stores_sunk"] += 1
 

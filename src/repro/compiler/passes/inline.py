@@ -75,8 +75,12 @@ class InlineFunctionsPass(Pass):
                 continue
             original_size = caller.size_insns
             caller_cap = max(large_fn, int(original_size * (1 + fn_growth / 100)))
-            for site in list(caller.call_sites()):
-                block_label, _, call = site
+            # Sites are re-located by ordinal, not by object: rewriting an
+            # instruction replaces it, and equal instructions may be one
+            # shared object.  Inlining a site removes exactly its CALL
+            # (inlinable bodies hold none) and keeps the others in order.
+            inlined = 0
+            for ordinal, (_, _, call) in enumerate(list(caller.call_sites())):
                 callee = program.functions.get(call.callee)
                 if callee is None or not self._inlinable(caller, callee):
                     continue
@@ -90,10 +94,9 @@ class InlineFunctionsPass(Pass):
                     stats["inline.blocked_unit_growth"] += 1
                     continue
                 # Re-locate the call: earlier inlines may have moved it.
-                located = self._locate_call(caller, call)
-                if located is None:
-                    continue
-                self._inline_site(program, caller, located[0], located[1], stats)
+                block_label, index = self._locate_call(caller, ordinal - inlined)
+                self._inline_site(program, caller, block_label, index, stats)
+                inlined += 1
 
         self._drop_dead_callees(program, stats)
 
@@ -110,13 +113,13 @@ class InlineFunctionsPass(Pass):
         )
 
     @staticmethod
-    def _locate_call(caller: Function, call) -> tuple[str, int] | None:
-        for label in caller.layout:
-            block = caller.blocks[label]
-            for index, insn in enumerate(block.instructions):
-                if insn is call:
-                    return label, index
-        return None
+    def _locate_call(caller: Function, ordinal: int) -> tuple[str, int]:
+        """``(block label, index)`` of the caller's ``ordinal``-th CALL."""
+        for label, index, _ in caller.call_sites():
+            if ordinal == 0:
+                return label, index
+            ordinal -= 1
+        raise AssertionError("call site vanished")
 
     def _inline_site(
         self,
@@ -208,18 +211,21 @@ class InlineFunctionsPass(Pass):
         """Deps reaching back past the old CALL stretch by the body length."""
         if growth <= 0:
             return
-        for new_index, insn in enumerate(continuation.instructions):
+        instructions = continuation.instructions
+        for new_index, insn in enumerate(instructions):
             if not insn.deps:
                 continue
             old_index = new_index + call_index + 1
             new_deps = []
+            stretched = False
             for distance, kind in insn.deps:
-                producer = old_index - distance
-                if producer <= call_index:
+                if old_index - distance <= call_index:
                     new_deps.append((distance + growth, kind))
+                    stretched = True
                 else:
                     new_deps.append((distance, kind))
-            insn.deps = tuple(new_deps)
+            if stretched:
+                instructions[new_index] = insn.replace(deps=tuple(new_deps))
 
     @staticmethod
     def _rewrite_returns(clone: BasicBlock, continuation_label: str) -> None:

@@ -56,12 +56,10 @@ def _hoist_invariant_alu(
             if not movable:
                 continue
             delete_instructions(block, [index for index, _ in movable])
-            hoisted = []
-            for _, insn in movable:
-                clone = insn.clone()
-                clone.deps = ()
-                clone.tags = clone.tags - {TAG_INVARIANT}
-                hoisted.append(clone)
+            hoisted = [
+                insn.replace(deps=(), tags=insn.tags - {TAG_INVARIANT})
+                for _, insn in movable
+            ]
             position = len(preheader.instructions)
             if preheader.terminator is not None:
                 position -= 1
@@ -201,25 +199,24 @@ class StrengthReducePass(Pass):
             for block in function.blocks.values():
                 for index, insn in enumerate(block.instructions):
                     if insn.opcode is Opcode.MUL and TAG_INDUCTION in insn.tags:
-                        insn.opcode = Opcode.ADD
-                        insn.latency = 1
+                        block.instructions[index] = insn.replace(
+                            opcode=Opcode.ADD, latency=1
+                        )
                         self._retag_consumers(block, index)
                         stats["strength_reduce.converted"] += 1
 
     @staticmethod
     def _retag_consumers(block, producer_index: int) -> None:
         """Consumers saw a 3-cycle 'mac' producer; it is now a 1-cycle ALU."""
-        for consumer_index in range(
-            producer_index + 1, len(block.instructions)
-        ):
-            insn = block.instructions[consumer_index]
-            if not insn.deps:
-                continue
-            insn.deps = tuple(
-                (
-                    (distance, "alu")
-                    if consumer_index - distance == producer_index and kind == "mac"
-                    else (distance, kind)
+        instructions = block.instructions
+        for consumer_index in range(producer_index + 1, len(instructions)):
+            insn = instructions[consumer_index]
+            distance = consumer_index - producer_index
+            if (distance, "mac") in insn.deps:
+                instructions[consumer_index] = insn.replace(
+                    deps=tuple(
+                        (edge, "alu") if edge == distance and kind == "mac"
+                        else (edge, kind)
+                        for edge, kind in insn.deps
+                    )
                 )
-                for distance, kind in insn.deps
-            )

@@ -53,6 +53,8 @@ class SiblingCallPass(Pass):
                         and block.instructions[index + 1].opcode is Opcode.RET
                     ):
                         delete_instructions(block, [index + 1])
-                        insn.opcode = Opcode.JMP
+                        block.instructions[index] = block.instructions[
+                            index
+                        ].replace(opcode=Opcode.JMP)
                         stats["sibcall.converted"] += 1
                         break

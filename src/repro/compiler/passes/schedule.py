@@ -292,7 +292,9 @@ def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) 
                     # Should not happen (precedence respected); drop safely.
                     continue
                 new_deps.append((new_index - new_position, kind))
-        insn.deps = tuple(new_deps)
+        deps = tuple(new_deps)
+        if deps != insn.deps:
+            reordered[new_index] = insn.replace(deps=deps)
     block.instructions = reordered
 
 

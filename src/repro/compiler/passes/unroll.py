@@ -119,10 +119,13 @@ class UnrollLoopsPass(Pass):
                     else clone_map.get(successor, successor)
                     for successor in clone.successors
                 ]
-                if serial_kind is not None and clone.instructions:
-                    first = clone.instructions[0]
-                    first.deps = first.deps + ((1, serial_kind),)
-                for insn in clone.instructions:
+                instructions = clone.instructions
+                if serial_kind is not None and instructions:
+                    first = instructions[0]
+                    instructions[0] = first.replace(
+                        deps=first.deps + ((1, serial_kind),)
+                    )
+                for position, insn in enumerate(instructions):
                     if insn.expr is None or insn.opcode.is_memory:
                         continue
                     if TAG_INVARIANT in insn.tags or label in control_labels:
@@ -131,7 +134,9 @@ class UnrollLoopsPass(Pass):
                         # redundant across copies; a following CSE rerun
                         # folds them — gcc fuses induction increments the
                         # same way when it unrolls counted loops.
-                        insn.tags = insn.tags | {TAG_LOCAL_REDUNDANT}
+                        instructions[position] = insn.replace(
+                            tags=insn.tags | {TAG_LOCAL_REDUNDANT}
+                        )
                 function.blocks[clone.label] = clone
                 function.layout.insert(insert_at, clone.label)
                 insert_at += 1

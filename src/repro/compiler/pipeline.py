@@ -9,11 +9,15 @@ register allocation (the -fschedule-insns/spill interaction of the paper's
 
 from __future__ import annotations
 
+import operator
+import threading
+from collections import deque
 from typing import Callable, Sequence
 
 from repro.compiler.binary import CompiledBinary, finalize
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
 from repro.compiler.ir import Program
+from repro.compiler.memo import PassMemo
 from repro.compiler.passes.align import AlignPass
 from repro.compiler.passes.base import Pass, PassStats
 from repro.compiler.passes.cse import CsePass, RerunCsePass
@@ -32,6 +36,18 @@ from repro.compiler.passes.schedule import ScheduleInsnsPass
 from repro.compiler.passes.tree import TreePrePass, TreeVrpPass
 from repro.compiler.passes.unroll import UnrollLoopsPass
 from repro.compiler.regalloc import RegisterAllocationPass
+
+
+#: The pass memo engages for a program once this many misses of its
+#: current run (no other program's miss in between) were *near* misses:
+#: at most :data:`NEAR_DISTANCE` flag dimensions away from one of the
+#: :data:`RECENT_MISSES` misses before them.  Iterative search probes
+#: neighbours of settings it has just compiled, and there the memo pays;
+#: a dataset grid compiles random settings, about half the dimensions
+#: apart, and there its keys and snapshots cost more than they save.
+MEMO_AFTER_NEAR_MISSES = 8
+NEAR_DISTANCE = 2
+RECENT_MISSES = 16
 
 
 def default_pass_order() -> list[Pass]:
@@ -66,17 +82,33 @@ class Compiler:
     Compilations are memoised on ``(program name, canonical setting)``; two
     settings that differ only in dimensions masked by a disabled parent flag
     share one compilation, exactly as they would share one gcc invocation's
-    behaviour.
+    behaviour.  :meth:`compile` is a batch of one :meth:`compile_many`.
 
-    :meth:`compile_many` compiles a batch of settings for one program as a
-    depth-first walk of a pass-prefix trie.  The key of a setting at level
-    *k* is what pass *k* observes of it: nothing when the setting disables
-    the pass, else the values of the pass's declared ``reads``.  Settings
-    that agree on passes 0..*k* share one run of each of them on one
-    working IR.  A node with *c* children snapshots the IR for the first
-    *c*−1 of them and hands the working copy to the last, so a batch takes
-    one clone per leaf, as separate compiles would.  :meth:`compile` is a
-    batch of one.
+    The settings that miss the memo take one of two paths.
+
+    * **Pass memo.**  Once a program's run of misses looks like an
+      iterative search (:data:`MEMO_AFTER_NEAR_MISSES` of them near a
+      recent miss), its misses go through a
+      :class:`~repro.compiler.memo.PassMemo`.  The memo keys every pass
+      run by (input IR content, pass, what the pass observes of the
+      setting), so a pass runs once per distinct IR state and each
+      distinct final IR is finalized once, across calls.  The compiler
+      keeps only the current program's memo, checks that the program's
+      content still matches it on every call, and drops it when another
+      program misses or the cache is cleared.
+    * **Pass-prefix trie.**  Otherwise a batch is compiled as a
+      depth-first walk of a pass-prefix trie.  The key of a setting at
+      level *k* is what pass *k* observes of it.  Settings that agree on
+      passes 0..*k* share one run of each of them on one working IR.  A
+      node with *c* children snapshots the IR for the first *c*−1 of
+      them and hands the working copy to the last, so a batch takes one
+      clone per leaf, as separate compiles would.
+
+    Copies of the IR share its immutable instructions, so a clone copies
+    only the block lists.  Threads may share a compiler: memo walks run
+    under a lock, trie walks own their IR.  ``Compiler(cache=False)``
+    runs every setting through the trie, with no memo of either kind;
+    it is the reference the batch and memo paths are tested against.
     """
 
     def __init__(self, space: FlagSpace = DEFAULT_SPACE, cache: bool = True):
@@ -84,6 +116,11 @@ class Compiler:
         self._cache_enabled = cache
         self._cache: dict[tuple[str, FlagSetting], CompiledBinary] = {}
         self._passes = default_pass_order()
+        self._memo_lock = threading.Lock()
+        self._memo: PassMemo | None = None
+        self._run_program: str | None = None
+        self._recent: deque[tuple] = deque(maxlen=RECENT_MISSES)
+        self._near_misses = 0
 
     def compile(self, program: Program, setting: FlagSetting) -> CompiledBinary:
         """Run the pass pipeline over a fresh copy of ``program``."""
@@ -110,6 +147,19 @@ class Compiler:
                     binaries[index] = cached
                     continue
             pending.setdefault(canonical, []).append(index)
+        if not pending:
+            return binaries
+
+        if self._cache_enabled:
+            with self._memo_lock:
+                memo = self._engage(program, pending)
+                if memo is not None:
+                    for canonical, indices in pending.items():
+                        binary = memo.compile(canonical, settings[indices[0]])
+                        for index in indices:
+                            binaries[index] = binary
+                        self._cache[(program.name, canonical)] = binary
+                    return binaries
 
         def finish(working: Program, stats: PassStats, leaf: list[FlagSetting]) -> None:
             working.validate()
@@ -122,9 +172,32 @@ class Compiler:
                 if self._cache_enabled:
                     self._cache[(program.name, canonical)] = binary
 
-        if pending:
-            self._walk(program.clone(), PassStats(), 0, list(pending), finish)
+        self._walk(program.clone(), PassStats(), 0, list(pending), finish)
         return binaries
+
+    def _engage(
+        self, program: Program, misses: Sequence[FlagSetting]
+    ) -> PassMemo | None:
+        """Count ``misses`` (canonical settings) into ``program``'s run;
+        the memo, once the run looks like a search.  Called under the
+        memo lock."""
+        if program.name != self._run_program:
+            self._run_program, self._memo, self._near_misses = program.name, None, 0
+            self._recent.clear()
+        if self._memo is None:
+            for canonical in misses:
+                values = canonical.values()
+                if any(
+                    sum(map(operator.ne, values, other)) <= NEAR_DISTANCE
+                    for other in self._recent
+                ):
+                    self._near_misses += 1
+                self._recent.append(values)
+            if self._near_misses < MEMO_AFTER_NEAR_MISSES:
+                return None
+        if self._memo is None or not self._memo.serves(program):
+            self._memo = PassMemo(self._passes, program)
+        return self._memo
 
     def _walk(
         self,
@@ -141,9 +214,9 @@ class Compiler:
             if len(group) > 1:
                 children: dict[tuple | None, list[FlagSetting]] = {}
                 for canonical in group:
-                    children.setdefault(
-                        _observed(optimisation, canonical), []
-                    ).append(canonical)
+                    children.setdefault(optimisation.observed(canonical), []).append(
+                        canonical
+                    )
                 *branches, group = children.values()
                 for branch in branches:
                     self._walk(working.clone(), PassStats(stats), level, branch, finish)
@@ -155,12 +228,7 @@ class Compiler:
         return self._cache_enabled
 
     def clear_cache(self) -> None:
+        """Drop every cached binary and the pass memo."""
         self._cache.clear()
-
-
-def _observed(optimisation: Pass, flags: FlagSetting) -> tuple | None:
-    """What ``optimisation`` can see of ``flags``: ``None`` when they
-    disable it, else the values of its declared ``reads``."""
-    if not optimisation.enabled(flags):
-        return None
-    return tuple(flags[name] for name in optimisation.reads)
+        with self._memo_lock:
+            self._memo, self._run_program = None, None

@@ -309,7 +309,7 @@ class ProgramBuilder:
                 else ("mac" if spec.carried_dep_latency == 2 else "alu")
             )
             first = header_insns[0]
-            first.deps = first.deps + ((1, kind),)
+            header_insns[0] = first.replace(deps=first.deps + ((1, kind),))
         header = add(
             BasicBlock(
                 f"{name}.hdr", header_insns, successors=[], is_loop_header=True
@@ -694,8 +694,9 @@ class ProgramBuilder:
                 producer = instructions[position]
                 kind = _KIND_OF_CATEGORY.get(producer.opcode.category)
                 if kind is not None:
-                    insn.deps = insn.deps + ((len(instructions) - position, kind),)
-                    return insn
+                    return insn.replace(
+                        deps=insn.deps + ((len(instructions) - position, kind),)
+                    )
                 position -= 1
             return insn
 

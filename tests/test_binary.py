@@ -98,14 +98,14 @@ class TestFinalize:
 
     def test_stall_profile_counts_weighted(self, loop_program):
         body = loop_program.functions["main"].blocks["body"]
-        body.instructions[3].deps = ((2, "load"),)
+        body.instructions[3] = body.instructions[3].replace(deps=((2, "load"),))
         binary = finalize(loop_program, o3_setting())
         loop = loop_program.functions["main"].loops[0]
         assert binary.stall_profile[("load", 2)] == pytest.approx(loop.iterations)
 
     def test_long_distances_dropped_from_profile(self, loop_program):
         body = loop_program.functions["main"].blocks["body"]
-        body.instructions[3].deps = ((40, "load"),)
+        body.instructions[3] = body.instructions[3].replace(deps=((40, "load"),))
         binary = finalize(loop_program, o3_setting())
         assert ("load", 40) not in binary.stall_profile
 

@@ -1,5 +1,5 @@
-"""``Compiler.compile_many`` (the pass-prefix trie walk) against
-independent compiles.
+"""``Compiler.compile_many`` (the pass-prefix trie walk and the pass
+memo) against independent compiles.
 
 A batch compiled as one trie walk must give, binary for binary, what a
 fresh ``Compiler(cache=False).compile`` gives for each setting — every
@@ -10,21 +10,34 @@ setting), as sequential ``compile`` calls do.  Batches are built to
 branch at every pass level: for each pass, one Hamming-1 probe of the
 base setting changes a flag that pass reads.  Duplicates and gated
 aliases (settings that differ only under a disabled parent) ride along.
+
+The pass memo engages after a run of misses on one program, so the
+memo tests walk Hamming-1 chains, as a hill climber does, with probe
+batches mixed in, and check every binary against the same reference:
+on every program, across two programs that share a name, across
+``clear_cache``, and from threads sharing one compiler.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+from copy import copy as shallow_copy
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_compile_golden import _canonical
+from test_pass_reads import fold_ir
 
 from repro.compiler.flags import FLAG_SPECS, FlagSetting, o3_setting
-from repro.compiler.pipeline import Compiler, default_pass_order
+from repro.compiler.ir import BasicBlock, DataRegion, Function, Instruction, Loop, Program
+from repro.compiler.memo import PassMemo
+from repro.compiler.pipeline import MEMO_AFTER_NEAR_MISSES, Compiler, default_pass_order
 from repro.programs.mibench import MIBENCH_ORDER, mibench_program
 
 SPEC_BY_NAME = {spec.name: spec for spec in FLAG_SPECS}
@@ -101,3 +114,258 @@ def test_memo_hits_are_dropped_from_the_walk():
     assert again == list(reversed(first))
     assert all(a is b for a, b in zip(again, reversed(first)))
     assert compiler.compile_many(program, []) == []
+
+
+# ------------------------------------------------------------- pass memo
+
+
+def neighbour(setting: FlagSetting, rng: random.Random) -> FlagSetting:
+    """``setting`` with one dimension moved to another of its values."""
+    spec = rng.choice(FLAG_SPECS)
+    value = rng.choice([value for value in spec.values if value != setting[spec.name]])
+    return setting.with_values(**{spec.name: value})
+
+
+def climb(base: FlagSetting, rng: random.Random, steps: int) -> list[list[FlagSetting]]:
+    """A hill-climb-shaped walk: single Hamming-1 steps, and every fourth
+    step a batch of four probes around the current setting."""
+    walk, current = [], base
+    for step in range(steps):
+        if step % 4 == 3:
+            batch = [neighbour(current, rng) for _ in range(4)]
+            walk.append(batch)
+            current = batch[-1]
+        else:
+            current = neighbour(current, rng)
+            walk.append([current])
+    return walk
+
+
+class Reference:
+    """Folded ``Compiler(cache=False)`` binaries of one program."""
+
+    def __init__(self, program):
+        self.program = program
+        self.folds: dict[FlagSetting, str] = {}
+
+    def expect(self, setting: FlagSetting) -> str:
+        if setting not in self.folds:
+            self.folds[setting] = fold(Compiler(cache=False).compile(self.program, setting))
+        return self.folds[setting]
+
+
+def run_walk(compiler: Compiler, reference: Reference, walk) -> None:
+    """Compile ``walk`` (batches of settings) and check every binary.  A
+    cached compiler may hand back the binary of an earlier setting of
+    the same canonical class (``assert_batch_matches`` pins which), so
+    each binary is checked against the setting it carries."""
+    for batch in walk:
+        if len(batch) == 1:
+            binaries = [compiler.compile(reference.program, batch[0])]
+        else:
+            binaries = compiler.compile_many(reference.program, batch)
+        for binary, setting in zip(binaries, batch):
+            assert binary.setting.canonical() == setting.canonical(), setting
+            assert fold(binary) == reference.expect(binary.setting), setting
+
+
+@pytest.mark.parametrize("name", MIBENCH_ORDER)
+def test_memo_walk_matches_independent_compiles(name):
+    rng = random.Random(f"memo-{name}")
+    base = FlagSetting.from_indices(
+        [rng.randrange(spec.cardinality) for spec in FLAG_SPECS]
+    )
+    compiler = Compiler()
+    reference = Reference(mibench_program(name))
+    run_walk(compiler, reference, climb(base, rng, 16))
+    assert compiler._memo is not None and compiler._memo.transitions > 0
+    # Revisits are cache hits; neighbours of the start are fresh misses
+    # that resume from the memo's snapshots.
+    run_walk(compiler, reference, [[base], [neighbour(base, rng) for _ in range(3)]])
+
+
+def test_memo_engages_for_a_run_of_near_misses_only():
+    reference = Reference(mibench_program("sha"))
+    compiler = Compiler()
+    rng = random.Random(4)
+    # A dataset-style random sample never engages it ...
+    sample = [
+        FlagSetting.from_indices([rng.randrange(spec.cardinality) for spec in FLAG_SPECS])
+        for _ in range(24)
+    ]
+    run_walk(compiler, reference, [[setting] for setting in sample])
+    assert compiler._memo is None
+    # ... a search's neighbour probes do, once there are enough of them.
+    base = o3_setting()
+    probes = [
+        base.with_values(**{spec.name: not base[spec.name]})
+        for spec in FLAG_SPECS
+        if spec.is_boolean and spec.parent is None
+    ][:MEMO_AFTER_NEAR_MISSES]
+    assert len({probe.canonical() for probe in probes}) == MEMO_AFTER_NEAR_MISSES
+    run_walk(compiler, reference, [[base]] + [[probe] for probe in probes[:-1]])
+    assert compiler._memo is None
+    run_walk(compiler, reference, [probes[-1:]])
+    assert compiler._memo is not None
+    # Another program's miss ends the run and drops the memo.
+    compiler.compile(mibench_program("crc"), o3_setting())
+    assert compiler._memo is None
+
+
+def test_memo_is_not_shared_by_programs_with_one_name():
+    original = mibench_program("crc")
+    changed = original.clone()
+    hot = max(
+        (block for function in changed.functions.values() for block in function.blocks.values()),
+        key=lambda block: block.exec_count,
+    )
+    hot.instructions.pop(0)
+    assert changed.name == original.name
+    assert fold_ir(changed) != fold_ir(original)
+
+    rng = random.Random(7)
+    compiler = Compiler()
+    first = climb(o3_setting(), rng, 12)
+    run_walk(compiler, Reference(original), first)
+    memo = compiler._memo
+    assert memo is not None
+    # The compile cache is keyed by program name, so the changed program
+    # is compiled under settings the original never saw.
+    seen = {setting.canonical() for batch in first for setting in batch}
+    fresh = [
+        batch
+        for batch in climb(FlagSetting.from_indices([0] * len(FLAG_SPECS)), rng, 12)
+        if not seen & {setting.canonical() for setting in batch}
+    ]
+    assert len(fresh) >= 6
+    run_walk(compiler, Reference(changed), fresh)
+    assert compiler._memo is not memo
+    # An equal-content copy (distinct objects) keeps the memo.
+    memo = compiler._memo
+    run_walk(compiler, Reference(changed.clone()), [[neighbour(o3_setting(), rng)]])
+    assert compiler._memo is memo
+
+
+def test_memo_after_clear_cache():
+    program = mibench_program("bitcnts")
+    rng = random.Random(11)
+    compiler = Compiler()
+    reference = Reference(program)
+    walk = climb(o3_setting(), rng, 12)
+    run_walk(compiler, reference, walk)
+    assert compiler._memo is not None
+    compiler.clear_cache()
+    assert compiler._memo is None
+    # Repeats and new neighbours, compiled from scratch and re-memoised.
+    run_walk(compiler, reference, walk + climb(walk[-1][-1], rng, 12))
+    assert compiler._memo is not None
+
+
+def test_memo_shared_by_threads():
+    compiler = Compiler()
+    failures: list[BaseException] = []
+
+    def worker(name: str, seed: int) -> None:
+        try:
+            rng = random.Random(seed)
+            run_walk(compiler, Reference(mibench_program(name)), climb(o3_setting(), rng, 16))
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+
+    threads = [
+        threading.Thread(target=worker, args=(name, seed))
+        for seed, name in enumerate(("sha", "sha", "sha", "crc"))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not failures, failures
+
+
+def test_long_compile_walk_leaves_the_source_unchanged():
+    program = mibench_program("susan_c")
+    before = fold_ir(program)
+    compiler = Compiler()
+    walk = climb(o3_setting().with_values(funroll_loops=True), random.Random(5), 40)
+    for batch in walk:
+        compiler.compile_many(program, batch)
+    assert compiler._memo is not None
+    assert fold_ir(program) == before
+
+
+def different(value):
+    """Some other value of ``value``'s kind (dict and list orders count)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, (int, float)):
+        return value + 1
+    if value is None or isinstance(value, str):
+        return f"{value}~"
+    if isinstance(value, frozenset):
+        return value | {"peephole"}
+    if isinstance(value, tuple):
+        return value + ((9, "alu"),)
+    if isinstance(value, list):
+        return value + value[:1]
+    if isinstance(value, dict):
+        assert len(value) > 1
+        return dict(reversed(value.items()))
+    raise TypeError(type(value))
+
+
+def field_changes(program: Program):
+    """``(field, copy)``: a copy of ``program`` with one field changed,
+    for every field of every IR class.  The program name is left out:
+    passes never read it, and the compiler keys its run by name."""
+    function = next(f for f in program.functions.values() if f.loops and len(f.blocks) > 1)
+    label = next(label for label in function.layout if function.blocks[label].instructions)
+
+    def copy_of():
+        copy = program.clone()
+        return copy, copy.functions[function.name]
+
+    for field in dataclasses.fields(Instruction):
+        copy, fn = copy_of()
+        block = fn.blocks[label]
+        value = getattr(block.instructions[0], field.name)
+        block.instructions[0] = block.instructions[0].replace(**{field.name: different(value)})
+        yield f"Instruction.{field.name}", copy
+    for field in dataclasses.fields(BasicBlock):
+        copy, fn = copy_of()
+        block = fn.blocks[label]
+        setattr(block, field.name, different(getattr(block, field.name)))
+        yield f"BasicBlock.{field.name}", copy
+    for field in dataclasses.fields(Loop):
+        copy, fn = copy_of()  # clones its loops
+        loop = fn.loops[0]
+        setattr(loop, field.name, different(getattr(loop, field.name)))
+        yield f"Loop.{field.name}", copy
+    for field in dataclasses.fields(Function):
+        copy, fn = copy_of()
+        setattr(fn, field.name, different(getattr(fn, field.name)))
+        yield f"Function.{field.name}", copy
+    for field in dataclasses.fields(DataRegion):
+        copy, _ = copy_of()  # shares its regions
+        name, region = next(iter(copy.regions.items()))
+        region = copy.regions[name] = shallow_copy(region)
+        setattr(region, field.name, different(getattr(region, field.name)))
+        yield f"DataRegion.{field.name}", copy
+    for field in dataclasses.fields(Program):
+        if field.name == "name":
+            continue
+        copy, _ = copy_of()
+        setattr(copy, field.name, different(getattr(copy, field.name)))
+        yield f"Program.{field.name}", copy
+
+
+def test_memo_state_key_sees_every_ir_field():
+    program = mibench_program("qsort")  # two functions, three regions
+    memo = PassMemo(default_pass_order(), program)
+    assert memo.serves(program.clone())
+    changed = list(field_changes(program))
+    assert len(changed) >= 30
+    for field, copy in changed:
+        assert not memo.serves(copy), field

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -37,16 +39,27 @@ def fitted(session):
 
 
 class TestFacetConstruction:
-    def test_facets_are_lazy_and_cached(self):
-        fresh = Session("tiny", use_disk_cache=False)
-        assert fresh._facets == {}
-        data = fresh.data
-        assert isinstance(data, DataFacet)
-        assert fresh.data is data  # one instance per session
-        assert isinstance(fresh.models, ModelsFacet)
-        assert isinstance(fresh.eval, EvalFacet)
-        assert isinstance(fresh.protocol, ProtocolFacet)
-        assert set(fresh._facets) == {"data", "models", "eval", "protocol"}
+    def test_used_session_is_freed_without_gc(self, machine):
+        # Facets are views built per access; a session must not hold
+        # them, or the cycle would keep it, its compiler (with the pass
+        # memo) and its dataset alive until a cyclic GC pass.
+        gc.collect()
+        gc.disable()
+        try:
+            fresh = Session("tiny", use_disk_cache=False)
+            assert isinstance(fresh.data, DataFacet)
+            assert isinstance(fresh.models, ModelsFacet)
+            assert isinstance(fresh.eval, EvalFacet)
+            assert isinstance(fresh.protocol, ProtocolFacet)
+            assert fresh.data._session is fresh
+            fresh.eval.search(
+                program="crc", machine=machine, algorithm="random", budget=12, seed=3
+            )
+            refs = [weakref.ref(fresh), weakref.ref(fresh.compiler)]
+            del fresh
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_facets_share_session_state(self, fitted):
         # The models facet fitted the model; every surface sees it.

@@ -13,6 +13,7 @@ pickling and copying.
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 
 from hypothesis import given, settings
@@ -90,6 +91,27 @@ class TestCanonicalMemo:
                     restored.canonical(), reference_canonical(original)
                 )
                 assert restored.canonical().canonical() == restored.canonical()
+
+    def test_canonical_settings_die_by_refcount(self):
+        # A canonical setting must not refer to itself: a cycle would
+        # leave it (and any setting pointing at it) to the cyclic GC,
+        # which DEBUG_SAVEALL makes keep what it frees in gc.garbage.
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for setting in (
+                o3_setting(),
+                o3_setting().with_values(fgcse=False, fgcse_sm=True),
+            ):
+                canonical = setting.canonical()
+                assert canonical.canonical() is canonical
+                assert canonical not in gc.get_referents(canonical)
+                del setting, canonical
+            gc.collect()
+            assert not [obj for obj in gc.garbage if isinstance(obj, FlagSetting)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
     def test_gated_alias_shares_one_canonical_form(self):
         alias = o3_setting().with_values(fgcse=False, fgcse_sm=True)

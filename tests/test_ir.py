@@ -69,13 +69,24 @@ class TestInstruction:
         with pytest.raises(ValueError, match="kind"):
             Instruction(opcode=Opcode.ADD, deps=((1, "bogus"),))
 
-    def test_clone_is_independent(self):
+    def test_replace_is_independent(self):
         original = Instruction(opcode=Opcode.ADD, expr="x", deps=((1, "alu"),))
-        clone = original.clone()
-        clone.deps = ()
-        clone.expr = "y"
+        copy = original.replace(deps=(), expr="y")
+        assert (copy.expr, copy.deps) == ("y", ())
         assert original.expr == "x"
         assert original.deps == ((1, "alu"),)
+
+    def test_instruction_is_immutable(self):
+        insn = Instruction(opcode=Opcode.MUL, expr="m", deps=((2, "mac"),))
+        for name, value in (
+            ("opcode", Opcode.ADD),
+            ("deps", ()),
+            ("tags", frozenset({"peephole"})),
+            ("latency", 1),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(insn, name, value)
+        assert insn == Instruction(opcode=Opcode.MUL, expr="m", deps=((2, "mac"),))
 
     def test_size_is_fixed_width(self):
         assert Instruction(opcode=Opcode.ADD).size_bytes == 4
@@ -86,7 +97,7 @@ class TestInstruction:
         with pytest.raises(AttributeError):
             insn.typo = 1
 
-    def test_clone_copies_every_field(self):
+    def test_replace_copies_every_other_field(self):
         original = Instruction(
             opcode=Opcode.LOAD,
             expr="x",
@@ -97,23 +108,28 @@ class TestInstruction:
             tags=frozenset({"invariant"}),
             chain=3,
         )
-        clone = original.clone()
-        assert clone is not original
-        assert clone == original
+        copy = original.replace()
+        assert copy is not original
+        assert copy == original
+        assert copy.content() == original.content()
         for field in dataclasses.fields(Instruction):
-            assert getattr(clone, field.name) == getattr(original, field.name)
+            assert getattr(copy, field.name) == getattr(original, field.name)
+        moved = original.replace(stride=0, chain=1)
+        assert (moved.stride, moved.chain, moved.expr) == (0, 1, "x")
+        with pytest.raises(TypeError, match="dep"):
+            original.replace(dep=())
 
-    def test_clone_mutations_leave_original_unchanged(self):
+    def test_replace_leaves_original_unchanged(self):
         original = Instruction(
             opcode=Opcode.MUL,
             expr="m",
             deps=((2, "mac"),),
             tags=frozenset({"induction"}),
         )
-        clone = original.clone()
-        clone.deps = ((1, "alu"),)
-        clone.tags = clone.tags | {"peephole"}
-        clone.opcode = Opcode.ADD
+        copy = original.replace(
+            deps=((1, "alu"),), tags=original.tags | {"peephole"}, opcode=Opcode.ADD
+        )
+        assert copy.opcode is Opcode.ADD
         assert original.deps == ((2, "mac"),)
         assert original.tags == frozenset({"induction"})
         assert original.opcode is Opcode.MUL
@@ -149,12 +165,18 @@ class TestBasicBlock:
         with pytest.raises(ValueError):
             BasicBlock("b", predictability=-0.1)
 
-    def test_clone_deep_copies_instructions(self):
+    def test_clone_shares_immutable_instructions(self):
         block = BasicBlock("b", [Instruction(opcode=Opcode.ADD, expr="x")])
         clone = block.clone("c")
-        clone.instructions[0].expr = "y"
-        assert block.instructions[0].expr == "x"
         assert clone.label == "c"
+        assert clone.instructions is not block.instructions
+        assert clone.instructions[0] is block.instructions[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.instructions[0].expr = "y"
+        # A rewrite replaces the list entry and leaves the original alone.
+        clone.instructions[0] = clone.instructions[0].replace(expr="y")
+        clone.instructions.append(Instruction(opcode=Opcode.JMP))
+        assert [insn.expr for insn in block.instructions] == ["x"]
 
 
 class TestLoop:
@@ -243,11 +265,11 @@ class TestFunctionAndProgram:
     def test_validate_rejects_what_clone_no_longer_checks(
         self, loop_program, field, value, message
     ):
-        # body[8] is the block's LOAD; a pass mutating it into an invalid
-        # state is not caught by cloning, only by validate().
-        load = loop_program.functions["main"].blocks["body"].instructions[8]
-        assert load.opcode is Opcode.LOAD
-        setattr(load, field, value)
+        # body[8] is the block's LOAD; a pass rewriting it into an invalid
+        # copy is not caught by replace() or cloning, only by validate().
+        instructions = loop_program.functions["main"].blocks["body"].instructions
+        assert instructions[8].opcode is Opcode.LOAD
+        instructions[8] = instructions[8].replace(**{field: value})
         clone = loop_program.clone()
         with pytest.raises(ValueError, match=message):
             clone.validate()

@@ -10,7 +10,10 @@ every instruction, block, layout, loop and data region, folded by
 :func:`fold_ir` — and the ``PassStats`` must be identical.  The
 hypothesis test draws the program, setting, pass and flag at random.  A
 second test compiles every program through a setting that records each
-flag a pass looks up, and checks the lookups against ``reads``.
+flag a pass looks up, and checks the lookups against ``reads``.  A third
+runs pass *k* on two equal-content copies of the IR, one of which shares
+no instruction object with the other or with itself, and checks that
+the outputs are equal: the pass memo names IR by content alone.
 """
 
 from __future__ import annotations
@@ -116,6 +119,33 @@ def test_pass_output_ignores_undeclared_flags(name, indices, level, data):
     flipped = setting.with_values(**{flag: value})
     before, stats = prefix(mibench_program(name), setting, level)
     assert_pass_ignores(before, stats, level, setting, flipped)
+
+
+def unshared(program: Program) -> Program:
+    """An equal-content copy in which every instruction slot holds its
+    own instruction object."""
+    copy = program.clone()
+    for function in copy.functions.values():
+        for block in function.blocks.values():
+            block.instructions = [insn.replace() for insn in block.instructions]
+    return copy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(MIBENCH_ORDER),
+    indices=st.tuples(*(st.integers(0, spec.cardinality - 1) for spec in FLAG_SPECS)),
+    level=st.integers(0, len(PASSES) - 1),
+)
+def test_pass_output_depends_only_on_ir_content(name, indices, level):
+    setting = FlagSetting.from_indices(indices).canonical()
+    before, stats = prefix(mibench_program(name), setting, level)
+    outputs = []
+    for working in (before.clone(), unshared(before)):
+        run_stats = PassStats(stats)
+        PASSES[level].apply(working, setting, run_stats)
+        outputs.append((fold_ir(working), dict(run_stats)))
+    assert outputs[0] == outputs[1], type(PASSES[level]).__name__
 
 
 class RecordingSetting(FlagSetting):

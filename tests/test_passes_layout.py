@@ -73,7 +73,9 @@ class TestThreadJumps:
     def test_untagged_jumps_kept(self):
         program = self._trampoline_program()
         trampoline = program.functions["main"].blocks["t"]
-        trampoline.instructions[0].tags = frozenset()
+        trampoline.instructions[0] = trampoline.instructions[0].replace(
+            tags=frozenset()
+        )
         ThreadJumpsPass().apply(program, o3_setting(), PassStats())
         assert "t" in program.functions["main"].blocks
 
@@ -205,7 +207,7 @@ class TestSiblingCalls:
     def test_untagged_call_untouched(self):
         program = self._caller_program()
         entry = program.functions["main"].blocks["entry"]
-        entry.instructions[1].tags = frozenset()
+        entry.instructions[1] = entry.instructions[1].replace(tags=frozenset())
         SiblingCallPass().apply(program, o3_setting(), PassStats())
         assert entry.instructions[1].opcode is Opcode.CALL
 

@@ -223,7 +223,7 @@ class TestScheduleInsnsPass:
     def test_gated_by_flag(self):
         program = simple_loop_program()
         body = program.functions["main"].blocks["body"]
-        body.instructions[3].deps = ((1, "load"),)
+        body.instructions[3] = body.instructions[3].replace(deps=((1, "load"),))
         before = [insn.expr for insn in body.instructions]
         ScheduleInsnsPass().apply(
             program, o3_setting().with_values(fschedule_insns=False), PassStats()
