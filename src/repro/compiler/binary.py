@@ -11,6 +11,7 @@ microarchitecture, mirroring the paper's Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Mapping
 
 from repro.compiler.flags import FlagSetting
@@ -147,12 +148,14 @@ def finalize(
 
     block_dyn: list[tuple[float, int]] = []  # (dyn insns, size bytes) per block
 
+    # Float sums add one term per instruction (a per-block product rounds).
     for function in program.functions.values():
         for label in function.layout:
             block = function.blocks[label]
             count = block.exec_count
-            code_bytes += block.size_bytes
-            block_dyn.append((count * len(block.instructions), block.size_bytes))
+            size_bytes = block.size_bytes
+            code_bytes += size_bytes
+            block_dyn.append((count * len(block.instructions), size_bytes))
             if count <= 0.0:
                 continue
 
@@ -260,6 +263,12 @@ def _summarise_loops(program: Program) -> list[LoopSummary]:
     summaries: list[LoopSummary] = []
     for function in program.functions.values():
         positions = {label: index for index, label in enumerate(function.layout)}
+        # ``Function.loop_of_block``: the deepest, the first of equal depth.
+        innermost = {
+            label: loop
+            for loop in sorted(reversed(function.loops), key=attrgetter("depth"))
+            for label in loop.blocks
+        }
         for loop in function.loops:
             members = [label for label in loop.blocks if label in positions]
             if not members or loop.iterations <= 0:
@@ -274,14 +283,10 @@ def _summarise_loops(program: Program) -> list[LoopSummary]:
             accesses: dict[tuple[str, int, bool], float] = {}
             for label in members:
                 block = function.blocks[label]
-                inner = function.loop_of_block(label)
-                if inner is not None and inner.header != loop.header:
+                if innermost[label].header != loop.header:
                     continue  # nested loop accounts for its own blocks
                 own_dyn += block.exec_count * len(block.instructions)
-                for insn in block.instructions:
-                    if insn.opcode.is_memory:
-                        key = (insn.region, insn.stride, insn.opcode is Opcode.STORE)
-                        accesses[key] = accesses.get(key, 0.0) + block.exec_count
+                _count_accesses(accesses, block)
             summaries.append(
                 LoopSummary(
                     function=function.name,
@@ -292,19 +297,7 @@ def _summarise_loops(program: Program) -> list[LoopSummary]:
                     entries=loop.entries,
                     code_bytes=span_bytes,
                     own_dyn_insns=own_dyn,
-                    accesses=[
-                        RegionAccess(
-                            region=region,
-                            kind=program.regions[region].kind,
-                            region_bytes=program.regions[region].size_bytes,
-                            stride=stride,
-                            count=count,
-                            is_store=is_store,
-                        )
-                        for (region, stride, is_store), count in sorted(
-                            accesses.items()
-                        )
-                    ],
+                    accesses=_access_streams(program, accesses),
                 )
             )
     return summaries
@@ -314,16 +307,28 @@ def _flat_accesses(program: Program) -> list[RegionAccess]:
     """Memory accesses executed outside any loop."""
     accesses: dict[tuple[str, int, bool], float] = {}
     for function in program.functions.values():
+        in_loops = {label for loop in function.loops for label in loop.blocks}
         for label in function.layout:
-            if function.loop_of_block(label) is not None:
+            if label in in_loops:
                 continue
             block = function.blocks[label]
-            if block.exec_count <= 0:
-                continue
-            for insn in block.instructions:
-                if insn.opcode.is_memory:
-                    key = (insn.region, insn.stride, insn.opcode is Opcode.STORE)
-                    accesses[key] = accesses.get(key, 0.0) + block.exec_count
+            if block.exec_count > 0:
+                _count_accesses(accesses, block)
+    return _access_streams(program, accesses)
+
+
+def _count_accesses(accesses: dict[tuple[str, int, bool], float], block) -> None:
+    """Add each memory instruction's execution count to its stream."""
+    for insn in block.instructions:
+        if insn.opcode.is_memory:
+            key = (insn.region, insn.stride, insn.opcode is Opcode.STORE)
+            accesses[key] = accesses.get(key, 0.0) + block.exec_count
+
+
+def _access_streams(
+    program: Program, accesses: dict[tuple[str, int, bool], float]
+) -> list[RegionAccess]:
+    """The streams of ``accesses``, in key order."""
     return [
         RegionAccess(
             region=region,

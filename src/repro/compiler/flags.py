@@ -216,10 +216,17 @@ class FlagSetting(Mapping):
         return bool(self[name]) if spec.is_boolean else True
 
     def with_values(self, **overrides: object) -> "FlagSetting":
-        """A copy with some dimensions replaced."""
-        values = dict(zip(FLAG_NAMES, self._values))
-        values.update(overrides)
-        return FlagSetting(values)
+        """A copy with some dimensions replaced; only those are checked."""
+        unknown = set(overrides) - _INDEX_BY_NAME.keys()
+        if unknown:
+            raise ValueError(f"unknown flags: {sorted(unknown)}")
+        values = list(self._values)
+        for name, value in overrides.items():
+            index = _INDEX_BY_NAME[name]
+            if value not in _VALUES[index]:
+                raise ValueError(f"{name}: invalid value {value!r}")
+            values[index] = value
+        return FlagSetting._from_values(tuple(values))
 
     def canonical(self) -> "FlagSetting":
         """Collapse gated-off dimensions to their O3 value.

@@ -30,6 +30,18 @@ from functools import partial
 from typing import Iterable, Iterator
 
 
+#: Default producer latencies in cycles (dcache-hit latency for loads is
+#: machine dependent and substituted by the simulator; 3 is the XScale value).
+DEFAULT_LATENCY = {
+    "alu": 1,
+    "shift": 1,
+    "mac": 3,
+    "load": 3,
+    "store": 1,
+    "ctrl": 1,
+}
+
+
 class Opcode(enum.Enum):
     """Machine-level operation classes of the XScale-style target.
 
@@ -44,6 +56,8 @@ class Opcode(enum.Enum):
     * ``category``: functional unit — alu, mac, shift, load, store or ctrl;
     * ``register_reads``: register-file read ports consumed, for the
       regfile counter;
+    * ``latency``: the category's :data:`DEFAULT_LATENCY`, which the
+      scheduler plans with;
     * ``is_memory``: loads and stores;
     * ``is_branch``: control transfers that consult the branch predictor
       and BTB (every ctrl opcode except NOP).
@@ -73,21 +87,11 @@ class Opcode(enum.Enum):
         member._value_ = value
         member.category = category
         member.register_reads = register_reads
+        member.latency = DEFAULT_LATENCY[category]
         member.is_memory = category in ("load", "store")
         member.is_branch = category == "ctrl" and value != "nop"
         return member
 
-
-#: Default producer latencies in cycles (dcache-hit latency for loads is
-#: machine dependent and substituted by the simulator; 3 is the XScale value).
-DEFAULT_LATENCY = {
-    "alu": 1,
-    "shift": 1,
-    "mac": 3,
-    "load": 3,
-    "store": 1,
-    "ctrl": 1,
-}
 
 #: Dependence-edge producer kinds; ``load`` edges resolve to the machine's
 #: D-cache hit latency at simulation time, the rest are fixed.
@@ -139,16 +143,17 @@ ALL_TAGS = frozenset(
 _KEEP: object = object()
 
 
-class _ContentIdSlot:
-    """Holds :class:`Instruction`'s content id (0 until the pass memo
-    interns its content) in a slot that is not a dataclass field, so it
-    stays out of equality, ``repr``, pickles and :func:`dataclasses.fields`."""
+class _InstructionMarks:
+    """:class:`Instruction`'s content id (0 until the pass memo interns
+    its content) and whether it passed :meth:`~Instruction.problem`, in
+    slots that are not dataclass fields, so they stay out of equality,
+    ``repr``, pickles and :func:`dataclasses.fields`."""
 
-    __slots__ = ("_cid",)
+    __slots__ = ("_cid", "_checked")
 
 
 @dataclass(slots=True, frozen=True, init=False)
-class Instruction(_ContentIdSlot):
+class Instruction(_InstructionMarks):
     """One IR instruction; immutable, and shared between program copies.
 
     A pass never changes an instruction in place: it puts a modified copy
@@ -156,10 +161,10 @@ class Instruction(_ContentIdSlot):
     So :meth:`Program.clone` copies only the block lists and shares every
     instruction, and an instruction's content can be named once by an
     interned id (see :mod:`repro.compiler.memo`).  Construction validates
-    the fields; the copies skip it, and :meth:`Program.validate`, which
-    every compile runs on its final IR, re-checks every instruction (dep
-    distances and kinds, tags, memory regions, callees), so a pass that
-    builds an invalid instruction still fails the compile.
+    the fields and marks the instruction checked; the copies skip both,
+    and :meth:`Program.validate`, which every compile runs on its final
+    IR, checks and marks each unmarked one (and every region and callee),
+    so a pass that builds an invalid instruction still fails the compile.
 
     Attributes:
         opcode: operation class.
@@ -211,7 +216,7 @@ class Instruction(_ContentIdSlot):
         _set_region(self, region)
         _set_stride(self, stride)
         _set_deps(self, deps)
-        _set_latency(self, latency or DEFAULT_LATENCY[opcode.category])
+        _set_latency(self, latency or opcode.latency)
         _set_tags(self, tags)
         _set_callee(self, callee)
         _set_chain(self, chain)
@@ -221,6 +226,7 @@ class Instruction(_ContentIdSlot):
         problem = self.problem()
         if problem is not None:
             raise ValueError(problem)
+        _set_checked(self, True)
 
     def problem(self) -> str | None:
         """The first violated field invariant, or ``None`` if valid."""
@@ -248,7 +254,8 @@ class Instruction(_ContentIdSlot):
         callee: str | None = _KEEP,
         chain: int = _KEEP,
     ) -> "Instruction":
-        """A copy with the given fields changed; they are not re-validated.
+        """An unchecked copy with the given fields changed; they are
+        validated by the next :meth:`Program.validate`.
 
         Spelled out field by field: the dependence rewrites of deletion,
         insertion and scheduling make most of a compile's copies."""
@@ -263,6 +270,7 @@ class Instruction(_ContentIdSlot):
         _set_callee(copy, self.callee if callee is _KEEP else callee)
         _set_chain(copy, self.chain if chain is _KEEP else chain)
         _set_content_id(copy, 0)
+        _set_checked(copy, False)
         return copy
 
     def content(self) -> tuple:
@@ -310,6 +318,7 @@ _new_instruction = partial(object.__new__, Instruction)
     _set_chain,
 ) = (Instruction.__dict__[field.name].__set__ for field in fields(Instruction))
 _set_content_id = Instruction._cid.__set__
+_set_checked = Instruction._checked.__set__
 
 
 @dataclass
@@ -455,10 +464,6 @@ class Function:
                         f"loop block {label!r} missing from function {self.name!r}"
                     )
 
-    def block_list(self) -> list[BasicBlock]:
-        """Blocks in layout order."""
-        return [self.blocks[label] for label in self.layout]
-
     @property
     def size_insns(self) -> int:
         return sum(len(block.instructions) for block in self.blocks.values())
@@ -550,7 +555,8 @@ class Program:
         * every memory instruction references a declared region;
         * every block and instruction satisfies :meth:`BasicBlock.problem`
           and :meth:`Instruction.problem` (the field checks that their
-          ``clone`` methods skip).
+          ``clone`` and ``replace`` methods skip); an instruction that
+          passed once (or at construction) is marked and not re-checked.
         """
         for function in self.functions.values():
             for label in function.layout:
@@ -564,15 +570,17 @@ class Program:
                             f"{function.name}/{label}: unknown successor {successor!r}"
                         )
                 for insn in block.instructions:
-                    problem = insn.problem()
-                    if problem is not None:
-                        raise ValueError(f"{function.name}/{label}: {problem}")
+                    if not getattr(insn, "_checked", False):  # unpickled: unset
+                        problem = insn.problem()
+                        if problem is not None:
+                            raise ValueError(f"{function.name}/{label}: {problem}")
+                        _set_checked(insn, True)
                     if insn.opcode is Opcode.CALL:
                         if insn.callee not in self.functions:
                             raise ValueError(
                                 f"{function.name}/{label}: unknown callee {insn.callee!r}"
                             )
-                    if insn.opcode.is_memory and insn.region not in self.regions:
+                    elif insn.opcode.is_memory and insn.region not in self.regions:
                         raise ValueError(
                             f"{function.name}/{label}: unknown region {insn.region!r}"
                         )

@@ -91,15 +91,18 @@ def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
     if not doomed:
         return 0
     old_instructions = block.instructions
-    old_to_new: dict[int, int] = {}
-    kept: list[tuple[int, Instruction]] = []
-    for old_index, insn in enumerate(old_instructions):
-        if old_index not in doomed:
-            old_to_new[old_index] = len(kept)
-            kept.append((old_index, insn))
-
-    new_instructions: list[Instruction] = []
-    for new_index, (old_index, insn) in enumerate(kept):
+    # Everything before the first deletion keeps its place and its edges.
+    first = max(min(doomed), 0)
+    new_instructions = old_instructions[:first]
+    # Old index → new index from ``first`` on; -1 marks a deleted one.
+    new_of = list(range(first))
+    for old_index in range(first, len(old_instructions)):
+        if old_index in doomed:
+            new_of.append(-1)
+            continue
+        insn = old_instructions[old_index]
+        new_index = len(new_instructions)
+        new_of.append(new_index)
         if insn.deps:
             new_deps: list[tuple[int, str]] = []
             for distance, kind in insn.deps:
@@ -108,10 +111,8 @@ def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
                     # Cross-block producer: preserve the reach beyond the
                     # block start.
                     new_deps.append((new_index - producer, kind))
-                elif producer in doomed:
-                    continue
-                else:
-                    new_deps.append((new_index - old_to_new[producer], kind))
+                elif new_of[producer] >= 0:
+                    new_deps.append((new_index - new_of[producer], kind))
             deps = tuple(new_deps)
             if deps != insn.deps:
                 insn = insn.replace(deps=deps)
@@ -130,10 +131,16 @@ def insert_instructions(
     after it grows by the number of inserted instructions — inserted code
     spaces dependent instructions apart, exactly as in a real binary.
     """
-    count = len(new_insns)
-    if count == 0:
+    stretch_crossing_deps(block.instructions, position, len(new_insns))
+    block.instructions[position:position] = list(new_insns)
+
+
+def stretch_crossing_deps(instructions: list[Instruction], position: int, count: int) -> None:
+    """Lengthen by ``count`` every edge from an instruction at or after
+    ``position`` to a producer before it, as inserting ``count``
+    instructions at ``position`` would."""
+    if count <= 0:
         return
-    instructions = block.instructions
     for old_index in range(position, len(instructions)):
         insn = instructions[old_index]
         if not insn.deps:
@@ -148,12 +155,9 @@ def insert_instructions(
                 new_deps.append((distance, kind))
         if stretched:
             instructions[old_index] = insn.replace(deps=tuple(new_deps))
-    instructions[position:position] = list(new_insns)
 
 
-def remove_tagged(
-    block: BasicBlock, tag: str, predicate=None
-) -> int:
+def remove_tagged(block: BasicBlock, tag: str, predicate=None) -> int:
     """Delete all instructions in ``block`` carrying ``tag``.
 
     ``predicate`` optionally restricts which tagged instructions die.
@@ -164,7 +168,18 @@ def remove_tagged(
         for index, insn in enumerate(block.instructions)
         if tag in insn.tags and (predicate is None or predicate(insn))
     ]
-    return delete_instructions(block, doomed)
+    return delete_instructions(block, doomed) if doomed else 0
+
+
+def remove_tagged_everywhere(
+    program: Program, tag: str, stats: PassStats, key: str
+) -> None:
+    """:func:`remove_tagged` on every block, counted into ``stats[key]``:
+    recorded, zero included, whenever the program has a block, as a
+    ``+=`` per block would be."""
+    blocks = [block for fn in program.functions.values() for block in fn.blocks.values()]
+    if blocks:
+        stats[key] += sum(remove_tagged(block, tag) for block in blocks)
 
 
 def loop_preheader(function, loop) -> BasicBlock | None:

@@ -71,16 +71,17 @@ def _eliminate_in_function(
             if previous.successors == [label]:
                 available |= available_out[previous.label]
 
+        # ``None`` is never available: the redundant tag needs an expr.
         doomed: list[int] = []
         for index, insn in enumerate(block.instructions):
             expr = insn.expr
-            if expr is None:
-                continue
-            if expr in available and TAG_LOCAL_REDUNDANT in insn.tags:
-                doomed.append(index)
-            else:
+            if expr in available:
+                if TAG_LOCAL_REDUNDANT in insn.tags:
+                    doomed.append(index)
+            elif expr is not None:
                 available.add(expr)
-        removed += delete_instructions(block, doomed)
+        if doomed:
+            removed += delete_instructions(block, doomed)
         available_out[label] = available
     return removed
 

@@ -70,29 +70,20 @@ def _global_sweeps(function: Function, max_depth: int) -> int:
     return removed
 
 
-def _hoistable_loads(function: Function, loop: Loop) -> list[tuple[str, int]]:
-    """(block label, index) of loop-invariant loads in ``loop``'s body."""
-    found = []
-    for label in loop.blocks:
-        block = function.blocks[label]
-        for index, insn in enumerate(block.instructions):
-            if (
-                insn.opcode is Opcode.LOAD
-                and TAG_INVARIANT in insn.tags
-                and insn.stride == 0
-            ):
-                found.append((label, index))
-    return found
-
-
-def _sinkable_stores(function: Function, loop: Loop) -> list[tuple[str, int]]:
-    found = []
-    for label in loop.blocks:
-        block = function.blocks[label]
-        for index, insn in enumerate(block.instructions):
-            if insn.opcode is Opcode.STORE and TAG_INVARIANT_STORE in insn.tags:
-                found.append((label, index))
-    return found
+def _movable(
+    function: Function, loop: Loop, opcode: Opcode, tag: str
+) -> list[tuple[str, int]]:
+    """(block label, index) of the ``opcode`` instructions tagged ``tag``
+    in ``loop``'s body whose address is loop invariant (stride 0) if
+    they are loads."""
+    return [
+        (label, index)
+        for label in loop.blocks
+        for index, insn in enumerate(function.blocks[label].instructions)
+        if insn.opcode is opcode
+        and tag in insn.tags
+        and (opcode is not Opcode.LOAD or insn.stride == 0)
+    ]
 
 
 def _loop_exit(function: Function, loop: Loop):
@@ -161,23 +152,23 @@ class GcsePass(Pass):
         preheader = loop_preheader(function, loop)
         if preheader is None:
             return
-        for label, index in reversed(_hoistable_loads(function, loop)):
+        for label, index in reversed(_movable(function, loop, Opcode.LOAD, TAG_INVARIANT)):
             block = function.blocks[label]
             insn = block.instructions[index]
             delete_instructions(block, [index])
             # Operands are invariant, available long before.
             hoisted = insn.replace(deps=())
-            position = len(preheader.instructions)
-            if preheader.terminator is not None:
-                position -= 1
-            insert_instructions(preheader, position, [hoisted])
+            end = len(preheader.instructions) - (preheader.terminator is not None)
+            insert_instructions(preheader, end, [hoisted])
             stats["gcse.loads_hoisted"] += 1
 
     def _sink(self, function: Function, loop: Loop, stats: PassStats) -> None:
         exit_block = _loop_exit(function, loop)
         if exit_block is None:
             return
-        for label, index in reversed(_sinkable_stores(function, loop)):
+        for label, index in reversed(
+            _movable(function, loop, Opcode.STORE, TAG_INVARIANT_STORE)
+        ):
             block = function.blocks[label]
             insn = block.instructions[index]
             delete_instructions(block, [index])

@@ -36,7 +36,13 @@ from repro.compiler.ir import (
     Function,
     fresh_label,
 )
-from repro.compiler.passes.base import Pass, PassStats, remove_tagged
+from repro.compiler.passes.base import (
+    Pass,
+    PassStats,
+    delete_instructions,
+    remove_tagged,
+    stretch_crossing_deps,
+)
 
 
 class InlineFunctionsPass(Pass):
@@ -153,7 +159,7 @@ class InlineFunctionsPass(Pass):
         )
         # Values flowing from the first half to the second now cross the
         # whole inlined body instead of a single CALL instruction.
-        self._stretch_crossing_deps(continuation, call_index, inlined_insns - 1)
+        stretch_crossing_deps(continuation.instructions, 0, inlined_insns - 1)
         block.instructions = block.instructions[:call_index]
         block.taken_prob = 0.0
         block.invariant_branch = False
@@ -205,29 +211,6 @@ class InlineFunctionsPass(Pass):
         stats["inline.insns_added"] += sum(len(c.instructions) for c in clones)
 
     @staticmethod
-    def _stretch_crossing_deps(
-        continuation: BasicBlock, call_index: int, growth: int
-    ) -> None:
-        """Deps reaching back past the old CALL stretch by the body length."""
-        if growth <= 0:
-            return
-        instructions = continuation.instructions
-        for new_index, insn in enumerate(instructions):
-            if not insn.deps:
-                continue
-            old_index = new_index + call_index + 1
-            new_deps = []
-            stretched = False
-            for distance, kind in insn.deps:
-                if old_index - distance <= call_index:
-                    new_deps.append((distance + growth, kind))
-                    stretched = True
-                else:
-                    new_deps.append((distance, kind))
-            if stretched:
-                instructions[new_index] = insn.replace(deps=tuple(new_deps))
-
-    @staticmethod
     def _rewrite_returns(clone: BasicBlock, continuation_label: str) -> None:
         doomed = [
             index
@@ -235,8 +218,6 @@ class InlineFunctionsPass(Pass):
             if insn.opcode is Opcode.RET
         ]
         if doomed:
-            from repro.compiler.passes.base import delete_instructions
-
             delete_instructions(clone, doomed)
             clone.successors = [continuation_label]
             clone.taken_prob = 0.0

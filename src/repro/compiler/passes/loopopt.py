@@ -60,10 +60,8 @@ def _hoist_invariant_alu(
                 insn.replace(deps=(), tags=insn.tags - {TAG_INVARIANT})
                 for _, insn in movable
             ]
-            position = len(preheader.instructions)
-            if preheader.terminator is not None:
-                position -= 1
-            insert_instructions(preheader, position, hoisted)
+            end = len(preheader.instructions) - (preheader.terminator is not None)
+            insert_instructions(preheader, end, hoisted)
             stats["loop.invariants_hoisted"] += len(hoisted)
 
 
@@ -195,10 +193,11 @@ class StrengthReducePass(Pass):
         return bool(flags["fstrength_reduce"])
 
     def run(self, program: Program, flags: FlagSetting, stats: PassStats) -> None:
+        # The tag first: it rules out almost every instruction.
         for function in program.functions.values():
             for block in function.blocks.values():
                 for index, insn in enumerate(block.instructions):
-                    if insn.opcode is Opcode.MUL and TAG_INDUCTION in insn.tags:
+                    if TAG_INDUCTION in insn.tags and insn.opcode is Opcode.MUL:
                         block.instructions[index] = insn.replace(
                             opcode=Opcode.ADD, latency=1
                         )

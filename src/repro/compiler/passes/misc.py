@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import Opcode, Program, TAG_PEEPHOLE, TAG_SIBLING
-from repro.compiler.passes.base import Pass, PassStats, delete_instructions, remove_tagged
+from repro.compiler.passes.base import Pass, PassStats, delete_instructions, remove_tagged_everywhere
 
 
 class PeepholePass(Pass):
@@ -23,9 +23,7 @@ class PeepholePass(Pass):
         return bool(flags["fpeephole2"])
 
     def run(self, program: Program, flags: FlagSetting, stats: PassStats) -> None:
-        for function in program.functions.values():
-            for block in function.blocks.values():
-                stats["peephole.removed"] += remove_tagged(block, TAG_PEEPHOLE)
+        remove_tagged_everywhere(program, TAG_PEEPHOLE, stats, "peephole.removed")
 
 
 class SiblingCallPass(Pass):
@@ -43,12 +41,13 @@ class SiblingCallPass(Pass):
         return bool(flags["foptimize_sibling_calls"])
 
     def run(self, program: Program, flags: FlagSetting, stats: PassStats) -> None:
+        # The tag first: it rules out almost every instruction.
         for function in program.functions.values():
             for block in function.blocks.values():
                 for index, insn in enumerate(block.instructions):
                     if (
-                        insn.opcode is Opcode.CALL
-                        and TAG_SIBLING in insn.tags
+                        TAG_SIBLING in insn.tags
+                        and insn.opcode is Opcode.CALL
                         and index + 1 < len(block.instructions)
                         and block.instructions[index + 1].opcode is Opcode.RET
                     ):

@@ -23,11 +23,9 @@ Sub-flags:
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate
 
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import (
-    DEFAULT_LATENCY,
     Opcode,
     Program,
     BasicBlock,
@@ -106,84 +104,65 @@ def merge_fallthrough_chains(
             break
 
 
-def _dependence_edges(
-    block: BasicBlock, allow_speculation: bool
-) -> list[list[int]]:
-    """Predecessor lists for the block's scheduling DAG.
-
-    Edges come from explicit value dependences plus memory-ordering
-    constraints: stores are ordered with other stores and loads of the same
-    region; without speculative scheduling, stores bar *all* later loads.
-    """
-    instructions = block.instructions
-    count = len(instructions)
-    predecessors: list[list[int]] = [[] for _ in range(count)]
-    for index, insn in enumerate(instructions):
-        for distance, _ in insn.deps:
-            producer = index - distance
-            if 0 <= producer < count:
-                predecessors[index].append(producer)
-
-    last_store_by_region: dict[str, int] = {}
-    last_store_any = -1
-    for index, insn in enumerate(instructions):
-        if insn.opcode is Opcode.STORE:
-            previous = last_store_by_region.get(insn.region, -1)
-            if previous >= 0:
-                predecessors[index].append(previous)
-            last_store_by_region[insn.region] = index
-            last_store_any = index
-        elif insn.opcode is Opcode.LOAD:
-            if allow_speculation:
-                previous = last_store_by_region.get(insn.region, -1)
-            else:
-                previous = last_store_any
-            if previous >= 0:
-                predecessors[index].append(previous)
-    return predecessors
-
-
 def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
     """Reorder the block body to maximise producer→consumer spacing.
 
     The terminator (if any) stays last; CALL instructions are barriers that
     partition the block into independently scheduled segments.  Returns
     whether any instruction moved.
+
+    One sweep finds the segments and each instruction's in-segment
+    producers: value dependences, plus stores ordered with the stores and
+    loads of their region (without speculation, with *all* later loads).
     """
-    body, terminator = block.body_and_terminator()
-    if len(body) < 3:
+    instructions = block.instructions
+    has_terminator = bool(instructions) and instructions[-1].opcode.is_branch
+    body_len = len(instructions) - has_terminator
+    if body_len < 3:
         return False
 
+    predecessors: list[list[int] | None] = [None] * body_len
     segments: list[tuple[int, int]] = []
     start = 0
-    for index, insn in enumerate(body):
-        if insn.opcode is Opcode.CALL:
+    last_store: dict[str | None, int] = {}
+    last_store_any = -1  # reset at each CALL, with ``last_store``
+    for index in range(body_len):
+        insn = instructions[index]
+        opcode = insn.opcode
+        if opcode is Opcode.CALL:
             if index > start:
                 segments.append((start, index))
             start = index + 1
-    if len(body) > start:
-        segments.append((start, len(body)))
+            last_store, last_store_any = {}, -1
+            continue
+        producers = [
+            index - distance for distance, _ in insn.deps if index - distance >= start
+        ]
+        if opcode is Opcode.STORE:
+            previous = last_store.get(insn.region, -1)
+            if previous >= 0:
+                producers.append(previous)
+            last_store[insn.region] = last_store_any = index
+        elif opcode is Opcode.LOAD:
+            previous = (
+                last_store.get(insn.region, -1) if allow_speculation else last_store_any
+            )
+            if previous >= 0:
+                producers.append(previous)
+        predecessors[index] = producers
+    if body_len > start:
+        segments.append((start, body_len))
 
-    predecessors = _dependence_edges(block, allow_speculation)
-    new_order: list[int] = []
+    new_order = list(range(body_len))
     moved = False
-    cursor = 0
     for seg_start, seg_end in segments:
-        while cursor < seg_start:
-            new_order.append(cursor)
-            cursor += 1
         order = _schedule_segment(block, predecessors, seg_start, seg_end)
-        if order != list(range(seg_start, seg_end)):
+        if order != new_order[seg_start:seg_end]:
+            new_order[seg_start:seg_end] = order
             moved = True
-        new_order.extend(order)
-        cursor = seg_end
-    while cursor < len(body):
-        new_order.append(cursor)
-        cursor += 1
-
     if not moved:
         return False
-    _apply_order(block, new_order, terminator is not None)
+    _apply_order(block, new_order, has_terminator)
     return True
 
 
@@ -211,29 +190,29 @@ def _schedule_segment(
     waiting one, so the available minimum — or, if none is available, the
     waiting minimum — is exactly the key's minimum.  A consumer joins the
     pool only when its last producer is scheduled, so its ``ready_time``
-    is final by then and a heap entry never goes stale.
+    is final by then and a heap entry never goes stale.  Producers outside
+    the segment are ignored; returns its indices in their new order.
     """
     instructions = block.instructions
     count = seg_end - seg_start
-    latency = [
-        DEFAULT_LATENCY[instructions[index].opcode.category]
-        for index in range(seg_start, seg_end)
-    ]
+    latency = [instructions[index].opcode.latency for index in range(seg_start, seg_end)]
     successors: list[list[int]] = [[] for _ in range(count)]
     remaining = [0] * count
-    for local in range(count):
-        for producer in predecessors[seg_start + local]:
-            if seg_start <= producer < seg_end:
-                successors[producer - seg_start].append(local)
-                remaining[local] += 1
-
-    # Critical path (height) of each node, in cycles.
+    # Critical path (height) of each node, in cycles: walking backwards,
+    # a node's height is final once every consumer has raised it.
     height = [0] * count
-    for local in reversed(range(count)):
-        height[local] = latency[local] + max(
-            (height[consumer] for consumer in successors[local]), default=0
-        )
+    for local in range(count - 1, -1, -1):
+        own = height[local] + latency[local]
+        height[local] = own
+        for producer in predecessors[seg_start + local]:
+            producer -= seg_start
+            if 0 <= producer < count:
+                successors[producer].append(local)
+                remaining[local] += 1
+                if own > height[producer]:
+                    height[producer] = own
 
+    heappush, heappop = heapq.heappush, heapq.heappop
     ready_time = [0] * count
     available = [
         (-height[local], local) for local in range(count) if not remaining[local]
@@ -243,12 +222,12 @@ def _schedule_segment(
     order: list[int] = []
     for slot in range(count):
         while waiting and waiting[0][0] <= slot:
-            _, neg_height, local = heapq.heappop(waiting)
-            heapq.heappush(available, (neg_height, local))
+            _, neg_height, local = heappop(waiting)
+            heappush(available, (neg_height, local))
         if available:
-            chosen = heapq.heappop(available)[1]
+            chosen = heappop(available)[1]
         else:
-            chosen = heapq.heappop(waiting)[2]
+            chosen = heappop(waiting)[2]
         order.append(seg_start + chosen)
         finish = slot + latency[chosen]
         for consumer in successors[chosen]:
@@ -256,23 +235,18 @@ def _schedule_segment(
                 ready_time[consumer] = finish
             remaining[consumer] -= 1
             if not remaining[consumer]:
-                heapq.heappush(
-                    waiting, (ready_time[consumer], -height[consumer], consumer)
-                )
+                heappush(waiting, (ready_time[consumer], -height[consumer], consumer))
     return order
 
 
 def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) -> None:
     """Materialise the permutation, rewriting dependence distances."""
     old_instructions = block.instructions
-    body_len = len(new_order)
-    position_of: dict[int, int] = {
-        old_index: new_index for new_index, old_index in enumerate(new_order)
-    }
     if has_terminator:
-        terminator_old = len(old_instructions) - 1
-        position_of[terminator_old] = body_len
-        new_order = new_order + [terminator_old]
+        new_order = new_order + [len(old_instructions) - 1]
+    position_of = [0] * len(new_order)
+    for new_index, old_index in enumerate(new_order):
+        position_of[old_index] = new_index
 
     reordered = [old_instructions[old_index] for old_index in new_order]
     for new_index, insn in enumerate(reordered):
@@ -287,8 +261,8 @@ def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) 
                 # block start.
                 new_deps.append((new_index - producer, kind))
             else:
-                new_position = position_of.get(producer)
-                if new_position is None or new_position >= new_index:
+                new_position = position_of[producer]
+                if new_position >= new_index:
                     # Should not happen (precedence respected); drop safely.
                     continue
                 new_deps.append((new_index - new_position, kind))
@@ -305,21 +279,36 @@ def block_pressure(block: BasicBlock) -> int:
     consumer.  ``BASELINE_LIVE`` covers loop-carried values and globals that
     no in-block edge describes.
     """
-    # Consumers are visited in order, so the last write per producer is
-    # its last use.
-    last_use: dict[int, int] = {}
-    for index, insn in enumerate(block.instructions):
+    return peak_live_and_calls(block.instructions)[0] + BASELINE_LIVE
+
+
+def peak_live_and_calls(instructions: list) -> tuple[int, int]:
+    """``(peak live in-block values, CALL count)``, in one loop.
+
+    ``delta`` is the net change in live values at each position: a
+    producer's first consumer adds +1 there and -1 at itself, each later
+    one moves the -1 to itself.  The running sum's peak is the live peak
+    (a position's deaths before its births: deaths only lower it)."""
+    delta = [0] * len(instructions)
+    last_use = [-1] * len(instructions)
+    calls = 0
+    call = Opcode.CALL
+    for index, insn in enumerate(instructions):
+        if insn.opcode is call:
+            calls += 1
         for distance, _ in insn.deps:
-            if distance <= index:
-                last_use[index - distance] = index
-    # Net change in live values at each position.  The peak of the
-    # running sum equals the peak of applying a position's deaths before
-    # its births one event at a time: deaths only lower the count.
-    delta = [0] * len(block.instructions)
-    for producer, last in last_use.items():
-        delta[producer] += 1
-        delta[last] -= 1
-    return max(accumulate(delta, initial=0)) + BASELINE_LIVE
+            producer = index - distance
+            if producer >= 0:
+                last = last_use[producer]
+                delta[producer if last < 0 else last] += 1
+                delta[index] -= 1
+                last_use[producer] = index
+    live = peak = 0
+    for change in delta:
+        live += change
+        if live > peak:
+            peak = live
+    return peak, calls
 
 
 class ScheduleInsnsPass(Pass):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import TAG_PARTIAL_REDUNDANT, TAG_RANGE_CHECK, Program
-from repro.compiler.passes.base import Pass, PassStats, remove_tagged
+from repro.compiler.passes.base import Pass, PassStats, remove_tagged_everywhere
 
 
 class TreeVrpPass(Pass):
@@ -23,9 +23,7 @@ class TreeVrpPass(Pass):
         return bool(flags["ftree_vrp"])
 
     def run(self, program: Program, flags: FlagSetting, stats: PassStats) -> None:
-        for function in program.functions.values():
-            for block in function.blocks.values():
-                stats["tree_vrp.removed"] += remove_tagged(block, TAG_RANGE_CHECK)
+        remove_tagged_everywhere(program, TAG_RANGE_CHECK, stats, "tree_vrp.removed")
 
 
 class TreePrePass(Pass):
@@ -38,8 +36,6 @@ class TreePrePass(Pass):
         return bool(flags["ftree_pre"])
 
     def run(self, program: Program, flags: FlagSetting, stats: PassStats) -> None:
-        for function in program.functions.values():
-            for block in function.blocks.values():
-                stats["tree_pre.removed"] += remove_tagged(
-                    block, TAG_PARTIAL_REDUNDANT
-                )
+        remove_tagged_everywhere(
+            program, TAG_PARTIAL_REDUNDANT, stats, "tree_pre.removed"
+        )

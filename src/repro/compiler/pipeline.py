@@ -79,10 +79,11 @@ def default_pass_order() -> list[Pass]:
 class Compiler:
     """The optimising compiler: (program, flag setting) → compiled binary.
 
-    Compilations are memoised on ``(program name, canonical setting)``; two
-    settings that differ only in dimensions masked by a disabled parent flag
-    share one compilation, exactly as they would share one gcc invocation's
-    behaviour.  :meth:`compile` is a batch of one :meth:`compile_many`.
+    Compilations are memoised per program content and canonical setting
+    (see :meth:`_binaries_of`); two settings that differ only in dimensions
+    masked by a disabled parent flag share one compilation, exactly as they
+    would share one gcc invocation's behaviour.  :meth:`compile` is a batch
+    of one :meth:`compile_many`.
 
     The settings that miss the memo take one of two paths.
 
@@ -114,7 +115,7 @@ class Compiler:
     def __init__(self, space: FlagSpace = DEFAULT_SPACE, cache: bool = True):
         self.space = space
         self._cache_enabled = cache
-        self._cache: dict[tuple[str, FlagSetting], CompiledBinary] = {}
+        self._cache: dict[str, tuple[Program, dict[FlagSetting, CompiledBinary]]] = {}
         self._passes = default_pass_order()
         self._memo_lock = threading.Lock()
         self._memo: PassMemo | None = None
@@ -137,15 +138,13 @@ class Compiler:
         """
         binaries: list[CompiledBinary | None] = [None] * len(settings)
         pending: dict[FlagSetting, list[int]] = {}
+        cache = self._binaries_of(program) if self._cache_enabled else {}
         for index, setting in enumerate(settings):
             canonical = setting.canonical()
-            if self._cache_enabled:
-                # Single atomic read (not check-then-index) so a concurrent
-                # clear_cache() can only cause a recompile, never a KeyError.
-                cached = self._cache.get((program.name, canonical))
-                if cached is not None:
-                    binaries[index] = cached
-                    continue
+            cached = cache.get(canonical)
+            if cached is not None:
+                binaries[index] = cached
+                continue
             pending.setdefault(canonical, []).append(index)
         if not pending:
             return binaries
@@ -158,7 +157,7 @@ class Compiler:
                         binary = memo.compile(canonical, settings[indices[0]])
                         for index in indices:
                             binaries[index] = binary
-                        self._cache[(program.name, canonical)] = binary
+                        cache[canonical] = binary
                     return binaries
 
         def finish(working: Program, stats: PassStats, leaf: list[FlagSetting]) -> None:
@@ -169,11 +168,20 @@ class Compiler:
                     if binary is None or not self._cache_enabled:
                         binary = finalize(working, settings[index], PassStats(stats))
                     binaries[index] = binary
-                if self._cache_enabled:
-                    self._cache[(program.name, canonical)] = binary
+                cache[canonical] = binary
 
         self._walk(program.clone(), PassStats(), 0, list(pending), finish)
         return binaries
+
+    def _binaries_of(self, program: Program) -> dict[FlagSetting, CompiledBinary]:
+        """``program``'s cached binaries, filed under its name with the object
+        they came from: another object finds them only if its content is
+        equal, else they are dropped (a compile keeps the dict it got)."""
+        entry = self._cache.get(program.name)
+        if entry is None or entry[0] is not program:
+            entry = (program, entry[1] if entry is not None and entry[0] == program else {})
+            self._cache[program.name] = entry
+        return entry[1]
 
     def _engage(
         self, program: Program, misses: Sequence[FlagSetting]

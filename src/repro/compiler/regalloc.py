@@ -30,7 +30,7 @@ from repro.compiler.ir import (
     TAG_SPILL,
 )
 from repro.compiler.passes.base import Pass, PassStats, insert_instructions
-from repro.compiler.passes.schedule import block_pressure
+from repro.compiler.passes.schedule import BASELINE_LIVE, peak_live_and_calls
 
 #: General-purpose registers available to the allocator.
 ALLOCATABLE_REGISTERS = 11
@@ -71,12 +71,10 @@ class RegisterAllocationPass(Pass):
 
     @staticmethod
     def _spill_count(block, regmove: bool, caller_saves: bool) -> int:
-        pressure = block_pressure(block)
+        peak, calls = peak_live_and_calls(block.instructions)
+        pressure = peak + BASELINE_LIVE
         if regmove:
             pressure -= 1
-        calls = sum(
-            1 for insn in block.instructions if insn.opcode is Opcode.CALL
-        )
         available = ALLOCATABLE_REGISTERS
         spilled = max(0, pressure - available)
         if calls:

@@ -128,22 +128,21 @@ def tmp_sibling(path: Path) -> Path:
     return path.parent / f".{path.name}.{os.getpid()}.{token}.tmp"
 
 
-def _fsync_file_and_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
+def _fsync(path: Path, directory: bool = False) -> None:
+    """fsync a file, or a directory's entries where the platform allows."""
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY)
     except OSError:
+        if not directory:
+            raise
         return  # platform without directory fds; file data is already down
     try:
-        os.fsync(dir_fd)
+        os.fsync(fd)
     except OSError:
-        pass
+        if not directory:
+            raise
     finally:
-        os.close(dir_fd)
+        os.close(fd)
 
 
 def _inject_atomic(injection: Injection, path: Path, tmp: Path, data: bytes) -> None:
@@ -175,7 +174,10 @@ def atomic_write_bytes(
     fsync: bool = False,
     retries: RetryPolicy | None = None,
 ) -> None:
-    """Write ``data`` to ``path`` via temp sibling + atomic rename."""
+    """Write ``data`` to ``path`` via temp sibling + atomic rename.
+
+    With ``fsync``: fsync the temp file, rename it, then fsync the
+    directory, so both the bytes and the rename survive a power cut."""
     path = Path(path)
 
     def write_once() -> None:
@@ -185,8 +187,10 @@ def atomic_write_bytes(
             _inject_atomic(injection, path, tmp, data)
         tmp.write_bytes(data)
         if fsync:
-            _fsync_file_and_dir(tmp)
+            _fsync(tmp)
         os.replace(tmp, path)
+        if fsync:
+            _fsync(path.parent, directory=True)
 
     if retries is None:
         write_once()

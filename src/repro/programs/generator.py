@@ -684,21 +684,20 @@ class ProgramBuilder:
         pending_store_expr: dict[str, str] = {}
         ilp = loop.ilp if loop is not None else 3.0
 
-        def emit_dep(insn: Instruction) -> Instruction:
-            """Attach a dependence on a recent producer, honouring ILP."""
-            if not instructions or self.rng.random() > 0.8:
-                return insn
-            distance = max(1, min(int(self.rng.expovariate(1.0 / ilp)) + 1, 6))
-            position = len(instructions) - distance
-            while position >= 0:
-                producer = instructions[position]
-                kind = _KIND_OF_CATEGORY.get(producer.opcode.category)
-                if kind is not None:
-                    return insn.replace(
-                        deps=insn.deps + ((len(instructions) - position, kind),)
-                    )
-                position -= 1
-            return insn
+        def emit_dep(fields: dict) -> Instruction:
+            """Build the instruction of ``fields`` with a dependence on a
+            recent producer, honouring ILP (drawn after the fields)."""
+            if instructions and self.rng.random() <= 0.8:
+                distance = max(1, min(int(self.rng.expovariate(1.0 / ilp)) + 1, 6))
+                position = len(instructions) - distance
+                while position >= 0:
+                    producer = instructions[position]
+                    kind = _KIND_OF_CATEGORY.get(producer.opcode.category)
+                    if kind is not None:
+                        fields["deps"] = ((len(instructions) - position, kind),)
+                        break
+                    position -= 1
+            return Instruction(**fields)
 
         pending = list(accesses)
         slot_stride = max(count // (len(pending) + 1), 1) if pending else 0
@@ -711,15 +710,15 @@ class ProgramBuilder:
                 queued = pending.pop(0)
                 instructions.append(
                     emit_dep(
-                        self._memory_instruction(queued, loop, pending_store_expr)
+                        self._memory_fields(queued, loop, pending_store_expr)
                     )
                 )
-            instructions.append(emit_dep(self._generic_instruction(loop, block_pool)))
+            instructions.append(emit_dep(self._generic_fields(loop, block_pool)))
 
         # Very dense access lists spill past the generic body; emit the rest.
         for queued in pending:
             instructions.append(
-                emit_dep(self._memory_instruction(queued, loop, pending_store_expr))
+                emit_dep(self._memory_fields(queued, loop, pending_store_expr))
             )
         for callee in calls:
             instructions.append(Instruction(opcode=Opcode.CALL, callee=callee))
@@ -737,12 +736,13 @@ class ProgramBuilder:
         self._quota[key] = accumulated
         return False
 
-    def _memory_instruction(
+    def _memory_fields(
         self,
         queued: tuple[AccessSpec, bool],
         loop: LoopSpec | None,
         pending_store_expr: dict[str, str],
-    ) -> Instruction:
+    ) -> dict:
+        """The fields of one queued load or store."""
         access, is_store = queued
         expr = self._fresh_expr()
         if is_store:
@@ -752,7 +752,7 @@ class ProgramBuilder:
             ):
                 tags = frozenset({TAG_INVARIANT_STORE})
             pending_store_expr[access.region] = expr
-            return Instruction(
+            return dict(
                 opcode=Opcode.STORE,
                 expr=expr,
                 region=access.region,
@@ -774,7 +774,7 @@ class ProgramBuilder:
                 expr = pending_store_expr[access.region]
                 stride = 0
         self._function_pool.append(expr)
-        return Instruction(
+        return dict(
             opcode=Opcode.LOAD,
             expr=expr,
             region=access.region,
@@ -782,19 +782,18 @@ class ProgramBuilder:
             tags=tags,
         )
 
-    def _generic_instruction(
-        self, loop: LoopSpec | None, block_pool: list[str]
-    ) -> Instruction:
-        """One ALU/MAC/shift instruction, with spec-driven special patterns."""
+    def _generic_fields(self, loop: LoopSpec | None, block_pool: list[str]) -> dict:
+        """The fields of one ALU/MAC/shift instruction, with spec-driven
+        special patterns."""
         if loop is None:
             expr = self._fresh_expr()
             block_pool.append(expr)
-            return Instruction(opcode=self._pick_alu(), expr=expr)
+            return dict(opcode=self._pick_alu(), expr=expr)
 
         roll = self.rng.random()
         threshold = loop.redundancy_local
         if roll < threshold and block_pool:
-            return Instruction(
+            return dict(
                 opcode=self._pick_alu(),
                 expr=self.rng.choice(block_pool),
                 tags=frozenset({TAG_LOCAL_REDUNDANT}),
@@ -803,7 +802,7 @@ class ProgramBuilder:
         threshold += loop.redundancy_global
         if roll < threshold and self._function_pool:
             chain = 1 if self.rng.random() < 0.55 else 2
-            return Instruction(
+            return dict(
                 opcode=self._pick_alu(),
                 expr=self.rng.choice(self._function_pool),
                 tags=frozenset({TAG_GLOBAL_REDUNDANT}),
@@ -812,7 +811,7 @@ class ProgramBuilder:
 
         threshold += loop.partial_redundancy
         if roll < threshold:
-            return Instruction(
+            return dict(
                 opcode=self._pick_alu(),
                 expr=self._fresh_expr(),
                 tags=frozenset({TAG_PARTIAL_REDUNDANT}),
@@ -820,7 +819,7 @@ class ProgramBuilder:
 
         threshold += loop.range_check_rate
         if roll < threshold:
-            return Instruction(
+            return dict(
                 opcode=Opcode.CMP,
                 expr=self._fresh_expr(),
                 tags=frozenset({TAG_RANGE_CHECK}),
@@ -829,7 +828,7 @@ class ProgramBuilder:
         threshold += loop.invariant_alu_rate
         if roll < threshold:
             chain = 1 if self.rng.random() < 0.5 else 2
-            return Instruction(
+            return dict(
                 opcode=self._pick_alu(),
                 expr=self._fresh_expr(),
                 tags=frozenset({TAG_INVARIANT}),
@@ -838,7 +837,7 @@ class ProgramBuilder:
 
         threshold += loop.induction_rate
         if roll < threshold:
-            return Instruction(
+            return dict(
                 opcode=Opcode.MUL,
                 expr=self._fresh_expr(),
                 tags=frozenset({TAG_INDUCTION}),
@@ -846,7 +845,7 @@ class ProgramBuilder:
 
         threshold += loop.peephole_rate
         if roll < threshold:
-            return Instruction(
+            return dict(
                 opcode=Opcode.MOV,
                 expr=self._fresh_expr(),
                 tags=frozenset({TAG_PEEPHOLE}),
@@ -864,7 +863,7 @@ class ProgramBuilder:
         block_pool.append(expr)
         if self.rng.random() < 0.15:
             self._function_pool.append(expr)
-        return Instruction(opcode=opcode, expr=expr)
+        return dict(opcode=opcode, expr=expr)
 
     # ------------------------------------------------------------ profiles
     @staticmethod

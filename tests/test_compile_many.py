@@ -212,16 +212,39 @@ def test_memo_engages_for_a_run_of_near_misses_only():
     assert compiler._memo is None
 
 
-def test_memo_is_not_shared_by_programs_with_one_name():
-    original = mibench_program("crc")
-    changed = original.clone()
+def _changed_copy(program):
+    """A copy of ``program``, under its name, minus one hot instruction."""
+    changed = program.clone()
     hot = max(
         (block for function in changed.functions.values() for block in function.blocks.values()),
         key=lambda block: block.exec_count,
     )
     hot.instructions.pop(0)
-    assert changed.name == original.name
-    assert fold_ir(changed) != fold_ir(original)
+    assert changed.name == program.name
+    assert fold_ir(changed) != fold_ir(program)
+    return changed
+
+
+def test_programs_with_one_name_get_their_own_binaries():
+    original = mibench_program("crc")
+    changed = _changed_copy(original)
+    setting = o3_setting()
+    compiler = Compiler()
+    first = compiler.compile(original, setting)
+    second = compiler.compile(changed, setting)
+    assert second != first
+    assert second == Compiler(cache=False).compile(changed, setting)
+    # The same object, or an equal-content copy, finds its binary cached.
+    assert compiler.compile(changed, setting) is second
+    assert compiler.compile(changed.clone(), setting) is second
+    # The first program's binaries were dropped: it is compiled afresh.
+    again = compiler.compile(original, setting)
+    assert again == first and again is not first
+
+
+def test_memo_is_not_shared_by_programs_with_one_name():
+    original = mibench_program("crc")
+    changed = _changed_copy(original)
 
     rng = random.Random(7)
     compiler = Compiler()
@@ -229,8 +252,8 @@ def test_memo_is_not_shared_by_programs_with_one_name():
     run_walk(compiler, Reference(original), first)
     memo = compiler._memo
     assert memo is not None
-    # The compile cache is keyed by program name, so the changed program
-    # is compiled under settings the original never saw.
+    # Settings the original never saw: the changed program's misses must
+    # come from the memo walk, not from the binaries of its first object.
     seen = {setting.canonical() for batch in first for setting in batch}
     fresh = [
         batch

@@ -177,6 +177,37 @@ class TestInjectedWreckage:
             atomic_write_bytes(target, b"z" * 100, site="w", retries=DEFAULT_RETRY)
         assert target.read_bytes() == b"z" * 100
 
+    def test_fsync_write_syncs_file_then_renames_then_syncs_directory(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "artifact.json"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        tmp_dir_fd = os.open(tmp_path, os.O_RDONLY)
+        try:
+            dir_inode = os.fstat(tmp_dir_fd).st_ino
+        finally:
+            os.close(tmp_dir_fd)
+
+        def fsync(fd):
+            is_dir = os.fstat(fd).st_ino == dir_inode
+            calls.append(("fsync", "dir" if is_dir else "file", target.exists()))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name, target.exists()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        atomic_write_bytes(target, b"durable", fsync=True)
+        assert calls == [
+            ("fsync", "file", False),
+            ("replace", "artifact.json", False),
+            ("fsync", "dir", True),
+        ]
+        assert target.read_bytes() == b"durable"
+
     def test_torn_append_persists_prefix_without_newline(self, tmp_path):
         target = tmp_path / "events.ndjson"
         fsync_append(target, b'{"first": 1}\n')

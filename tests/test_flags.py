@@ -115,6 +115,25 @@ class TestFlagSetting:
         with pytest.raises(ValueError, match="invalid value"):
             o3_setting().with_values(param_max_unroll_times=3)
 
+    def test_with_values_rejects_invalid_overrides(self):
+        base = o3_setting()
+        with pytest.raises(ValueError, match="unknown flags: \\['not_a_flag'\\]"):
+            base.with_values(not_a_flag=True)
+        with pytest.raises(ValueError, match="fgcse: invalid value 'yes'"):
+            base.with_values(fgcse="yes")
+        with pytest.raises(ValueError, match="param_inline_call_cost: invalid value 5"):
+            base.with_values(fgcse=False, param_inline_call_cost=5)
+
+    def test_with_values_equals_a_full_construction(self):
+        base = DEFAULT_SPACE.sample(random.Random(5))
+        overrides = {"fgcse": not base["fgcse"], "param_max_unroll_times": 16}
+        built = base.with_values(**overrides)
+        assert built == FlagSetting({**dict(base), **overrides})
+        assert hash(built) == hash(FlagSetting({**dict(base), **overrides}))
+        assert built.as_indices() == FlagSetting({**dict(base), **overrides}).as_indices()
+        for neighbour in DEFAULT_SPACE.neighbours(base):
+            assert neighbour == FlagSetting(dict(neighbour))
+
     def test_hashable_and_equal(self):
         assert o3_setting() == o3_setting()
         assert hash(o3_setting()) == hash(o3_setting())
