@@ -22,6 +22,9 @@ Examples::
     repro-experiments models --rollback                  # undo the last promote
     repro-experiments serve --port 8181                  # the prediction service
 
+Options follow the command; ``repro-experiments <command> -h`` lists the
+ones that command takes.
+
 All experiments go through one :class:`repro.api.Session`; its facets own
 the dataset store (``session.data``), the model lifecycle and registry
 (``session.models``), evaluation (``session.eval``), and the resumable
@@ -38,6 +41,8 @@ import json
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
 
 from repro.api import (
@@ -76,21 +81,6 @@ EXPERIMENTS = {
     "ablate-iid": (True, "IID factorisation vs joint voting"),
 }
 
-#: Standalone subcommands (cannot be combined with experiment names).
-COMMANDS = (
-    "run",
-    "status",
-    "list",
-    "report",
-    "train",
-    "models",
-    "serve",
-    "tournament",
-    "worker",
-    "fsck",
-    "chaos",
-)
-
 #: The CI smoke-gate grid: small enough for every push, deterministic
 #: for a fixed seed list, and chosen (with the 1% match tolerance) so
 #: the §5.3 economics are visible — the model-seeded GA must match
@@ -105,59 +95,55 @@ SMOKE_TOURNAMENT = {
 }
 
 
-def list_experiments() -> str:
-    """Render the ``list`` subcommand's experiment catalogue."""
+def list_experiments(usages: Iterable[str] = ()) -> str:
+    """Render the ``list`` subcommand's experiment catalogue, followed by
+    the given command usage lines."""
     width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
     for name, (needs_data, description) in EXPERIMENTS.items():
         tag = "dataset" if needs_data else "static "
         lines.append(f"  {name:<{width}s}  [{tag}]  {description}")
-    lines.append(
-        "\nrun with: repro-experiments <name>... [--scale S] [--jobs N] "
-        "[--cache-dir DIR], or 'all' for everything"
-    )
-    lines.append(
-        "dataset store: repro-experiments run [--resume] [--max-shards N] "
-        "[--executor E] | status"
-    )
-    lines.append(
-        "paper artifact: repro-experiments report [--resume] [--max-folds N] "
-        "[--only fig5,table2,...] [--out DIR]"
-    )
-    lines.append(
-        "model registry: repro-experiments train | models "
-        "[--promote N | --rollback]"
-    )
-    lines.append(
-        "prediction service: repro-experiments serve [--host H] [--port P]"
-    )
-    lines.append(
-        "search tournament: repro-experiments tournament [--budget N] "
-        "[--seeds N] [--tolerance F] [--programs p,q] [--machines N] "
-        "[--smoke] [--out DIR]"
-    )
-    lines.append(
-        "distributed builds: repro-experiments worker [--protocol] "
-        "[--workers N] [--lease-ttl S] [--max-units N] (see README)"
-    )
-    lines.append(
-        "fault tolerance: repro-experiments fsck [--repair] [--json] | "
-        "chaos [--schedules N] [--seed N] [--scenarios s,t] [--smoke] "
-        "[--out DIR]"
-    )
+    lines.append("")
+    lines.extend(usage.rstrip("\n") for usage in usages)
+    lines.append("'repro-experiments <command> -h' describes a command's options")
     return "\n".join(lines)
+
+
+def _positive(text: str) -> int:
+    """argparse type of the count options: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type of ``--lease-ttl``: a positive number of seconds."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return value
+
+
+def _session(args, scale: str | None = None) -> Session:
+    """The command's session, with its ``--jobs``/``--executor`` if it
+    has them (``scale`` overrides ``--scale``)."""
+    pool = {key: getattr(args, key) for key in ("jobs", "executor") if key in args}
+    return Session(
+        scale if scale is not None else args.scale,
+        cache_dir=args.cache_dir,
+        **pool,
+    )
+
+
+def _progress(args):
+    """The ``  .. message`` progress printer, or None under ``--quiet``."""
+    return None if args.quiet else lambda message: print(f"  .. {message}")
 
 
 def _run_store(args, parser) -> int:
     """The ``run`` subcommand: build/resume a scale's shard store."""
-    if args.max_shards is not None and args.max_shards < 1:
-        parser.error("--max-shards must be >= 1")
-    session = Session(
-        args.scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
+    session = _session(args)
     # One store object for the whole command: the grid (machines plus
     # settings) is sampled once and shard sidecars are only re-scanned
     # where the answer can have changed.
@@ -174,7 +160,7 @@ def _run_store(args, parser) -> int:
             f"{status.completed_shards}/{status.total_shards} shards; "
             "pass --resume to continue the interrupted build"
         )
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    progress = _progress(args)
     started = time.time()
     done = session.data.build(
         max_shards=args.max_shards,
@@ -202,15 +188,8 @@ def _run_store(args, parser) -> int:
 def _report(args, parser) -> int:
     """The ``report`` subcommand: run the resumable paper protocol and
     render the complete artifact as markdown + JSON + SVG."""
-    if args.max_folds is not None and args.max_folds < 1:
-        parser.error("--max-folds must be >= 1")
-    session = Session(
-        args.scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    session = _session(args)
+    progress = _progress(args)
     data = session.data.dataset(progress=progress)
     store = session.protocol.store(data)
     # Only an interrupted run leaves a requested variant partly computed;
@@ -284,14 +263,14 @@ def _report(args, parser) -> int:
     return 0
 
 
-def _store_status(args) -> int:
+def _store_status(args, parser) -> int:
     """The ``status`` subcommand: report a scale's shard completion.
 
     Never tracebacks: a missing store gets the friendly "no store yet"
     hint and an unusable one (foreign format, corrupt manifest) a
     diagnosis, both with exit code 0 — status is a read-only question.
     """
-    session = Session(args.scale, cache_dir=args.cache_dir)
+    session = _session(args)
     root = store_root(session.scale, args.cache_dir)
     if not root.exists():
         print(
@@ -322,7 +301,7 @@ def _store_status(args) -> int:
     return 0
 
 
-def _fsck(args) -> int:
+def _fsck(args, parser) -> int:
     """The ``fsck`` subcommand: scrub every durable store under the cache.
 
     Classifies every artifact of every store (experiment shards, fold
@@ -355,8 +334,6 @@ def _chaos(args, parser) -> int:
     schedules = args.schedules
     if schedules is None:
         schedules = 2 if args.smoke else 5
-    if schedules < 1:
-        parser.error("--schedules must be >= 1")
     scenarios = None
     if args.scenarios is not None:
         scenarios = tuple(
@@ -368,11 +345,11 @@ def _chaos(args, parser) -> int:
                 f"unknown chaos scenarios {sorted(unknown)}; "
                 f"choose from {', '.join(SCENARIOS)}"
             )
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    progress = _progress(args)
     report = run_chaos(
         scenarios=scenarios,
         schedules=schedules,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         progress=progress,
     )
     if args.json:
@@ -421,14 +398,8 @@ def _worker(args, parser) -> int:
         run_local_workers,
     )
 
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be positive")
-    if args.max_units is not None and args.max_units < 1:
-        parser.error("--max-units must be >= 1")
     if args.only is not None and not args.protocol:
-        parser.error("--only with 'worker' requires --protocol")
+        parser.error("--only requires --protocol")
     lease_ttl = (
         args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
     )
@@ -456,8 +427,8 @@ def _worker(args, parser) -> int:
             )
         return max(codes)
 
-    session = Session(args.scale, cache_dir=args.cache_dir)
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    session = _session(args)
+    progress = _progress(args)
     if args.protocol:
         data = session.data.dataset(progress=progress)
         store = session.protocol.store(data)
@@ -502,26 +473,20 @@ def _worker(args, parser) -> int:
 
 def _train(args, parser) -> int:
     """The ``train`` subcommand: fit on a scale and register the model."""
-    session = Session(
-        args.scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    session = _session(args)
+    progress = _progress(args)
     started = time.time()
     session.models.fit(progress=progress)
     registry = _registry(args)
-    channel = args.channel if args.channel is not None else DEFAULT_CHANNEL
     entry = session.models.register(
-        registry=registry, promote=not args.no_promote, channel=channel
+        registry=registry, promote=not args.no_promote, channel=args.channel
     )
     print(
         f"fitted on scale {session.scale.name!r} in {time.time() - started:.1f}s "
         f"(training fingerprint {session.models.fingerprint})"
     )
     verb = "registered and promoted" if not args.no_promote else "registered"
-    suffix = f" (channel {channel!r})" if not args.no_promote else ""
+    suffix = f" (channel {args.channel!r})" if not args.no_promote else ""
     print(f"{verb} model v{entry.version:04d} (digest {entry.digest}) "
           f"in {registry.root}{suffix}")
     return 0
@@ -535,7 +500,7 @@ def _registry(args) -> ModelRegistry:
 def _models(args, parser) -> int:
     """The ``models`` subcommand: registry inventory, promote, rollback."""
     registry = _registry(args)
-    channel = args.channel if args.channel is not None else DEFAULT_CHANNEL
+    channel = args.channel
     try:
         if args.promote is not None:
             entry = registry.promote(args.promote, channel=channel)
@@ -559,20 +524,17 @@ def _models(args, parser) -> int:
 def _serve(args, parser) -> int:
     """The ``serve`` subcommand: the HTTP prediction service."""
     from repro.service import PredictionService, serve
+    from repro.service.service import DEFAULT_MAX_INFLIGHT
 
-    session = Session(
-        args.scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
     service = PredictionService(
-        session,
+        _session(args),
         registry=_registry(args),
-        channel=args.channel if args.channel is not None else DEFAULT_CHANNEL,
+        channel=args.channel,
         batching=not args.no_batch,
         max_inflight=(
-            args.max_inflight if args.max_inflight is not None else 64
+            args.max_inflight
+            if args.max_inflight is not None
+            else DEFAULT_MAX_INFLIGHT
         ),
     )
     model = service.model_info()
@@ -588,8 +550,7 @@ def _serve(args, parser) -> int:
             f"(digest {model['digest']}) from {service.registry.root} "
             f"(channel {service.channel!r})"
         )
-    log = None if args.quiet else lambda message: print(f"  .. {message}")
-    return serve(service, host=args.host, port=args.port, log=log)
+    return serve(service, host=args.host, port=args.port, log=_progress(args))
 
 
 def _tournament(args, parser) -> int:
@@ -600,14 +561,8 @@ def _tournament(args, parser) -> int:
     from repro.autotune.tournament import check_model_beats_random
 
     if args.smoke:
-        for flag, default in (
-            ("budget", None),
-            ("seeds", None),
-            ("tolerance", None),
-            ("programs", None),
-            ("machines", None),
-        ):
-            if getattr(args, flag) != default:
+        for flag in ("budget", "seeds", "tolerance", "programs", "machines"):
+            if getattr(args, flag) is not None:
                 parser.error(f"--smoke pins the gate grid; drop --{flag}")
         scale = SMOKE_TOURNAMENT["scale"]
         programs: list[str] | None = list(SMOKE_TOURNAMENT["programs"])
@@ -622,18 +577,9 @@ def _tournament(args, parser) -> int:
         budget = args.budget if args.budget is not None else 40
         n_seeds = args.seeds if args.seeds is not None else 2
         tolerance = args.tolerance if args.tolerance is not None else 0.01
-    if budget < 1:
-        parser.error(f"--budget must be >= 1: {budget}")
-    if n_seeds < 1:
-        parser.error(f"--seeds must be >= 1: {n_seeds}")
 
-    session = Session(
-        scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    session = _session(args, scale)
+    progress = _progress(args)
     started = time.time()
     result = session.eval.tournament(
         programs=programs,
@@ -694,39 +640,37 @@ def _tournament(args, parser) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Reproduce the tables and figures of Dubach et al., MICRO 2009",
+def _parser() -> argparse.ArgumentParser:
+    """The command line: one subparser per command, holding exactly the
+    options its handler reads; options shared by several commands come
+    from small parent parsers.  Options follow the command."""
+
+    def parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    cache = parent()
+    cache.add_argument(
+        "--cache-dir",
+        help="dataset cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help=(
-            f"experiments to run: {', '.join(EXPERIMENTS)}, 'all', 'list', "
-            "the dataset-store commands 'run' and 'status', 'report' for "
-            "the full resumable paper artifact, 'worker' for a "
-            "lease-coordinated distributed worker, or the deployment "
-            "commands 'train', 'models', and 'serve'"
-        ),
-    )
-    parser.add_argument(
+    scale = parent(cache)
+    scale.add_argument(
         "--scale",
         default="quick",
         help="scale preset: tiny, quick, default, paper (default: quick)",
     )
-    parser.add_argument(
+    quiet = parent()
+    quiet.add_argument(
+        "--quiet", action="store_true", help="suppress progress messages"
+    )
+    pool = parent()
+    pool.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes for the dataset build (negative: all cores)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="dataset cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
+    pool.add_argument(
         "--executor",
         default="auto",
         choices=RUNNER_EXECUTORS,
@@ -736,359 +680,236 @@ def main(argv: list[str] | None = None) -> int:
             "cooperate (default: auto)"
         ),
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with 'run'/'report': continue an interrupted build or protocol",
+    lease = parent()
+    lease.add_argument(
+        "--lease-ttl",
+        type=_seconds,
+        help="seconds without a heartbeat before a cluster lease counts as "
+        "stale (default: 60)",
     )
-    parser.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        help="with 'run': checkpoint at most this many shards, then stop",
+    registry = parent()
+    registry.add_argument(
+        "--registry", help="model registry directory (default: <cache-dir>/registry)"
     )
-    parser.add_argument(
-        "--max-folds",
-        type=int,
-        default=None,
-        help="with 'report': checkpoint at most this many folds, then stop",
+    registry.add_argument(
+        "--channel",
+        default=DEFAULT_CHANNEL,
+        help="promotion channel to promote to, roll back, or serve from "
+        "(default: %(default)r)",
     )
-    parser.add_argument(
+    out = parent()
+    out.add_argument("--out", help="output directory for the artifacts (default: .)")
+
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description="Reproduce the tables and figures of Dubach et al., MICRO 2009",
+    )
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, metavar="<command>"
+    )
+    commands: list[argparse.ArgumentParser] = []
+
+    def command(name, handler, help, *parents, **kwargs) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(
+            name, help=help, description=help, parents=parents, **kwargs
+        )
+        sub.set_defaults(handler=partial(handler, parser=sub))
+        commands.append(sub)
+        return sub
+
+    def list_command(args, parser) -> int:
+        print(list_experiments(sub.format_usage() for sub in commands[1:]))
+        return 0
+
+    command("list", list_command, "the experiment catalogue and command usages")
+    experiments = command(
+        "all",
+        _experiments,
+        "render experiments by name ('all': every one)",
+        scale,
+        quiet,
+        pool,
+        aliases=list(EXPERIMENTS),
+        prog="repro-experiments <experiment|all>",
+    )
+    experiments.add_argument("names", nargs="*", metavar="experiment")
+
+    run = command(
+        "run", _run_store, "build or resume a scale's dataset shard store",
+        scale, quiet, pool, lease,
+    )
+    run.add_argument("--resume", action="store_true", help="continue a killed build")
+    run.add_argument(
+        "--max-shards", type=_positive, help="checkpoint at most N shards, then stop"
+    )
+    command(
+        "status", _store_status, "a scale's shard completion and cluster view",
+        scale, lease,
+    )
+
+    report = command(
+        "report", _report, "the full resumable paper artifact",
+        scale, quiet, pool, lease, out,
+    )
+    report.add_argument(
+        "--resume", action="store_true", help="continue an interrupted protocol run"
+    )
+    report.add_argument(
+        "--max-folds", type=_positive, help="checkpoint at most N folds, then stop"
+    )
+    report.add_argument(
         "--only",
-        default=None,
-        help=(
-            "with 'report': comma-separated artifact subset "
-            "(e.g. fig6,headline,ablate-k); unrequested folds are not run"
-        ),
+        help="comma-separated artifact subset (e.g. fig6,headline,ablate-k); "
+        "unrequested folds are not run",
     )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help=(
-            "with 'report'/'tournament': output directory for the "
-            "rendered artifacts (default: .)"
-        ),
+
+    train = command(
+        "train", _train, "fit on a scale and register the model",
+        scale, quiet, pool, registry,
     )
-    parser.add_argument(
-        "--registry",
-        default=None,
-        help=(
-            "with 'train'/'models'/'serve': model registry directory "
-            "(default: <cache-dir>/registry)"
-        ),
+    train.add_argument(
+        "--no-promote", action="store_true", help="register without promoting"
     )
-    parser.add_argument(
-        "--no-promote",
-        action="store_true",
-        help="with 'train': register the model without promoting it",
+    models = command(
+        "models", _models, "registry inventory, promote, rollback", cache, registry
     )
-    parser.add_argument(
-        "--promote",
-        type=int,
-        default=None,
-        help="with 'models': promote a registered version for serving",
+    models.add_argument(
+        "--promote", type=int, help="promote a registered version for serving"
     )
-    parser.add_argument(
+    models.add_argument(
         "--rollback",
         action="store_true",
-        help="with 'models': re-promote the previously promoted version",
+        help="re-promote the previously promoted version",
     )
-    parser.add_argument(
-        "--channel",
-        default=None,
-        help=(
-            "with 'train'/'models'/'serve': promotion channel to promote "
-            "to, roll back, or serve from (default: 'default')"
-        ),
+    serve = command(
+        "serve", _serve, "the HTTP prediction service",
+        scale, quiet, pool, registry,
     )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="with 'serve': bind address (default: 127.0.0.1)",
+    serve.add_argument(
+        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
     )
-    parser.add_argument(
+    serve.add_argument(
         "--port",
         type=int,
         default=8181,
-        help="with 'serve': TCP port, 0 for an ephemeral one (default: 8181)",
+        help="TCP port, 0 for an ephemeral one (default: 8181)",
     )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="with 'serve': disable /predict request micro-batching",
+    serve.add_argument(
+        "--no-batch", action="store_true", help="disable /predict micro-batching"
     )
-    parser.add_argument(
+    serve.add_argument(
         "--max-inflight",
         type=int,
-        default=None,
-        help=(
-            "with 'serve': bound on concurrently-served /predict + "
-            "/evaluate requests before shedding 429s (default: 64)"
-        ),
+        help="bound on concurrently-served /predict + /evaluate requests "
+        "before shedding 429s (default: the service's DEFAULT_MAX_INFLIGHT)",
     )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="with 'tournament': evaluations per search run (default: 40)",
+
+    tournament = command(
+        "tournament", _tournament, "race every search strategy on one grid",
+        scale, quiet, pool, out,
     )
-    parser.add_argument(
+    tournament.add_argument(
+        "--budget", type=_positive, help="evaluations per search run (default: 40)"
+    )
+    tournament.add_argument(
         "--seeds",
-        type=int,
-        default=None,
-        help=(
-            "with 'tournament': seed count — stochastic strategies run "
-            "once per seed 0..N-1 (default: 2)"
-        ),
+        type=_positive,
+        help="seed count: stochastic strategies run once per seed 0..N-1 "
+        "(default: 2)",
     )
-    parser.add_argument(
+    tournament.add_argument(
         "--tolerance",
         type=float,
-        default=None,
-        help=(
-            "with 'tournament': relative slack on best-known that still "
-            "counts as a match (default: 0.01)"
-        ),
+        help="relative slack on best-known that still counts as a match "
+        "(default: 0.01)",
     )
-    parser.add_argument(
+    tournament.add_argument(
         "--programs",
-        default=None,
-        help=(
-            "with 'tournament': comma-separated program subset "
-            "(default: the scale's programs)"
-        ),
+        help="comma-separated program subset (default: the scale's programs)",
     )
-    parser.add_argument(
+    tournament.add_argument(
         "--machines",
         type=int,
-        default=None,
-        help=(
-            "with 'tournament': number of sampled machines "
-            "(default: the scale's machine count)"
-        ),
+        help="number of sampled machines (default: the scale's machine count)",
     )
-    parser.add_argument(
+    tournament.add_argument(
         "--smoke",
         action="store_true",
-        help=(
-            "with 'tournament': run the fixed CI gate grid and exit 1 "
-            "unless model-seeded search out-economises random"
-        ),
+        help="run the fixed CI gate grid and exit 1 unless model-seeded "
+        "search out-economises random",
     )
-    parser.add_argument(
+
+    worker = command(
+        "worker", _worker, "one lease-coordinated cluster worker",
+        scale, quiet, lease,
+    )
+    worker.add_argument(
         "--protocol",
         action="store_true",
-        help=(
-            "with 'worker': drain the scale's protocol fold store "
-            "instead of its dataset shard store"
-        ),
+        help="drain the scale's protocol fold store instead of its shard store",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with 'worker': spawn a local fleet of N worker processes",
+    worker.add_argument(
+        "--only", help="with --protocol: comma-separated artifacts whose folds to drain"
     )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        help=(
-            "with 'worker'/'run'/'report'/'status': seconds without a "
-            "heartbeat before a cluster lease counts as stale "
-            "(default: 60)"
-        ),
+    worker.add_argument(
+        "--workers", type=_positive, help="spawn a local fleet of N worker processes"
     )
-    parser.add_argument(
-        "--max-units",
-        type=int,
-        default=None,
-        help="with 'worker': compute at most this many units, then stop",
+    worker.add_argument(
+        "--max-units", type=_positive, help="compute at most N units, then stop"
     )
-    parser.add_argument(
+    worker.add_argument(
         "--worker-id",
-        default=None,
-        help=(
-            "with 'worker': stable worker identity for leases and "
-            "progress (default: host-pid-token)"
-        ),
+        help="stable worker identity for leases and progress (default: host-pid-token)",
     )
-    parser.add_argument(
+
+    fsck = command(
+        "fsck", _fsck, "scrub every durable store under the cache", cache, lease
+    )
+    fsck.add_argument(
         "--repair",
         action="store_true",
-        help=(
-            "with 'fsck': quarantine/truncate damaged artifacts so the "
-            "next resume rebuilds exactly the damaged units"
-        ),
+        help="quarantine/truncate damaged artifacts so the next resume "
+        "rebuilds exactly the damaged units",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="with 'fsck'/'chaos': emit the machine-readable report",
-    )
-    parser.add_argument(
+    fsck.add_argument("--json", action="store_true", help="machine-readable report")
+
+    chaos = command("chaos", _chaos, "fault schedules over real workloads", quiet)
+    chaos.add_argument("--out", help="also write BENCH_chaos.json into this directory")
+    chaos.add_argument(
         "--schedules",
-        type=int,
-        default=None,
-        help=(
-            "with 'chaos': randomized fault schedules per scenario "
-            "(default: 5, or 2 with --smoke)"
-        ),
+        type=_positive,
+        help="randomized fault schedules per scenario (default: 5, or 2 with --smoke)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="with 'chaos': base seed for schedule generation (default: 0)",
+    chaos.add_argument(
+        "--seed", type=int, default=0, help="base seed of the schedules (default: 0)"
     )
-    parser.add_argument(
+    chaos.add_argument(
         "--scenarios",
-        default=None,
-        help=(
-            "with 'chaos': comma-separated scenario subset "
-            "(build,protocol,cluster,serve; default: all)"
-        ),
+        help="comma-separated scenario subset (build,protocol,cluster,serve; "
+        "default: all)",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress messages"
-    )
-    args = parser.parse_args(argv)
+    chaos.add_argument("--smoke", action="store_true", help="run the small CI gate")
+    chaos.add_argument("--json", action="store_true", help="machine-readable report")
+    return parser
 
-    if args.experiments == ["list"]:
-        print(list_experiments())
-        return 0
-    commands = set(COMMANDS) & set(args.experiments)
-    if commands and len(args.experiments) > 1:
-        parser.error(
-            f"{sorted(commands)} are standalone commands and cannot be "
-            "combined with experiment names"
-        )
-    if args.experiments != ["run"] and args.max_shards is not None:
-        parser.error("--max-shards only applies to the 'run' command")
-    if args.experiments not in (["run"], ["report"]) and args.resume:
-        parser.error("--resume only applies to the 'run' and 'report' commands")
-    if args.experiments != ["report"] and args.max_folds is not None:
-        parser.error("--max-folds only applies to the 'report' command")
-    if args.experiments not in (["report"], ["worker"]) and args.only is not None:
-        parser.error("--only only applies to the 'report' and 'worker' commands")
-    if args.experiments != ["worker"] and (
-        args.protocol
-        or args.workers is not None
-        or args.max_units is not None
-        or args.worker_id is not None
-    ):
-        parser.error(
-            "--protocol/--workers/--max-units/--worker-id only apply to "
-            "the 'worker' command"
-        )
-    if args.experiments not in (
-        ["worker"],
-        ["run"],
-        ["report"],
-        ["status"],
-        ["fsck"],
-    ) and args.lease_ttl is not None:
-        parser.error(
-            "--lease-ttl only applies to the 'worker', 'run', 'report', "
-            "'status', and 'fsck' commands"
-        )
-    if (
-        args.experiments not in (["report"], ["tournament"], ["chaos"])
-        and args.out is not None
-    ):
-        parser.error(
-            "--out only applies to the 'report', 'tournament', and "
-            "'chaos' commands"
-        )
-    if args.experiments != ["tournament"] and (
-        args.budget is not None
-        or args.seeds is not None
-        or args.tolerance is not None
-        or args.programs is not None
-        or args.machines is not None
-    ):
-        parser.error(
-            "--budget/--seeds/--tolerance/--programs/--machines "
-            "only apply to the 'tournament' command"
-        )
-    if args.experiments not in (["tournament"], ["chaos"]) and args.smoke:
-        parser.error(
-            "--smoke only applies to the 'tournament' and 'chaos' commands"
-        )
-    if args.experiments != ["fsck"] and args.repair:
-        parser.error("--repair only applies to the 'fsck' command")
-    if args.experiments not in (["fsck"], ["chaos"]) and args.json:
-        parser.error("--json only applies to the 'fsck' and 'chaos' commands")
-    if args.experiments != ["chaos"] and (
-        args.schedules is not None
-        or args.seed is not None
-        or args.scenarios is not None
-    ):
-        parser.error(
-            "--schedules/--seed/--scenarios only apply to the 'chaos' command"
-        )
-    if args.experiments != ["models"] and (
-        args.promote is not None or args.rollback
-    ):
-        parser.error("--promote/--rollback only apply to the 'models' command")
-    if args.experiments != ["train"] and args.no_promote:
-        parser.error("--no-promote only applies to the 'train' command")
-    if args.experiments not in (["train"], ["models"], ["serve"]) and (
-        args.registry is not None
-    ):
-        parser.error(
-            "--registry only applies to the 'train', 'models', and 'serve' commands"
-        )
-    if args.experiments != ["serve"] and (
-        args.host != "127.0.0.1" or args.port != 8181
-    ):
-        parser.error("--host/--port only apply to the 'serve' command")
-    if args.experiments != ["serve"] and (
-        args.no_batch or args.max_inflight is not None
-    ):
-        parser.error(
-            "--no-batch/--max-inflight only apply to the 'serve' command"
-        )
-    if args.experiments not in (["train"], ["models"], ["serve"]) and (
-        args.channel is not None
-    ):
-        parser.error(
-            "--channel only applies to the 'train', 'models', and 'serve' commands"
-        )
-    if args.experiments == ["run"]:
-        return _run_store(args, parser)
-    if args.experiments == ["status"]:
-        return _store_status(args)
-    if args.experiments == ["report"]:
-        return _report(args, parser)
-    if args.experiments == ["train"]:
-        return _train(args, parser)
-    if args.experiments == ["models"]:
-        return _models(args, parser)
-    if args.experiments == ["serve"]:
-        return _serve(args, parser)
-    if args.experiments == ["tournament"]:
-        return _tournament(args, parser)
-    if args.experiments == ["worker"]:
-        return _worker(args, parser)
-    if args.experiments == ["fsck"]:
-        return _fsck(args)
-    if args.experiments == ["chaos"]:
-        return _chaos(args, parser)
 
-    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.handler(args)
+
+
+def _experiments(args, parser) -> int:
+    """Render experiments by name, or every one for ``all``."""
+    names = [args.command, *args.names]
+    if names == ["all"]:
+        names = list(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
 
-    session = Session(
-        args.scale,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache_dir=args.cache_dir,
-    )
+    session = _session(args)
     scale = session.scale
-    progress = None if args.quiet else lambda message: print(f"  .. {message}")
+    progress = _progress(args)
 
     if any(EXPERIMENTS[name][0] for name in names):
         started = time.time()

@@ -111,9 +111,10 @@ def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
     partition the block into independently scheduled segments.  Returns
     whether any instruction moved.
 
-    One sweep finds the segments and each instruction's in-segment
-    producers: value dependences, plus stores ordered with the stores and
-    loads of their region (without speculation, with *all* later loads).
+    One sweep finds the segments and builds each one's dependence DAG as
+    consumer lists and producer counts: value dependences, plus stores
+    ordered with the stores and loads of their region (without
+    speculation, with *all* later loads).
     """
     instructions = block.instructions
     has_terminator = bool(instructions) and instructions[-1].opcode.is_branch
@@ -121,7 +122,9 @@ def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
     if body_len < 3:
         return False
 
-    predecessors: list[list[int] | None] = [None] * body_len
+    latency = [0] * body_len
+    successors: list[list[int]] = [[] for _ in range(body_len)]
+    remaining = [0] * body_len
     segments: list[tuple[int, int]] = []
     start = 0
     last_store: dict[str | None, int] = {}
@@ -135,28 +138,33 @@ def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
             start = index + 1
             last_store, last_store_any = {}, -1
             continue
-        producers = [
-            index - distance for distance, _ in insn.deps if index - distance >= start
-        ]
+        latency[index] = opcode.latency
+        producers = 0
+        for distance, _ in insn.deps:
+            producer = index - distance
+            if producer >= start:
+                successors[producer].append(index)
+                producers += 1
         if opcode is Opcode.STORE:
             previous = last_store.get(insn.region, -1)
-            if previous >= 0:
-                producers.append(previous)
             last_store[insn.region] = last_store_any = index
         elif opcode is Opcode.LOAD:
             previous = (
                 last_store.get(insn.region, -1) if allow_speculation else last_store_any
             )
-            if previous >= 0:
-                producers.append(previous)
-        predecessors[index] = producers
+        else:
+            previous = -1
+        if previous >= 0:
+            successors[previous].append(index)
+            producers += 1
+        remaining[index] = producers
     if body_len > start:
         segments.append((start, body_len))
 
     new_order = list(range(body_len))
     moved = False
     for seg_start, seg_end in segments:
-        order = _schedule_segment(block, predecessors, seg_start, seg_end)
+        order = _schedule_segment(latency, successors, remaining, seg_start, seg_end)
         if order != new_order[seg_start:seg_end]:
             new_order[seg_start:seg_end] = order
             moved = True
@@ -167,8 +175,9 @@ def list_schedule(block: BasicBlock, allow_speculation: bool) -> bool:
 
 
 def _schedule_segment(
-    block: BasicBlock,
-    predecessors: list[list[int]],
+    latency: list[int],
+    successors: list[list[int]],
+    remaining: list[int],
     seg_start: int,
     seg_end: int,
 ) -> list[int]:
@@ -190,45 +199,40 @@ def _schedule_segment(
     waiting one, so the available minimum — or, if none is available, the
     waiting minimum — is exactly the key's minimum.  A consumer joins the
     pool only when its last producer is scheduled, so its ``ready_time``
-    is final by then and a heap entry never goes stale.  Producers outside
-    the segment are ignored; returns its indices in their new order.
+    is final by then and a heap entry never goes stale.  ``successors``
+    and ``remaining`` (in-segment consumers and producer counts, indexed
+    by body position) are the segment's DAG; ``remaining`` is consumed.
+    Returns the segment's indices in their new order.
     """
-    instructions = block.instructions
-    count = seg_end - seg_start
-    latency = [instructions[index].opcode.latency for index in range(seg_start, seg_end)]
-    successors: list[list[int]] = [[] for _ in range(count)]
-    remaining = [0] * count
     # Critical path (height) of each node, in cycles: walking backwards,
-    # a node's height is final once every consumer has raised it.
-    height = [0] * count
-    for local in range(count - 1, -1, -1):
-        own = height[local] + latency[local]
-        height[local] = own
-        for producer in predecessors[seg_start + local]:
-            producer -= seg_start
-            if 0 <= producer < count:
-                successors[producer].append(local)
-                remaining[local] += 1
-                if own > height[producer]:
-                    height[producer] = own
+    # every consumer's height is final before its producers need it.
+    height = [0] * seg_end
+    for index in range(seg_end - 1, seg_start - 1, -1):
+        tallest = 0
+        for consumer in successors[index]:
+            if height[consumer] > tallest:
+                tallest = height[consumer]
+        height[index] = tallest + latency[index]
 
     heappush, heappop = heapq.heappush, heapq.heappop
-    ready_time = [0] * count
+    ready_time = [0] * seg_end
     available = [
-        (-height[local], local) for local in range(count) if not remaining[local]
+        (-height[index], index)
+        for index in range(seg_start, seg_end)
+        if not remaining[index]
     ]
     heapq.heapify(available)
     waiting: list[tuple[int, int, int]] = []
     order: list[int] = []
-    for slot in range(count):
+    for slot in range(seg_end - seg_start):
         while waiting and waiting[0][0] <= slot:
-            _, neg_height, local = heappop(waiting)
-            heappush(available, (neg_height, local))
+            _, neg_height, index = heappop(waiting)
+            heappush(available, (neg_height, index))
         if available:
             chosen = heappop(available)[1]
         else:
             chosen = heappop(waiting)[2]
-        order.append(seg_start + chosen)
+        order.append(chosen)
         finish = slot + latency[chosen]
         for consumer in successors[chosen]:
             if finish > ready_time[consumer]:

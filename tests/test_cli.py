@@ -2,12 +2,30 @@
 
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from repro import cli
 from repro.api import Session
+from repro.experiments.config import PRESETS
+
+
+def _documented_invocations() -> list[list[str]]:
+    """The argv of every ``repro-experiments`` line of README.md and of
+    the ``repro.cli`` module docstring (shell comments and anything after
+    ``|``, ``&`` or ``;`` dropped), without repeats."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines() + cli.__doc__.splitlines()
+    invocations = {}
+    for line in lines:
+        text = line.strip()
+        if text.startswith("repro-experiments "):
+            argv = shlex.split(re.split(r"[|&;]", text)[0], comments=True)[1:]
+            invocations[tuple(argv)] = argv
+    return list(invocations.values())
 
 
 class TestCli:
@@ -202,6 +220,55 @@ class TestCli:
         assert (out / "report-tiny.md").is_file()
         assert not (out / "report-tiny.svg").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", ["run fig4", "fig4 run", "list fig4", "table2 all", "all table2"]
+    )
+    def test_commands_and_experiment_names_do_not_mix(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv.split())
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "models --jobs 2",
+            "status --executor process",
+            "fsck --scale tiny",
+            "chaos --cache-dir x",
+            "worker --jobs 2",
+        ],
+    )
+    def test_option_the_command_never_reads_is_rejected(
+        self, argv, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv.split())
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "status", "report", "worker", "fsck"])
+    def test_lease_ttl_must_be_positive(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--lease-ttl", "0"])
+        assert exit_info.value.code == 2
+
+    def test_options_follow_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--quiet", "table2"])
+        assert exit_info.value.code == 2
+        assert cli.main(["table2", "--quiet"]) == 0
+        assert "288,000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", _documented_invocations(), ids=" ".join)
+    def test_documented_invocation_parses(self, argv):
+        args = cli._parser().parse_args(argv)
+        if "scale" in args:
+            assert args.scale in PRESETS
+        if "names" in args:
+            names = [args.command, *args.names]
+            assert names == ["all"] or set(names) <= set(cli.EXPERIMENTS)
 
     def test_all_includes_every_experiment_name(self):
         assert set(cli.EXPERIMENTS) >= {

@@ -9,6 +9,10 @@ kernel must give the same result as its oracle, field for field, on
   programs under ``DEFAULT_SPACE.sample_many(6, 7)``) hands it, and
 * hypothesis-generated blocks and functions.
 
+The scheduler and the pressure count also have independent oracles: a
+scheduler that re-sorts the whole ready pool at every slot, and a
+pressure count that sorts live-range events.
+
 The tests of :meth:`Program.validate`'s check-once mark are here too: an
 instruction is checked by :meth:`Instruction.problem` once, so a pass's
 invalid ``replace()`` copy must still fail the compile.
@@ -56,7 +60,11 @@ from repro.compiler.passes import (
 from repro.compiler.passes.base import PassStats, delete_instructions
 from repro.compiler.passes.loopopt import StrengthReducePass
 from repro.compiler.passes.misc import PeepholePass, SiblingCallPass
-from repro.compiler.passes.schedule import BASELINE_LIVE, block_pressure
+from repro.compiler.passes.schedule import (
+    BASELINE_LIVE,
+    MAX_REGION_INSNS,
+    block_pressure,
+)
 from repro.compiler.passes.tree import TreePrePass, TreeVrpPass
 from repro.compiler.pipeline import Compiler
 from repro.compiler.regalloc import (
@@ -100,7 +108,8 @@ def old_dependence_edges(block, allow_speculation):
     return predecessors
 
 
-def old_list_schedule(block, allow_speculation):
+def old_list_schedule(block, allow_speculation, schedule_segment=None):
+    schedule_segment = schedule_segment or old_schedule_segment
     body, terminator = block.body_and_terminator()
     if len(body) < 3:
         return False
@@ -123,7 +132,7 @@ def old_list_schedule(block, allow_speculation):
         while cursor < seg_start:
             new_order.append(cursor)
             cursor += 1
-        order = old_schedule_segment(block, predecessors, seg_start, seg_end)
+        order = schedule_segment(block, predecessors, seg_start, seg_end)
         if order != list(range(seg_start, seg_end)):
             moved = True
         new_order.extend(order)
@@ -228,6 +237,70 @@ def old_block_pressure(block):
         delta[producer] += 1
         delta[last] -= 1
     return max(accumulate(delta, initial=0)) + BASELINE_LIVE
+
+
+def sorted_schedule_segment(block, predecessors, seg_start, seg_end):
+    """Reference scheduler: re-sort the whole ready pool at every slot by
+    ``(max(ready_time, slot), -height, index)``.  The heap scheduler in
+    ``schedule.py`` must pick exactly what this picks."""
+    instructions = block.instructions
+
+    def latency_of(insn):
+        return DEFAULT_LATENCY[insn.opcode.category]
+
+    indices = range(seg_start, seg_end)
+    successors = {index: [] for index in indices}
+    indegree = {index: 0 for index in indices}
+    for index in indices:
+        for producer in predecessors[index]:
+            if seg_start <= producer < seg_end:
+                successors[producer].append(index)
+                indegree[index] += 1
+    height = {}
+    for index in reversed(indices):
+        height[index] = latency_of(instructions[index]) + max(
+            (height[consumer] for consumer in successors[index]), default=0
+        )
+    ready = {index for index in indices if indegree[index] == 0}
+    ready_time = {index: 0 for index in ready}
+    order = []
+    remaining = dict(indegree)
+    slot = 0
+    while ready:
+        pool = sorted(
+            ready,
+            key=lambda index: (max(ready_time[index], slot), -height[index], index),
+        )
+        chosen = pool[0]
+        ready.remove(chosen)
+        order.append(chosen)
+        finish = slot + latency_of(instructions[chosen])
+        for consumer in successors[chosen]:
+            ready_time[consumer] = max(ready_time.get(consumer, 0), finish)
+            remaining[consumer] -= 1
+            if remaining[consumer] == 0:
+                ready.add(consumer)
+        slot += 1
+    return order
+
+
+def event_block_pressure(block):
+    """Reference pressure: sort (position, ±1) live-range events."""
+    last_use = {}
+    for index, insn in enumerate(block.instructions):
+        for distance, _ in insn.deps:
+            producer = index - distance
+            if producer >= 0:
+                last_use[producer] = max(last_use.get(producer, producer), index)
+    events = []
+    for producer, last in last_use.items():
+        events.append((producer, +1))
+        events.append((last, -1))
+    live = peak = 0
+    for _, delta in sorted(events):
+        live += delta
+        peak = max(peak, live)
+    return peak + BASELINE_LIVE
 
 
 def old_spill_count(block, regmove, caller_saves):
@@ -598,6 +671,18 @@ class TestKernelsMatchOraclesOnGeneratedInput:
             expected, allow_speculation
         )
         assert _same_block(block, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=_blocks(max_size=MAX_REGION_INSNS), allow_speculation=st.booleans())
+    def test_list_schedule_sort_oracle(self, block, allow_speculation):
+        assert block_pressure(block) == event_block_pressure(block)
+        expected = block.clone()
+        expected_moved = old_list_schedule(
+            expected, allow_speculation, sorted_schedule_segment
+        )
+        assert schedule.list_schedule(block, allow_speculation) == expected_moved
+        assert _same_block(block, expected)
+        assert block_pressure(block) == event_block_pressure(block)
 
     @settings(max_examples=100, deadline=None)
     @given(

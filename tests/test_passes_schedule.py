@@ -1,24 +1,14 @@
 """Tests for instruction scheduling and the register-pressure model."""
 
-from unittest import mock
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.compiler.flags import o3_setting
 from repro.compiler.ir import (
-    DEFAULT_LATENCY,
-    DEP_KINDS,
     BasicBlock,
     Instruction,
     Opcode,
 )
-from repro.compiler.passes import schedule
 from repro.compiler.passes.base import PassStats
 from repro.compiler.passes.schedule import (
     BASELINE_LIVE,
-    MAX_REGION_INSNS,
     ScheduleInsnsPass,
     block_pressure,
     list_schedule,
@@ -255,122 +245,3 @@ class TestScheduleInsnsPass:
         program = simple_loop_program(body_insns=6)
         ScheduleInsnsPass().apply(program, o3_setting(), PassStats())
         assert "body" not in program.functions["main"].blocks
-
-
-def _sorted_schedule_segment(block, predecessors, seg_start, seg_end):
-    """Reference scheduler: re-sort the whole ready pool at every slot by
-    ``(max(ready_time, slot), -height, index)``.  The heap scheduler in
-    ``schedule.py`` must pick exactly what this picks."""
-    instructions = block.instructions
-
-    def latency_of(insn):
-        return DEFAULT_LATENCY[insn.opcode.category]
-
-    indices = range(seg_start, seg_end)
-    successors = {index: [] for index in indices}
-    indegree = {index: 0 for index in indices}
-    for index in indices:
-        for producer in predecessors[index]:
-            if seg_start <= producer < seg_end:
-                successors[producer].append(index)
-                indegree[index] += 1
-    height = {}
-    for index in reversed(indices):
-        height[index] = latency_of(instructions[index]) + max(
-            (height[consumer] for consumer in successors[index]), default=0
-        )
-    ready = {index for index in indices if indegree[index] == 0}
-    ready_time = {index: 0 for index in ready}
-    order = []
-    remaining = dict(indegree)
-    slot = 0
-    while ready:
-        pool = sorted(
-            ready,
-            key=lambda index: (max(ready_time[index], slot), -height[index], index),
-        )
-        chosen = pool[0]
-        ready.remove(chosen)
-        order.append(chosen)
-        finish = slot + latency_of(instructions[chosen])
-        for consumer in successors[chosen]:
-            ready_time[consumer] = max(ready_time.get(consumer, 0), finish)
-            remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                ready.add(consumer)
-        slot += 1
-    return order
-
-
-def _event_block_pressure(block):
-    """Reference pressure: sort (position, ±1) live-range events."""
-    last_use = {}
-    for index, insn in enumerate(block.instructions):
-        for distance, _ in insn.deps:
-            producer = index - distance
-            if producer >= 0:
-                last_use[producer] = max(last_use.get(producer, producer), index)
-    events = []
-    for producer, last in last_use.items():
-        events.append((producer, +1))
-        events.append((last, -1))
-    live = peak = 0
-    for _, delta in sorted(events):
-        live += delta
-        peak = max(peak, live)
-    return peak + BASELINE_LIVE
-
-
-_BODY_OPCODES = [op for op in Opcode if not op.is_branch] + [Opcode.CALL]
-
-
-@st.composite
-def _blocks(draw):
-    """Blocks of up to ``MAX_REGION_INSNS`` instructions with random
-    opcodes, regions, dep distances (some reaching before the block),
-    dep kinds and latencies, and an optional branch terminator."""
-    length = draw(st.integers(min_value=3, max_value=MAX_REGION_INSNS))
-    instructions = []
-    for index in range(length):
-        opcode = draw(st.sampled_from(_BODY_OPCODES))
-        deps = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=1, max_value=index + 2),
-                    st.sampled_from(DEP_KINDS),
-                ),
-                max_size=3,
-            )
-        )
-        instructions.append(
-            Instruction(
-                opcode=opcode,
-                expr=f"i{index}",
-                region=draw(st.sampled_from(("a", "b"))) if opcode.is_memory else None,
-                deps=tuple(deps),
-                latency=draw(st.integers(min_value=0, max_value=4)),
-                callee="f" if opcode is Opcode.CALL else None,
-            )
-        )
-    if draw(st.booleans()):
-        instructions.append(Instruction(opcode=Opcode.BR, expr="term"))
-    return BasicBlock("b", instructions, exec_count=1.0)
-
-
-class TestHeapSchedulerMatchesSortOracle:
-    @settings(max_examples=100, deadline=None)
-    @given(block=_blocks(), allow_speculation=st.booleans())
-    def test_identical_order_deps_and_pressure(self, block, allow_speculation):
-        assert block_pressure(block) == _event_block_pressure(block)
-        expected = block.clone()
-        with mock.patch.object(schedule, "_schedule_segment", _sorted_schedule_segment):
-            expected_moved = list_schedule(expected, allow_speculation)
-        moved = list_schedule(block, allow_speculation)
-        assert moved == expected_moved
-        assert [insn.expr for insn in block.instructions] == [
-            insn.expr for insn in expected.instructions
-        ]
-        assert [insn.deps for insn in block.instructions] == [
-            insn.deps for insn in expected.instructions
-        ]
-        assert block_pressure(block) == _event_block_pressure(block)
