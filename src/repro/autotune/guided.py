@@ -83,13 +83,13 @@ class ModelSeededGenetic(Genetic):
     ) -> FlagSetting:
         distribution = context.require_distribution(self.name)
         indices = list(setting.as_indices())
-        for dim, probs in enumerate(distribution.theta):
+        for dim, probs in enumerate(distribution.rows):
             if rng.random() < self.mutation_rate:
                 roll = rng.random()
                 cumulative = 0.0
                 picked = len(probs) - 1
                 for index, probability in enumerate(probs):
-                    cumulative += float(probability)
+                    cumulative += probability
                     if roll < cumulative:
                         picked = index
                         break

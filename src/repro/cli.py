@@ -773,10 +773,11 @@ def _parser() -> argparse.ArgumentParser:
     models = command(
         "models", _models, "registry inventory, promote, rollback", cache, registry
     )
-    models.add_argument(
+    registry_change = models.add_mutually_exclusive_group()
+    registry_change.add_argument(
         "--promote", type=int, help="promote a registered version for serving"
     )
-    models.add_argument(
+    registry_change.add_argument(
         "--rollback",
         action="store_true",
         help="re-promote the previously promoted version",

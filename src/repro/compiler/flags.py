@@ -16,10 +16,13 @@ gcc 4.2's ``-O3``: everything O3 enables is on at default parameter values;
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -310,6 +313,13 @@ class FlagSpace:
     def __init__(self, specs: Sequence[FlagSpec] = FLAG_SPECS):
         self.specs = tuple(specs)
         self._by_name = {spec.name: spec for spec in self.specs}
+        # ``specs`` is immutable, so its per-dimension views are too.
+        self.names: tuple[str, ...] = tuple(spec.name for spec in self.specs)
+        self._cardinalities = tuple(spec.cardinality for spec in self.specs)
+        #: ``[D, Vmax]``, read-only: where a zero-padded θ table has support.
+        cardinalities = np.array(self._cardinalities)[:, None]
+        self.value_mask = np.arange(cardinalities.max()) < cardinalities
+        self.value_mask.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -317,28 +327,17 @@ class FlagSpace:
     def spec(self, name: str) -> FlagSpec:
         return self._by_name[name]
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.specs)
-
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(spec.cardinality for spec in self.specs)
+        return self._cardinalities
 
     def raw_size(self) -> int:
         """Cartesian-product size, ignoring gating (the paper's 1.69e17)."""
-        size = 1
-        for spec in self.specs:
-            size *= spec.cardinality
-        return size
+        return math.prod(self._cardinalities)
 
     def raw_boolean_size(self) -> int:
         """On/off-only cartesian size (the paper's '642 million' figure
         counts pass toggles only, i.e. boolean dimensions)."""
-        size = 1
-        for spec in self.specs:
-            if spec.is_boolean:
-                size *= 2
-        return size
+        return 2 ** sum(spec.is_boolean for spec in self.specs)
 
     def distinct_size(self, booleans_only: bool = False) -> int:
         """Number of *behaviourally distinct* settings, honouring gating.

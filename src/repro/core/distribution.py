@@ -10,10 +10,16 @@ the "good" settings — the top 5 % of the sampled space — reduces to the
 maximum-likelihood counting estimator of eq. 5: θ_ℓ^j is the fraction of
 good settings in which pass ℓ takes value j.  The mode of the factorised
 distribution (eq. 1) is the per-dimension argmax.
+
+θ is one zero-padded ``[D, Vmax]`` table, the layout of one row of the
+ranking kernel's ``[P, D, Vmax]`` tensor (:mod:`repro.core.vector`), so a
+predicted distribution wraps its row of the kernel's mixture as it is and
+validation, ``fit`` and ``mode`` are whole-table operations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,27 +28,41 @@ import numpy as np
 
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
 
+_REASONS = (
+    "entries past its cardinality must be 0",
+    "probabilities must sum to 1",
+    "probabilities must be non-negative",
+)
+
 
 @dataclass
 class IIDDistribution:
-    """Per-dimension multinomials θ over the flag space."""
+    """Per-dimension multinomials θ over the flag space, as one table."""
 
     space: FlagSpace
-    theta: list[np.ndarray]  # theta[dim][value_index], each sums to 1
+    theta: np.ndarray  # [D, Vmax]: theta[d, j] = θ_d^j, zero-padded
 
     def __post_init__(self) -> None:
-        if len(self.theta) != len(self.space):
-            raise ValueError("one multinomial per flag dimension required")
-        for spec, probs in zip(self.space.specs, self.theta):
-            if len(probs) != spec.cardinality:
-                raise ValueError(f"{spec.name}: wrong multinomial arity")
-            # θ can come from a file on disk.  The ufunc reductions skip
-            # np.sum/np.min's dispatch (this runs per predicted
-            # distribution), and the sum test is phrased so NaN fails it.
-            if not abs(float(np.add.reduce(probs)) - 1.0) <= 1e-6:
-                raise ValueError(f"{spec.name}: probabilities must sum to 1")
-            if np.minimum.reduce(probs) < 0.0:
-                raise ValueError(f"{spec.name}: probabilities must be non-negative")
+        # θ can come from a file on disk.  NaN fails the sum test; the first
+        # failed (dimension, check) in row-major order names the error.
+        theta = self.theta = np.ascontiguousarray(self.theta, dtype=float)
+        valid = self.space.value_mask
+        if theta.shape != valid.shape:
+            raise ValueError(f"theta shape {theta.shape} != {valid.shape}")
+        failed = np.array((
+            np.where(valid, 0.0, theta).any(axis=1),
+            ~(np.abs(np.add.reduce(theta, axis=1) - 1.0) <= 1e-6),
+            (theta < 0.0).any(axis=1),
+        )).T
+        if failed.any():
+            dim, check = divmod(int(np.argmax(failed)), len(_REASONS))
+            raise ValueError(f"{self.space.names[dim]}: {_REASONS[check]}")
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """θ per dimension as Python floats, cut to each cardinality."""
+        pairs = zip(self.theta.tolist(), self.space.cardinalities())
+        return tuple(tuple(row[:cardinality]) for row, cardinality in pairs)
 
     # ------------------------------------------------------------- fitting
     @staticmethod
@@ -54,27 +74,24 @@ class IIDDistribution:
         """Maximum-likelihood fit (eq. 5) with optional Laplace smoothing.
 
         The empirical distribution weights the good settings uniformly, as
-        in the paper (footnote 1).
+        in the paper (footnote 1).  The unbuffered scatter-add counts each
+        cell in setting order, as a scalar loop would.
         """
         if not good_settings:
             raise ValueError("cannot fit a distribution to zero settings")
-        theta: list[np.ndarray] = []
-        columns = zip(*(setting.as_indices() for setting in good_settings))
-        for spec, column in zip(space.specs, columns):
-            counts = [smoothing] * spec.cardinality
-            for index in column:
-                counts[index] += 1.0
-            counts = np.array(counts, dtype=float)
-            theta.append(counts / counts.sum())
-        return IIDDistribution(space=space, theta=theta)
+        indices = np.array([setting.as_indices() for setting in good_settings])
+        counts = np.where(space.value_mask, float(smoothing), 0.0)
+        np.add.at(counts, (np.arange(len(space)), indices), 1.0)
+        return IIDDistribution(
+            space=space, theta=counts / np.add.reduce(counts, axis=1)[:, None]
+        )
 
     # ----------------------------------------------------------- inference
     def mode(self) -> FlagSetting:
         """The most probable setting (eq. 1); factorisation makes the joint
         argmax the per-dimension argmax.  Ties break to the lower index,
-        deterministically."""
-        indices = [int(np.argmax(probs)) for probs in self.theta]
-        return FlagSetting.from_indices(indices)
+        deterministically; padding (0) never beats a row's positive max."""
+        return FlagSetting.from_indices(np.argmax(self.theta, axis=1).tolist())
 
     def top_settings(self, count: int) -> list[tuple[FlagSetting, float]]:
         """The ``count`` most probable settings with their probabilities.
@@ -88,15 +105,16 @@ class IIDDistribution:
         the order, ties included, equals enumerating every child.  Each
         product runs left to right over the dimensions: bit-exact.
         """
+        ranked = _best_first(self.theta, self.space.value_mask, count)
         return [
             (FlagSetting.from_indices(indices), probability)
-            for indices, probability in _best_first(self.theta, count)
+            for indices, probability in ranked
         ]
 
     def log_prob(self, setting: FlagSetting) -> float:
         total = 0.0
-        for dim_probs, index in zip(self.theta, setting.as_indices()):
-            probability = float(dim_probs[index])
+        for row, index in zip(self.rows, setting.as_indices()):
+            probability = row[index]
             if probability <= 0.0:
                 return -math.inf
             total += math.log(probability)
@@ -105,11 +123,11 @@ class IIDDistribution:
     def sample(self, rng) -> FlagSetting:
         """Draw one setting from the factorised distribution."""
         indices = []
-        for probs in self.theta:
+        for row in self.rows:
             roll = rng.random()
             cumulative = 0.0
-            picked = len(probs) - 1
-            for index, probability in enumerate(probs):
+            picked = len(row) - 1
+            for index, probability in enumerate(row):
                 cumulative += probability
                 if roll < cumulative:
                     picked = index
@@ -119,7 +137,7 @@ class IIDDistribution:
 
     def marginal(self, flag_name: str) -> np.ndarray:
         dim = self.space.names.index(flag_name)
-        return self.theta[dim].copy()
+        return self.theta[dim, : self.space.cardinalities()[dim]].copy()
 
     # ------------------------------------------------------------- algebra
     @staticmethod
@@ -132,14 +150,10 @@ class IIDDistribution:
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        space = distributions[0].space
-        mixed: list[np.ndarray] = []
-        for dim in range(len(space)):
-            acc = np.zeros_like(distributions[0].theta[dim])
-            for distribution, weight in zip(distributions, weights):
-                acc += (weight / total) * distribution.theta[dim]
-            mixed.append(acc)
-        return IIDDistribution(space=space, theta=mixed)
+        mixed = np.zeros_like(distributions[0].theta)
+        for distribution, weight in zip(distributions, weights):
+            mixed += (weight / total) * distribution.theta
+        return IIDDistribution(space=distributions[0].space, theta=mixed)
 
     def cross_entropy(self, settings: Sequence[FlagSetting]) -> float:
         """H(p̃, g) against a uniform empirical distribution over
@@ -163,22 +177,21 @@ class IIDDistribution:
 
 
 def _best_first(
-    theta: Sequence[np.ndarray], count: int
+    theta: np.ndarray, valid: np.ndarray, count: int
 ) -> list[tuple[list[int], float]]:
-    """:meth:`IIDDistribution.top_settings` over any multinomials."""
+    """:meth:`IIDDistribution.top_settings` over any zero-padded table
+    ``theta`` whose real entries ``valid`` marks."""
     import heapq
 
     if count < 1:
         raise ValueError(f"count must be >= 1: {count}")
-    cardinalities = np.array([len(probs) for probs in theta])
+    cardinalities = np.add.reduce(valid, axis=1)
     dims = len(cardinalities)
     every_dim = np.arange(dims)
     unit = np.eye(dims, dtype=int)
-    # One [dims, max_cardinality] table, padded with -inf so the padding
-    # ranks last; a stable argsort breaks ties to the lower value index.
-    valid = np.arange(cardinalities.max()) < cardinalities[:, None]
-    table = np.full(valid.shape, -np.inf)
-    table[valid] = np.concatenate(theta).astype(float)
+    # Padding becomes -inf so it ranks last; a stable argsort breaks ties
+    # to the lower value index.
+    table = np.where(valid, theta, -np.inf)
     order = np.argsort(-table, axis=1, kind="stable")
     # ranked[d, r]: the probability of dimension d's r-th ranked value.
     ranked = np.take_along_axis(table, order, axis=1)

@@ -172,7 +172,7 @@ class OptimisationPredictor:
                     "program": pair.program,
                     "machine": dataclasses.asdict(pair.machine),
                     "features": pair.features.tolist(),
-                    "theta": [probs.tolist() for probs in pair.distribution.theta],
+                    "theta": [list(row) for row in pair.distribution.rows],
                 }
                 for pair in self._pairs
             ],
@@ -208,21 +208,17 @@ class OptimisationPredictor:
             mean=np.array(state["normaliser"]["mean"], dtype=float),
             std=np.array(state["normaliser"]["std"], dtype=float),
         )
+        features, theta = model_vector.stack_state_arrays(state, space)
         predictor._pairs = [
             _TrainingPair(
                 program=entry["program"],
                 machine=MicroArch(**entry["machine"]),
-                features=np.array(entry["features"], dtype=float),
-                distribution=IIDDistribution(
-                    space=space,
-                    theta=[
-                        np.array(probs, dtype=float) for probs in entry["theta"]
-                    ],
-                ),
+                features=features[p],
+                distribution=IIDDistribution(space=space, theta=theta[p]),
             )
-            for entry in state["pairs"]
+            for p, entry in enumerate(state["pairs"])
         ]
-        predictor._refresh_tensors(arrays)
+        predictor._refresh_tensors(arrays or (features, theta))
         return predictor
 
     def _query_vector(

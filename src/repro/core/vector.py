@@ -25,7 +25,10 @@ by performing *the same float operations in the same order* per element:
   the scalar path's ``weights.sum()``.
 * Mixture: :meth:`IIDDistribution.mix` accumulates neighbour thetas in
   sequence; the batched kernel runs the identical ordered K-loop (never an
-  einsum, whose reassociation would drift in the last ulp).
+  einsum, whose reassociation would drift in the last ulp).  Both read
+  one θ layout: a distribution's zero-padded ``[D, Vmax]`` table is one
+  row of the ``[P, D, Vmax]`` tensor, so stacking the pairs is one
+  ``np.stack`` and each mixed row becomes a distribution as it is.
 
 Queries whose exclusion sets differ in *candidate count* may need a
 different K (``min(k, candidates)``); rows are grouped by that effective K
@@ -35,12 +38,13 @@ a reduction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.flags import FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.distribution import IIDDistribution
 
 __all__ = [
@@ -82,7 +86,6 @@ class PredictorTensors:
 
     features: np.ndarray  # [P, F] float64, C-contiguous
     theta: np.ndarray  # [P, D, Vmax] float64, zero-padded
-    cardinalities: tuple[int, ...]
     program_ids: np.ndarray  # [P] int64
     machine_ids: np.ndarray  # [P] int64
     program_index: dict
@@ -101,10 +104,7 @@ class PredictorTensors:
         expected shapes."""
         if not pairs:
             raise ValueError("cannot stack an empty training set")
-        cardinalities = space.cardinalities()
         n_pairs = len(pairs)
-        n_dims = len(cardinalities)
-        v_max = max(cardinalities)
         n_features = int(pairs[0].features.size)
 
         if features is None:
@@ -117,16 +117,12 @@ class PredictorTensors:
             )
 
         if theta is None:
-            theta = np.zeros((n_pairs, n_dims, v_max), dtype=float)
-            for p, pair in enumerate(pairs):
-                for d, probs in enumerate(pair.distribution.theta):
-                    theta[p, d, : len(probs)] = probs
+            theta = np.stack([pair.distribution.theta for pair in pairs])
         else:
             theta = np.ascontiguousarray(np.asarray(theta, dtype=float))
-        if theta.shape != (n_pairs, n_dims, v_max):
-            raise ValueError(
-                f"theta shape {theta.shape} != {(n_pairs, n_dims, v_max)}"
-            )
+        expected = (n_pairs,) + space.value_mask.shape
+        if theta.shape != expected:
+            raise ValueError(f"theta shape {theta.shape} != {expected}")
 
         program_index: dict = {}
         machine_index: dict = {}
@@ -142,7 +138,6 @@ class PredictorTensors:
         return cls(
             features=features,
             theta=theta,
-            cardinalities=cardinalities,
             program_ids=program_ids,
             machine_ids=machine_ids,
             program_index=program_index,
@@ -167,25 +162,26 @@ class PredictorTensors:
         return keep
 
 
-def stack_state_arrays(model_state: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a :meth:`get_state` payload's pairs into ``(features, theta)``.
-
-    Works on the raw JSON state — no :class:`FlagSpace` required — so the
-    registry can build its ranking-ready sidecar at promote time without
-    reconstructing the model.
-    """
+def stack_state_arrays(
+    model_state: dict, space: FlagSpace = DEFAULT_SPACE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a :meth:`get_state` payload's pairs into ``(features, theta)``
+    (one scatter into the zero-padded layout); a θ row of the wrong length
+    names its dimension.  Feeds ``from_state`` and the registry sidecar."""
     entries = model_state["pairs"]
     if not entries:
         raise ValueError("cannot stack an empty model state")
-    features = np.array(
-        [entry["features"] for entry in entries], dtype=float
-    )
-    v_max = max(len(probs) for probs in entries[0]["theta"])
-    n_dims = len(entries[0]["theta"])
-    theta = np.zeros((len(entries), n_dims, v_max), dtype=float)
-    for p, entry in enumerate(entries):
-        for d, probs in enumerate(entry["theta"]):
-            theta[p, d, : len(probs)] = probs
+    features = np.array([entry["features"] for entry in entries], dtype=float)
+    lengths = [[len(probs) for probs in entry["theta"]] for entry in entries]
+    if any(len(row) != len(space) for row in lengths):
+        raise ValueError("one multinomial per flag dimension required")
+    wrong = np.argwhere(np.array(lengths) != space.cardinalities())
+    if wrong.size:
+        raise ValueError(f"{space.names[wrong[0, 1]]}: wrong multinomial arity")
+    theta = np.zeros((len(entries),) + space.value_mask.shape)
+    theta[:, space.value_mask] = [
+        list(itertools.chain.from_iterable(entry["theta"])) for entry in entries
+    ]
     return features, theta
 
 
@@ -285,16 +281,10 @@ def predict_distributions(
         nearest = np.take_along_axis(sub, top, axis=1)
         mixed = _mixture_theta(tensors.theta[top], nearest, beta)
         for g, b in enumerate(rows):
-            # Views into the mixed tensor, not copies: the distribution
+            # A view into the mixed tensor, not a copy: the distribution
             # treats theta as read-only, and the values are bit-equal to
             # the scalar mix either way.
-            out[int(b)] = IIDDistribution(
-                space=space,
-                theta=[
-                    mixed[g, d, :cardinality]
-                    for d, cardinality in enumerate(tensors.cardinalities)
-                ],
-            )
+            out[int(b)] = IIDDistribution(space=space, theta=mixed[g])
     return out  # type: ignore[return-value]
 
 

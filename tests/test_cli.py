@@ -164,6 +164,15 @@ class TestCli:
         ) == 1
         assert "registry error" in capsys.readouterr().err
 
+    def test_models_promote_and_rollback_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(
+                ["models", "--promote", "2", "--rollback",
+                 "--cache-dir", str(tmp_path)]
+            )
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_registry_flags_rejected_elsewhere(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["table2", "--promote", "1"])

@@ -123,14 +123,15 @@ class TestIIDDistribution:
             IIDDistribution.fit([])
 
     def test_rejects_nan_theta(self):
-        theta = [np.full(spec.cardinality, np.nan) for spec in DEFAULT_SPACE.specs]
+        theta = IIDDistribution.fit([o3_setting()]).theta.copy()
+        theta[:, 0] = np.nan  # column 0 is in every dimension's support
         with pytest.raises(ValueError, match="sum to 1"):
             IIDDistribution(space=DEFAULT_SPACE, theta=theta)
 
     def test_rejects_negative_theta_that_sums_to_one(self):
         theta = IIDDistribution.fit([o3_setting()]).theta
         dim = next(d for d, spec in enumerate(DEFAULT_SPACE.specs) if spec.cardinality == 2)
-        theta[dim] = np.array([1.5, -0.5])
+        theta[dim, :2] = [1.5, -0.5]
         with pytest.raises(ValueError, match="non-negative"):
             IIDDistribution(space=DEFAULT_SPACE, theta=theta)
 

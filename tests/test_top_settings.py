@@ -77,6 +77,16 @@ def reference_top(theta, count: int) -> list[tuple[tuple[int, ...], float]]:
     return ranked
 
 
+def best_first(theta, count: int):
+    """``_best_first`` over per-dimension arrays, packed into the zero-padded
+    table and validity mask a distribution holds."""
+    cardinalities = np.array([len(probs) for probs in theta])
+    valid = np.arange(cardinalities.max()) < cardinalities[:, None]
+    table = np.zeros(valid.shape)
+    table[valid] = np.concatenate(theta)
+    return _best_first(table, valid, count)
+
+
 def as_tuples(ranked) -> list[tuple[tuple[int, ...], float]]:
     return [(tuple(indices), probability) for indices, probability in ranked]
 
@@ -116,12 +126,12 @@ class TestCanonicalEnumeration:
     def test_matches_all_children_heap(self, case):
         theta, count = case
         assert_bit_equal(
-            as_tuples(_best_first(theta, count)), reference_top(theta, count)
+            as_tuples(best_first(theta, count)), reference_top(theta, count)
         )
 
     def test_exhausts_a_small_space_exactly_once(self):
         theta = [np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]), np.array([1.0])]
-        ranked = _best_first(theta, 10)
+        ranked = best_first(theta, 10)
         assert len(ranked) == 6
         assert len({tuple(indices) for indices, _ in ranked}) == 6
         assert_bit_equal(as_tuples(ranked), reference_top(theta, 10))
@@ -129,7 +139,7 @@ class TestCanonicalEnumeration:
     def test_all_ties_follow_rank_order(self):
         theta = [np.full(3, 1 / 3)] * 4
         assert_bit_equal(
-            as_tuples(_best_first(theta, 81)), reference_top(theta, 81)
+            as_tuples(best_first(theta, 81)), reference_top(theta, 81)
         )
 
 
@@ -157,7 +167,7 @@ class TestTopSettings:
     def test_flag_settings_match_reference(self, seed, count):
         distribution = fitted_distribution(seed)
         ranked = distribution.top_settings(count)
-        reference = reference_top(distribution.theta, count)
+        reference = reference_top(distribution.rows, count)
         assert_bit_equal(
             [(setting.as_indices(), p) for setting, p in ranked], reference
         )
