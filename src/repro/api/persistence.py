@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.predictor import OptimisationPredictor
+from repro.ioutil import atomic_write_text
 
 #: Bumped whenever the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -29,7 +30,8 @@ def save_predictor(
     fingerprint: str | None = None,
     metadata: dict | None = None,
 ) -> Path:
-    """Write a fitted predictor (plus provenance) to ``path``."""
+    """Write a fitted predictor (plus provenance) to ``path``, atomically:
+    a killed save leaves the previous file (or none), never a torn one."""
     payload = {
         "format": FORMAT_VERSION,
         "fingerprint": fingerprint,
@@ -38,7 +40,7 @@ def save_predictor(
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    atomic_write_text(path, json.dumps(payload), site="model.save")
     return path
 
 

@@ -39,25 +39,19 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
-import io
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.predictor import OptimisationPredictor
-from repro.core.vector import stack_state_arrays
 from repro.ioutil import (
     ArtifactError,
     Finding,
     Scrub,
-    atomic_write_bytes,
     atomic_write_text,
-    load_npz,
     read_json_object,
     tmp_sibling,
     write_text_with_faults,
@@ -73,6 +67,8 @@ DEFAULT_CHANNEL = "default"
 _CHANNEL_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
 _MODEL_FILE = re.compile(r"^v(\d{4,})\.json$")
+#: Ranking sidecars written at promote time by older registries; scrub
+#: deletes them and nothing reads them.
 _ARRAYS_FILE = re.compile(r"^v(\d{4,})\.arrays\.npz$")
 
 
@@ -187,9 +183,6 @@ class ModelRegistry:
 
     def _model_path(self, version: int) -> Path:
         return self._model_dir() / f"v{version:04d}.json"
-
-    def _arrays_path(self, version: int) -> Path:
-        return self._model_dir() / f"v{version:04d}.arrays.npz"
 
     def _promoted_path(self) -> Path:
         return self.root / self.PROMOTED_NAME
@@ -364,58 +357,12 @@ class ModelRegistry:
             if state["current"] is not None
         }
 
-    # ------------------------------------------------------- ranking sidecar
-    def _write_arrays(self, version: int, payload: dict) -> None:
-        """Precompute the model's ranking-ready arrays at promote time.
-
-        The stacked ``[P, F]`` feature matrix and padded ``[P, D, Vmax]``
-        theta tensor are exactly what the batch prediction kernel needs,
-        so the service loads a promoted model without re-stacking its
-        pairs.  Idempotent (keyed by the entry digest) and atomic; purely
-        an acceleration — a missing or stale sidecar only costs a rebuild.
-        """
-        target = self._arrays_path(version)
-        if target.exists():
-            return
-        features, theta = stack_state_arrays(payload["model"])
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            digest=np.array(payload["digest"]),
-            features=features,
-            theta=theta,
-        )
-        atomic_write_bytes(target, buffer.getvalue(), site="registry.arrays")
-
-    def _load_arrays(
-        self, version: int, digest: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The promote-time sidecar arrays, or ``None`` when absent.
-
-        A torn sidecar, or one written for a different entry digest,
-        raises :class:`RegistryError`; its readers rebuild instead.
-        """
-        path = self._arrays_path(version)
-        if not path.exists():
-            return None
-        stored, features, theta = load_npz(
-            path, ("digest", "features", "theta"), RegistryError
-        )
-        if str(stored) != digest:
-            raise RegistryError(
-                f"ranking sidecar v{version:04d} is keyed to a different entry digest",
-                "digest-mismatch",
-                path,
-            )
-        return np.array(features, dtype=float), np.array(theta, dtype=float)
-
     def promote(
         self, version: int, channel: str = DEFAULT_CHANNEL
     ) -> ModelVersion:
         """Point the channel's deployments at ``version`` (verified first)."""
         validate_channel(channel)
         entry = self._read_entry(version)  # digest-verified, must exist
-        self._write_arrays(version, entry)
         with self._pointer_lock():
             channels = self._read_promoted()["channels"]
             state = channels.setdefault(
@@ -455,10 +402,9 @@ class ModelRegistry:
     ) -> tuple[OptimisationPredictor, ModelVersion]:
         """Rebuild a registered predictor (default: the channel's promoted one).
 
-        The model comes back ranking-ready with its kernel tensors stacked
-        once: from the promote-time sidecar arrays when present (and
-        valid for this entry's digest), otherwise from the pairs —
-        bit-identical either way.
+        Reads only the digest-verified entry (and the pointer when no
+        version is named); :meth:`OptimisationPredictor.from_state` stacks
+        the kernel tensors from the entry's pairs, once.
         """
         if version is None:
             version = self.promoted_version(channel)
@@ -469,21 +415,7 @@ class ModelRegistry:
                     "promote()"
                 )
         payload = self._read_entry(version)
-        try:
-            arrays = self._load_arrays(version, payload["digest"])
-        except RegistryError:
-            arrays = None  # torn or stale sidecar: stack from the pairs
-        try:
-            predictor = OptimisationPredictor.from_state(
-                payload["model"], space=space, arrays=arrays
-            )
-        except ValueError:
-            if arrays is None:
-                raise
-            # Stale sidecar shapes: stack from the pairs instead.
-            predictor = OptimisationPredictor.from_state(
-                payload["model"], space=space
-            )
+        predictor = OptimisationPredictor.from_state(payload["model"], space=space)
         return predictor, _model_version(version, payload, self.channels())
 
     # ------------------------------------------------------------------- scrub
@@ -491,42 +423,31 @@ class ModelRegistry:
     def scrub(cls, root: Path, repair: bool) -> list[Finding]:
         """Classify every registry artifact with the reader's own checks.
         Read-only unless ``repair``: quarantine damaged entries and an
-        unreadable pointer (promotions reset), delete torn or stale
-        ranking sidecars (they rebuild on demand), and rewrite a pointer
-        naming damaged or missing versions from its own history."""
+        unreadable pointer (promotions reset), delete ``vNNNN.arrays.npz``
+        ranking sidecars left by older registries (nothing reads them),
+        and rewrite a pointer naming damaged or missing versions from its
+        own history."""
         registry = cls(root)
         scrub = Scrub(root, "registry", repair)
-        digests: dict[int, str] = {}  # version -> digest, verified entries only
+        valid: set[int] = set()  # versions whose entry verifies
         model_dir = registry._model_dir()
-        paths = sorted(model_dir.iterdir()) if model_dir.is_dir() else []
-        for path in paths:
+        for path in sorted(model_dir.iterdir()) if model_dir.is_dir() else []:
             match = _MODEL_FILE.match(path.name)
             if path.name.endswith(".tmp"):
                 scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
+            elif _ARRAYS_FILE.match(path.name):
+                scrub.note(
+                    path, "arrays", "orphaned", "ranking sidecar of an older registry", "delete"
+                )
             elif match is not None:
                 version = int(match.group(1))
                 try:
-                    digests[version] = registry._read_entry(version)["digest"]
+                    registry._read_entry(version)
                 except RegistryError as error:
                     scrub.damage(path, "model", error, "quarantine")
                 else:
+                    valid.add(version)
                     scrub.note(path, "model")
-        for path in paths:
-            match = _ARRAYS_FILE.match(path.name)
-            if match is None:
-                continue
-            version = int(match.group(1))
-            if version not in digests:
-                scrub.note(
-                    path, "arrays", "orphaned", "ranking sidecar without a valid entry", "delete"
-                )
-                continue
-            try:
-                registry._load_arrays(version, digests[version])
-            except RegistryError as error:
-                scrub.damage(path, "arrays", error, "delete")
-            else:
-                scrub.note(path, "arrays")
         pointer = registry._promoted_path()
         if pointer.exists():
             try:
@@ -537,13 +458,13 @@ class ModelRegistry:
             broken = sorted(
                 name
                 for name, state in channels.items()
-                if not {state["current"], *state["history"]} <= {None, *digests}
+                if not {state["current"], *state["history"]} <= {None, *valid}
             )
             if broken:
                 scrub.note(
                     pointer, "pointer", "orphaned",
                     "channels point at missing or corrupt versions: " + ", ".join(broken),
-                    "rewrite", fix=lambda: registry._drop_versions(set(digests)),
+                    "rewrite", fix=lambda: registry._drop_versions(valid),
                 )
             else:
                 scrub.note(pointer, "pointer")

@@ -35,12 +35,18 @@ _REASONS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class IIDDistribution:
     """Per-dimension multinomials θ over the flag space, as one table."""
 
     space: FlagSpace
     theta: np.ndarray  # [D, Vmax]: theta[d, j] = θ_d^j, zero-padded
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: the same space and bit-equal θ tables."""
+        if not isinstance(other, IIDDistribution):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.theta, other.theta)
 
     def __post_init__(self) -> None:
         # θ can come from a file on disk.  NaN fails the sum test; the first

@@ -66,9 +66,6 @@ class FeatureNormaliser:
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         return (matrix - self.mean) / self.std
 
-    def transform_one(self, vector: np.ndarray) -> np.ndarray:
-        return (vector - self.mean) / self.std
-
 
 def feature_mask(
     mode: str, extended: bool = False

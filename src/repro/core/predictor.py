@@ -130,15 +130,12 @@ class OptimisationPredictor:
         return view
 
     def _refresh_tensors(
-        self, arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self,
+        features: np.ndarray | None = None,
+        theta: np.ndarray | None = None,
     ) -> None:
-        """Stack the fitted pairs into the ranking kernel's tensors, once.
-
-        ``arrays`` are precomputed ``(features, theta)`` stacks (the
-        registry's promote-time sidecar); they are validated against the
-        pairs' shapes and used as-is instead of re-stacking.
-        """
-        features, theta = arrays if arrays is not None else (None, None)
+        """Stack the fitted pairs into the ranking kernel's tensors, once
+        (``from_state`` hands over the stacks it already built)."""
         self._tensors = model_vector.PredictorTensors.from_pairs(
             self._pairs, self.space, features=features, theta=theta
         )
@@ -180,15 +177,12 @@ class OptimisationPredictor:
 
     @staticmethod
     def from_state(
-        state: dict,
-        space: FlagSpace = DEFAULT_SPACE,
-        arrays: tuple[np.ndarray, np.ndarray] | None = None,
+        state: dict, space: FlagSpace = DEFAULT_SPACE
     ) -> "OptimisationPredictor":
         """Rebuild a fitted predictor from :meth:`get_state` output.
 
-        ``arrays`` optionally supplies the pre-stacked ``(features,
-        theta)`` kernel tensors (see :meth:`_refresh_tensors`); a shape
-        mismatch raises :class:`ValueError`.
+        The pairs' features and θ are stacked in one scatter; the pairs
+        view rows of those stacks and the kernel uses them as they are.
         """
         if list(state["space_names"]) != list(space.names):
             raise ValueError(
@@ -218,24 +212,8 @@ class OptimisationPredictor:
             )
             for p, entry in enumerate(state["pairs"])
         ]
-        predictor._refresh_tensors(arrays or (features, theta))
+        predictor._refresh_tensors(features, theta)
         return predictor
-
-    def _query_vector(
-        self,
-        counters: PerfCounters,
-        machine: MicroArch,
-        code_features,
-    ) -> np.ndarray:
-        vector = feature_vector(counters, machine, self.extended)
-        if self.feature_mode == "with_code":
-            if code_features is None:
-                raise ValueError(
-                    "feature_mode='with_code' needs the test program's code "
-                    "features (from its -O3 binary)"
-                )
-            vector = np.concatenate([vector, np.asarray(code_features, float)])
-        return self._normaliser.transform_one(vector)[self._mask]
 
     def _candidate_indices(
         self,
@@ -304,7 +282,7 @@ class OptimisationPredictor:
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
-        query = self._query_vector(counters, machine, code_features)
+        query = self._query_matrix([counters], [machine], [code_features])[0]
         candidates = [
             pair
             for pair in self._pairs
@@ -466,12 +444,10 @@ class OptimisationPredictor:
         """
         if not self.is_fitted:
             raise RuntimeError("predictor is not fitted")
-        query = self._query_vector(counters, machine, code_features)
+        query = self._query_matrix([counters], [machine], [code_features])
         indices = self._candidate_indices(exclude_program, exclude_machine)
-        if indices.size == 0:
-            raise RuntimeError("no training pairs left after exclusions")
-        top, top_distances = model_vector.nearest_neighbours(
-            self._tensors, query, indices, self.k
+        ((_, top, distances),) = model_vector.nearest_groups(
+            self._tensors, query, [indices], self.k
         )
         return [
             (
@@ -479,5 +455,5 @@ class OptimisationPredictor:
                 self._pairs[int(index)].machine,
                 float(distance),
             )
-            for index, distance in zip(top, top_distances)
+            for index, distance in zip(top[0], distances[0])
         ]

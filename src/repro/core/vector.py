@@ -31,9 +31,10 @@ by performing *the same float operations in the same order* per element:
   ``np.stack`` and each mixed row becomes a distribution as it is.
 
 Queries whose exclusion sets differ in *candidate count* may need a
-different K (``min(k, candidates)``); rows are grouped by that effective K
-and each group runs as one rectangular kernel, so padding never leaks into
-a reduction.
+different K (``min(k, candidates)``); :func:`nearest_groups` groups rows by
+that effective K and each group runs as one rectangular kernel, so padding
+never leaks into a reduction.  The same selection serves
+``predict_distributions`` and ``OptimisationPredictor.neighbours``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ __all__ = [
     "stack_state_arrays",
     "query_distances",
     "stable_topk",
+    "nearest_groups",
     "predict_distributions",
-    "nearest_neighbours",
 ]
 
 
@@ -99,9 +100,9 @@ class PredictorTensors:
         features: np.ndarray | None = None,
         theta: np.ndarray | None = None,
     ) -> "PredictorTensors":
-        """Stack fitted ``_TrainingPair``s; precomputed arrays (from the
-        registry sidecar) may be supplied and are validated against the
-        expected shapes."""
+        """Stack fitted ``_TrainingPair``s, or take the ``(features,
+        theta)`` stacks ``from_state`` already built (its pairs view their
+        rows); shapes are checked against the pairs either way."""
         if not pairs:
             raise ValueError("cannot stack an empty training set")
         n_pairs = len(pairs)
@@ -109,8 +110,6 @@ class PredictorTensors:
 
         if features is None:
             features = np.array([pair.features for pair in pairs], dtype=float)
-        else:
-            features = np.ascontiguousarray(np.asarray(features, dtype=float))
         if features.shape != (n_pairs, n_features):
             raise ValueError(
                 f"features shape {features.shape} != {(n_pairs, n_features)}"
@@ -118,8 +117,6 @@ class PredictorTensors:
 
         if theta is None:
             theta = np.stack([pair.distribution.theta for pair in pairs])
-        else:
-            theta = np.ascontiguousarray(np.asarray(theta, dtype=float))
         expected = (n_pairs,) + space.value_mask.shape
         if theta.shape != expected:
             raise ValueError(f"theta shape {theta.shape} != {expected}")
@@ -167,7 +164,7 @@ def stack_state_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack a :meth:`get_state` payload's pairs into ``(features, theta)``
     (one scatter into the zero-padded layout); a θ row of the wrong length
-    names its dimension.  Feeds ``from_state`` and the registry sidecar."""
+    names its dimension.  Feeds ``from_state``."""
     entries = model_state["pairs"]
     if not entries:
         raise ValueError("cannot stack an empty model state")
@@ -247,6 +244,42 @@ def _mixture_theta(
     return mixed
 
 
+def nearest_groups(
+    tensors: PredictorTensors,
+    queries: np.ndarray,
+    candidate_indices: Sequence[np.ndarray],
+    k: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The K nearest candidate pairs of every query, grouped by effective K.
+
+    ``queries`` is the ``[B, F]`` matrix of normalised, masked query
+    vectors; ``candidate_indices[b]`` the pair indices query ``b`` may
+    consult (exclusions already applied by the predictor's audit gate).
+    A query keeps ``min(k, candidates)`` neighbours, so queries are
+    grouped by that K and each group is one rectangular ``stable_topk``:
+    one ``(rows, top, distances)`` per group, with ``top`` and
+    ``distances`` both ``[len(rows), K]`` and nearest first.
+    """
+    queries = np.ascontiguousarray(np.asarray(queries, dtype=float))
+    distances = query_distances(tensors.features, queries)
+
+    masked = np.full(distances.shape, np.inf)
+    effective_k = np.empty(queries.shape[0], dtype=np.intp)
+    for b, indices in enumerate(candidate_indices):
+        if indices.size == 0:
+            raise RuntimeError("no training pairs left after exclusions")
+        masked[b, indices] = distances[b, indices]
+        effective_k[b] = min(k, indices.size)
+
+    groups = []
+    for kk in np.unique(effective_k):
+        rows = np.nonzero(effective_k == kk)[0]
+        sub = masked[rows]
+        top = stable_topk(sub, int(kk))
+        groups.append((rows, top, np.take_along_axis(sub, top, axis=1)))
+    return groups
+
+
 def predict_distributions(
     tensors: PredictorTensors,
     queries: np.ndarray,
@@ -255,30 +288,10 @@ def predict_distributions(
     beta: float,
     space: FlagSpace,
 ) -> list[IIDDistribution]:
-    """One kernel pass of ``predict_distribution`` for a whole batch.
-
-    ``queries`` is the ``[B, F]`` matrix of normalised, masked query
-    vectors; ``candidate_indices[b]`` the pair indices query ``b`` may
-    consult (exclusions already applied by the predictor's audit gate).
-    """
-    queries = np.ascontiguousarray(np.asarray(queries, dtype=float))
-    n_queries = queries.shape[0]
-    distances = query_distances(tensors.features, queries)
-
-    masked = np.full(distances.shape, np.inf)
-    effective_k = np.empty(n_queries, dtype=np.intp)
-    for b, indices in enumerate(candidate_indices):
-        if indices.size == 0:
-            raise RuntimeError("no training pairs left after exclusions")
-        masked[b, indices] = distances[b, indices]
-        effective_k[b] = min(k, indices.size)
-
-    out: list[IIDDistribution | None] = [None] * n_queries
-    for kk in np.unique(effective_k):
-        rows = np.nonzero(effective_k == kk)[0]
-        sub = masked[rows]
-        top = stable_topk(sub, int(kk))
-        nearest = np.take_along_axis(sub, top, axis=1)
+    """One kernel pass of ``predict_distribution`` for a whole batch:
+    :func:`nearest_groups`, then each group's softmax mixture."""
+    out: list[IIDDistribution | None] = [None] * len(candidate_indices)
+    for rows, top, nearest in nearest_groups(tensors, queries, candidate_indices, k):
         mixed = _mixture_theta(tensors.theta[top], nearest, beta)
         for g, b in enumerate(rows):
             # A view into the mixed tensor, not a copy: the distribution
@@ -286,20 +299,3 @@ def predict_distributions(
             # the scalar mix either way.
             out[int(b)] = IIDDistribution(space=space, theta=mixed[g])
     return out  # type: ignore[return-value]
-
-
-def nearest_neighbours(
-    tensors: PredictorTensors,
-    query: np.ndarray,
-    candidate_indices: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The K nearest pair indices and distances for one query."""
-    distances = query_distances(
-        tensors.features, np.asarray(query, dtype=float)[None, :]
-    )[0]
-    masked = np.full(distances.shape, np.inf)
-    masked[candidate_indices] = distances[candidate_indices]
-    kk = min(k, int(candidate_indices.size))
-    top = stable_topk(masked[None, :], kk)[0]
-    return top, masked[top]

@@ -114,7 +114,7 @@ class JointVotePredictor:
         code_features=None,
     ) -> FlagSetting:
         del code_features  # the joint-vote variant uses (c, d) only
-        query = self._normaliser.transform_one(
+        query = self._normaliser.transform(
             feature_vector(counters, machine, self.extended)
         )
         keep = [

@@ -321,7 +321,6 @@ class ServeScenario(_Scenario):
         "jobs.snapshot",
         "registry.model",
         "registry.pointer",
-        "registry.arrays",
         "fold.shard",
     )
     JOB_TIMEOUT = 30.0

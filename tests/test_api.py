@@ -17,9 +17,11 @@ from repro.api import (
     resolve_backend,
     resolve_jobs,
     run_batch,
+    save_predictor,
 )
 from repro.compiler.flags import o3_setting
 from repro.experiments.config import Scale
+from repro.faults import FaultInjected, armed
 from repro.machine.xscale import xscale, xscale_small_icache
 from repro.sim.analytic import simulate_analytic
 
@@ -221,6 +223,16 @@ class TestModelLifecycle:
         path.write_text(json.dumps({"format": 99, "model": {}}))
         with pytest.raises(ValueError):
             load_predictor(path)
+
+    @pytest.mark.parametrize("action", ["error", "enospc"])
+    def test_killed_save_leaves_the_previous_file(self, fitted, tmp_path, action):
+        path = save_predictor(fitted.model, tmp_path / "model.json")
+        before = path.read_bytes()
+        with armed({"model.save": f"once:{action}"}):
+            with pytest.raises((FaultInjected, OSError)):
+                save_predictor(fitted.model, path, metadata={"generation": 2})
+        assert path.read_bytes() == before
+        assert load_predictor(path)[1]["metadata"] == {}
 
 
 class TestSearchApi:

@@ -122,6 +122,13 @@ class TestIIDDistribution:
         with pytest.raises(ValueError):
             IIDDistribution.fit([])
 
+    def test_equality_compares_values(self):
+        distribution = IIDDistribution.fit([o3_setting()])
+        assert distribution == IIDDistribution.fit([o3_setting()])
+        other = IIDDistribution.fit([o3_setting().with_values(fgcse=False)])
+        assert distribution != other
+        assert distribution != "not a distribution"
+
     def test_rejects_nan_theta(self):
         theta = IIDDistribution.fit([o3_setting()]).theta.copy()
         theta[:, 0] = np.nan  # column 0 is in every dimension's support

@@ -227,14 +227,19 @@ class TestRegistryScrub:
         entry["metadata"]["gen"] = 999
         (models / "v0002.json").write_text(json.dumps(entry))
         (models / "v0003.json").write_text('{"torn')  # torn model entry
-        (models / "v0001.arrays.npz").write_bytes(b"junk")  # torn ranking sidecar
-        (models / "v0009.arrays.npz").write_bytes(b"junk")  # sidecar, no entry
+        # Ranking sidecars an older registry left, with and without an entry.
+        (models / "v0001.arrays.npz").write_bytes(b"junk")
+        (models / "v0009.arrays.npz").write_bytes(b"junk")
 
         report = fsck_cache(cache_copy, repair=True)
         assert _status_of(report, "v0002.json").status == "digest-mismatch"
         assert _status_of(report, "v0003.json").status == "corrupt"
-        assert _status_of(report, "v0001.arrays.npz").status == "torn-tail"
-        assert _status_of(report, "v0009.arrays.npz").status == "orphaned"
+        for name in ("v0001.arrays.npz", "v0009.arrays.npz"):
+            sidecar = _status_of(report, name)
+            assert (sidecar.status, sidecar.repair, sidecar.repaired) == (
+                "orphaned", "delete", True
+            )
+            assert not (models / name).exists()
         pointer = _status_of(report, "promoted.json")
         assert pointer.status == "orphaned" and pointer.repair == "rewrite"
         assert not report.unrepaired

@@ -6,8 +6,8 @@ for float — every mixture theta, every ranked probability, every
 neighbour distance — because the service serialises rankings with
 :func:`canonical_json`, where bit-identity and byte-identity are the same
 thing.  The hypothesis suites assert that over random queries × machines
-× exclusions × K; the deterministic tests cover the batch API, the
-registry's promote-time sidecar (stacked once), the service path, and the
+× exclusions × K; the deterministic tests cover the batch API, a
+model loaded from its registry entry, the service path, and the
 edge cases (ties in the top-K, batches that exhaust the candidates).
 """
 
@@ -312,6 +312,9 @@ class TestBatchedMany:
 
 
 class TestRegistrySidecar:
+    """Promote writes no ranking sidecar: a loaded model's kernel tensors
+    are stacked from its JSON entry alone, bit-equal to the fitted ones."""
+
     @pytest.fixture()
     def registered(self, tmp_path, fitted):
         registry = ModelRegistry(tmp_path / "registry")
@@ -320,23 +323,31 @@ class TestRegistrySidecar:
         )
         return registry, entry
 
-    def test_promote_writes_ranking_ready_arrays(self, registered, fitted):
+    def test_promote_writes_only_the_entry_and_pointer(self, registered):
         registry, entry = registered
-        sidecar = registry._arrays_path(entry.version)
-        assert sidecar.exists()
-        with np.load(sidecar) as data:
-            assert str(data["digest"]) == entry.digest
-            assert data["features"].shape[0] == len(fitted["model"]._pairs)
-            assert data["theta"].ndim == 3
+        written = sorted(
+            path.relative_to(registry.root).as_posix()
+            for path in registry.root.rglob("*")
+            if path.is_file()
+        )
+        assert written == [
+            f"models/v{entry.version:04d}.json",
+            "promoted.json",
+            "promoted.lock",  # the pointer's flock target, always empty
+        ]
 
+    def test_loaded_tensors_equal_the_fitted_models(self, registered, fitted):
+        """An older registry's leftover sidecar, even a junk one, is
+        never read."""
+        registry, entry = registered
+        models = registry.root / "models"
+        (models / f"v{entry.version:04d}.arrays.npz").write_bytes(b"junk")
         loaded, _ = registry.load(entry.version)
-        assert loaded._tensors is not None
-        assert np.array_equal(
-            loaded._tensors.features, fitted["model"]._tensors.features
-        )
-        assert np.array_equal(
-            loaded._tensors.theta, fitted["model"]._tensors.theta
-        )
+        for name in ("features", "theta"):
+            stacked = getattr(loaded._tensors, name)
+            expected = getattr(fitted["model"]._tensors, name)
+            assert stacked.dtype == expected.dtype
+            assert np.array_equal(stacked, expected), name
 
     def test_loaded_model_predicts_bit_identically(self, registered, fitted):
         registry, entry = registered
@@ -350,40 +361,6 @@ class TestRegistrySidecar:
             reference,
             loaded.predict_distribution(counters, training.machines[2]),
         )
-
-    def test_corrupt_sidecar_falls_back_to_rebuild(self, registered, fitted):
-        registry, entry = registered
-        registry._arrays_path(entry.version).write_bytes(b"not an npz")
-        loaded, _ = registry.load(entry.version)
-        assert loaded._tensors is not None
-        training = fitted["training"]
-        counters = PerfCounters(*training.counters[0, 1, :])
-        assert_distribution_exact(
-            reference_distribution(
-                fitted["model"], counters, training.machines[1]
-            ),
-            loaded.predict_distribution(counters, training.machines[1]),
-        )
-
-    def test_load_stacks_tensors_once_from_the_sidecar(
-        self, registered, monkeypatch
-    ):
-        """A valid sidecar is attached as-is: the pairs are never stacked
-        a second time (what keeps serve set-up time flat)."""
-        registry, entry = registered
-        real_from_pairs = model_vector.PredictorTensors.from_pairs.__func__
-        calls = []
-
-        def counting(cls, pairs, space, features=None, theta=None):
-            calls.append(features is not None and theta is not None)
-            return real_from_pairs(cls, pairs, space, features, theta)
-
-        monkeypatch.setattr(
-            model_vector.PredictorTensors, "from_pairs", classmethod(counting)
-        )
-        loaded, _ = registry.load(entry.version)
-        assert calls == [True]
-        assert loaded._tensors is not None
 
 
 class TestServiceBatchEquivalence:

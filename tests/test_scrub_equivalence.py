@@ -50,7 +50,6 @@ ARTIFACTS = (
     ("folds", "manifest.json"),
     ("folds", "folds/base--crc.json"),
     ("registry", "models/v0001.json"),
-    ("registry", "models/v0001.arrays.npz"),
     ("registry", "promoted.json"),
     ("jobs", "job-0001/meta.json"),
     ("jobs", "job-0001/events.ndjson"),
@@ -113,8 +112,8 @@ def _folds_ok(root: Path) -> bool:
 
 
 def _registry_ok(root: Path) -> bool:
-    """Every entry and ranking sidecar loads, and the pointer parses and
-    names only loadable versions (what ``load`` and ``rollback`` read)."""
+    """Every entry loads, and the pointer parses and names only loadable
+    versions (what ``load`` and ``rollback`` read)."""
     registry = ModelRegistry(root)
     try:
         channels = registry._read_promoted()["channels"]
@@ -125,8 +124,7 @@ def _registry_ok(root: Path) -> bool:
             if version is not None
         }
         for version in sorted(set(registry.versions()) | named):
-            entry = registry._read_entry(version)
-            registry._load_arrays(version, entry["digest"])
+            registry._read_entry(version)
     except RegistryError:
         return False
     return True
