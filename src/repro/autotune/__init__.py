@@ -2,7 +2,8 @@
 
 The subsystem that connects the paper's three pillars — the iterative
 search baselines, the fitted predictive model, and the compile-and-price
-evaluator (trie-batched compiles, one simulator call per fresh binary) —
+evaluator (batched compiles through the pass memo, one simulator call per
+fresh binary) —
 into one framework:
 
 * :mod:`~repro.autotune.core` — :class:`SearchBudget` /

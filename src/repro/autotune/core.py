@@ -4,8 +4,9 @@
 A *strategy* proposes candidate flag settings; a :class:`BatchScorer`
 (see :mod:`repro.autotune.scorer`) prices them through the memoising
 :class:`~repro.search.evaluator.Evaluator` — batched, so a whole
-generation's uncached settings compile as one pass-prefix trie, each
-fresh binary then priced by one simulator call — and records every
+generation's uncached settings compile as one ``compile_many`` batch
+through the pass memo, each fresh binary then priced by one simulator
+call — and records every
 candidate into a :class:`SearchTrace`.  The trace is the single source
 of truth for the paper's §5.3 metrics: evaluations-to-match-best and
 simulations consumed.

@@ -5,7 +5,7 @@ bit* (pinned by ``tests/golden/search_golden.json``): identical RNG draw
 sequences, identical evaluation order, identical tie-breaks.  Candidates
 flow through the :class:`~repro.autotune.scorer.BatchScorer`, so
 independent batches (a random sample, a GA generation, a CE probing
-round) compile as one pass-prefix trie batch, and the budget is enforced
+round) compile as one ``compile_many`` batch, and the budget is enforced
 centrally.  The one observable divergence from the original drivers is
 deliberate: genetic search and combined elimination could overshoot
 their budget by one evaluation at boundary budgets; the scorer clamps

@@ -25,7 +25,7 @@ deterministic and owns no randomness.
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -321,8 +321,20 @@ _set_content_id = Instruction._cid.__set__
 _set_checked = Instruction._checked.__set__
 
 
-@dataclass
-class BasicBlock:
+class _Keyed:
+    """The pass memo's cached content id (0: none), in a slot that is not
+    a dataclass field, so it stays out of equality, ``repr`` and ``fields``."""
+
+    __slots__ = ("_cid",)
+
+    def changed(self) -> None:
+        """Drop the cached id: a pass calls this on each block, function
+        or program whose own fields it alters."""
+        self._cid = 0
+
+
+@dataclass(slots=True)
+class BasicBlock(_Keyed):
     """A straight-line instruction sequence with a single entry and exit.
 
     ``exec_count`` is the dynamic execution count of the block from the
@@ -346,6 +358,7 @@ class BasicBlock:
         problem = self.problem()
         if problem is not None:
             raise ValueError(problem)
+        self._cid = 0
 
     def problem(self) -> str | None:
         """The first violated field invariant, or ``None`` if valid."""
@@ -376,13 +389,20 @@ class BasicBlock:
 
     def clone(self, new_label: str | None = None) -> "BasicBlock":
         """A copy with its own instruction and successor lists that shares
-        the (immutable) instructions.  It skips the field checks, which
-        :meth:`Program.validate` re-runs on every compile's final IR."""
+        the (immutable) instructions and skips the field checks (which
+        :meth:`Program.validate` re-runs); it keeps the id unless relabelled."""
         copy = object.__new__(BasicBlock)
-        copy.__dict__.update(self.__dict__)
         copy.label = new_label or self.label
         copy.instructions = list(self.instructions)
         copy.successors = list(self.successors)
+        copy.exec_count = self.exec_count
+        copy.taken_prob = self.taken_prob
+        copy.predictability = self.predictability
+        copy.invariant_branch = self.invariant_branch
+        copy.pad_bytes = self.pad_bytes
+        copy.aligned = self.aligned
+        copy.is_loop_header = self.is_loop_header
+        copy._cid = 0 if new_label else self._cid
         return copy
 
 
@@ -418,6 +438,12 @@ class Loop:
         """Total dynamic iterations of the loop."""
         return self.trip_count * self.entries
 
+    def clone(self) -> "Loop":
+        copy = object.__new__(Loop)
+        copy.__dict__.update(self.__dict__)
+        copy.blocks = list(self.blocks)
+        return copy
+
 
 @dataclass
 class DataRegion:
@@ -443,7 +469,7 @@ class DataRegion:
 
 
 @dataclass
-class Function:
+class Function(_Keyed):
     """A function: ordered blocks (the order *is* the code layout), a loop
     forest over those blocks, and inlining metadata."""
 
@@ -463,6 +489,7 @@ class Function:
                     raise ValueError(
                         f"loop block {label!r} missing from function {self.name!r}"
                     )
+        self._cid = 0
 
     @property
     def size_insns(self) -> int:
@@ -502,18 +529,18 @@ class Function:
         return best
 
     def clone(self) -> "Function":
-        return Function(
-            name=self.name,
-            blocks={label: block.clone() for label, block in self.blocks.items()},
-            layout=list(self.layout),
-            loops=[replace(loop, blocks=list(loop.blocks)) for loop in self.loops],
-            inline_candidate=self.inline_candidate,
-            entry_count=self.entry_count,
-        )
+        """A copy with its own blocks, layout and loops."""
+        copy = object.__new__(Function)
+        copy.__dict__.update(self.__dict__)
+        copy._cid = self._cid
+        copy.blocks = {label: block.clone() for label, block in self.blocks.items()}
+        copy.layout = list(self.layout)
+        copy.loops = [loop.clone() for loop in self.loops]
+        return copy
 
 
 @dataclass
-class Program:
+class Program(_Keyed):
     """A whole program: functions, an entry point and its data regions."""
 
     name: str
@@ -524,6 +551,7 @@ class Program:
     def __post_init__(self) -> None:
         if self.entry not in self.functions:
             raise ValueError(f"entry function {self.entry!r} not defined")
+        self._cid = 0
 
     @property
     def size_insns(self) -> int:
@@ -538,12 +566,13 @@ class Program:
         return sum(function.dynamic_insns for function in self.functions.values())
 
     def clone(self) -> "Program":
-        return Program(
-            name=self.name,
-            functions={name: fn.clone() for name, fn in self.functions.items()},
-            entry=self.entry,
-            regions=dict(self.regions),
-        )
+        """A copy with its own functions and region dict."""
+        copy = object.__new__(Program)
+        copy.__dict__.update(self.__dict__)
+        copy._cid = self._cid
+        copy.functions = {name: fn.clone() for name, fn in self.functions.items()}
+        copy.regions = dict(self.regions)
+        return copy
 
     def validate(self) -> None:
         """Check structural invariants; raise ``ValueError`` on violation.

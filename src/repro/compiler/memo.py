@@ -1,35 +1,21 @@
 """A content-addressed pass memo: each distinct IR state is compiled once.
 
-Iterative compilation compiles one program under many nearby settings.
-Most of them differ in a flag that finds nothing to do on the program,
-so their passes see the same IR and do the same work.  :class:`PassMemo`
-records each pass run as a transition
+:class:`PassMemo` records each pass run of one source program as a
+transition (state, pass index, :meth:`Pass.observed
+<repro.compiler.passes.base.Pass.observed>`) → (next state, stats
+delta).  A compile follows recorded transitions and runs a pass only on
+one it has not seen, on a copy of the latest snapshot on its path with
+the passes since run again; it then keeps a snapshot of that state, as
+walks split there.  Each distinct final IR is finalized once.
 
-    (state, pass index, observed flags) → (next state, stats delta)
-
-where a *state* names an IR by an exact structural key of its content,
-and ``observed`` is :meth:`Pass.observed <repro.compiler.passes.base.Pass.observed>`.
-A compile follows recorded transitions, summing their stats deltas, and
-runs a pass only on a transition it has not seen.  To run one it needs
-the IR of the state it stopped at: a snapshot of it, or of an earlier
-state on its path with the passes in between run again.  Each distinct
-final IR is validated and finalized once; every binary of it is that
-summary rebound to its own ``setting`` and summed ``stats``.
-
-Keys are exact, not hashes.  An instruction is named by an interned
-content id, cached on the (immutable) instruction; a block by an
-interned id of its fields and instruction ids; a function likewise; a
-state by its functions, entry and data regions.  Ids come from one
-process-wide counter and each names one content for good, so equal keys
-always mean equal IR; two ids for one content (interned by different
-memos) cost only a missed share.
-
-Memory is bounded by what the snapshots hold: together at most
-:data:`SNAPSHOT_INSNS` instruction slots, least recently used evicted
-first, plus a pinned copy of the source program.  Snapshots share the
-instructions, so each costs only its block lists.  The memo serves one
-program; :class:`~repro.compiler.pipeline.Compiler` keeps one, for the
-program it is compiling, and decides when to use it.
+A state is named by an exact key: interned ids from one process-wide
+counter, never a hash.  Ids are cached on the memo's own IR objects and
+a pass marks what it alters (``changed()``), so after a pass only marked
+objects are rekeyed, and a pass that marked nothing leaves its state;
+a state after the last pass gets a fresh id instead of a key.
+``tests/test_memo_keys.py`` rekeys from scratch after every pass run to
+check that no change goes unmarked.  A memo's :attr:`~PassMemo.retained`
+slots are its snapshots' instructions plus its interned entries.
 """
 
 from __future__ import annotations
@@ -41,11 +27,12 @@ from typing import Sequence
 
 from repro.compiler.binary import CompiledBinary, finalize
 from repro.compiler.flags import FlagSetting
-from repro.compiler.ir import BasicBlock, Instruction, Program
+from repro.compiler.ir import BasicBlock, Function, Instruction, Program, iter_instructions
 from repro.compiler.passes.base import Pass, PassStats
 
-#: Instruction slots all snapshots together may hold.
-SNAPSHOT_INSNS = 8_192
+#: Slots (snapshot instructions plus interned entries) all memos of one
+#: compiler may retain together.
+RETAINED_SLOTS = 10_000
 
 #: The state id of the source program.
 SOURCE = 0
@@ -53,34 +40,42 @@ SOURCE = 0
 _next_content_id = itertools.count(1).__next__
 _content_id = operator.attrgetter("_cid")
 _set_content_id = Instruction._cid.__set__
-_NOT_INTERNED = 0
 
 
 class PassMemo:
-    """Transitions, snapshots and final binaries of one source program."""
+    """Transitions, snapshots and final binaries of one source program,
+    which it holds: like the binary cache, it takes the source as fixed."""
 
     def __init__(self, passes: Sequence[Pass], program: Program):
         self._passes = passes
-        self._insn_ids: dict[tuple, int] = {}
-        self._block_ids: dict[tuple, int] = {}
-        self._function_ids: dict[tuple, int] = {}
-        self._states: dict[tuple, int] = {}
-        self._source_key = self._key(program)
-        self._states[self._source_key] = SOURCE
-        self._root = program.clone()
+        # Content → id for instructions, instruction lists, blocks,
+        # functions and programs: keys of two kinds never meet, as they
+        # differ in length or in the type of their first item.
+        self._ids: dict[tuple, int] = {}
+        self._tuples: dict[tuple, tuple] = {}  # one copy of equal observations
+        for _, _, insn in iter_instructions(program):
+            if not getattr(insn, "_cid", 0):  # unpickled: unset
+                _set_content_id(insn, _next_content_id())
+        self._source = program
+        self._source_key = self._key(program, cached=False)
+        self._states: dict[tuple, int] = {self._source_key: SOURCE}
         self._steps: dict[tuple[int, int, tuple], tuple[int, tuple]] = {}
         self._snapshots: OrderedDict[int, Program] = OrderedDict()
         self._held = 0
         self._finals: dict[int, CompiledBinary] = {}
 
-    def serves(self, program: Program) -> bool:
-        """Whether ``program`` has the content this memo was built from."""
-        return self._key(program) == self._source_key
-
     @property
-    def transitions(self) -> int:
-        """Pass runs recorded so far."""
-        return len(self._steps)
+    def retained(self) -> int:
+        """Snapshot instructions plus interned entries held."""
+        entries = (self._ids, self._tuples, self._states, self._steps)
+        return self._held + sum(map(len, entries))
+
+    def shrink(self, limit: int) -> int:
+        """Drop LRU snapshots until ``limit`` slots or none are left; the slots kept."""
+        while self._snapshots and self.retained > limit:
+            _, evicted = self._snapshots.popitem(last=False)
+            self._held -= evicted.size_insns
+        return self.retained
 
     def compile(self, canonical: FlagSetting, setting: FlagSetting) -> CompiledBinary:
         """The binary of the source under ``canonical``, bound to ``setting``."""
@@ -98,12 +93,15 @@ class PassMemo:
             step = self._steps.get((state, level, observed))
             if step is None:
                 if working_at != len(trail):
+                    # Another walk made this state: walks split here.
                     working = self._materialise(trail, state, working, working_at, canonical)
-                self._snapshot(state, working)
+                    self._snapshot(state, working)
                 delta = PassStats()
                 optimisation.apply(working, canonical, delta)
-                step = (self._state(working), tuple(delta.items()))
-                self._steps[(state, level, observed)] = step
+                items = tuple(delta.items())
+                after = self._state_after(working, state, level == len(self._passes) - 1)
+                step = (after, self._tuples.setdefault(items, items))
+                self._steps[(state, level, self._tuples.setdefault(observed, observed))] = step
                 working_at = len(trail) + 1
             trail.append((level, state))
             state, delta_items = step
@@ -116,8 +114,7 @@ class PassMemo:
         if working_at != len(trail):
             working = self._materialise(trail, state, working, working_at, canonical)
         working.validate()
-        binary = finalize(working, setting, stats)
-        self._finals[state] = binary
+        binary = self._finals[state] = finalize(working, setting, stats)
         return binary
 
     # ------------------------------------------------------------ snapshots
@@ -129,110 +126,113 @@ class PassMemo:
         working_at: int,
         canonical: FlagSetting,
     ) -> Program:
-        """An owned IR of ``state``, the end of ``trail``: a copy of the
-        latest snapshot on the trail (or ``working``, if later), with the
-        trail's passes from there run again."""
+        """An owned IR of ``state``, the end of ``trail``: the latest copy
+        on it (``working`` or a snapshot) with the passes since run again."""
         start, base = working_at, working
         for index in range(len(trail), working_at, -1):
             at = state if index == len(trail) else trail[index][1]
-            snapshot = self._root if at == SOURCE else self._snapshots.get(at)
+            if at == SOURCE:
+                start, base = index, self._source_copy()
+                break
+            snapshot = self._snapshots.get(at)
             if snapshot is not None:
-                if at != SOURCE:
-                    self._snapshots.move_to_end(at)
+                self._snapshots.move_to_end(at)
                 start, base = index, snapshot.clone()
                 break
         for level, _ in trail[start:]:
             self._passes[level].apply(base, canonical, PassStats())
         return base
 
+    def _source_copy(self) -> Program:
+        """A copy of the source, with the ids of its key cached on it."""
+        copy = self._source.clone()
+        ids = iter(self._source_key)
+        copy._cid = next(ids)
+        for function in copy.functions.values():
+            function._cid = next(ids)
+            for block in function.blocks.values():
+                block._cid = next(ids)
+        return copy
+
     def _snapshot(self, state: int, working: Program) -> None:
         """Keep a copy of ``working`` (at ``state``) before a pass runs on it."""
-        if state == SOURCE:
-            return
         if state in self._snapshots:
             self._snapshots.move_to_end(state)
-            return
-        self._snapshots[state] = working.clone()
-        self._held += working.size_insns
-        while self._held > SNAPSHOT_INSNS and len(self._snapshots) > 1:
-            _, evicted = self._snapshots.popitem(last=False)
-            self._held -= evicted.size_insns
+        elif state != SOURCE:
+            self._snapshots[state] = working.clone()
+            self._held += working.size_insns
 
     # ----------------------------------------------------------------- keys
-    def _state(self, program: Program) -> int:
-        """The id of ``program``'s state, registering a new one."""
+    def _state_after(self, program: Program, before: int, final: bool) -> int:
+        """The id of ``program``'s state after a pass from ``before``: it if
+        the pass marked nothing, a fresh one if ``final`` (after the last
+        pass: never left, seldom met twice), else its key's, made if new."""
+        if program._cid and all(
+            f._cid and all(map(_content_id, f.blocks.values())) for f in program.functions.values()
+        ):
+            return before
+        if final:
+            return -_next_content_id()
         return self._states.setdefault(self._key(program), len(self._states))
 
-    def _key(self, program: Program) -> tuple:
-        """The exact structural key of ``program``'s content."""
-        return (
-            program.entry,
-            tuple(
-                (name, region.name, region.size_bytes, region.kind)
-                for name, region in program.regions.items()
-            ),
-            tuple(program.functions),
-            tuple(
-                self._function_id(function) for function in program.functions.values()
-            ),
-        )
+    def _key(self, program: Program, cached: bool = True) -> tuple:
+        """The exact key of ``program``'s content: with ``cached``, from and
+        into the ids cached on it; without, recomputed and not cached."""
+        key = [self._own_id(program, _program_fields, cached)]
+        for function in program.functions.values():
+            key.append(self._own_id(function, _function_fields, cached))
+            blocks = function.blocks.values()
+            ids = list(map(_content_id, blocks)) if cached else [0] * len(blocks)
+            if 0 in ids:
+                ids = [cid or self._block_id(block, cached) for cid, block in zip(ids, blocks)]
+            key += ids
+        return tuple(key)
 
-    def _function_id(self, function) -> int:
-        key = (
-            function.name,
-            tuple(function.blocks),
-            tuple(self._block_id(block) for block in function.blocks.values()),
-            tuple(function.layout),
-            tuple(
-                (
-                    loop.header,
-                    tuple(loop.blocks),
-                    loop.trip_count,
-                    loop.entries,
-                    loop.depth,
-                    loop.parent,
-                    loop.carried_dep_latency,
-                )
-                for loop in function.loops
-            ),
-            function.inline_candidate,
-            function.entry_count,
-        )
-        return _intern(self._function_ids, key)
+    def _own_id(self, owner: Program | Function, fields, cached: bool) -> int:
+        """``owner``'s id for its own ``fields(owner)``."""
+        if cached and owner._cid:
+            return owner._cid
+        found = self._intern(fields(owner))
+        if cached:
+            owner._cid = found
+        return found
 
-    def _block_id(self, block: BasicBlock) -> int:
+    def _block_id(self, block: BasicBlock, cached: bool) -> int:
         instructions = block.instructions
-        try:
+        insn_ids = tuple(map(_content_id, instructions))
+        if 0 in insn_ids:  # some built by a pass: intern them by content
+            for insn in itertools.compress(instructions, map(operator.not_, insn_ids)):
+                _set_content_id(insn, self._intern(insn.content()))
             insn_ids = tuple(map(_content_id, instructions))
-        except AttributeError:  # unpickled instructions have no id slot set
-            insn_ids = tuple(getattr(insn, "_cid", _NOT_INTERNED) for insn in instructions)
-        if _NOT_INTERNED in insn_ids:
-            insn_ids = tuple(
-                cid or self._insn_id(insn) for cid, insn in zip(insn_ids, instructions)
-            )
-        key = (
-            block.label,
-            insn_ids,
-            tuple(block.successors),
-            block.exec_count,
-            block.taken_prob,
-            block.predictability,
-            block.invariant_branch,
-            block.pad_bytes,
-            block.aligned,
-            block.is_loop_header,
-        )
-        return _intern(self._block_ids, key)
+        key = (*_block_fields(block), self._intern(insn_ids), tuple(block.successors))
+        found = self._intern(key)
+        if cached:
+            block._cid = found
+        return found
 
-    def _insn_id(self, insn: Instruction) -> int:
-        cid = _intern(self._insn_ids, insn.content())
-        _set_content_id(insn, cid)
-        return cid
+    def _intern(self, key: tuple) -> int:
+        """The id this memo gives ``key``, a fresh one if it has none."""
+        return self._ids.get(key) or self._ids.setdefault(key, _next_content_id())
 
 
-def _intern(table: dict[tuple, int], key: tuple) -> int:
-    """The id ``table`` gives ``key``, a fresh one if it has none."""
-    found = table.get(key)
-    if found is None:
-        found = table[key] = _next_content_id()
-    return found
+_block_fields = operator.attrgetter(
+    "label", "exec_count", "taken_prob", "predictability", "invariant_branch",
+    "pad_bytes", "aligned", "is_loop_header",
+)
+_loop_fields = operator.attrgetter(
+    "header", "trip_count", "entries", "depth", "parent", "carried_dep_latency"
+)
+_region_fields = operator.attrgetter("name", "size_bytes", "kind")
+
+
+def _program_fields(program: Program) -> tuple:
+    regions = tuple((name, *_region_fields(region)) for name, region in program.regions.items())
+    return (program.entry, regions, tuple(program.functions))
+
+
+def _function_fields(function: Function) -> tuple:
+    loops = tuple((*_loop_fields(loop), tuple(loop.blocks)) for loop in function.loops)
+    return (
+        function.name, tuple(function.blocks), tuple(function.layout), loops,
+        function.inline_candidate, function.entry_count,
+    )

@@ -58,9 +58,6 @@ class AlignPass(Pass):
             loop_headers = {loop.header for loop in function.loops}
             for position, label in enumerate(function.layout):
                 block = function.blocks[label]
-                block.pad_bytes = 0
-                block.aligned = False
-
                 alignment = 0
                 if align_labels:
                     alignment = LABEL_ALIGN
@@ -71,11 +68,14 @@ class AlignPass(Pass):
                 if align_functions and position == 0:
                     alignment = max(alignment, FUNCTION_ALIGN)
 
+                padding = 0
                 if alignment:
                     padding = (alignment - offset % alignment) % alignment
-                    block.pad_bytes = padding
-                    block.aligned = True
                     stats["align.pad_bytes"] += padding
+                if block.pad_bytes != padding or block.aligned != bool(alignment):
+                    block.pad_bytes = padding
+                    block.aligned = bool(alignment)
+                    block.changed()
                 offset += block.size_bytes
 
     @staticmethod

@@ -2,10 +2,12 @@
 
 Passes mutate a working copy of the program IR: its functions, blocks and
 block lists, never an instruction (instructions are immutable and shared
-between copies; a rewrite puts a modified copy into the list).  The two
-fiddly operations — deleting and inserting instructions while keeping
-dependence distances consistent — live here so each pass stays small and
-every pass preserves the IR invariants the same way.
+between copies; a rewrite puts a modified copy into the list).  A pass
+marks each block, function or program it alters with ``changed()``, so
+the pass memo rekeys only those.  The two fiddly operations — deleting
+and inserting instructions while keeping dependence distances
+consistent — live here so each pass stays small and every pass
+preserves the IR invariants the same way.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ class Pass:
 
     A pass's behaviour — whether it is enabled and everything ``run``
     does to the IR and the stats — may depend only on the program and
-    on the flags named in :attr:`reads`.  :meth:`Compiler.compile_many
-    <repro.compiler.pipeline.Compiler.compile_many>` relies on this: it
-    runs a pass once for all settings of a batch that agree on its
-    ``reads`` (or all disable it) and so share the IR up to it.  A pass
+    on the flags named in :attr:`reads`.  The compiler's pass memo
+    (:mod:`repro.compiler.memo`) relies on this: it runs a pass once for
+    all settings that agree on its ``reads`` (or all disable it) and
+    share the IR up to it.  A pass
     that consults a flag outside ``reads``, in ``enabled``, ``run`` or
     any helper, would hand some settings another setting's IR;
     ``tests/test_pass_reads.py`` checks every declaration.
@@ -41,11 +43,10 @@ class Pass:
     It must also depend only on the IR's *content*: the fields of its
     functions, blocks, loops, regions and instructions, in order, never
     on object identity or on anything outside the program.  Two
-    equal-content copies must come out equal, with equal stats.  The
-    compiler's pass memo (:mod:`repro.compiler.memo`) relies on this: it
-    names an IR state by its content and replays a recorded transition
-    instead of running the pass again.  ``tests/test_pass_reads.py``
-    checks this as well.
+    equal-content copies must come out equal, with equal stats: the
+    memo names an IR state by its content and follows a recorded
+    transition instead of running the pass again.
+    ``tests/test_pass_reads.py`` checks this as well.
     """
 
     #: Human-readable pass name, used as the stats prefix.
@@ -73,7 +74,7 @@ class Pass:
         equal observations get equal runs on equal IR."""
         if not self.enabled(flags):
             return None
-        return tuple(flags[name] for name in self.reads)
+        return tuple(map(flags.__getitem__, self.reads))
 
 
 def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
@@ -119,6 +120,7 @@ def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:
         new_instructions.append(insn)
     removed = len(old_instructions) - len(new_instructions)
     block.instructions = new_instructions
+    block.changed()
     return removed
 
 
@@ -133,12 +135,13 @@ def insert_instructions(
     """
     stretch_crossing_deps(block.instructions, position, len(new_insns))
     block.instructions[position:position] = list(new_insns)
+    block.changed()
 
 
 def stretch_crossing_deps(instructions: list[Instruction], position: int, count: int) -> None:
     """Lengthen by ``count`` every edge from an instruction at or after
     ``position`` to a producer before it, as inserting ``count``
-    instructions at ``position`` would."""
+    instructions at ``position`` would.  The caller marks the block."""
     if count <= 0:
         return
     for old_index in range(position, len(instructions)):

@@ -163,6 +163,7 @@ class InlineFunctionsPass(Pass):
         block.instructions = block.instructions[:call_index]
         block.taken_prob = 0.0
         block.invariant_branch = False
+        block.changed()
 
         # --- clone the callee body -----------------------------------------
         clone_map = {
@@ -195,6 +196,7 @@ class InlineFunctionsPass(Pass):
             insert_at += 1
         caller.blocks[continuation_label] = continuation
         caller.layout.insert(insert_at, continuation_label)
+        caller.changed()
 
         # Every loop enclosing the call site absorbs the inlined body.
         new_labels = [clone.label for clone in clones] + [continuation_label]
@@ -206,7 +208,9 @@ class InlineFunctionsPass(Pass):
         remaining = 1.0 - ratio
         for callee_block in callee.blocks.values():
             callee_block.exec_count *= remaining
+            callee_block.changed()
         callee.entry_count = max(callee.entry_count - site_count, 0.0)
+        callee.changed()
         stats["inline.sites"] += 1
         stats["inline.insns_added"] += sum(len(c.instructions) for c in clones)
 
@@ -243,4 +247,5 @@ class InlineFunctionsPass(Pass):
                 and function.entry_count <= 1e-9
             ):
                 del program.functions[name]
+                program.changed()
                 stats["inline.functions_dropped"] += 1

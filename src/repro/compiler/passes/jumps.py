@@ -29,10 +29,12 @@ from repro.compiler.passes.base import Pass, PassStats
 
 def _retarget(function: Function, old_label: str, new_label: str) -> None:
     for block in function.blocks.values():
-        block.successors = [
-            new_label if successor == old_label else successor
-            for successor in block.successors
-        ]
+        if old_label in block.successors:
+            block.successors = [
+                new_label if successor == old_label else successor
+                for successor in block.successors
+            ]
+            block.changed()
 
 
 def _delete_block(function: Function, label: str) -> None:
@@ -41,6 +43,7 @@ def _delete_block(function: Function, label: str) -> None:
     for loop in function.loops:
         if label in loop.blocks:
             loop.blocks.remove(label)
+    function.changed()
 
 
 class ThreadJumpsPass(Pass):
@@ -110,6 +113,7 @@ class CrossJumpPass(Pass):
             if block is keeper:
                 continue
             keeper.exec_count += block.exec_count
+            keeper.changed()
             self._mark_taken_edges(function, block.label)
             _retarget(function, block.label, keeper.label)
             _delete_block(function, block.label)
@@ -125,4 +129,4 @@ class CrossJumpPass(Pass):
         previous = function.blocks[function.layout[position - 1]]
         if doomed_label in previous.successors and previous.terminator is not None:
             # The fall-through edge becomes a taken edge to the keeper.
-            previous.taken_prob = max(previous.taken_prob, 0.95)
+            previous.taken_prob = max(previous.taken_prob, 0.95)  # marked by _retarget

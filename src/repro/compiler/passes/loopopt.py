@@ -148,6 +148,7 @@ class UnswitchLoopsPass(Pass):
             function.blocks[clone.label] = clone
             function.layout.insert(insert_at, clone.label)
             insert_at += 1
+        function.changed()
 
         # The hot version loses the invariant branch: it becomes a
         # fall-through to its hot (first) successor.
@@ -158,7 +159,7 @@ class UnswitchLoopsPass(Pass):
             delete_instructions(block, [terminator_index])
             block.successors = [hot_successor]
             block.taken_prob = 0.0
-            block.invariant_branch = False
+            block.invariant_branch = False  # marked by the deletion
             stats["unswitch.branches_removed"] += 1
 
         # One switching test+branch executes per loop entry, in the
@@ -172,7 +173,7 @@ class UnswitchLoopsPass(Pass):
                 preheader, len(preheader.instructions), [test, branch]
             )
             preheader.successors = [loop.header, clone_map[loop.header]]
-            preheader.taken_prob = 0.0
+            preheader.taken_prob = 0.0  # marked by the insertion
         else:
             insert_instructions(
                 preheader, len(preheader.instructions) - 1, [test]
@@ -201,6 +202,7 @@ class StrengthReducePass(Pass):
                         block.instructions[index] = insn.replace(
                             opcode=Opcode.ADD, latency=1
                         )
+                        block.changed()
                         self._retag_consumers(block, index)
                         stats["strength_reduce.converted"] += 1
 

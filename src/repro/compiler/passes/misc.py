@@ -54,6 +54,6 @@ class SiblingCallPass(Pass):
                         delete_instructions(block, [index + 1])
                         block.instructions[index] = block.instructions[
                             index
-                        ].replace(opcode=Opcode.JMP)
+                        ].replace(opcode=Opcode.JMP)  # marked by the deletion
                         stats["sibcall.converted"] += 1
                         break

@@ -81,6 +81,7 @@ class ReorderBlocksPass(Pass):
         if placed == function.layout:
             return
         function.layout = placed
+        function.changed()
         self._fix_terminators(function, stats)
         stats["reorder.functions"] += 1
 
@@ -103,6 +104,7 @@ class ReorderBlocksPass(Pass):
                         # through and the old fall-through is branched to.
                         block.successors = [target, fallthrough]
                         block.taken_prob = 1.0 - block.taken_prob
+                        block.changed()
                         stats["reorder.branches_flipped"] += 1
                     elif fallthrough != following:
                         # Neither successor follows: an explicit jump to the
@@ -115,11 +117,11 @@ class ReorderBlocksPass(Pass):
             elif terminator is not None and terminator.opcode is Opcode.JMP:
                 if block.successors and block.successors[0] == following:
                     delete_instructions(block, [len(block.instructions) - 1])
-                    block.taken_prob = 0.0
+                    block.taken_prob = 0.0  # marked by the deletion
                     stats["reorder.jumps_removed"] += 1
             elif terminator is None and block.successors:
                 if block.successors[0] != following and following is not None:
                     jump = Instruction(opcode=Opcode.JMP)
                     insert_instructions(block, len(block.instructions), [jump])
-                    block.taken_prob = 1.0
+                    block.taken_prob = 1.0  # marked by the insertion
                     stats["reorder.jumps_added"] += 1

@@ -93,11 +93,13 @@ def merge_fallthrough_chains(
             first.taken_prob = second.taken_prob
             first.predictability = second.predictability
             first.invariant_branch = second.invariant_branch
+            first.changed()
             del function.blocks[second_label]
             function.layout.remove(second_label)
             for loop in function.loops:
                 if second_label in loop.blocks:
                     loop.blocks.remove(second_label)
+            function.changed()
             predecessor_count[second_label] = 0
             stats["schedule.blocks_merged"] += 1
             merged = True
@@ -274,6 +276,7 @@ def _apply_order(block: BasicBlock, new_order: list[int], has_terminator: bool) 
         if deps != insn.deps:
             reordered[new_index] = insn.replace(deps=deps)
     block.instructions = reordered
+    block.changed()
 
 
 def block_pressure(block: BasicBlock) -> int:

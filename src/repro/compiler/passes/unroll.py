@@ -153,15 +153,18 @@ class UnrollLoopsPass(Pass):
             ):
                 delete_instructions(previous, [terminator_index])
                 previous.successors = [clone_map[body_labels[0]]]
-                previous.taken_prob = 0.0
+                previous.taken_prob = 0.0  # marked by the deletion
                 stats["unroll.branches_removed"] += 1
             previous_latch = clone_map[latch_label]
 
         # Profile: the same dynamic work is spread over `factor` copies and
         # the loop now iterates `factor` times less often.
         for label in loop.blocks:
-            function.blocks[label].exec_count /= factor
+            block = function.blocks[label]
+            block.exec_count /= factor
+            block.changed()
         loop.trip_count = max(loop.trip_count / factor, 1.0)
+        function.changed()  # its blocks, layout and loop too
         stats["unroll.loops"] += 1
         stats["unroll.factor_total"] += factor
 

@@ -56,6 +56,7 @@ class RegisterAllocationPass(Pass):
             program.regions[STACK_REGION] = DataRegion(
                 STACK_REGION, size_bytes=4096, kind="stack"
             )
+            program.changed()
         regmove = bool(flags["fregmove"])
         caller_saves = bool(flags["fcaller_saves"])
 

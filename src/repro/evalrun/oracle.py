@@ -7,9 +7,10 @@ machine, so the oracle answers those lookups without touching the
 compiler or simulator at all; only settings the model synthesised
 outside the sampled grid fall back to compile-and-simulate — and that
 fallback is memoised compile-once/simulate-once, shared across every
-fold that asks.  A fold's fallback settings compile as one pass-prefix
-trie batch and each (binary, machine) pair is priced with one
-``simulate_analytic`` call.
+fold that asks.  A fold's fallback settings compile as one
+``compile_many`` batch through the compiler's pass memo, which keeps
+each program's passes across folds, and each (binary, machine) pair is
+priced with one ``simulate_analytic`` call.
 
 The oracle also guards fold evaluation against silently swapping in a
 different binary: every compiled binary is checked to carry exactly the
@@ -183,8 +184,8 @@ class RuntimeOracle:
     def _compile_checked(
         self, program: str, canonicals: Sequence[FlagSetting]
     ) -> list:
-        """Compile one trie batch through the memoising compiler,
-        verifying every binary's identity.
+        """Compile one ``compile_many`` batch through the memoising
+        compiler, verifying every binary's identity.
 
         Each returned binary must be *the* binary of (program, setting):
         a cache or executor bug that swapped in another program's binary,

@@ -84,7 +84,7 @@ def compute_fold(
             for counters, machine in zip(counters_row, machines)
         ]
     # One oracle call per fold: the out-of-grid predictions compile as
-    # one pass-prefix trie batch, and each pair is priced on its own.
+    # one compile_many batch, and each pair is priced on its own.
     predicted_runtimes = oracle.runtime_many(program, predicted_row, machines)
     rows = [
         FoldRow(

@@ -1,21 +1,22 @@
-"""``Compiler.compile_many`` (the pass-prefix trie walk and the pass
-memo) against independent compiles.
+"""``Compiler.compile_many`` (every miss through the pass memo) against
+independent compiles.
 
-A batch compiled as one trie walk must give, binary for binary, what a
-fresh ``Compiler(cache=False).compile`` gives for each setting — every
-field folded by ``test_compile_golden._canonical``, so ``stats`` and
-``setting`` are compared too.  With the memo on, a setting whose
-canonical form came earlier gets the earlier binary (and so the earlier
-setting), as sequential ``compile`` calls do.  Batches are built to
-branch at every pass level: for each pass, one Hamming-1 probe of the
+A batch must give, binary for binary, what a fresh
+``Compiler(cache=False).compile`` (a plain pass loop) gives for each
+setting — every field folded by ``test_compile_golden._canonical``, so
+``stats`` and ``setting`` are compared too.  A cached compiler hands a
+setting whose canonical form came earlier the earlier binary (and so the
+earlier setting), as sequential ``compile`` calls do.  Batches are built
+to branch at every pass level: for each pass, one Hamming-1 probe of the
 base setting changes a flag that pass reads.  Duplicates and gated
 aliases (settings that differ only under a disabled parent) ride along.
 
-The pass memo engages after a run of misses on one program, so the
-memo tests walk Hamming-1 chains, as a hill climber does, with probe
-batches mixed in, and check every binary against the same reference:
-on every program, across two programs that share a name, across
-``clear_cache``, and from threads sharing one compiler.
+The memo tests walk Hamming-1 chains, as a hill climber does, with probe
+batches mixed in, and alternate programs batch by batch, as the
+protocol's folds do; every binary is checked against the same
+reference: on every program, across two programs that share a name,
+across ``clear_cache``, after a memo was evicted under the retained-slot
+budget, and from threads sharing one compiler.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import enum
 from copy import copy as shallow_copy
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -36,8 +38,9 @@ from test_pass_reads import fold_ir
 
 from repro.compiler.flags import FLAG_SPECS, FlagSetting, o3_setting
 from repro.compiler.ir import BasicBlock, DataRegion, Function, Instruction, Loop, Program
+from repro.compiler import memo as memo_module
 from repro.compiler.memo import PassMemo
-from repro.compiler.pipeline import MEMO_AFTER_NEAR_MISSES, Compiler, default_pass_order
+from repro.compiler.pipeline import Compiler, default_pass_order
 from repro.programs.mibench import MIBENCH_ORDER, mibench_program
 
 SPEC_BY_NAME = {spec.name: spec for spec in FLAG_SPECS}
@@ -141,6 +144,17 @@ def climb(base: FlagSetting, rng: random.Random, steps: int) -> list[list[FlagSe
     return walk
 
 
+def memo_of(compiler: Compiler, program) -> PassMemo | None:
+    """The pass memo ``compiler`` keeps for ``program``'s name."""
+    entry = compiler._entries.get(program.name)
+    return entry.memo if entry is not None else None
+
+
+def retained(compiler: Compiler) -> int:
+    """Slots all of ``compiler``'s pass memos retain."""
+    return sum(entry.memo.retained for entry in compiler._entries.values() if entry.memo)
+
+
 class Reference:
     """Folded ``Compiler(cache=False)`` binaries of one program."""
 
@@ -178,38 +192,10 @@ def test_memo_walk_matches_independent_compiles(name):
     compiler = Compiler()
     reference = Reference(mibench_program(name))
     run_walk(compiler, reference, climb(base, rng, 16))
-    assert compiler._memo is not None and compiler._memo.transitions > 0
+    assert memo_of(compiler, reference.program)._steps
     # Revisits are cache hits; neighbours of the start are fresh misses
     # that resume from the memo's snapshots.
     run_walk(compiler, reference, [[base], [neighbour(base, rng) for _ in range(3)]])
-
-
-def test_memo_engages_for_a_run_of_near_misses_only():
-    reference = Reference(mibench_program("sha"))
-    compiler = Compiler()
-    rng = random.Random(4)
-    # A dataset-style random sample never engages it ...
-    sample = [
-        FlagSetting.from_indices([rng.randrange(spec.cardinality) for spec in FLAG_SPECS])
-        for _ in range(24)
-    ]
-    run_walk(compiler, reference, [[setting] for setting in sample])
-    assert compiler._memo is None
-    # ... a search's neighbour probes do, once there are enough of them.
-    base = o3_setting()
-    probes = [
-        base.with_values(**{spec.name: not base[spec.name]})
-        for spec in FLAG_SPECS
-        if spec.is_boolean and spec.parent is None
-    ][:MEMO_AFTER_NEAR_MISSES]
-    assert len({probe.canonical() for probe in probes}) == MEMO_AFTER_NEAR_MISSES
-    run_walk(compiler, reference, [[base]] + [[probe] for probe in probes[:-1]])
-    assert compiler._memo is None
-    run_walk(compiler, reference, [probes[-1:]])
-    assert compiler._memo is not None
-    # Another program's miss ends the run and drops the memo.
-    compiler.compile(mibench_program("crc"), o3_setting())
-    assert compiler._memo is None
 
 
 def _changed_copy(program):
@@ -250,10 +236,10 @@ def test_memo_is_not_shared_by_programs_with_one_name():
     compiler = Compiler()
     first = climb(o3_setting(), rng, 12)
     run_walk(compiler, Reference(original), first)
-    memo = compiler._memo
+    memo = memo_of(compiler, original)
     assert memo is not None
     # Settings the original never saw: the changed program's misses must
-    # come from the memo walk, not from the binaries of its first object.
+    # come from a memo of its own, not from the original's.
     seen = {setting.canonical() for batch in first for setting in batch}
     fresh = [
         batch
@@ -262,48 +248,143 @@ def test_memo_is_not_shared_by_programs_with_one_name():
     ]
     assert len(fresh) >= 6
     run_walk(compiler, Reference(changed), fresh)
-    assert compiler._memo is not memo
+    assert memo_of(compiler, changed) not in (None, memo)
     # An equal-content copy (distinct objects) keeps the memo.
-    memo = compiler._memo
+    memo = memo_of(compiler, changed)
     run_walk(compiler, Reference(changed.clone()), [[neighbour(o3_setting(), rng)]])
-    assert compiler._memo is memo
+    assert memo_of(compiler, changed) is memo
 
 
 def test_memo_after_clear_cache():
     program = mibench_program("bitcnts")
+    other = mibench_program("crc")
     rng = random.Random(11)
     compiler = Compiler()
     reference = Reference(program)
     walk = climb(o3_setting(), rng, 12)
     run_walk(compiler, reference, walk)
-    assert compiler._memo is not None
+    compiler.compile(other, o3_setting())
+    assert memo_of(compiler, program) is not None
     compiler.clear_cache()
-    assert compiler._memo is None
+    assert memo_of(compiler, program) is None and memo_of(compiler, other) is None
+    assert retained(compiler) == 0
     # Repeats and new neighbours, compiled from scratch and re-memoised.
     run_walk(compiler, reference, walk + climb(walk[-1][-1], rng, 12))
-    assert compiler._memo is not None
+    assert memo_of(compiler, program) is not None
 
 
-def test_memo_shared_by_threads():
+def interleaved(names, rng: random.Random, rounds: int):
+    """A protocol-shaped walk: ``(name, batch)`` with the program changing
+    every batch, each batch a few settings near that program's earlier
+    ones (as a model's predictions are) and one random setting."""
+    recent = {name: [o3_setting()] for name in names}
+    walk = []
+    for round_ in range(rounds):
+        name = names[round_ % len(names)]
+        batch = [neighbour(rng.choice(recent[name]), rng) for _ in range(3)]
+        batch.append(
+            FlagSetting.from_indices([rng.randrange(spec.cardinality) for spec in FLAG_SPECS])
+        )
+        recent[name].extend(batch)
+        walk.append((name, batch))
+    return walk
+
+
+INTERLEAVED = ("sha", "crc", "dijkstra", "bitcnts")
+
+
+def test_interleaved_programs_match_independent_compiles():
+    references = {name: Reference(mibench_program(name)) for name in INTERLEAVED}
+    compiler = Compiler()
+    memos = {}
+    for name, batch in interleaved(INTERLEAVED, random.Random(21), 24):
+        run_walk(compiler, references[name], [batch])
+        memos.setdefault(name, memo_of(compiler, references[name].program))
+    # Each program kept its memo across the other programs' compiles.
+    for name, memo in memos.items():
+        assert memo_of(compiler, references[name].program) is memo, name
+
+
+def test_evicted_memo_recompiles_identical_bytes(monkeypatch):
+    program, other = mibench_program("sha"), mibench_program("crc")
+    reference = Reference(program)
+    compiler = Compiler()
+    rng = random.Random(5)
+    run_walk(compiler, reference, climb(o3_setting(), rng, 8))
+    first = memo_of(compiler, program)
+    # A budget the other program's memo alone overflows: both go.
+    with monkeypatch.context() as patch:
+        patch.setattr(memo_module, "RETAINED_SLOTS", 1)
+        run_walk(compiler, Reference(other), climb(o3_setting(), rng, 8))
+    assert memo_of(compiler, program) is None and retained(compiler) == 0
+    run_walk(compiler, reference, climb(o3_setting(), rng, 8))
+    assert memo_of(compiler, program) not in (None, first)
+
+
+def test_retained_slots_never_exceed_the_budget(monkeypatch):
+    budget = 6_000
+    monkeypatch.setattr(memo_module, "RETAINED_SLOTS", budget)
+    references = {name: Reference(mibench_program(name)) for name in INTERLEAVED}
+    compiler = Compiler()
+    dropped = shrunk = False
+    for name, batch in interleaved(INTERLEAVED, random.Random(8), 24):
+        run_walk(compiler, references[name], [batch])
+        assert retained(compiler) <= budget
+        memos = [memo_of(compiler, reference.program) for reference in references.values()]
+        dropped |= None in memos
+        shrunk |= any(memo is not None and memo._held for memo in memos)
+    assert dropped and shrunk
+
+
+def test_memo_shared_by_threads(monkeypatch):
+    """Three threads walk interleaved programs while two more hammer cache
+    hits on them, all switching every microsecond, under a budget that
+    evicts all the time.  A compiler used outside its lock fails here:
+    its program table changes under an eviction scan, its slot count
+    drifts from what its memos hold, or a memo's tables are corrupted."""
+    monkeypatch.setattr(memo_module, "RETAINED_SLOTS", 1_500)
     compiler = Compiler()
     failures: list[BaseException] = []
+    references = {name: Reference(mibench_program(name)) for name in ("sha", "crc")}
+    for reference in references.values():
+        compiler.compile(reference.program, o3_setting())
 
-    def worker(name: str, seed: int) -> None:
+    def walker(seed: int) -> None:
         try:
-            rng = random.Random(seed)
-            run_walk(compiler, Reference(mibench_program(name)), climb(o3_setting(), rng, 16))
+            for name, batch in interleaved(tuple(references), random.Random(seed), 12):
+                run_walk(compiler, references[name], [batch])
         except BaseException as error:  # reported by the main thread
             failures.append(error)
 
-    threads = [
-        threading.Thread(target=worker, args=(name, seed))
-        for seed, name in enumerate(("sha", "sha", "sha", "crc"))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    def hammer() -> None:
+        try:
+            while not done.is_set():
+                for reference in references.values():
+                    compiler.compile(reference.program, o3_setting())
+        except BaseException as error:
+            failures.append(error)
+
+    done = threading.Event()
+    walkers = [threading.Thread(target=walker, args=(seed,)) for seed in range(3)]
+    hammers = [threading.Thread(target=hammer) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in walkers + hammers:
+            thread.start()
+        for thread in walkers:
+            thread.join()
+    finally:
+        done.set()
+        for thread in hammers:
+            thread.join()
+        sys.setswitchinterval(interval)
     assert not failures, failures
+    assert compiler._retained == retained(compiler) <= memo_module.RETAINED_SLOTS
+    for memo in filter(None, (memo_of(compiler, ref.program) for ref in references.values())):
+        states = list(memo._states.values())
+        assert len(set(states)) == len(states), "two states share an id"
+        assert memo._held == sum(snapshot.size_insns for snapshot in memo._snapshots.values())
 
 
 def test_long_compile_walk_leaves_the_source_unchanged():
@@ -313,7 +394,7 @@ def test_long_compile_walk_leaves_the_source_unchanged():
     walk = climb(o3_setting().with_values(funroll_loops=True), random.Random(5), 40)
     for batch in walk:
         compiler.compile_many(program, batch)
-    assert compiler._memo is not None
+    assert memo_of(compiler, program)._steps
     assert fold_ir(program) == before
 
 
@@ -387,8 +468,9 @@ def field_changes(program: Program):
 def test_memo_state_key_sees_every_ir_field():
     program = mibench_program("qsort")  # two functions, three regions
     memo = PassMemo(default_pass_order(), program)
-    assert memo.serves(program.clone())
+    source = memo._key(program, cached=False)
+    assert memo._key(program.clone(), cached=False) == source
     changed = list(field_changes(program))
     assert len(changed) >= 30
     for field, copy in changed:
-        assert not memo.serves(copy), field
+        assert memo._key(copy, cached=False) != source, field
