@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.api.backends import SimulatorBackend, resolve_backend
-from repro.autotune.core import SearchStrategy, run_strategy
+from repro.autotune.core import SearchStrategy, run_traced
 from repro.autotune.guided import GUIDED_STRATEGIES
 from repro.autotune.strategies import CombinedElimination
 from repro.autotune.tournament import (
@@ -349,7 +349,7 @@ class EvalFacet(_Facet):
             distribution = self._pair_distribution(
                 request.program, request.machine, backend=request.backend
             )
-        result = run_strategy(
+        trace = run_traced(
             strategy(),
             evaluator,
             request.budget,
@@ -358,15 +358,16 @@ class EvalFacet(_Facet):
             distribution=distribution,
             o3_runtime=o3_runtime,
         )
+        best_setting, best_runtime = trace.answer
         return SearchOutcome(
             program=evaluator.program.name,
             machine=request.machine,
             algorithm=request.algorithm,
-            best_setting=result.best_setting,
-            best_runtime=result.best_runtime,
+            best_setting=best_setting,
+            best_runtime=best_runtime,
             o3_runtime=o3_runtime,
-            evaluations=result.evaluations,
-            trajectory=tuple(result.trajectory),
+            evaluations=trace.evaluations,
+            trajectory=tuple(trace.trajectory),
         )
 
     def _pair_distribution(

@@ -26,7 +26,6 @@ from repro.autotune.core import (
     SearchStrategy,
     SearchTrace,
     TraceEntry,
-    run_strategy,
     run_traced,
 )
 from repro.autotune.guided import GUIDED_STRATEGIES, BeamSearch, ModelSeededGenetic
@@ -67,7 +66,6 @@ __all__ = [
     "TournamentRun",
     "TraceEntry",
     "check_model_beats_random",
-    "run_strategy",
     "run_traced",
     "run_tournament",
 ]

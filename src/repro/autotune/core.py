@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
 from repro.core.distribution import IIDDistribution
-from repro.search.evaluator import Evaluator, SearchResult
+from repro.search.evaluator import Evaluator, evaluations_to_reach
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autotune.scorer import BatchScorer
@@ -152,35 +152,24 @@ class SearchTrace:
         """Best runtime seen after each evaluation (monotone non-increasing)."""
         return [entry.best_runtime for entry in self.entries]
 
+    @property
+    def answer(self) -> tuple[FlagSetting | None, float]:
+        """The strategy's answer as ``(setting, runtime)``: the
+        :meth:`set_final` pin if there is one, else the trajectory floor."""
+        if self._final is not None:
+            return self._final
+        return self.best_setting, self.best_runtime
+
     def evaluations_to_reach(self, target_runtime: float) -> int | None:
         """First 1-based evaluation index whose best-so-far reaches the
-        target, or ``None`` iff it is never reached (see the module-level
-        contract pinned on
+        target, or ``None`` iff it is never reached (the boundary rule of
         :func:`repro.search.evaluator.evaluations_to_reach`)."""
-        for entry in self.entries:
-            if entry.best_runtime <= target_runtime:
-                return entry.iteration
-        return None
+        return evaluations_to_reach(self.trajectory, target_runtime)
 
     def simulations_to_reach(self, target_runtime: float) -> int | None:
         """Fresh simulations consumed when the target is first reached."""
-        for entry in self.entries:
-            if entry.best_runtime <= target_runtime:
-                return entry.simulations
-        return None
-
-    def result(self) -> SearchResult:
-        """The legacy-shaped :class:`SearchResult` of this run."""
-        if self._final is not None:
-            best_setting, best_runtime = self._final
-        else:
-            best_setting, best_runtime = self.best_setting, self.best_runtime
-        return SearchResult(
-            best_setting=best_setting,
-            best_runtime=best_runtime,
-            evaluations=self.evaluations,
-            trajectory=self.trajectory,
-        )
+        index = self.evaluations_to_reach(target_runtime)
+        return None if index is None else self.entries[index - 1].simulations
 
 
 @dataclass
@@ -254,23 +243,3 @@ def run_traced(
     strategy.run(scorer, context)
     return trace
 
-
-def run_strategy(
-    strategy: SearchStrategy,
-    evaluator: Evaluator,
-    budget: SearchBudget | int | None,
-    seed: int = 0,
-    space: FlagSpace = DEFAULT_SPACE,
-    distribution: IIDDistribution | None = None,
-    o3_runtime: float | None = None,
-) -> SearchResult:
-    """Like :func:`run_traced`, folded to the legacy :class:`SearchResult`."""
-    return run_traced(
-        strategy,
-        evaluator,
-        budget,
-        seed=seed,
-        space=space,
-        distribution=distribution,
-        o3_runtime=o3_runtime,
-    ).result()

@@ -460,13 +460,15 @@ def _worker(args, parser) -> int:
         max_units=args.max_units,
         progress=progress,
     )
-    report = worker.run()
+    started = time.monotonic()
+    counts = worker.run()
+    elapsed = time.monotonic() - started
     remaining = len(queue.pending_units())
     print(
-        f"worker {report.worker_id}: {report.units_completed} "
-        f"{queue.kind} units computed, {report.units_skipped} skipped, "
-        f"{report.simulation_calls} simulations in "
-        f"{report.wall_seconds:.1f}s ({remaining} still pending)"
+        f"worker {worker.worker_id}: {counts['computed']} "
+        f"{queue.kind} units computed, {counts['skipped']} skipped, "
+        f"{counts['simulation_calls']} simulations in "
+        f"{elapsed:.1f}s ({remaining} still pending)"
     )
     return 0
 

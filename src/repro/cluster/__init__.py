@@ -39,7 +39,6 @@ from repro.cluster.status import (
 )
 from repro.cluster.worker import (
     ClusterWorker,
-    WorkerReport,
     drain,
     run_local_workers,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "LeaseTable",
     "ShardQueue",
     "WorkQueue",
-    "WorkerReport",
     "WorkerStats",
     "drain",
     "run_local_workers",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.cluster.lease import (
@@ -39,62 +39,48 @@ def _safe_name(worker_id: str) -> str:
     return re.sub(r"[^\w.-]", "_", worker_id)
 
 
-class ClusterProgress:
-    """One worker's cumulative counters, crash-safe on disk."""
-
-    def __init__(self, cluster_root: Path, worker_id: str):
-        self.worker_id = worker_id
-        self.path = (
-            Path(cluster_root) / PROGRESS_DIR / f"{_safe_name(worker_id)}.json"
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.started = time.time()
-
-    def write(
-        self,
-        units: int,
-        skipped: int,
-        simulation_calls: int,
-        store_hits: int,
-        done: bool = False,
-    ) -> None:
-        atomic_write_text(
-            self.path,
-            json.dumps(
-                {
-                    "worker": self.worker_id,
-                    "units": units,
-                    "skipped": skipped,
-                    "simulation_calls": simulation_calls,
-                    "store_hits": store_hits,
-                    "started": self.started,
-                    "updated": time.time(),
-                    "done": done,
-                }
-            ),
-            site="progress.write",
-        )
-
-
-@dataclass(frozen=True)
+@dataclass
 class WorkerStats:
-    """One worker's progress-file counters, as seen by a status scan."""
+    """One worker's progress file: its cumulative counts, crash-safe on disk.
 
-    worker_id: str
-    units: int
-    skipped: int
-    simulation_calls: int
-    store_hits: int
-    elapsed: float  # seconds from its first unit to its last update
-    idle: float  # seconds since its last update
-    done: bool  # the worker exited cleanly (drained or hit its cap)
+    The fields are the file's keys.  Each field's default also gives the
+    type a read coerces its value to.
+    """
+
+    worker: str = ""
+    units: int = 0
+    #: Units claimed but found already checkpointed — a reclaim of a
+    #: finished unit, or a peer completing it between scan and claim.
+    #: Skips cost a sidecar read, never a simulation.
+    skipped: int = 0
+    simulation_calls: int = 0
+    store_hits: int = 0
+    started: float = 0.0
+    updated: float = 0.0
+    done: bool = False  # the worker exited cleanly (drained or hit its cap)
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds from the worker's start to its last update."""
+        return max(0.0, self.updated - self.started)
 
     @property
     def units_per_sec(self) -> float:
         return self.units / self.elapsed if self.elapsed > 0 else 0.0
 
+    def idle(self, now: float) -> float:
+        """Seconds since the worker's last update."""
+        return max(0.0, now - self.updated)
+
+    def write(self, cluster_root: Path) -> None:
+        """Rewrite this worker's progress file atomically."""
+        path = Path(cluster_root) / PROGRESS_DIR / f"{_safe_name(self.worker)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.updated = time.time()
+        atomic_write_text(path, json.dumps(asdict(self)), site="progress.write")
+
     @classmethod
-    def read(cls, path: Path, now: float) -> "WorkerStats":
+    def read(cls, path: Path) -> "WorkerStats":
         """Parse one progress file; damage raises :class:`ClusterError`.
 
         Progress rewrites are atomic, so a zero-byte, torn or malformed
@@ -103,14 +89,10 @@ class WorkerStats:
         payload = read_json_object(path, ClusterError)
         try:
             return cls(
-                worker_id=str(payload["worker"]),
-                units=int(payload["units"]),
-                skipped=int(payload["skipped"]),
-                simulation_calls=int(payload["simulation_calls"]),
-                store_hits=int(payload["store_hits"]),
-                elapsed=max(0.0, float(payload["updated"]) - float(payload["started"])),
-                idle=max(0.0, now - float(payload["updated"])),
-                done=bool(payload.get("done")),
+                **{
+                    spec.name: type(spec.default)(payload[spec.name])
+                    for spec in fields(cls)
+                }
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ClusterError(
@@ -131,11 +113,9 @@ class ClusterStatus:
     lease_ttl: float
     #: Unreadable cluster files (zero-byte lease payloads, torn progress
     #: files, a corrupt table.json) — reported, never a traceback.
-    corrupt_files: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.corrupt_files is None:
-            self.corrupt_files = []
+    corrupt_files: list[str] = field(default_factory=list)
+    #: When the snapshot was taken; workers' idle times count from it.
+    now: float = field(default_factory=time.time)
 
     @property
     def live_leases(self) -> list[LeaseInfo]:
@@ -152,7 +132,7 @@ class ClusterStatus:
         return [
             worker
             for worker in self.workers
-            if not worker.done and worker.idle <= horizon
+            if not worker.done and worker.idle(self.now) <= horizon
         ]
 
     @classmethod
@@ -184,10 +164,9 @@ class ClusterStatus:
         workers: list[WorkerStats] = []
         progress_root = cluster_root / PROGRESS_DIR
         if progress_root.is_dir():
-            now = time.time()
             for path in sorted(progress_root.glob("*.json")):
                 try:
-                    workers.append(WorkerStats.read(path, now))
+                    workers.append(WorkerStats.read(path))
                 except FileNotFoundError:
                     continue  # deleted between glob and read
                 except ClusterError:
@@ -218,13 +197,13 @@ class ClusterStatus:
             "corrupt_files": list(self.corrupt_files),
             "workers": [
                 {
-                    "worker": worker.worker_id,
+                    "worker": worker.worker,
                     "units": worker.units,
                     "skipped": worker.skipped,
                     "simulation_calls": worker.simulation_calls,
                     "store_hits": worker.store_hits,
                     "units_per_sec": worker.units_per_sec,
-                    "idle_seconds": worker.idle,
+                    "idle_seconds": worker.idle(self.now),
                     "done": worker.done,
                 }
                 for worker in self.workers
@@ -258,7 +237,7 @@ class ClusterStatus:
                 else ("live" if worker in live else "gone")
             )
             lines.append(
-                f"    {worker.worker_id}: {worker.units} units "
+                f"    {worker.worker}: {worker.units} units "
                 f"(+{worker.skipped} skipped), "
                 f"{worker.simulation_calls} sims, "
                 f"{worker.units_per_sec:.2f} units/s [{state}]"
@@ -313,10 +292,9 @@ def scrub_cluster(
             elif path.name.endswith(".tmp"):
                 scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
     progress_root = cluster_root / PROGRESS_DIR
-    now = time.time()
     for path in sorted(progress_root.glob("*.json")) if progress_root.is_dir() else ():
         try:
-            WorkerStats.read(path, now)
+            WorkerStats.read(path)
         except ClusterError as error:
             scrub.damage(path, "progress", error, "delete")
         else:

@@ -38,30 +38,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.cluster.lease import DEFAULT_LEASE_TTL, LeaseTable
 from repro.cluster.queue import WorkQueue
-from repro.cluster.status import ClusterProgress, ClusterStatus
+from repro.cluster.status import ClusterStatus, WorkerStats
 from repro.parallel import CLUSTER, resolve_strategy, run_batch_completed
-
-
-@dataclass
-class WorkerReport:
-    """What one :meth:`ClusterWorker.run` call actually did."""
-
-    worker_id: str
-    units_completed: int = 0
-    #: Units claimed but found already checkpointed — a reclaim of a
-    #: finished unit, or a peer completing it between scan and claim.
-    #: Skips cost a sidecar read, never a simulation.
-    units_skipped: int = 0
-    simulation_calls: int = 0
-    store_hits: int = 0
-    wait_seconds: float = 0.0
-    wall_seconds: float = 0.0
 
 
 class ClusterWorker:
@@ -115,49 +98,39 @@ class ClusterWorker:
         self.on_unit = on_unit
 
     # ------------------------------------------------------------------ run
-    def run(self) -> WorkerReport:
-        """Drain the queue; return this worker's share of the work."""
-        started = time.monotonic()
-        report = WorkerReport(worker_id=self.worker_id)
-        tracker = ClusterProgress(self.queue.cluster_root, self.worker_id)
+    def run(self) -> dict:
+        """Drain the queue; return this worker's counts.
+
+        ``computed`` and ``skipped`` count units (a skip is a claimed unit
+        found already checkpointed); ``simulation_calls`` and
+        ``store_hits`` sum the computed units' counts.
+        """
+        stats = WorkerStats(self.worker_id, started=time.time())
         total = self.queue.total_units()
         while True:
-            if (
-                self.max_units is not None
-                and report.units_completed >= self.max_units
-            ):
+            if self.max_units is not None and stats.units >= self.max_units:
                 break
             pending = self.queue.pending_units()
             if not pending:
                 break
             claimed_any = False
             for unit in pending:
-                if (
-                    self.max_units is not None
-                    and report.units_completed >= self.max_units
-                ):
+                if self.max_units is not None and stats.units >= self.max_units:
                     break
                 if not self.leases.try_claim(unit, self.worker_id):
                     continue
                 claimed_any = True
                 try:
                     if self.queue.is_done(unit):
-                        report.units_skipped += 1
+                        stats.skipped += 1
                         continue
-                    stats = self._execute_leased(unit)
+                    counts = self._execute_leased(unit)
                 finally:
                     self.leases.release(unit, self.worker_id)
-                report.units_completed += 1
-                report.simulation_calls += int(
-                    stats.get("simulation_calls", 0)
-                )
-                report.store_hits += int(stats.get("store_hits", 0))
-                tracker.write(
-                    report.units_completed,
-                    report.units_skipped,
-                    report.simulation_calls,
-                    report.store_hits,
-                )
+                stats.units += 1
+                stats.simulation_calls += int(counts.get("simulation_calls", 0))
+                stats.store_hits += int(counts.get("store_hits", 0))
+                stats.write(self.queue.cluster_root)
                 if self.on_unit is not None or self.progress is not None:
                     # Peers complete units too: count from a fresh scan.
                     done = total - len(self.queue.pending_units())
@@ -172,22 +145,20 @@ class ClusterWorker:
                 # Everything pending is leased by live peers: wait for
                 # them to finish (unit leaves pending) or die (lease
                 # goes stale, next scan reclaims it).
-                report.wait_seconds += self.poll_interval
                 time.sleep(self.poll_interval)
-        report.wall_seconds = time.monotonic() - started
-        tracker.write(
-            report.units_completed,
-            report.units_skipped,
-            report.simulation_calls,
-            report.store_hits,
-            done=True,
-        )
+        stats.done = True
+        stats.write(self.queue.cluster_root)
         # Leave a fresh aggregate snapshot for observers; last writer
         # wins with near-identical content.
         ClusterStatus.collect(self.queue, self.leases.ttl).write_artifact(
             self.queue.cluster_root
         )
-        return report
+        return {
+            "computed": stats.units,
+            "skipped": stats.skipped,
+            "simulation_calls": stats.simulation_calls,
+            "store_hits": stats.store_hits,
+        }
 
     # ------------------------------------------------------------ internals
     def _execute_leased(self, unit: str) -> dict:
@@ -232,8 +203,10 @@ def drain(
     ``queue.execute`` here; ``process`` fans ``queue.task`` over a pool
     (a one-worker pool runs serially, so the initializer never pins its
     payload here); ``cluster`` claims units through the lease table.
-    Returns ``computed`` and ``already_done`` (checkpointed before the
-    call) unit counts plus the sum of the units' counts dicts.
+    Returns ``computed``, ``already_done`` (checkpointed before the
+    call) and ``skipped`` (claimed by a cluster worker but already
+    checkpointed by a peer) unit counts plus the sum of the units' counts
+    dicts.
     """
     pending = queue.pending_units()
     total = queue.total_units()
@@ -241,6 +214,7 @@ def drain(
     totals = {
         "computed": 0,
         "already_done": already,
+        "skipped": 0,
         "simulation_calls": 0,
         "store_hits": 0,
     }
@@ -249,16 +223,14 @@ def drain(
     if not pending:
         return totals  # and no cluster directory is created
     if executor == CLUSTER:
-        report = ClusterWorker(
+        counts = ClusterWorker(
             queue,
             lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
             max_units=max_units,
             progress=progress,
             on_unit=on_unit,
         ).run()
-        totals["computed"] = report.units_completed
-        totals["simulation_calls"] = report.simulation_calls
-        totals["store_hits"] = report.store_hits
+        _add(totals, counts)
         return totals
 
     workers, strategy = resolve_strategy(jobs, executor, len(pending))
@@ -278,14 +250,19 @@ def drain(
         )
     for unit, counts in done:
         totals["computed"] += 1
-        for name, value in counts.items():
-            totals[name] = totals.get(name, 0) + int(value)
+        _add(totals, counts)
         completed = already + totals["computed"]
         if on_unit is not None:
             on_unit(unit, completed, total)
         if progress is not None:
             progress(f"{queue.kind} {unit} done ({completed}/{total})")
     return totals
+
+
+def _add(totals: dict, counts: dict) -> None:
+    """Sum one counts dict into ``totals``."""
+    for name, value in counts.items():
+        totals[name] = totals.get(name, 0) + int(value)
 
 
 def run_local_workers(

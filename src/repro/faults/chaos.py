@@ -308,7 +308,7 @@ class ServeScenario(_Scenario):
 
     One persistent :class:`JobManager` runs the protocol as a background
     job (journalling every fold event), then a model is registered and
-    promoted.  A fault anywhere — journal append, snapshot, registry
+    promoted.  A fault anywhere — job meta, journal append, registry
     stage or pointer — kills the round; the next round restarts the
     manager, which recovers the journal and re-enqueues unfinished jobs,
     exactly like a restarted server.
@@ -318,7 +318,6 @@ class ServeScenario(_Scenario):
     sites = (
         "jobs.meta",
         "jobs.append",
-        "jobs.snapshot",
         "registry.model",
         "registry.pointer",
         "fold.shard",
@@ -365,7 +364,6 @@ class ServeScenario(_Scenario):
                 time.sleep(0.01)
         if store.pending_keys():
             raise FaultInjected("<serve-pending-folds>", "reenter", 0)
-        manager.compact()
 
     def _run_registry(self, run_dir: Path) -> str:
         from repro.api.registry import ModelRegistry

@@ -4,6 +4,6 @@ The searches themselves — the paper's related-work baselines and the
 model-guided strategies — live in :mod:`repro.autotune`.
 """
 
-from repro.search.evaluator import Evaluator, SearchResult, evaluations_to_reach
+from repro.search.evaluator import Evaluator, evaluations_to_reach
 
-__all__ = ["Evaluator", "SearchResult", "evaluations_to_reach"]
+__all__ = ["Evaluator", "evaluations_to_reach"]

@@ -104,18 +104,3 @@ def evaluations_to_reach(
             return index
     return None
 
-
-@dataclass
-class SearchResult:
-    """Outcome of one search run."""
-
-    best_setting: FlagSetting
-    best_runtime: float
-    evaluations: int
-    #: best runtime seen after each evaluation (the convergence curve used
-    #: by the §5.3 iterations-to-match analysis).
-    trajectory: list[float] = field(default_factory=list)
-
-    def evaluations_to_reach(self, target_runtime: float) -> int | None:
-        """First evaluation index (1-based) reaching ``target_runtime``."""
-        return evaluations_to_reach(self.trajectory, target_runtime)

@@ -19,21 +19,11 @@ checkpointed fold store, so recovery re-simulates nothing::
         job-0001/
             meta.json        # {"format", "id", "params"}
             events.ndjson    # {"chain": <digest>, "event": {...}} per line
-            snapshot.json    # compacted history (terminal jobs only)
 
 The chain digest of line *n* covers line *n-1*'s digest plus the event's
 canonical JSON, so replay stops at the first torn or tampered line and
 everything before it is known-good — an interrupted append costs at most
 the event being written, never the history.
-
-Finished jobs can be **compacted** (:meth:`JobManager.compact`): the
-event journal is rewritten as one atomic ``snapshot.json`` carrying the
-full event list and its final chain digest, and the per-event NDJSON is
-deleted.  Loading verifies the snapshot by recomputing the chain from
-the seed, so a tampered snapshot is rejected wholesale.  A crash between
-the snapshot write and the NDJSON unlink is safe: replay continues from
-the snapshot's chain digest, so the stale NDJSON (whose first line
-chains from the seed) breaks at line 1 and is discarded.
 """
 
 from __future__ import annotations
@@ -93,7 +83,6 @@ class JobJournal:
 
     META_NAME = "meta.json"
     EVENTS_NAME = "events.ndjson"
-    SNAPSHOT_NAME = "snapshot.json"
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -124,38 +113,6 @@ class JobJournal:
             return None
         return meta
 
-    def _read_snapshot(self, job_id: str) -> tuple[list[dict], str]:
-        """The compacted history, verified; raises :class:`ArtifactError`.
-
-        The chain digest is recomputed from the seed over the stored
-        events; a mismatch (tampering, truncation survived by a
-        non-atomic writer, foreign job id) rejects the whole snapshot
-        rather than trusting an unverifiable prefix.
-        """
-        path = self.root / self.SNAPSHOT_NAME
-        data = read_json_object(path)
-        events = data.get("events")
-        if (
-            data.get("format") != JOB_FORMAT
-            or data.get("id") != job_id
-            or not isinstance(events, list)
-            or not all(isinstance(event, dict) for event in events)
-        ):
-            raise ArtifactError(f"snapshot of {job_id} is malformed or foreign", path=path)
-        chain = _chain_seed(job_id)
-        for event in events:
-            chain = _chain_digest(chain, event)
-        if data.get("chain") != chain:
-            raise ArtifactError(f"snapshot of {job_id} fails its chain verification", path=path)
-        return events, chain
-
-    def load_snapshot(self, job_id: str) -> tuple[list[dict], str] | None:
-        """The verified compacted history, or ``None`` to fall back."""
-        try:
-            return self._read_snapshot(job_id)
-        except (OSError, ArtifactError):
-            return None
-
     def load_events(self, job_id: str) -> tuple[list[dict], str]:
         """Replay the verified journal prefix and its final chain digest."""
         events, chain, _, _ = self.replay(job_id)
@@ -167,19 +124,9 @@ class JobJournal:
         Replay stops at the first unparseable, newline-less (a kill mid
         append), or chain-breaking line: everything before it is verified
         append-order history, everything after is discarded as torn.
-
-        A verified snapshot (see :meth:`compact`) seeds the replay: its
-        events come first and the NDJSON must chain *from the snapshot's
-        digest*.  An NDJSON file left behind by a crash mid-compaction
-        chains from the seed instead, so it breaks at line 1 and the
-        snapshot alone wins — no event is ever counted twice.
         """
         chain = _chain_seed(job_id)
         events: list[dict] = []
-        snapshot = self.load_snapshot(job_id)
-        if snapshot is not None:
-            snapshot_events, chain = snapshot
-            events.extend(dict(event) for event in snapshot_events)
         verified = size = 0
         try:
             handle = open(self.root / self.EVENTS_NAME, "rb")
@@ -222,35 +169,6 @@ class JobJournal:
         line = _canonical({"chain": new_chain, "event": event}) + "\n"
         fsync_append(self.root / self.EVENTS_NAME, line.encode(), site="jobs.append")
         return new_chain
-
-    def compact(self, job_id: str, events: list[dict], chain: str) -> None:
-        """Collapse the event journal into one atomic snapshot file.
-
-        The snapshot is renamed into place *before* the NDJSON is
-        unlinked, so every crash window leaves a loadable history:
-        before the rename the journal is untouched; after it the
-        snapshot is authoritative and any leftover NDJSON fails its
-        chain check at line 1 on the next load.  Idempotent — a second
-        call just rewrites the snapshot and re-unlinks.
-        """
-        atomic_write_text(
-            self.root / self.SNAPSHOT_NAME,
-            json.dumps(
-                {
-                    "format": JOB_FORMAT,
-                    "id": job_id,
-                    "chain": chain,
-                    "events": list(events),
-                },
-                indent=1,
-            ),
-            site="jobs.snapshot",
-            fsync=True,
-        )
-        try:
-            (self.root / self.EVENTS_NAME).unlink()
-        except FileNotFoundError:
-            pass
 
     def destroy(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
@@ -330,21 +248,6 @@ class Job:
             if event is not None:
                 self._append_locked(event)
             self._condition.notify_all()
-
-    def compact(self) -> bool:
-        """Collapse this job's on-disk journal into one snapshot file.
-
-        Only terminal, journalled jobs compact — a running job's journal
-        is still being appended to, and an in-memory job has nothing on
-        disk.  Returns whether a snapshot was written.
-        """
-        with self._condition:
-            if self._journal is None or self._state not in ("done", "failed"):
-                return False
-            self._journal.compact(
-                self.id, [dict(event) for event in self._events], self._chain
-            )
-            return True
 
     def snapshot(self) -> dict:
         """The job's current state for ``GET /jobs/<id>``."""
@@ -437,7 +340,12 @@ class JobManager:
                 )
                 self._counter = max(self._counter, int(match.group(1)))
                 continue
-            events, chain = journal.load_events(meta["id"])
+            events, chain, verified, size = journal.replay(meta["id"])
+            if verified < size:
+                # Cut the torn tail before the job can append: a resumed
+                # job's first event would otherwise be glued onto it and
+                # every later line lost to the next replay.
+                journal.truncate_events(verified)
             job = Job(
                 meta["id"],
                 meta.get("params", {}),
@@ -457,10 +365,10 @@ class JobManager:
 
     @classmethod
     def scrub(cls, root: Path, repair: bool) -> list[Finding]:
-        """Classify every job's meta, snapshot and journal as recovery
-        reads them.  Read-only unless ``repair``: quarantine a job whose
-        meta does not load and an unverifiable snapshot, truncate a torn
-        journal tail to its verified prefix, delete temp files."""
+        """Classify every job's meta and journal as recovery reads them.
+        Read-only unless ``repair``: quarantine a job whose meta does not
+        load, truncate a torn journal tail to its verified prefix, delete
+        temp files and any other file a journal does not use."""
         scrub = Scrub(root, "jobs", repair)
         for path in sorted(root.iterdir()):
             if not path.is_dir() or _JOB_DIR.match(path.name) is None:
@@ -472,14 +380,6 @@ class JobManager:
                 )
                 continue
             scrub.note(path / JobJournal.META_NAME, "meta")
-            snapshot = path / JobJournal.SNAPSHOT_NAME
-            if snapshot.exists():
-                try:
-                    journal._read_snapshot(path.name)
-                except ArtifactError as error:
-                    scrub.damage(snapshot, "snapshot", error, "quarantine")
-                else:
-                    scrub.note(snapshot, "snapshot")
             events = path / JobJournal.EVENTS_NAME
             if events.exists():
                 _, _, verified, size = journal.replay(path.name)
@@ -491,8 +391,17 @@ class JobManager:
                     )
                 else:
                     scrub.note(events, "journal")
-            for stray in sorted(path.glob("*.tmp")):
-                scrub.note(stray, "tmp", "orphaned", "temp file from a killed writer", "delete")
+            for stray in sorted(path.iterdir()):
+                if stray.name in (JobJournal.META_NAME, JobJournal.EVENTS_NAME):
+                    continue
+                if stray.name.endswith(".tmp"):
+                    scrub.note(stray, "tmp", "orphaned", "temp file from a killed writer", "delete")
+                else:
+                    scrub.note(
+                        stray, "job-file", "orphaned",
+                        "not a journal file (an older release's compacted history, say)",
+                        "delete",
+                    )
         return scrub.findings
 
     def _ensure_worker_locked(self) -> None:
@@ -560,22 +469,6 @@ class JobManager:
     def get(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
-
-    def compact(self, job_id: str | None = None) -> int:
-        """Snapshot finished jobs' journals; returns how many compacted.
-
-        With ``job_id`` only that job is considered; otherwise every
-        finished job is.  Unfinished, unknown, and in-memory jobs are
-        skipped, never errors — compaction is an optimisation, not a
-        lifecycle step.
-        """
-        with self._lock:
-            if job_id is not None:
-                job = self._jobs.get(job_id)
-                jobs = [job] if job is not None else []
-            else:
-                jobs = list(self._jobs.values())
-        return sum(1 for job in jobs if job.compact())
 
     def list(self) -> list[dict]:
         with self._lock:

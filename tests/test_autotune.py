@@ -20,7 +20,6 @@ from repro.autotune import (
     SearchStrategy,
     SearchTrace,
     check_model_beats_random,
-    run_strategy,
     run_traced,
     run_tournament,
 )
@@ -37,12 +36,12 @@ GOLDEN = json.loads(
 
 def run_golden_case(evaluator: Evaluator, case: dict):
     """One golden case as a strategy run: ``budget`` and ``seed`` go to
-    :func:`run_strategy`, any other params to the strategy class."""
+    :func:`run_traced`, any other params to the strategy class."""
     params = dict(case["params"])
     budget = params.pop("budget")
     seed = params.pop("seed", 0)
     strategy = BASELINE_STRATEGIES[case["algorithm"]](**params)
-    return run_strategy(strategy, evaluator, budget, seed=seed)
+    return run_traced(strategy, evaluator, budget, seed=seed)
 
 
 def make_evaluator(program_name: str = "sha") -> Evaluator:
@@ -122,11 +121,10 @@ class TestSearchTrace:
         settings = DEFAULT_SPACE.sample_many(2, seed=3)
         trace = SearchTrace()
         trace.record(settings[0], 1.0, "probe", True)
+        assert trace.answer == (settings[0], 1.0)  # no pin: the floor
         trace.record(settings[1], 2.0, "converged", True)
         trace.set_final(settings[1], 2.0)
-        result = trace.result()
-        assert result.best_setting == settings[1]
-        assert result.best_runtime == 2.0
+        assert trace.answer == (settings[1], 2.0)
         # The convergence curve still reports the probe's floor.
         assert trace.trajectory == [1.0, 1.0]
 
@@ -178,12 +176,13 @@ def test_legacy_shims_bit_identical_to_golden(case):
     evaluations, same fresh-simulation count, same best setting, same
     trajectory to the last bit."""
     evaluator = make_evaluator(case["program"])
-    result = run_golden_case(evaluator, case)
-    assert result.evaluations == case["evaluations"]
+    trace = run_golden_case(evaluator, case)
+    best_setting, best_runtime = trace.answer
+    assert trace.evaluations == case["evaluations"]
     assert len(evaluator._cache) == case["simulations"]
-    assert result.best_runtime == case["best_runtime"]
-    assert list(result.best_setting.as_indices()) == case["best_setting"]
-    assert result.trajectory == case["trajectory"]
+    assert best_runtime == case["best_runtime"]
+    assert list(best_setting.as_indices()) == case["best_setting"]
+    assert trace.trajectory == case["trajectory"]
 
 
 # -------------------------------------------------------------- strategies
@@ -226,7 +225,7 @@ class TestStrategyContract:
 
     def test_random_search_rejects_unbounded_budget(self):
         with pytest.raises(ValueError):
-            run_strategy(RandomSearch(), make_evaluator(), budget=None)
+            run_traced(RandomSearch(), make_evaluator(), budget=None)
 
 
 class TestModelGuided:
@@ -247,11 +246,11 @@ class TestModelGuided:
 
     def test_model_seeded_requires_distribution(self):
         with pytest.raises(ValueError, match="model-guided"):
-            run_strategy(ModelSeededGenetic(), make_evaluator(), budget=10)
+            run_traced(ModelSeededGenetic(), make_evaluator(), budget=10)
 
     def test_beam_requires_distribution(self):
         with pytest.raises(ValueError, match="model-guided"):
-            run_strategy(BeamSearch(), make_evaluator(), budget=10)
+            run_traced(BeamSearch(), make_evaluator(), budget=10)
 
     def test_beam_is_deterministic_across_seeds(self, distribution):
         runs = [

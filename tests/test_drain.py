@@ -117,10 +117,10 @@ class TestCounts:
         monkeypatch.setattr(compute_module, "simulate_many", counting)
         root = tmp_path / "store"
         queue = ShardQueue(_runner(smoke_grid, smoke_programs, root=root))
-        report = ClusterWorker(queue, lease_ttl=10.0).run()
+        counts = ClusterWorker(queue, lease_ttl=10.0).run()
         n_settings = len(smoke_grid.settings)
-        assert report.simulation_calls == sum(cells)
-        assert report.simulation_calls == (
+        assert counts["simulation_calls"] == sum(cells)
+        assert counts["simulation_calls"] == (
             (n_settings + 1) * SMOKE.n_machines * len(SMOKE.programs)
         )
 
@@ -217,17 +217,17 @@ class TestExactlyOnce:
             _queue(family, smoke_grid, smoke_programs, tiny_data, root)
         )
         events, messages = [], []
-        report = ClusterWorker(
+        counts = ClusterWorker(
             stale,
             lease_ttl=10.0,
             progress=messages.append,
             on_unit=lambda unit, completed, total: events.append(unit),
         ).run()
-        assert report.units_skipped == 1
-        assert report.units_completed == stale.total_units() - 1
+        assert counts["skipped"] == 1
+        assert counts["computed"] == stale.total_units() - 1
         assert done_first not in events
-        assert len(events) == len(set(events)) == report.units_completed
-        assert len(messages) == report.units_completed
+        assert len(events) == len(set(events)) == counts["computed"]
+        assert len(messages) == counts["computed"]
 
     @pytest.mark.parametrize("family", ["shard", "fold"])
     def test_nothing_pending_leaves_no_cluster_dir(

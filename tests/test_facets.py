@@ -19,7 +19,7 @@ from repro.api import (
     ProtocolFacet,
     Session,
 )
-from repro.autotune import GUIDED_STRATEGIES, run_strategy
+from repro.autotune import GUIDED_STRATEGIES, run_traced
 from repro.programs import mibench_program
 from repro.search import Evaluator
 
@@ -212,7 +212,7 @@ class TestSearchDispatch:
 
     @pytest.mark.parametrize("name", SEARCH_NAMES)
     def test_facet_equals_direct_run_strategy(self, fitted, machine, name):
-        """The facet is one table lookup plus one run_strategy call; only
+        """The facet is one table lookup plus one run_traced call; only
         guided strategies get the profile-run distribution."""
         outcome = fitted.eval.search(
             program="sha", machine=machine, algorithm=name, budget=12, seed=5
@@ -225,7 +225,7 @@ class TestSearchDispatch:
             distribution = fitted.model.predict_distribution(
                 profile.counters, machine
             )
-        direct = run_strategy(
+        direct = run_traced(
             SEARCH_ALGORITHMS[name](),
             evaluator,
             12,
@@ -235,8 +235,7 @@ class TestSearchDispatch:
         )
         assert outcome.algorithm == name
         assert outcome.o3_runtime == o3_runtime
-        assert outcome.best_setting == direct.best_setting
-        assert outcome.best_runtime == direct.best_runtime
+        assert (outcome.best_setting, outcome.best_runtime) == direct.answer
         assert outcome.evaluations == direct.evaluations
         assert list(outcome.trajectory) == direct.trajectory
 

@@ -31,7 +31,7 @@ from repro.experiments.dataset import grid_for_scale
 from repro.faults.fsck import FsckReport, fsck_cache, fsck_path
 from repro.ioutil import QUARANTINE_DIR
 from repro.programs.mibench import mibench_program
-from repro.service.jobs import JobJournal, JobManager
+from repro.service.jobs import JobJournal, JobManager, _chain_seed
 from repro.store import ExperimentRunner, ExperimentStore
 
 SMOKE = Scale(name="smoke", programs=("crc", "search"), n_machines=4, n_settings=6)
@@ -298,20 +298,27 @@ class TestJobsScrub:
         assert (tmp_path / QUARANTINE_DIR / "job-0002").is_dir()
         assert (tmp_path / "job-0001").is_dir()  # healthy neighbour untouched
 
-    def test_corrupt_snapshot_quarantined_journal_survives(self, tmp_path):
+    def test_leftover_snapshot_is_orphaned_journal_survives(self, tmp_path):
+        """A ``snapshot.json`` that an older release compacted a journal
+        into is not history any more: scrub deletes it, the journal stays."""
         journal = JobJournal.create(tmp_path / "job-0001", "job-0001", {})
-        events, chain = journal.load_events("job-0001")
-        chain = journal.append({"event": "started"}, chain)
-        events, chain = journal.load_events("job-0001")
-        journal.compact("job-0001", events, chain)
-        snapshot = tmp_path / "job-0001" / JobJournal.SNAPSHOT_NAME
-        assert snapshot.exists()
-        snapshot.write_text('{"torn')
+        _, chain = journal.load_events("job-0001")
+        journal.append({"event": "started"}, chain)
+        snapshot = tmp_path / "job-0001" / "snapshot.json"
+        snapshot.write_text(
+            json.dumps(
+                {"format": 1, "id": "job-0001", "chain": _chain_seed("job-0001"), "events": []}
+            )
+        )
 
+        assert not self._report(tmp_path, repair=False).clean
         report = self._report(tmp_path, repair=True)
-        finding = _status_of(report, JobJournal.SNAPSHOT_NAME)
-        assert finding.status == "corrupt" and finding.repaired
+        finding = _status_of(report, "snapshot.json")
+        assert finding.status == "orphaned" and finding.repaired
         assert not snapshot.exists()
+        events, _ = journal.load_events("job-0001")
+        assert [event["event"] for event in events] == ["started"]
+        assert self._report(tmp_path, repair=False).clean
 
 
 class TestClusterScrub:

@@ -53,7 +53,6 @@ ARTIFACTS = (
     ("registry", "promoted.json"),
     ("jobs", "job-0001/meta.json"),
     ("jobs", "job-0001/events.ndjson"),
-    ("jobs", "job-0002/snapshot.json"),
 )
 
 
@@ -78,14 +77,10 @@ def clean(tmp_path_factory):
     registry.register(predictor, metadata={"gen": 1}, promote=True)
     registry.register(predictor, metadata={"gen": 2})
 
-    for job_id, compact in (("job-0001", False), ("job-0002", True)):
-        journal = JobJournal.create(root / "jobs" / job_id, job_id, {"kind": "noop"})
-        events, chain = journal.load_events(job_id)
-        for event in ({"event": "started"}, {"event": "fold", "fold": "base--crc"}, {"event": "complete"}):
-            chain = journal.append(event, chain)
-        if compact:
-            events, chain = journal.load_events(job_id)
-            journal.compact(job_id, events, chain)
+    journal = JobJournal.create(root / "jobs" / "job-0001", "job-0001", {"kind": "noop"})
+    _, chain = journal.load_events("job-0001")
+    for event in ({"event": "started"}, {"event": "fold", "fold": "base--crc"}, {"event": "complete"}):
+        chain = journal.append(event, chain)
     return root
 
 
@@ -131,14 +126,11 @@ def _registry_ok(root: Path) -> bool:
 
 
 def _jobs_ok(root: Path) -> bool:
-    """Recovery's view: meta loads, a snapshot present verifies, and the
-    journal replays to the end of its file (no discarded tail)."""
+    """Recovery's view: meta loads, and the journal replays to the end of
+    its file (no discarded tail)."""
     for path in sorted(root.glob("job-*")):
         journal = JobJournal(path)
         if journal.load_meta() is None:
-            return False
-        snapshot = path / JobJournal.SNAPSHOT_NAME
-        if snapshot.exists() and journal.load_snapshot(path.name) is None:
             return False
         _, _, verified, size = journal.replay(path.name)
         if verified < size:

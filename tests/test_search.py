@@ -10,9 +10,9 @@ from repro.autotune import (
     Genetic,
     HillClimb,
     RandomSearch,
-    run_strategy,
+    run_traced,
 )
-from repro.search import Evaluator, SearchResult
+from repro.search import Evaluator, evaluations_to_reach
 
 
 @pytest.fixture(scope="module")
@@ -44,41 +44,41 @@ class TestEvaluator:
 
 class TestRandomSearch:
     def test_budget_respected(self, evaluator):
-        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
+        result = run_traced(RandomSearch(), evaluator, 25, seed=3)
         assert result.evaluations == 25
         assert len(result.trajectory) == 25
 
     def test_trajectory_monotone(self, evaluator):
-        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
+        result = run_traced(RandomSearch(), evaluator, 25, seed=3)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
         )
 
     def test_best_matches_trajectory_floor(self, evaluator):
-        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
+        result = run_traced(RandomSearch(), evaluator, 25, seed=3)
         assert result.best_runtime == pytest.approx(result.trajectory[-1])
 
     def test_deterministic(self):
-        one = run_strategy(
+        one = run_traced(
             RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 15, seed=5
         )
-        two = run_strategy(
+        two = run_traced(
             RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 15, seed=5
         )
         assert one.best_setting == two.best_setting
 
     def test_larger_budget_no_worse(self):
-        small = run_strategy(
+        small = run_traced(
             RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 10, seed=5
         )
-        large = run_strategy(
+        large = run_traced(
             RandomSearch(), Evaluator(mibench_program("sha"), xscale()), 40, seed=5
         )
         assert large.best_runtime <= small.best_runtime
 
     def test_evaluations_to_reach(self, evaluator):
-        result = run_strategy(RandomSearch(), evaluator, 25, seed=3)
+        result = run_traced(RandomSearch(), evaluator, 25, seed=3)
         index = result.evaluations_to_reach(result.best_runtime)
         assert index is not None
         assert 1 <= index <= 25
@@ -86,19 +86,19 @@ class TestRandomSearch:
 
     def test_invalid_budget(self, evaluator):
         with pytest.raises(ValueError):
-            run_strategy(RandomSearch(), evaluator, 0, seed=1)
+            run_traced(RandomSearch(), evaluator, 0, seed=1)
 
 
 class TestHillClimb:
     def test_budget_respected(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = run_strategy(HillClimb(), evaluator, 30, seed=2)
+        result = run_traced(HillClimb(), evaluator, 30, seed=2)
         assert result.evaluations <= 30
         assert result.best_setting is not None
 
     def test_trajectory_monotone(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = run_strategy(HillClimb(), evaluator, 30, seed=2)
+        result = run_traced(HillClimb(), evaluator, 30, seed=2)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
@@ -108,7 +108,7 @@ class TestHillClimb:
 class TestGenetic:
     def test_budget_respected(self):
         evaluator = Evaluator(mibench_program("sha"), xscale())
-        result = run_strategy(
+        result = run_traced(
             Genetic(population_size=8), evaluator, 40, seed=4
         )
         assert result.evaluations <= 40
@@ -116,7 +116,7 @@ class TestGenetic:
 
     def test_improves_over_first_generation(self):
         evaluator = Evaluator(mibench_program("susan_e"), xscale())
-        result = run_strategy(
+        result = run_traced(
             Genetic(population_size=10), evaluator, 60, seed=4
         )
         first_generation_best = min(result.trajectory[:10])
@@ -126,14 +126,15 @@ class TestGenetic:
 class TestCombinedElimination:
     def test_only_disables_harmful_flags(self):
         evaluator = Evaluator(mibench_program("tiffdither"), xscale())
-        result = run_strategy(CombinedElimination(), evaluator, 120)
+        result = run_traced(CombinedElimination(), evaluator, 120)
         # CE starts from everything-on and can only improve on it.
         all_on_runtime = result.trajectory[0]
-        assert result.best_runtime <= all_on_runtime
+        _, answer_runtime = result.answer
+        assert answer_runtime <= all_on_runtime
 
     def test_trajectory_monotone(self):
         evaluator = Evaluator(mibench_program("tiffdither"), xscale())
-        result = run_strategy(CombinedElimination(), evaluator, 120)
+        result = run_traced(CombinedElimination(), evaluator, 120)
         assert all(
             later <= earlier
             for earlier, later in zip(result.trajectory, result.trajectory[1:])
@@ -150,7 +151,7 @@ class TestBaselineComparison:
             ("ga", Genetic()),
         ]:
             evaluator = Evaluator(program, xscale())
-            results[name] = run_strategy(
+            results[name] = run_traced(
                 strategy, evaluator, 40, seed=1
             ).best_runtime
         o3_runtime = Evaluator(program, xscale()).evaluate(o3_setting())
@@ -160,43 +161,23 @@ class TestBaselineComparison:
 
 class TestSearchResultEdgeCases:
     def test_empty_trajectory_reaches_nothing(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=1.0,
-            evaluations=0,
-            trajectory=[],
-        )
-        assert result.evaluations_to_reach(0.0) is None
-        assert result.evaluations_to_reach(float("inf")) is None
+        trajectory = []
+        assert evaluations_to_reach(trajectory, 0.0) is None
+        assert evaluations_to_reach(trajectory, float("inf")) is None
 
     def test_unreachable_target_returns_none(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=2.0,
-            evaluations=3,
-            trajectory=[4.0, 3.0, 2.0],
-        )
-        assert result.evaluations_to_reach(1.9) is None
+        trajectory = [4.0, 3.0, 2.0]
+        assert evaluations_to_reach(trajectory, 1.9) is None
 
     def test_first_reaching_index_is_one_based(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=2.0,
-            evaluations=4,
-            trajectory=[4.0, 3.0, 2.0, 2.0],
-        )
-        assert result.evaluations_to_reach(4.0) == 1
-        assert result.evaluations_to_reach(3.5) == 2
-        assert result.evaluations_to_reach(2.0) == 3
+        trajectory = [4.0, 3.0, 2.0, 2.0]
+        assert evaluations_to_reach(trajectory, 4.0) == 1
+        assert evaluations_to_reach(trajectory, 3.5) == 2
+        assert evaluations_to_reach(trajectory, 2.0) == 3
 
     def test_target_equal_to_entry_counts_as_reached(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=5.0,
-            evaluations=1,
-            trajectory=[5.0],
-        )
-        assert result.evaluations_to_reach(5.0) == 1
+        trajectory = [5.0]
+        assert evaluations_to_reach(trajectory, 5.0) == 1
 
 
 class TestEvaluatorBackendInjection:
@@ -263,27 +244,17 @@ class TestEvaluationsToReachNoneDisambiguation:
     like the budget number to callers comparing against len(trajectory)."""
 
     def test_final_evaluation_match_is_not_none(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=1.0,
-            evaluations=3,
-            trajectory=[3.0, 2.0, 1.0],
-        )
+        trajectory = [3.0, 2.0, 1.0]
         # Reached exactly on the last evaluation: returns the budget
         # number, never None.
-        assert result.evaluations_to_reach(1.0) == 3
+        assert evaluations_to_reach(trajectory, 1.0) == 3
 
     def test_never_reached_is_none_not_budget(self):
-        result = SearchResult(
-            best_setting=o3_setting(),
-            best_runtime=2.0,
-            evaluations=3,
-            trajectory=[3.0, 2.5, 2.0],
-        )
+        trajectory = [3.0, 2.5, 2.0]
         # A caller charging unreached runs the full budget must branch on
         # None — the two cases are distinguishable only this way.
-        reached_at_cap = result.evaluations_to_reach(2.0)
-        never = result.evaluations_to_reach(1.0)
-        assert reached_at_cap == len(result.trajectory)
+        reached_at_cap = evaluations_to_reach(trajectory, 2.0)
+        never = evaluations_to_reach(trajectory, 1.0)
+        assert reached_at_cap == len(trajectory)
         assert never is None
         assert never != reached_at_cap

@@ -304,6 +304,29 @@ class TestPersistentJobManager:
         ]
         assert calls == ["job-0001"]
 
+    def test_resume_after_torn_tail_survives_the_next_restart(self, tmp_path):
+        """Recovery cuts a torn journal tail before the resumed job
+        appends, so the events journalled after one restart still
+        replay after the next (and the finished job stays finished)."""
+        journal = JobJournal.create(tmp_path / "job-0001", "job-0001", {})
+        chain = _chain_seed("job-0001")
+        for event in (
+            {"event": "started", "job": "job-0001"},
+            {"event": "fold", "job": "job-0001", "completed": 1, "total": 2},
+        ):
+            chain = journal.append(event, chain)
+        with open(journal.root / JobJournal.EVENTS_NAME, "ab") as handle:
+            handle.write(b'{"chain": "torn')  # a kill mid append
+
+        job = JobManager(self._runner, root=tmp_path).get("job-0001")
+        _wait_done(job)
+        expected = ["started", "fold", "resumed", "fold", "complete"]
+        assert [e["event"] for e in job.events(timeout=1.0)] == expected
+
+        revived = JobManager(self._runner, root=tmp_path).get("job-0001")
+        assert revived.done
+        assert [e["event"] for e in revived.events(timeout=1.0)] == expected
+
     def test_in_memory_manager_still_works(self):
         manager = JobManager(self._runner)
         job = manager.submit({})
@@ -593,82 +616,6 @@ class TestHttpSatellites:
             metrics = json.loads(response.read())
         assert metrics["load"]["max_inflight"] > 0
         assert metrics["batching"]["enabled"] is True
-
-class TestJournalCompaction:
-    EVENTS = [
-        {"event": "started", "job": "job-0001"},
-        {"event": "fold", "job": "job-0001", "completed": 1, "total": 1},
-        {"event": "complete", "job": "job-0001", "folds_computed": 1},
-    ]
-
-    def _write(self, root):
-        journal = JobJournal.create(root / "job-0001", "job-0001", {})
-        chain = _chain_seed("job-0001")
-        for event in self.EVENTS:
-            chain = journal.append(event, chain)
-        return journal, chain
-
-    def test_compacted_history_is_byte_identical(self, tmp_path):
-        journal, chain = self._write(tmp_path)
-        journal.compact("job-0001", self.EVENTS, chain)
-        assert (journal.root / JobJournal.SNAPSHOT_NAME).exists()
-        assert not (journal.root / JobJournal.EVENTS_NAME).exists()
-        events, final = journal.load_events("job-0001")
-        assert [canonical_json(e) for e in events] == [
-            canonical_json(e) for e in self.EVENTS
-        ]
-        assert final == chain
-
-    def test_stale_ndjson_after_crash_mid_compaction_is_discarded(self, tmp_path):
-        """A crash between the snapshot rename and the NDJSON unlink
-        leaves both files; the stale NDJSON chains from the seed, breaks
-        at line 1 against the snapshot's digest, and is ignored."""
-        journal, chain = self._write(tmp_path)
-        ndjson = (journal.root / JobJournal.EVENTS_NAME).read_bytes()
-        journal.compact("job-0001", self.EVENTS, chain)
-        (journal.root / JobJournal.EVENTS_NAME).write_bytes(ndjson)
-        events, final = journal.load_events("job-0001")
-        assert events == self.EVENTS  # not doubled
-        assert final == chain
-
-    def test_tampered_snapshot_is_rejected_wholesale(self, tmp_path):
-        journal, chain = self._write(tmp_path)
-        journal.compact("job-0001", self.EVENTS, chain)
-        path = journal.root / JobJournal.SNAPSHOT_NAME
-        snapshot = json.loads(path.read_text())
-        snapshot["events"][1]["completed"] = 999
-        path.write_text(json.dumps(snapshot))
-        assert journal.load_snapshot("job-0001") is None
-        assert journal.load_events("job-0001") == ([], _chain_seed("job-0001"))
-
-    def test_manager_compacts_only_finished_jobs(self, tmp_path):
-        manager = JobManager(TestPersistentJobManager._runner, root=tmp_path)
-        job = manager.submit({})
-        _wait_done(job)
-        assert manager.compact() == 1
-        assert manager.compact("job-0001") == 1  # idempotent
-        assert manager.compact("job-9999") == 0  # unknown: skipped, no error
-
-        revived = JobManager(TestPersistentJobManager._runner, root=tmp_path)
-        replayed = revived.get(job.id)
-        assert replayed is not None and replayed.done
-        assert [canonical_json(e) for e in replayed.events(timeout=1.0)] == [
-            canonical_json(e) for e in job.events(timeout=1.0)
-        ]
-
-    def test_running_and_in_memory_jobs_do_not_compact(self, tmp_path):
-        journal = JobJournal.create(tmp_path / "job-0001", "job-0001", {})
-        chain = _chain_seed("job-0001")
-        chain = journal.append({"event": "started", "job": "job-0001"}, chain)
-        manager = JobManager(lambda job: {}, root=tmp_path)
-        # Recovery re-enqueues the unfinished job; grab it pre-terminal.
-        job = Job("job-0002", {})  # journal-less job
-        assert not job.compact()
-        memory_manager = JobManager(TestPersistentJobManager._runner)
-        memory_job = memory_manager.submit({})
-        _wait_done(memory_job)
-        assert memory_manager.compact() == 0  # nothing on disk to compact
-
 
 class TestChannelMetrics:
     def test_observe_channel_has_its_own_buckets(self):
