@@ -144,12 +144,11 @@ _KEEP: object = object()
 
 
 class _InstructionMarks:
-    """:class:`Instruction`'s content id (0 until the pass memo interns
-    its content) and whether it passed :meth:`~Instruction.problem`, in
-    slots that are not dataclass fields, so they stay out of equality,
+    """Whether an :class:`Instruction` passed :meth:`~Instruction.problem`,
+    in a slot that is not a dataclass field, so it stays out of equality,
     ``repr``, pickles and :func:`dataclasses.fields`."""
 
-    __slots__ = ("_cid", "_checked")
+    __slots__ = ("_checked",)
 
 
 @dataclass(slots=True, frozen=True, init=False)
@@ -159,8 +158,8 @@ class Instruction(_InstructionMarks):
     A pass never changes an instruction in place: it puts a modified copy
     (:meth:`replace`) into its block's list instead.
     So :meth:`Program.clone` copies only the block lists and shares every
-    instruction, and an instruction's content can be named once by an
-    interned id (see :mod:`repro.compiler.memo`).  Construction validates
+    instruction, and comparing two lists (see :mod:`repro.compiler.memo`)
+    matches shared instructions by identity.  Construction validates
     the fields and marks the instruction checked; the copies skip both,
     and :meth:`Program.validate`, which every compile runs on its final
     IR, checks and marks each unmarked one (and every region and callee),
@@ -220,7 +219,6 @@ class Instruction(_InstructionMarks):
         _set_tags(self, tags)
         _set_callee(self, callee)
         _set_chain(self, chain)
-        _set_content_id(self, 0)
         if opcode is Opcode.CALL and callee is None:
             raise ValueError("CALL requires a callee")
         problem = self.problem()
@@ -269,25 +267,8 @@ class Instruction(_InstructionMarks):
         _set_tags(copy, self.tags if tags is _KEEP else tags)
         _set_callee(copy, self.callee if callee is _KEEP else callee)
         _set_chain(copy, self.chain if chain is _KEEP else chain)
-        _set_content_id(copy, 0)
         _set_checked(copy, False)
         return copy
-
-    def content(self) -> tuple:
-        """Every field, with the opcode as its string value: equal contents
-        mean equal instructions.  (Hashing ``Opcode`` members would go
-        through ``Enum.__hash__``, a Python-level call.)"""
-        return (
-            self.opcode._value_,
-            self.expr,
-            self.region,
-            self.stride,
-            self.deps,
-            self.latency,
-            self.tags,
-            self.callee,
-            self.chain,
-        )
 
     @property
     def size_bytes(self) -> int:
@@ -317,24 +298,25 @@ _new_instruction = partial(object.__new__, Instruction)
     _set_callee,
     _set_chain,
 ) = (Instruction.__dict__[field.name].__set__ for field in fields(Instruction))
-_set_content_id = Instruction._cid.__set__
 _set_checked = Instruction._checked.__set__
 
 
-class _Keyed:
-    """The pass memo's cached content id (0: none), in a slot that is not
-    a dataclass field, so it stays out of equality, ``repr`` and ``fields``."""
+class _Marked:
+    """A dirty mark for the pass memo, in a slot that is not a dataclass
+    field, so it stays out of equality, ``repr`` and ``fields``.  A new
+    object is marked; the memo clears the marks after each pass run and
+    reads what the pass marked as what it may have changed."""
 
-    __slots__ = ("_cid",)
+    __slots__ = ("_dirty",)
 
     def changed(self) -> None:
-        """Drop the cached id: a pass calls this on each block, function
-        or program whose own fields it alters."""
-        self._cid = 0
+        """Mark the object: a pass calls this on each block, function or
+        program whose own fields it alters."""
+        self._dirty = True
 
 
 @dataclass(slots=True)
-class BasicBlock(_Keyed):
+class BasicBlock(_Marked):
     """A straight-line instruction sequence with a single entry and exit.
 
     ``exec_count`` is the dynamic execution count of the block from the
@@ -358,7 +340,7 @@ class BasicBlock(_Keyed):
         problem = self.problem()
         if problem is not None:
             raise ValueError(problem)
-        self._cid = 0
+        self._dirty = True
 
     def problem(self) -> str | None:
         """The first violated field invariant, or ``None`` if valid."""
@@ -390,7 +372,7 @@ class BasicBlock(_Keyed):
     def clone(self, new_label: str | None = None) -> "BasicBlock":
         """A copy with its own instruction and successor lists that shares
         the (immutable) instructions and skips the field checks (which
-        :meth:`Program.validate` re-runs); it keeps the id unless relabelled."""
+        :meth:`Program.validate` re-runs); it keeps the mark unless relabelled."""
         copy = object.__new__(BasicBlock)
         copy.label = new_label or self.label
         copy.instructions = list(self.instructions)
@@ -402,7 +384,7 @@ class BasicBlock(_Keyed):
         copy.pad_bytes = self.pad_bytes
         copy.aligned = self.aligned
         copy.is_loop_header = self.is_loop_header
-        copy._cid = 0 if new_label else self._cid
+        copy._dirty = True if new_label else self._dirty
         return copy
 
 
@@ -469,7 +451,7 @@ class DataRegion:
 
 
 @dataclass
-class Function(_Keyed):
+class Function(_Marked):
     """A function: ordered blocks (the order *is* the code layout), a loop
     forest over those blocks, and inlining metadata."""
 
@@ -489,7 +471,7 @@ class Function(_Keyed):
                     raise ValueError(
                         f"loop block {label!r} missing from function {self.name!r}"
                     )
-        self._cid = 0
+        self._dirty = True
 
     @property
     def size_insns(self) -> int:
@@ -532,7 +514,7 @@ class Function(_Keyed):
         """A copy with its own blocks, layout and loops."""
         copy = object.__new__(Function)
         copy.__dict__.update(self.__dict__)
-        copy._cid = self._cid
+        copy._dirty = self._dirty
         copy.blocks = {label: block.clone() for label, block in self.blocks.items()}
         copy.layout = list(self.layout)
         copy.loops = [loop.clone() for loop in self.loops]
@@ -540,7 +522,7 @@ class Function(_Keyed):
 
 
 @dataclass
-class Program(_Keyed):
+class Program(_Marked):
     """A whole program: functions, an entry point and its data regions."""
 
     name: str
@@ -551,7 +533,7 @@ class Program(_Keyed):
     def __post_init__(self) -> None:
         if self.entry not in self.functions:
             raise ValueError(f"entry function {self.entry!r} not defined")
-        self._cid = 0
+        self._dirty = True
 
     @property
     def size_insns(self) -> int:
@@ -569,7 +551,7 @@ class Program(_Keyed):
         """A copy with its own functions and region dict."""
         copy = object.__new__(Program)
         copy.__dict__.update(self.__dict__)
-        copy._cid = self._cid
+        copy._dirty = self._dirty
         copy.functions = {name: fn.clone() for name, fn in self.functions.items()}
         copy.regions = dict(self.regions)
         return copy

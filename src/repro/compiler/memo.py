@@ -1,4 +1,4 @@
-"""A content-addressed pass memo: each distinct IR state is compiled once.
+"""A pass memo: each distinct IR state of one program is compiled once.
 
 :class:`PassMemo` records each pass run of one source program as a
 transition (state, pass index, :meth:`Pass.observed
@@ -8,14 +8,29 @@ one it has not seen, on a copy of the latest snapshot on its path with
 the passes since run again; it then keeps a snapshot of that state, as
 walks split there.  Each distinct final IR is finalized once.
 
-A state is named by an exact key: interned ids from one process-wide
-counter, never a hash.  Ids are cached on the memo's own IR objects and
-a pass marks what it alters (``changed()``), so after a pass only marked
-objects are rekeyed, and a pass that marked nothing leaves its state;
-a state after the last pass gets a fresh id instead of a key.
-``tests/test_memo_keys.py`` rekeys from scratch after every pass run to
-check that no change goes unmarked.  A memo's :attr:`~PassMemo.retained`
-slots are its snapshots' instructions plus its interned entries.
+A pass marks what it alters (``changed()``), and a new state is named
+from those marks, with no table of contents:
+
+* a run that marked nothing leaves its input state;
+* a run of the last pass gives a final state, which no walk leaves and
+  two walks seldom reach, so it gets a fresh id;
+* any other run is compared with its *siblings*, the recorded runs of
+  the same pass from the same state under other observations.  It takes
+  the id of the one whose result equals its own, else a fresh id.
+
+Every convergence of two walks seen on a dataset grid, in the paper
+protocol and in a search tournament was between siblings.  Two results
+of one input are equal if they marked the same objects and those are
+equal (by plain ``==``, where shared instructions compare by identity
+first): whatever neither marked is still the input's.  So a sibling's
+record is a copy of what it marked, kept only for passes that have more
+than one enabled observation (:attr:`Pass.branches
+<repro.compiler.passes.base.Pass.branches>`).
+``tests/test_memo_keys.py`` checks every verdict against a from-scratch
+comparison of whole IRs.  A memo's :attr:`~PassMemo.retained` slots are
+its transitions, its snapshots' instructions and its records' blocks'
+instructions; over budget, it drops snapshots first and records next
+(a dropped record costs only the convergences it would have found).
 """
 
 from __future__ import annotations
@@ -27,19 +42,17 @@ from typing import Sequence
 
 from repro.compiler.binary import CompiledBinary, finalize
 from repro.compiler.flags import FlagSetting
-from repro.compiler.ir import BasicBlock, Function, Instruction, Program, iter_instructions
+from repro.compiler.ir import BasicBlock, Function, Program
 from repro.compiler.passes.base import Pass, PassStats
 
-#: Slots (snapshot instructions plus interned entries) all memos of one
-#: compiler may retain together.
-RETAINED_SLOTS = 10_000
+#: Slots (transitions, snapshot and record instructions) all memos of
+#: one compiler may retain together.
+RETAINED_SLOTS = 20_000
 
 #: The state id of the source program.
 SOURCE = 0
 
-_next_content_id = itertools.count(1).__next__
-_content_id = operator.attrgetter("_cid")
-_set_content_id = Instruction._cid.__set__
+_dirty = operator.attrgetter("_dirty")
 
 
 class PassMemo:
@@ -48,33 +61,34 @@ class PassMemo:
 
     def __init__(self, passes: Sequence[Pass], program: Program):
         self._passes = passes
-        # Content → id for instructions, instruction lists, blocks,
-        # functions and programs: keys of two kinds never meet, as they
-        # differ in length or in the type of their first item.
-        self._ids: dict[tuple, int] = {}
-        self._tuples: dict[tuple, tuple] = {}  # one copy of equal observations
-        for _, _, insn in iter_instructions(program):
-            if not getattr(insn, "_cid", 0):  # unpickled: unset
-                _set_content_id(insn, _next_content_id())
+        # Pass indices whose runs keep a record for their siblings: the
+        # last pass's results are final, and fresh anyway.
+        self._recorded = frozenset(
+            level for level, optimisation in enumerate(passes[:-1]) if optimisation.branches
+        )
+        _changes(program, copy=False)  # its copies start unmarked
         self._source = program
-        self._source_key = self._key(program, cached=False)
-        self._states: dict[tuple, int] = {self._source_key: SOURCE}
+        self._fresh = itertools.count(SOURCE + 1).__next__
         self._steps: dict[tuple[int, int, tuple], tuple[int, tuple]] = {}
+        # (state, pass index) → (next state, what the run marked), per run.
+        self._siblings: dict[tuple[int, int], list[tuple[int, list]]] = {}
         self._snapshots: OrderedDict[int, Program] = OrderedDict()
         self._held = 0
         self._finals: dict[int, CompiledBinary] = {}
-
-    @property
-    def retained(self) -> int:
-        """Snapshot instructions plus interned entries held."""
-        entries = (self._ids, self._tuples, self._states, self._steps)
-        return self._held + sum(map(len, entries))
+        #: Transitions, snapshot instructions and record instructions held.
+        self.retained = 0
 
     def shrink(self, limit: int) -> int:
-        """Drop LRU snapshots until ``limit`` slots or none are left; the slots kept."""
+        """Drop LRU snapshots, then LRU records, until ``limit`` slots or
+        neither is left; the slots kept."""
         while self._snapshots and self.retained > limit:
             _, evicted = self._snapshots.popitem(last=False)
             self._held -= evicted.size_insns
+            self.retained -= evicted.size_insns
+        while self._siblings and self.retained > limit:
+            group = next(iter(self._siblings))
+            for _, changes in self._siblings.pop(group):
+                self.retained -= _record_slots(changes)
         return self.retained
 
     def compile(self, canonical: FlagSetting, setting: FlagSetting) -> CompiledBinary:
@@ -98,10 +112,9 @@ class PassMemo:
                     self._snapshot(state, working)
                 delta = PassStats()
                 optimisation.apply(working, canonical, delta)
-                items = tuple(delta.items())
-                after = self._state_after(working, state, level == len(self._passes) - 1)
-                step = (after, self._tuples.setdefault(items, items))
-                self._steps[(state, level, self._tuples.setdefault(observed, observed))] = step
+                after = self._state_after(working, state, level)
+                step = self._steps[(state, level, observed)] = (after, tuple(delta.items()))
+                self.retained += 1
                 working_at = len(trail) + 1
             trail.append((level, state))
             state, delta_items = step
@@ -126,33 +139,25 @@ class PassMemo:
         working_at: int,
         canonical: FlagSetting,
     ) -> Program:
-        """An owned IR of ``state``, the end of ``trail``: the latest copy
-        on it (``working`` or a snapshot) with the passes since run again."""
+        """An owned, unmarked IR of ``state``, the end of ``trail``: the
+        latest copy on it (``working`` or a snapshot) with the passes
+        since run again."""
         start, base = working_at, working
         for index in range(len(trail), working_at, -1):
             at = state if index == len(trail) else trail[index][1]
             if at == SOURCE:
-                start, base = index, self._source_copy()
+                start, base = index, self._source.clone()
                 break
             snapshot = self._snapshots.get(at)
             if snapshot is not None:
                 self._snapshots.move_to_end(at)
                 start, base = index, snapshot.clone()
                 break
-        for level, _ in trail[start:]:
-            self._passes[level].apply(base, canonical, PassStats())
+        if start < len(trail):
+            for level, _ in trail[start:]:
+                self._passes[level].apply(base, canonical, PassStats())
+            _changes(base, copy=False)
         return base
-
-    def _source_copy(self) -> Program:
-        """A copy of the source, with the ids of its key cached on it."""
-        copy = self._source.clone()
-        ids = iter(self._source_key)
-        copy._cid = next(ids)
-        for function in copy.functions.values():
-            function._cid = next(ids)
-            for block in function.blocks.values():
-                block._cid = next(ids)
-        return copy
 
     def _snapshot(self, state: int, working: Program) -> None:
         """Keep a copy of ``working`` (at ``state``) before a pass runs on it."""
@@ -161,78 +166,69 @@ class PassMemo:
         elif state != SOURCE:
             self._snapshots[state] = working.clone()
             self._held += working.size_insns
+            self.retained += working.size_insns
 
-    # ----------------------------------------------------------------- keys
-    def _state_after(self, program: Program, before: int, final: bool) -> int:
-        """The id of ``program``'s state after a pass from ``before``: it if
-        the pass marked nothing, a fresh one if ``final`` (after the last
-        pass: never left, seldom met twice), else its key's, made if new."""
-        if program._cid and all(
-            f._cid and all(map(_content_id, f.blocks.values())) for f in program.functions.values()
-        ):
+    # --------------------------------------------------------------- naming
+    def _state_after(self, program: Program, before: int, level: int) -> int:
+        """The id of ``program``'s state after pass ``level`` ran on state
+        ``before``, its marks cleared: ``before`` if the run marked
+        nothing, else an equal sibling's id or a fresh one."""
+        recorded = level in self._recorded
+        changes = _changes(program, copy=recorded)
+        if changes is None:
             return before
-        if final:
-            return -_next_content_id()
-        return self._states.setdefault(self._key(program), len(self._states))
-
-    def _key(self, program: Program, cached: bool = True) -> tuple:
-        """The exact key of ``program``'s content: with ``cached``, from and
-        into the ids cached on it; without, recomputed and not cached."""
-        key = [self._own_id(program, _program_fields, cached)]
-        for function in program.functions.values():
-            key.append(self._own_id(function, _function_fields, cached))
-            blocks = function.blocks.values()
-            ids = list(map(_content_id, blocks)) if cached else [0] * len(blocks)
-            if 0 in ids:
-                ids = [cid or self._block_id(block, cached) for cid, block in zip(ids, blocks)]
-            key += ids
-        return tuple(key)
-
-    def _own_id(self, owner: Program | Function, fields, cached: bool) -> int:
-        """``owner``'s id for its own ``fields(owner)``."""
-        if cached and owner._cid:
-            return owner._cid
-        found = self._intern(fields(owner))
-        if cached:
-            owner._cid = found
-        return found
-
-    def _block_id(self, block: BasicBlock, cached: bool) -> int:
-        instructions = block.instructions
-        insn_ids = tuple(map(_content_id, instructions))
-        if 0 in insn_ids:  # some built by a pass: intern them by content
-            for insn in itertools.compress(instructions, map(operator.not_, insn_ids)):
-                _set_content_id(insn, self._intern(insn.content()))
-            insn_ids = tuple(map(_content_id, instructions))
-        key = (*_block_fields(block), self._intern(insn_ids), tuple(block.successors))
-        found = self._intern(key)
-        if cached:
-            block._cid = found
-        return found
-
-    def _intern(self, key: tuple) -> int:
-        """The id this memo gives ``key``, a fresh one if it has none."""
-        return self._ids.get(key) or self._ids.setdefault(key, _next_content_id())
+        if not recorded:
+            return self._fresh()
+        # Most recently run groups last: the budget drops the others first.
+        siblings = self._siblings[(before, level)] = self._siblings.pop((before, level), [])
+        for state, sibling in siblings:
+            if sibling == changes:
+                return state
+        state = self._fresh()
+        siblings.append((state, changes))
+        self.retained += _record_slots(changes)
+        return state
 
 
-_block_fields = operator.attrgetter(
-    "label", "exec_count", "taken_prob", "predictability", "invariant_branch",
-    "pad_bytes", "aligned", "is_loop_header",
-)
-_loop_fields = operator.attrgetter(
-    "header", "trip_count", "entries", "depth", "parent", "carried_dep_latency"
-)
-_region_fields = operator.attrgetter("name", "size_bytes", "kind")
+def _record_slots(changes: list) -> int:
+    """A record's slots: the instructions of its blocks."""
+    return sum(len(change.instructions) for change in changes if type(change) is BasicBlock)
+
+
+def _changes(program: Program, copy: bool) -> list | None:
+    """Clear the marks on ``program``: ``None`` if there were none.  Else
+    a list, which with ``copy`` holds each marked object's own fields
+    in program order, each block's behind its function's name."""
+    changes = None
+    if program._dirty:
+        program._dirty = False
+        changes = [_program_fields(program)] if copy else []
+    for function in program.functions.values():
+        blocks = function.blocks.values()
+        if not function._dirty and not any(map(_dirty, blocks)):
+            continue
+        if changes is None:
+            changes = []
+        if copy:
+            changes.append(function.name)
+        if function._dirty:
+            function._dirty = False
+            if copy:
+                changes.append(_function_fields(function))
+        for block in blocks:
+            if block._dirty:
+                block._dirty = False
+                if copy:
+                    changes.append(block.clone())
+    return changes
 
 
 def _program_fields(program: Program) -> tuple:
-    regions = tuple((name, *_region_fields(region)) for name, region in program.regions.items())
-    return (program.entry, regions, tuple(program.functions))
+    return (program.entry, tuple(program.regions.items()), tuple(program.functions))
 
 
 def _function_fields(function: Function) -> tuple:
-    loops = tuple((*_loop_fields(loop), tuple(loop.blocks)) for loop in function.loops)
     return (
-        function.name, tuple(function.blocks), tuple(function.layout), loops,
+        tuple(function.blocks), tuple(function.layout), [loop.clone() for loop in function.loops],
         function.inline_candidate, function.entry_count,
     )

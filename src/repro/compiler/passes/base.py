@@ -3,19 +3,21 @@
 Passes mutate a working copy of the program IR: its functions, blocks and
 block lists, never an instruction (instructions are immutable and shared
 between copies; a rewrite puts a modified copy into the list).  A pass
-marks each block, function or program it alters with ``changed()``, so
-the pass memo rekeys only those.  The two fiddly operations — deleting
-and inserting instructions while keeping dependence distances
-consistent — live here so each pass stays small and every pass
-preserves the IR invariants the same way.
+marks each block, function or program it alters with ``changed()``: the
+pass memo reads the marks as all that a run may have changed.  The two
+fiddly operations — deleting and inserting instructions while keeping
+dependence distances consistent — live here so each pass stays small and
+every pass preserves the IR invariants the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from repro.compiler.flags import FlagSetting
+from repro.compiler.flags import FLAG_SPECS, FlagSetting, o3_setting
 from repro.compiler.ir import BasicBlock, Instruction, Program
 
 
@@ -44,8 +46,8 @@ class Pass:
     functions, blocks, loops, regions and instructions, in order, never
     on object identity or on anything outside the program.  Two
     equal-content copies must come out equal, with equal stats: the
-    memo names an IR state by its content and follows a recorded
-    transition instead of running the pass again.
+    memo gives two walks whose IRs compare equal one state and follows
+    a recorded transition instead of running the pass again.
     ``tests/test_pass_reads.py`` checks this as well.
     """
 
@@ -75,6 +77,23 @@ class Pass:
         if not self.enabled(flags):
             return None
         return tuple(map(flags.__getitem__, self.reads))
+
+    @cached_property
+    def branches(self) -> bool:
+        """Whether two settings can enable the pass with different
+        :meth:`observed` values, so that two runs from one IR can differ.
+        Tries the values of :attr:`reads` most aggressive first, which
+        finds a second enabled observation at once when there is one."""
+        specs = [spec for spec in FLAG_SPECS if spec.name in self.reads]
+        base = o3_setting()
+        found = False
+        for combination in itertools.product(*(reversed(spec.values) for spec in specs)):
+            values = {spec.name: value for spec, value in zip(specs, combination)}
+            if self.observed(base.with_values(**values)) is not None:
+                if found:
+                    return True
+                found = True
+        return False
 
 
 def delete_instructions(block: BasicBlock, indices: Iterable[int]) -> int:

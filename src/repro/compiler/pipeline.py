@@ -128,7 +128,6 @@ class Compiler:
                     kept = entry.memo
                     if kept is None:
                         kept = entry.memo = PassMemo(self._passes, program)
-                        self._retained += kept.retained
                     before = kept.retained
                     binary = entry.binaries[canonical] = kept.compile(canonical, setting)
                     self._retained += kept.retained - before
@@ -158,9 +157,10 @@ class Compiler:
         return entry
 
     def _trim(self) -> None:
-        """Keep all memos within ``RETAINED_SLOTS``: drop snapshots, least
-        recently compiled program first, then whole memos in that order
-        (a lost snapshot costs replayed passes, a lost memo all of it)."""
+        """Keep all memos within ``RETAINED_SLOTS``: drop snapshots and
+        sibling records, least recently compiled program first, then whole
+        memos in that order (a lost snapshot costs replayed passes, a lost
+        record the convergences it would find, a lost memo all of it)."""
         budget = memo.RETAINED_SLOTS
         entries = [entry for entry in self._entries.values() if entry.memo is not None]
         total = sum(entry.memo.retained for entry in entries)

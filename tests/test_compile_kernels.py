@@ -475,13 +475,6 @@ DELETE_CALLERS = (base, cse, gcse, inline, loopopt, misc, reorder, unroll)
 
 
 # ------------------------------------------------------- the build grid
-def _same_block(actual: BasicBlock, expected: BasicBlock) -> bool:
-    return actual == expected and all(
-        new.content() == old.content()
-        for new, old in zip(actual.instructions, expected.instructions)
-    )
-
-
 class _Recorder:
     """Per kernel, how many inputs it saw and the first that disagreed."""
 
@@ -511,7 +504,7 @@ def build_grid():
         moved = new_list_schedule(block, allow_speculation)
         record.check(
             "list_schedule",
-            moved == expected_moved and _same_block(block, expected),
+            moved == expected_moved and block == expected,
             (block.label, allow_speculation),
         )
         return moved
@@ -531,7 +524,7 @@ def build_grid():
         removed = new_delete(block, indices)
         record.check(
             "delete_instructions",
-            removed == expected_removed and _same_block(block, expected),
+            removed == expected_removed and block == expected,
             (block.label, indices),
         )
         return removed
@@ -545,7 +538,7 @@ def build_grid():
             removed == expected_removed
             and function.layout == expected.layout
             and all(
-                _same_block(function.blocks[label], expected.blocks[label])
+                function.blocks[label] == expected.blocks[label]
                 for label in function.layout
             ),
             (function.name, follow_jumps, skip_blocks),
@@ -670,7 +663,7 @@ class TestKernelsMatchOraclesOnGeneratedInput:
         assert schedule.list_schedule(block, allow_speculation) == old_list_schedule(
             expected, allow_speculation
         )
-        assert _same_block(block, expected)
+        assert block == expected
 
     @settings(max_examples=100, deadline=None)
     @given(block=_blocks(max_size=MAX_REGION_INSNS), allow_speculation=st.booleans())
@@ -681,7 +674,7 @@ class TestKernelsMatchOraclesOnGeneratedInput:
             expected, allow_speculation, sorted_schedule_segment
         )
         assert schedule.list_schedule(block, allow_speculation) == expected_moved
-        assert _same_block(block, expected)
+        assert block == expected
         assert block_pressure(block) == event_block_pressure(block)
 
     @settings(max_examples=100, deadline=None)
@@ -708,7 +701,7 @@ class TestKernelsMatchOraclesOnGeneratedInput:
         assert delete_instructions(block, indices) == old_delete_instructions(
             expected, indices
         )
-        assert _same_block(block, expected)
+        assert block == expected
 
     @settings(max_examples=150, deadline=None)
     @given(function=_functions(), follow=st.booleans(), skip=st.booleans())
@@ -718,7 +711,7 @@ class TestKernelsMatchOraclesOnGeneratedInput:
             function, follow, skip
         ) == old_eliminate_in_function(expected, follow, skip)
         for label in function.layout:
-            assert _same_block(function.blocks[label], expected.blocks[label])
+            assert function.blocks[label] == expected.blocks[label]
 
     @settings(max_examples=100, deadline=None)
     @given(function=_functions(), data=st.data())

@@ -39,7 +39,7 @@ from test_pass_reads import fold_ir
 from repro.compiler.flags import FLAG_SPECS, FlagSetting, o3_setting
 from repro.compiler.ir import BasicBlock, DataRegion, Function, Instruction, Loop, Program
 from repro.compiler import memo as memo_module
-from repro.compiler.memo import PassMemo
+from repro.compiler.memo import SOURCE, PassMemo
 from repro.compiler.pipeline import Compiler, default_pass_order
 from repro.programs.mibench import MIBENCH_ORDER, mibench_program
 
@@ -382,9 +382,20 @@ def test_memo_shared_by_threads(monkeypatch):
     assert not failures, failures
     assert compiler._retained == retained(compiler) <= memo_module.RETAINED_SLOTS
     for memo in filter(None, (memo_of(compiler, ref.program) for ref in references.values())):
-        states = list(memo._states.values())
-        assert len(set(states)) == len(states), "two states share an id"
+        # A new state's id comes from one (state, pass) only: its siblings'.
+        made: dict[int, set] = {}
+        for (before, level, _), (after, _) in memo._steps.items():
+            if after != before:
+                made.setdefault(after, set()).add((before, level))
+        assert all(len(origins) == 1 for origins in made.values()), "two states share an id"
+        records = [changes for group in memo._siblings.values() for _, changes in group]
+        for group in memo._siblings.values():
+            states = [state for state, _ in group]
+            assert len(set(states)) == len(states), "two siblings share an id"
         assert memo._held == sum(snapshot.size_insns for snapshot in memo._snapshots.values())
+        assert memo.retained == len(memo._steps) + memo._held + sum(
+            map(memo_module._record_slots, records)
+        )
 
 
 def test_long_compile_walk_leaves_the_source_unchanged():
@@ -421,9 +432,11 @@ def different(value):
 
 
 def field_changes(program: Program):
-    """``(field, copy)``: a copy of ``program`` with one field changed,
-    for every field of every IR class.  The program name is left out:
-    passes never read it, and the compiler keys its run by name."""
+    """``(field, copy, owner)``: a copy of ``program`` with one field
+    changed, for every field of every IR class, and what finds the block,
+    function or program whose own fields changed in a copy (what a pass
+    marks).  The program name is left out: passes never read it, and the
+    compiler keys its run by name."""
     function = next(f for f in program.functions.values() if f.loops and len(f.blocks) > 1)
     label = next(label for label in function.layout if function.blocks[label].instructions)
 
@@ -431,46 +444,69 @@ def field_changes(program: Program):
         copy = program.clone()
         return copy, copy.functions[function.name]
 
+    def block_of(copy):
+        return copy.functions[function.name].blocks[label]
+
+    def function_of(copy):
+        return copy.functions[function.name]
+
+    def program_of(copy):
+        return copy
+
     for field in dataclasses.fields(Instruction):
         copy, fn = copy_of()
         block = fn.blocks[label]
         value = getattr(block.instructions[0], field.name)
         block.instructions[0] = block.instructions[0].replace(**{field.name: different(value)})
-        yield f"Instruction.{field.name}", copy
+        yield f"Instruction.{field.name}", copy, block_of
     for field in dataclasses.fields(BasicBlock):
         copy, fn = copy_of()
         block = fn.blocks[label]
         setattr(block, field.name, different(getattr(block, field.name)))
-        yield f"BasicBlock.{field.name}", copy
+        yield f"BasicBlock.{field.name}", copy, block_of
     for field in dataclasses.fields(Loop):
         copy, fn = copy_of()  # clones its loops
         loop = fn.loops[0]
         setattr(loop, field.name, different(getattr(loop, field.name)))
-        yield f"Loop.{field.name}", copy
+        yield f"Loop.{field.name}", copy, function_of
     for field in dataclasses.fields(Function):
         copy, fn = copy_of()
         setattr(fn, field.name, different(getattr(fn, field.name)))
-        yield f"Function.{field.name}", copy
+        yield f"Function.{field.name}", copy, function_of
     for field in dataclasses.fields(DataRegion):
         copy, _ = copy_of()  # shares its regions
         name, region = next(iter(copy.regions.items()))
         region = copy.regions[name] = shallow_copy(region)
         setattr(region, field.name, different(getattr(region, field.name)))
-        yield f"DataRegion.{field.name}", copy
+        yield f"DataRegion.{field.name}", copy, program_of
     for field in dataclasses.fields(Program):
         if field.name == "name":
             continue
         copy, _ = copy_of()
         setattr(copy, field.name, different(getattr(copy, field.name)))
-        yield f"Program.{field.name}", copy
+        yield f"Program.{field.name}", copy, program_of
 
 
-def test_memo_state_key_sees_every_ir_field():
+def test_siblings_differing_in_one_ir_field_are_never_merged():
+    """Two runs of one pass from one state that marked the same object
+    and differ in any one field of it get two states; two that made the
+    same change, on objects of their own, get one."""
     program = mibench_program("qsort")  # two functions, three regions
-    memo = PassMemo(default_pass_order(), program)
-    source = memo._key(program, cached=False)
-    assert memo._key(program.clone(), cached=False) == source
-    changed = list(field_changes(program))
+    passes = default_pass_order()
+    level = next(level for level, optimisation in enumerate(passes) if optimisation.branches)
+    changed = list(zip(field_changes(program), field_changes(program)))
     assert len(changed) >= 30
-    for field, copy in changed:
-        assert memo._key(copy, cached=False) != source, field
+    for (field, copy, owner), (_, twin, _) in changed:
+        memo = PassMemo(passes, program)
+
+        def run_result(ir: Program) -> int:
+            """The state ``memo`` names ``ir`` as a result of pass ``level``
+            from the source that marked ``owner`` alone."""
+            memo_module._changes(ir, copy=False)
+            owner(ir).changed()
+            return memo._state_after(ir, SOURCE, level)
+
+        unchanged = run_result(program.clone())
+        assert run_result(copy) != unchanged, field
+        assert twin is not copy and run_result(twin) == run_result(copy.clone()), field
+        assert len(memo._siblings[(SOURCE, level)]) == 2, field

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -581,9 +582,15 @@ class TestHttpSatellites:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 404
-        with urllib.request.urlopen(base_url + "/metrics", timeout=30) as response:
-            metrics = json.loads(response.read())
-        bucket = metrics["endpoints"]["404"]
+        # A request is counted once its reply is written, so the second
+        # 404 may be counted just after a /metrics read: poll for it.
+        deadline = time.monotonic() + 30
+        while True:
+            with urllib.request.urlopen(base_url + "/metrics", timeout=30) as response:
+                bucket = json.loads(response.read())["endpoints"].get("404", {})
+            if bucket.get("count", 0) >= 2 or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert bucket["count"] >= 2
         assert bucket["errors"] >= 2
 
