@@ -68,7 +68,7 @@ from repro.evalrun import (
     resolve_artifacts,
     variants_for_artifacts,
 )
-from repro.evalrun.foldstore import FoldKey, FoldStoreStatus
+from repro.evalrun.foldstore import FoldKey
 from repro.experiments.config import Scale
 from repro.experiments.dataset import (
     ExperimentData,
@@ -102,7 +102,7 @@ class ProtocolRun:
     """
 
     stats: PipelineRunStats
-    status: FoldStoreStatus
+    status: StoreStatus
     report: ProtocolReport | None = None
 
     @property

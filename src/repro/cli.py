@@ -150,14 +150,14 @@ def _run_store(args, parser) -> int:
     store = session.data.store()
     status = store.status()
     if status.complete:
-        print(f"dataset already complete ({status.total_shards} shards)")
+        print(f"dataset already complete ({status.total_units} shards)")
         if not args.quiet:
             print(status.render())
         return 0
-    if status.completed_shards and not args.resume:
+    if status.completed_units and not args.resume:
         parser.error(
             f"store at {status.root} already holds "
-            f"{status.completed_shards}/{status.total_shards} shards; "
+            f"{status.completed_units}/{status.total_units} shards; "
             "pass --resume to continue the interrupted build"
         )
     progress = _progress(args)
@@ -171,7 +171,7 @@ def _run_store(args, parser) -> int:
     final = store.status()
     print(
         f"computed {done} shards in {time.time() - started:.1f}s "
-        f"({final.completed_shards}/{final.total_shards} complete)"
+        f"({final.completed_units}/{final.total_units} complete)"
     )
     if final.complete:
         print(f"store fingerprint: {store.fingerprint()}")

@@ -3,7 +3,11 @@
 A queue is the one description of a unit family for
 :func:`repro.cluster.drain`: enumerate pending unit ids, check whether
 one is done, execute one — with the store's own manifest as the only
-source of truth.  Unit ids are the stores' existing shard stems
+source of truth.  Everything but the execution is read straight off the
+:class:`~repro.store.checkpoint.CheckpointStore` both stores share:
+``kind``, ``identity`` (the fingerprint every worker of one cluster
+must share), ``cluster_root``, ``total_units``, ``pending_units`` and
+``is_done``.  Unit ids are the stores' existing unit stems
 (``p0000-c0000`` for dataset shards, ``variant--program`` for protocol
 folds), so lease files, progress records, and store files all speak the
 same names.
@@ -22,20 +26,16 @@ import threading
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from repro.cluster.lease import ClusterError
 from repro.evalrun.pipeline import _compute_fold_task, _init_protocol_worker
+from repro.store.checkpoint import CheckpointStore
 from repro.store.compute import compute_shard, compute_shard_task
-
-#: Subdirectory of a store root holding all cluster state (leases,
-#: per-worker progress, the aggregated progress.json artifact).
-CLUSTER_DIR = "cluster"
 
 
 class WorkQueue(Protocol):
     """What the lease worker loop needs from a unit source."""
 
     #: Manifest fingerprint every worker of one cluster must share.
-    fingerprint: str
+    identity: str
     #: Shared directory for leases and progress, under the store root.
     cluster_root: Path
     #: Human label for progress lines ("shard" / "fold").
@@ -50,16 +50,31 @@ class WorkQueue(Protocol):
     def execute(self, unit: str) -> dict: ...
 
 
-def _cluster_root(store, what: str) -> Path:
-    if store.root is None:
-        raise ClusterError(
-            f"cluster execution needs an on-disk {what} (root=None is "
-            f"memory-only; workers coordinate through the store directory)"
-        )
-    return Path(store.root) / CLUSTER_DIR
+class _StoreQueue:
+    """The unit bookkeeping of a queue over ``store``'s ``selection``."""
+
+    def __init__(self, store: CheckpointStore, selection=None):
+        self.store = store
+        self.selection = selection
+        self.kind = store.kind
+        self.identity = store.identity
+        self.keys = {key.stem(): key for key in store.unit_keys(selection)}
+
+    @property
+    def cluster_root(self) -> Path:
+        return self.store.cluster_root
+
+    def total_units(self) -> int:
+        return len(self.keys)
+
+    def pending_units(self) -> list[str]:
+        return self.store.pending_units(self.selection)
+
+    def is_done(self, unit: str) -> bool:
+        return self.store.has(self.keys[unit])
 
 
-class ShardQueue:
+class ShardQueue(_StoreQueue):
     """Dataset-build units: one store shard per unit.
 
     Wraps an :class:`~repro.store.runner.ExperimentRunner`.  In-process
@@ -70,35 +85,19 @@ class ShardQueue:
     append-only write.
     """
 
-    kind = "shard"
     task = staticmethod(compute_shard_task)
     initializer = None
     initargs: tuple = ()
 
     def __init__(self, runner):
+        super().__init__(runner.store)
         self.runner = runner
-        self.store = runner.store
-        self.fingerprint = self.store.grid.fingerprint()
-        self.keys = {key.stem(): key for key in self.store.grid.shard_keys()}
         # One settings list shared by every unit: the grid's setting axis
         # is identical across shards, so building it per item would hold
         # (and, for process pools, pickle) n_shards copies.
         self._settings = list(self.store.grid.settings)
         self._lock = threading.Lock()
         self._program: str | None = None
-
-    @property
-    def cluster_root(self) -> Path:
-        return _cluster_root(self.store, "experiment store")
-
-    def total_units(self) -> int:
-        return self.store.grid.n_shards
-
-    def pending_units(self) -> list[str]:
-        return [key.stem() for key in self.store.pending_keys()]
-
-    def is_done(self, unit: str) -> bool:
-        return self.store.has_shard(self.keys[unit])
 
     def item(self, unit: str) -> tuple:
         key = self.keys[unit]
@@ -125,9 +124,9 @@ class ShardQueue:
         # memory to roughly one program's binaries over an arbitrarily
         # large grid (the program-major shard order makes same-program
         # shards adjacent), mirroring compute_shard_task in process
-        # workers.  Compiler.compile reads its cache with one atomic
-        # .get(), so a clear racing another caller's compile costs at
-        # most a recompile, never correctness.
+        # workers.  clear_cache and compile_many both run under the
+        # compiler's own lock, so a clear waits for an in-flight batch
+        # and a batch after it simply recompiles: never a torn cache.
         with self._lock:
             if self._program not in (None, program.name):
                 compiler.clear_cache()
@@ -138,7 +137,7 @@ class ShardQueue:
         return self.commit(unit, arrays)
 
 
-class FoldQueue:
+class FoldQueue(_StoreQueue):
     """Protocol-run units: one leave-one-out fold per unit.
 
     Wraps an :class:`~repro.evalrun.pipeline.EvaluationPipeline`.
@@ -149,36 +148,17 @@ class FoldQueue:
     of variant keys, mirroring the pipeline's ``--only`` path.
     """
 
-    kind = "fold"
     task = staticmethod(_compute_fold_task)
     initializer = staticmethod(_init_protocol_worker)
 
     def __init__(self, pipeline, variants: Sequence[str] | None = None):
+        super().__init__(pipeline.store, None if variants is None else list(variants))
         self.pipeline = pipeline
-        self.store = pipeline.store
-        self.fingerprint = self.store.protocol_fingerprint
-        self.variants = list(variants) if variants is not None else None
-        self.keys = {
-            key.stem(): key for key in self.store.fold_keys(self.variants)
-        }
-
-    @property
-    def cluster_root(self) -> Path:
-        return _cluster_root(self.store, "fold store")
 
     @property
     def initargs(self) -> tuple:
         pipeline = self.pipeline
         return (pipeline.training, pipeline.programs, self.store.variants)
-
-    def total_units(self) -> int:
-        return len(self.keys)
-
-    def pending_units(self) -> list[str]:
-        return [key.stem() for key in self.store.pending_keys(self.variants)]
-
-    def is_done(self, unit: str) -> bool:
-        return self.store.has_fold(self.keys[unit])
 
     def item(self, unit: str) -> tuple[str, str]:
         key = self.keys[unit]

@@ -3,11 +3,13 @@
 Each worker keeps one small JSON file of cumulative counters under
 ``<cluster root>/progress/``, rewritten atomically after every unit, so
 observers never see torn state and a dead worker's last numbers survive
-it.  :meth:`ClusterStatus.collect` joins three sources — the store
-manifest (total/completed units), the lease table (in-flight and
-orphaned claims), and the progress files (per-worker throughput) — into
-one snapshot, rendered by ``repro-experiments status`` and written as
-the ``progress.json`` artifact.
+it.  :meth:`ClusterStatus.collect` joins three sources — the checkpoint
+store (total/completed units), the lease table (in-flight and orphaned
+claims), and the progress files (per-worker throughput) — into one
+snapshot, rendered by ``repro-experiments status`` and written as the
+``progress.json`` artifact.  It reads a
+:class:`~repro.store.checkpoint.CheckpointStore` directly, or a work
+queue, which answers the same questions for its selection of units.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.cluster.lease import (
     scan_leases,
 )
 from repro.ioutil import ArtifactError, Scrub, atomic_write_text, read_json_object
+from repro.store.checkpoint import CLUSTER_DIR
 
 PROGRESS_DIR = "progress"
 PROGRESS_ARTIFACT = "progress.json"
@@ -136,13 +139,14 @@ class ClusterStatus:
         ]
 
     @classmethod
-    def collect(cls, queue, ttl: float) -> "ClusterStatus":
-        """Snapshot a queue's cluster state; never creates directories.
+    def collect(cls, store, ttl: float) -> "ClusterStatus":
+        """Snapshot the cluster state of a checkpoint store (or of a
+        work queue's units); never creates directories.
 
         Safe to call on a store no worker has ever touched — the lease
         and progress scans simply come back empty.
         """
-        cluster_root = Path(queue.cluster_root)
+        cluster_root = Path(store.cluster_root)
         corrupt_files: list[str] = []
         leases: list[LeaseInfo] = []
         lease_root = cluster_root / LeaseTable.LEASE_SUBDIR
@@ -152,7 +156,7 @@ class ClusterStatus:
             # corrupt or foreign table, none of which a status view may
             # do.  Damage is reported instead.
             try:
-                LeaseTable.read_table(lease_root / LeaseTable.META_NAME, queue.fingerprint)
+                LeaseTable.read_table(lease_root / LeaseTable.META_NAME, store.identity)
             except ClusterError:
                 corrupt_files.append(f"{LeaseTable.LEASE_SUBDIR}/{LeaseTable.META_NAME}")
             leases = scan_leases(lease_root, ttl)
@@ -172,12 +176,12 @@ class ClusterStatus:
                 except ClusterError:
                     # Report the damage, never a traceback.
                     corrupt_files.append(f"{PROGRESS_DIR}/{path.name}")
-        total = queue.total_units()
+        total = store.total_units()
         return cls(
-            kind=queue.kind,
-            fingerprint=queue.fingerprint,
+            kind=store.kind,
+            fingerprint=store.identity,
             total_units=total,
-            completed_units=total - len(queue.pending_units()),
+            completed_units=total - len(store.pending_units()),
             leases=leases,
             workers=workers,
             lease_ttl=ttl,
@@ -259,8 +263,6 @@ def scrub_cluster(
     them (the table against the manifest's ``fingerprint`` when it
     verified).  Repairs quarantine a damaged table and delete unreadable
     or stale leases, tombstones, temp files and damaged progress files."""
-    from repro.cluster.queue import CLUSTER_DIR
-
     cluster_root = store_root / CLUSTER_DIR
     lease_root = cluster_root / LeaseTable.LEASE_SUBDIR
     if lease_root.is_dir():
@@ -307,42 +309,12 @@ def scrub_cluster(
             scrub.damage(artifact, "progress", error, "delete")
 
 
-@dataclass
-class _StoreView:
-    """Just enough of the queue protocol for a read-only status scan."""
-
-    kind: str
-    fingerprint: str
-    cluster_root: Path
-    total: int
-    pending: list[str]
-
-    def total_units(self) -> int:
-        return self.total
-
-    def pending_units(self) -> list[str]:
-        return self.pending
-
-
 def store_cluster_status(store, ttl: float) -> "ClusterStatus | None":
-    """Cluster snapshot of an experiment store, ``None`` if never clustered.
+    """Cluster snapshot of a store, ``None`` if never clustered.
 
-    A read-only sibling of :meth:`ClusterStatus.collect` that needs only
-    the store (no runner, no programs) — what the CLI ``status`` command
-    calls.  Returns ``None`` when no worker has ever touched the store.
+    What the CLI ``status`` command calls: read-only, and ``None`` for a
+    memory store or one no worker has ever touched.
     """
-    from repro.cluster.queue import CLUSTER_DIR
-
-    if store.root is None:
+    if store.root is None or not store.cluster_root.is_dir():
         return None
-    cluster_root = Path(store.root) / CLUSTER_DIR
-    if not cluster_root.is_dir():
-        return None
-    view = _StoreView(
-        kind="shard",
-        fingerprint=store.grid.fingerprint(),
-        cluster_root=cluster_root,
-        total=store.grid.n_shards,
-        pending=[key.stem() for key in store.pending_keys()],
-    )
-    return ClusterStatus.collect(view, ttl)
+    return ClusterStatus.collect(store, ttl)

@@ -85,7 +85,7 @@ class ClusterWorker:
         )
         self.leases = LeaseTable(
             Path(queue.cluster_root) / LeaseTable.LEASE_SUBDIR,
-            queue.fingerprint,
+            queue.identity,
             ttl=lease_ttl,
         )
         self.poll_interval = (

@@ -24,7 +24,6 @@ from repro.evalrun.foldstore import (
     FoldRow,
     FoldStore,
     FoldStoreError,
-    FoldStoreStatus,
     fold_fingerprint,
 )
 from repro.evalrun.oracle import OracleError, RuntimeOracle
@@ -59,7 +58,6 @@ __all__ = [
     "FoldRow",
     "FoldStore",
     "FoldStoreError",
-    "FoldStoreStatus",
     "OracleError",
     "PipelineRunStats",
     "ProtocolReport",

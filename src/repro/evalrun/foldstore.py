@@ -1,7 +1,8 @@
 """The fold-level result store: append-only, digest-verified, resumable.
 
-Same shard design as :mod:`repro.store.store`, scaled down to protocol
-folds: one JSON shard per (variant, held-out program) fold under::
+The :class:`~repro.store.checkpoint.CheckpointStore` of
+:mod:`repro.store.store`, scaled down to protocol folds: one JSON file
+per (variant, held-out program) fold under::
 
     protocol-<scale>-<fingerprint>/
         manifest.json            # protocol identity: training fingerprint,
@@ -9,12 +10,12 @@ folds: one JSON shard per (variant, held-out program) fold under::
         folds/
             <variant>--<program>.json
 
-Each shard carries its own content digest and the protocol fingerprint,
-is written atomically (temp file + rename) and never rewritten, so a
-killed protocol run resumes by skipping every fold whose digest checks
-out — and a resumed run assembles to results bit-identical to a
-single-shot run.  With ``root=None`` the store keeps folds in memory:
-same API, nothing on disk.
+Each fold carries its own content digest and the protocol fingerprint,
+is written atomically (temp file + rename) and never rewritten, and
+counts as complete only once its digest checks out — so a killed
+protocol run resumes by skipping every verified fold, and a resumed run
+assembles to results bit-identical to a single-shot run.  With
+``root=None`` the store keeps folds in memory: same API, nothing on disk.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from repro.evalrun.variants import VariantSpec
 from repro.ioutil import (
     DEFAULT_RETRY,
     ArtifactError,
-    Finding,
     Scrub,
     atomic_write_text,
     read_json_object,
 )
+from repro.store.checkpoint import CheckpointStore, StoreStatus
 
 #: Manifest/shard schema version; bump on incompatible layout changes.
 FOLD_FORMAT = 1
@@ -152,46 +153,7 @@ def _load_fold(path: Path, protocol_fingerprint: str | None) -> tuple[FoldRecord
     return record, digest
 
 
-@dataclass
-class FoldStoreStatus:
-    """Progress snapshot of one fold store."""
-
-    root: str
-    protocol_fingerprint: str
-    total_folds: int
-    completed_folds: int
-    per_variant: dict[str, tuple[int, int]]  # variant -> (done, total)
-
-    @property
-    def complete(self) -> bool:
-        return self.completed_folds == self.total_folds
-
-    @property
-    def fraction(self) -> float:
-        if self.total_folds == 0:
-            return 1.0
-        return self.completed_folds / self.total_folds
-
-    def render(self) -> str:
-        lines = [
-            f"protocol store {self.root}",
-            f"  fingerprint {self.protocol_fingerprint}: "
-            f"{self.completed_folds}/{self.total_folds} folds complete "
-            f"({self.fraction:.0%})",
-        ]
-        pending = [
-            f"{variant} {done}/{total}"
-            for variant, (done, total) in self.per_variant.items()
-            if done < total
-        ]
-        if pending:
-            lines.append(f"  pending: {', '.join(pending)}")
-        else:
-            lines.append("  protocol complete — ready to render")
-        return "\n".join(lines)
-
-
-class FoldStore:
+class FoldStore(CheckpointStore):
     """Checkpointed fold results for one protocol grid.
 
     Completed folds are never rewritten; concurrent writers of the same
@@ -200,8 +162,15 @@ class FoldStore:
     resumability is simply ``pending_keys`` = grid minus verified shards.
     """
 
-    MANIFEST_NAME = "manifest.json"
-    FOLD_DIR = "folds"
+    NAME = "fold store"
+    kind = "fold"
+    UNIT_DIR = "folds"
+    SUFFIXES = (".json",)
+    IDENTITY = "protocol"
+    PIN = "protocol_fingerprint"
+    FORMAT = FOLD_FORMAT
+    MANIFEST_SITE = "fold.manifest"
+    Error = FoldStoreError
 
     def __init__(
         self,
@@ -211,61 +180,21 @@ class FoldStore:
         root: str | Path | None = None,
         metadata: dict | None = None,
     ):
-        self.protocol_fingerprint = fingerprint
         self.variants = list(variants)
         self.programs = list(programs)
         self.metadata = dict(metadata or {})
-        self.root = Path(root) if root is not None else None
-        self._memory: dict[FoldKey, FoldRecord] = {}
-        self._known_complete: set[FoldKey] = set()
-        #: Digests of verified shards; filled by the has_fold scan so
-        #: fingerprint() never has to re-read shard files.
-        self._known_digests: dict[FoldKey, str] = {}
-        if self.root is not None:
-            manifest = self._read_manifest(self.root)
-            if manifest is None:
-                self._write_manifest()
-            elif manifest["protocol_fingerprint"] != fingerprint:
-                raise FoldStoreError(
-                    f"store at {self.root} holds a different protocol "
-                    f"({manifest['protocol_fingerprint']} != {fingerprint})"
-                )
+        self._grid = frozenset(self.unit_keys())
+        self._open(fingerprint, root)
 
-    # ------------------------------------------------------------- manifest
-    @classmethod
-    def _read_manifest(cls, root: Path) -> dict | None:
-        try:
-            manifest = read_json_object(root / cls.MANIFEST_NAME, FoldStoreError)
-        except FileNotFoundError:
-            return None
-        if manifest.get("format") != FOLD_FORMAT:
-            raise FoldStoreError(
-                f"store at {root} uses format "
-                f"{manifest.get('format')!r}, expected {FOLD_FORMAT}"
-            )
-        if not isinstance(manifest.get("protocol_fingerprint"), str):
-            raise FoldStoreError(f"store manifest at {root} names no protocol")
-        return manifest
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / self.FOLD_DIR).mkdir(exist_ok=True)
-        manifest = {
-            "format": FOLD_FORMAT,
-            "protocol_fingerprint": self.protocol_fingerprint,
+    def _manifest_fields(self) -> dict:
+        return {
             "variants": [variant.describe() for variant in self.variants],
             "programs": self.programs,
             "metadata": self.metadata,
         }
-        atomic_write_text(
-            self.root / self.MANIFEST_NAME,
-            json.dumps(manifest, indent=1),
-            site="fold.manifest",
-            fsync=True,
-        )
 
     # ----------------------------------------------------------------- grid
-    def fold_keys(
+    def unit_keys(
         self, variants: Sequence[str] | None = None
     ) -> Iterator[FoldKey]:
         """Fold coordinates, variant-major in declaration order.
@@ -280,59 +209,26 @@ class FoldStore:
             for program in self.programs:
                 yield FoldKey(variant.key, program)
 
-    @property
-    def n_folds(self) -> int:
-        return len(self.variants) * len(self.programs)
-
     # --------------------------------------------------------------- shards
     def _fold_path(self, key: FoldKey) -> Path:
-        return self.root / self.FOLD_DIR / f"{key.stem()}.json"
+        return self.root / self.UNIT_DIR / f"{key.stem()}.json"
 
-    def has_fold(self, key: FoldKey) -> bool:
-        if self.root is None:
-            return key in self._memory
-        if key in self._known_complete:
-            return True
-        # Any missing, unreadable, truncated, schema-malformed, or
-        # digest-broken shard is simply pending: the fold recomputes
-        # rather than the resume crashing on a half-written or foreign file.
-        try:
-            _, digest = _load_fold(self._fold_path(key), self.protocol_fingerprint)
-        except (OSError, FoldStoreError):
-            return False
-        self._known_complete.add(key)
-        self._known_digests[key] = digest
-        return True
+    def _probe(self, key: FoldKey) -> str:
+        """A fold is complete only once its full digest check passes."""
+        return _load_fold(self._fold_path(key), self.identity)[1]
 
-    def completed_keys(
-        self, variants: Sequence[str] | None = None
-    ) -> list[FoldKey]:
-        return [key for key in self.fold_keys(variants) if self.has_fold(key)]
-
-    def pending_keys(
-        self, variants: Sequence[str] | None = None
-    ) -> list[FoldKey]:
-        return [
-            key for key in self.fold_keys(variants) if not self.has_fold(key)
-        ]
-
-    def is_complete(self, variants: Sequence[str] | None = None) -> bool:
-        return not self.pending_keys(variants)
+    _digest = staticmethod(fold_fingerprint)
 
     def write_fold(self, record: FoldRecord) -> None:
         """Checkpoint one computed fold (atomic; never rewrites)."""
-        key = record.key
-        if key not in set(self.fold_keys()):
-            raise FoldStoreError(f"fold {key.stem()} not in this protocol grid")
-        if self.has_fold(key):
-            return  # append-only: first complete write wins
-        if self.root is None:
-            self._memory[key] = record
-            return
-        digest = fold_fingerprint(record)
+        if record.key not in self._grid:
+            raise FoldStoreError(f"fold {record.key.stem()} not in this protocol grid")
+        self._write(record.key, record)
+
+    def _save(self, key: FoldKey, record: FoldRecord, digest: str) -> None:
         shard = {
             "format": FOLD_FORMAT,
-            "protocol_fingerprint": self.protocol_fingerprint,
+            "protocol_fingerprint": self.identity,
             "fingerprint": digest,
             "record": record.payload(),
         }
@@ -343,95 +239,37 @@ class FoldStore:
             fsync=True,
             retries=DEFAULT_RETRY,
         )
-        self._known_complete.add(key)
-        self._known_digests[key] = digest
 
     def read_fold(self, key: FoldKey) -> FoldRecord:
         """Load one fold, verifying its content digest."""
-        if self.root is None:
-            try:
-                return self._memory[key]
-            except KeyError:
-                raise FoldStoreError(f"fold {key.stem()} not in store") from None
+        return self._read(key)
+
+    def _load(self, key: FoldKey) -> FoldRecord | None:
         try:
-            return _load_fold(self._fold_path(key), self.protocol_fingerprint)[0]
+            return _load_fold(self._fold_path(key), self.identity)[0]
         except FileNotFoundError:
-            raise FoldStoreError(f"fold {key.stem()} not in store") from None
-
-    def fingerprint(self, variants: Sequence[str] | None = None) -> str:
-        """Content digest over every (requested) fold, in grid order.
-
-        Per-fold digests come from the verification cache the has_fold
-        scan already filled (folds are immutable once written), so this
-        never re-reads shard files.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.protocol_fingerprint.encode())
-        for key in self.fold_keys(variants):
-            if not self.has_fold(key):
-                raise FoldStoreError(
-                    f"cannot fingerprint: fold {key.stem()} missing"
-                )
-            fold_digest = self._known_digests.get(key)
-            if fold_digest is None:  # memory store, or a pre-warmed cache
-                fold_digest = fold_fingerprint(self.read_fold(key))
-                self._known_digests[key] = fold_digest
-            digest.update(fold_digest.encode())
-        return digest.hexdigest()[:16]
+            return None
 
     # ---------------------------------------------------------------- scrub
     @classmethod
-    def scrub(cls, root: Path, repair: bool, ttl: float | None = None) -> list[Finding]:
-        """Classify every artifact under a fold-store root with the
-        reader's checks; read-only unless ``repair`` (quarantine damaged
-        folds, delete temp files).  A manifest that does not verify pins
-        no protocol, so the folds are then judged on their own digests.
-        """
-        from repro.cluster.status import scrub_cluster
-
-        scrub = Scrub(root, f"fold-store {root.name}", repair)
-        fingerprint = None
+    def _scrub_unit(
+        cls, scrub: Scrub, stem: str, paths: dict[str, Path], identity, manifest
+    ) -> None:
+        path = paths[".json"]
         try:
-            manifest = cls._read_manifest(root)
-            if manifest is None:
-                raise FoldStoreError(f"no fold-store manifest at {root}")
-            fingerprint = manifest["protocol_fingerprint"]
+            _load_fold(path, identity)
         except FoldStoreError as error:
-            scrub.damage(root / cls.MANIFEST_NAME, "manifest", error, "quarantine")
+            scrub.damage(path, "fold", error, "quarantine")
         else:
-            scrub.note(root / cls.MANIFEST_NAME, "manifest")
-        fold_dir = root / cls.FOLD_DIR
-        for path in sorted(fold_dir.iterdir()) if fold_dir.is_dir() else ():
-            if path.name.endswith(".tmp"):
-                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
-            elif path.suffix == ".json":
-                try:
-                    _load_fold(path, fingerprint)
-                except FoldStoreError as error:
-                    scrub.damage(path, "fold", error, "quarantine")
-                else:
-                    scrub.note(path, "fold")
-        scrub_cluster(scrub, root, fingerprint, ttl)
-        return scrub.findings
+            scrub.note(path, "fold")
 
     # --------------------------------------------------------------- status
-    def status(self) -> FoldStoreStatus:
-        per_variant: dict[str, tuple[int, int]] = {}
-        completed = 0
-        for variant in self.variants:
-            done = sum(
-                1
-                for program in self.programs
-                if self.has_fold(FoldKey(variant.key, program))
-            )
-            per_variant[variant.key] = (done, len(self.programs))
-            completed += done
-        return FoldStoreStatus(
-            root=str(self.root) if self.root is not None else "<memory>",
-            protocol_fingerprint=self.protocol_fingerprint,
-            total_folds=self.n_folds,
-            completed_folds=completed,
-            per_variant=per_variant,
+    def status(self) -> StoreStatus:
+        return self._status(
+            {
+                variant.key: [FoldKey(variant.key, program) for program in self.programs]
+                for variant in self.variants
+            },
+            title="protocol store",
+            finished="protocol complete — ready to render",
         )
-
-

@@ -354,7 +354,7 @@ def assemble_protocol(
     return ProtocolResult(
         variants=wanted,
         results=results,
-        protocol_fingerprint=store.protocol_fingerprint,
+        protocol_fingerprint=store.identity,
         fold_fingerprint=store.fingerprint(
             [variant.key for variant in wanted]
         ),

@@ -18,6 +18,7 @@ The in-process memoisation is guarded by a lock, so concurrent sessions
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from dataclasses import dataclass
@@ -131,7 +132,9 @@ def store_status(
     """
     root = store_root(scale, cache_directory)
     if not root.exists():
-        return StoreStatus.pending_for(grid_for_scale(scale), root=str(root))
+        # A memory store over the grid: every shard pending, no directory.
+        status = ExperimentStore(grid_for_scale(scale), root=None).status()
+        return dataclasses.replace(status, root=str(root))
     return experiment_store(scale, cache_directory).status()
 
 

@@ -90,14 +90,15 @@ def _scrub_store(root: Path, repair: bool, ttl: float | None) -> list[Finding]:
         manifest = read_json_object(root / "manifest.json")
     except (OSError, ArtifactError):
         manifest = {}
-    if "grid_fingerprint" in manifest:
-        return ExperimentStore.scrub(root, repair, ttl)
-    if "protocol_fingerprint" in manifest:
-        return FoldStore.scrub(root, repair, ttl)
-    if (root / ExperimentStore.SHARD_DIR).is_dir():
-        return ExperimentStore.scrub(root, repair, ttl)
-    if (root / FoldStore.FOLD_DIR).is_dir():
-        return FoldStore.scrub(root, repair, ttl)
+    # A checkpoint store is known by the identity its manifest pins, else
+    # (manifest lost) by its unit directory.
+    checkpoint_stores = (ExperimentStore, FoldStore)
+    for store in checkpoint_stores:
+        if store.PIN in manifest:
+            return store.scrub(root, repair, ttl)
+    for store in checkpoint_stores:
+        if (root / store.UNIT_DIR).is_dir():
+            return store.scrub(root, repair, ttl)
     if (root / ModelRegistry.MODEL_DIR).is_dir() or (root / ModelRegistry.PROMOTED_NAME).exists():
         return ModelRegistry.scrub(root, repair)
     if any(path.is_dir() and path.name.startswith("job-") for path in root.iterdir()):

@@ -16,6 +16,7 @@ assembled :class:`~repro.core.training.TrainingSet` is bit-identical, with
 the same content fingerprint.
 """
 
+from repro.store.checkpoint import StoreStatus
 from repro.store.compute import ShardArrays, compute_shard, compute_shard_task
 from repro.store.runner import ExperimentRunner
 from repro.store.store import (
@@ -25,7 +26,6 @@ from repro.store.store import (
     GridSpec,
     ShardKey,
     StoreError,
-    StoreStatus,
     shard_fingerprint,
 )
 

@@ -14,12 +14,17 @@ On-disk layout under the store root::
             ...                   # + sidecar with the content digest
 
 Shards are written atomically (temp file + rename, array file before
-sidecar), so a killed run leaves either a complete, verifiable shard or
-nothing — restarting simply skips every shard whose sidecar digest
-checks out and recomputes the rest.  Because each shard is a pure
-function of the manifest grid, a resumed store assembles to a
-:class:`~repro.core.training.TrainingSet` bit-identical to a single-shot
-build, whatever the executor or interruption pattern.
+sidecar), so a killed run leaves either a complete shard or nothing — a
+shard is complete once its sidecar fits its chunk and records a digest
+and its array file is non-empty, and restarting recomputes the rest.
+Because each shard is a pure function of the manifest grid, a resumed
+store assembles to a :class:`~repro.core.training.TrainingSet`
+bit-identical to a single-shot build, whatever the executor or
+interruption pattern.  The checkpoint protocol itself (manifest,
+stale temp-file sweep, append-only write, verified read, fingerprint,
+scrub, progress counts) is the shared
+:class:`~repro.store.checkpoint.CheckpointStore`; this module adds the
+grid, its keys and the shard codec.
 
 With ``root=None`` the store keeps shards in memory — same API, no disk —
 which is how cache-less builds and tests run.
@@ -33,7 +38,6 @@ import hashlib
 import io
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -43,7 +47,6 @@ import numpy as np
 from repro.ioutil import (
     DEFAULT_RETRY,
     ArtifactError,
-    Finding,
     Scrub,
     atomic_write_bytes,
     atomic_write_text,
@@ -55,14 +58,11 @@ from repro.compiler.flags import FlagSetting
 from repro.core.training import TrainingSet
 from repro.machine.params import MicroArch
 from repro.sim.counters import COUNTER_NAMES
+from repro.store.checkpoint import CheckpointStore, StoreStatus
 from repro.store.compute import ShardArrays
 
 #: Manifest/sidecar schema version; bump on incompatible layout changes.
 STORE_FORMAT = 1
-
-#: Temp files older than this are orphans of killed writers and get
-#: swept on store open; live writers finish a shard in well under this.
-STALE_TMP_SECONDS = 3600.0
 
 #: Default machines per shard.  Larger chunks amortise compilation over
 #: more simulations (compile-once/simulate-many) but checkpoint less
@@ -186,86 +186,15 @@ class GridSpec:
         }
 
 
-@dataclass
-class StoreStatus:
-    """A progress snapshot of one store, for the CLI ``status`` command."""
-
-    root: str
-    grid_fingerprint: str
-    n_programs: int
-    n_machines: int
-    n_settings: int
-    chunk_machines: int
-    total_shards: int
-    completed_shards: int
-    bytes_on_disk: int
-    per_program: dict[str, tuple[int, int]]  # name -> (done, total)
-
-    @classmethod
-    def pending_for(cls, grid: "GridSpec", root: str) -> "StoreStatus":
-        """The status of a store that does not exist yet: all pending.
-
-        Lets callers report on a never-built grid without creating the
-        store directory as a side effect.
-        """
-        return cls(
-            root=root,
-            grid_fingerprint=grid.fingerprint(),
-            n_programs=grid.n_programs,
-            n_machines=grid.n_machines,
-            n_settings=grid.n_settings,
-            chunk_machines=grid.chunk_machines,
-            total_shards=grid.n_shards,
-            completed_shards=0,
-            bytes_on_disk=0,
-            per_program={name: (0, grid.n_chunks) for name in grid.program_names},
-        )
-
-    @property
-    def complete(self) -> bool:
-        return self.completed_shards == self.total_shards
-
-    @property
-    def fraction(self) -> float:
-        # An empty grid (defensive: GridSpec forbids it, but a hand-rolled
-        # status may not) counts as complete rather than dividing by zero.
-        if self.total_shards == 0:
-            return 1.0
-        return self.completed_shards / self.total_shards
-
-    def render(self) -> str:
-        lines = [
-            f"experiment store {self.root}",
-            f"  grid: {self.n_programs} programs x {self.n_machines} machines "
-            f"x {self.n_settings} settings "
-            f"(chunk {self.chunk_machines}, fingerprint {self.grid_fingerprint})",
-        ]
-        if self.completed_shards == 0:
-            # "0/N complete (0%)" reads like a half-broken build; say
-            # what actually happened — the grid is pinned, nothing ran.
-            lines.append(
-                f"  shards: grid pinned, no shards built "
-                f"(0/{self.total_shards})"
-            )
-        else:
-            lines.append(
-                f"  shards: {self.completed_shards}/{self.total_shards} "
-                f"complete ({self.fraction:.0%}), "
-                f"{self.bytes_on_disk / 1024:.0f} KiB on disk"
-            )
-        pending = [
-            f"{name} {done}/{total}"
-            for name, (done, total) in self.per_program.items()
-            if done < total
-        ]
-        if pending:
-            lines.append(f"  pending: {', '.join(pending)}")
-        else:
-            lines.append("  dataset complete — ready to assemble")
-        return "\n".join(lines)
+def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:
+    """Content digest of one shard's arrays (order-sensitive, bit-exact)."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return digest.hexdigest()[:16]
 
 
-class ExperimentStore:
+class ExperimentStore(CheckpointStore):
     """Sharded on-disk (or in-memory) results for one experiment grid.
 
     Completed shards are never rewritten; an interrupted run resumes by
@@ -275,49 +204,36 @@ class ExperimentStore:
     bytes, so the race is benign.
     """
 
-    MANIFEST_NAME = "manifest.json"
-    SHARD_DIR = "shards"
+    NAME = "experiment store"
+    kind = "shard"
+    UNIT_DIR = "shards"
+    SUFFIXES = (".npz", ".json")
+    IDENTITY = "grid"
+    PIN = "grid_fingerprint"
+    FORMAT = STORE_FORMAT
+    MANIFEST_SITE = "store.manifest"
+    Error = StoreError
 
     def __init__(self, grid: GridSpec, root: str | Path | None = None):
-        self.root = Path(root) if root is not None else None
-        self._memory: dict[ShardKey, ShardArrays] = {}
-        #: Shards this instance has confirmed complete.  Completion is
-        #: monotonic (shards are never deleted), so a positive answer can
-        #: be cached forever, sparing repeated sidecar reads during the
-        #: pending/status/write scans of a long run.
-        self._known_complete: set[ShardKey] = set()
-        if self.root is not None:
-            manifest = self._read_manifest(self.root)
-            if manifest is None:
-                self.grid = grid
-                self._write_manifest()
-            else:
-                if manifest.get("grid_fingerprint") != grid.fingerprint():
-                    raise StoreError(
-                        f"store at {self.root} holds a different grid "
-                        f"({manifest.get('grid_fingerprint')} != {grid.fingerprint()})"
-                    )
-                # Adopt the manifest's chunking: shard boundaries were
-                # fixed when the store was created.
-                self.grid = dataclasses.replace(
-                    grid, chunk_machines=int(manifest["chunk_machines"])
-                )
-            self._sweep_stale_tmp()
-        else:
-            self.grid = grid
+        self.grid = grid
+        manifest = self._open(grid.fingerprint(), root)
+        if manifest is not None:
+            # Adopt the manifest's chunking: shard boundaries were fixed
+            # when the store was created.
+            self.grid = dataclasses.replace(
+                grid, chunk_machines=int(manifest["chunk_machines"])
+            )
 
     # ------------------------------------------------------------- manifest
     @classmethod
     def open(cls, root: str | Path) -> "ExperimentStore":
         """Open an existing store from its manifest alone."""
-        return cls(cls._pinned_grid(Path(root)), root)
+        return cls(cls._pinned(Path(root))[1], root)
 
     @classmethod
-    def _pinned_grid(cls, root: Path) -> GridSpec:
+    def _pinned(cls, root: Path) -> tuple[str, GridSpec]:
         """The grid the manifest pins, checked against its own fingerprint."""
-        manifest = cls._read_manifest(root)
-        if manifest is None:
-            raise StoreError(f"no store manifest at {root / cls.MANIFEST_NAME}")
+        identity, manifest = super()._pinned(root)
         try:
             grid = GridSpec(
                 program_names=tuple(manifest["program_names"]),
@@ -334,29 +250,12 @@ class ExperimentStore:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise StoreError(f"store manifest at {root} is malformed ({error!r})") from error
-        if grid.fingerprint() != manifest.get("grid_fingerprint"):
+        if grid.fingerprint() != identity:
             raise StoreError(f"store manifest at {root} does not match its own grid")
-        return grid
+        return identity, grid
 
-    @classmethod
-    def _read_manifest(cls, root: Path) -> dict | None:
-        try:
-            manifest = read_json_object(root / cls.MANIFEST_NAME, StoreError)
-        except FileNotFoundError:
-            return None
-        if manifest.get("format") != STORE_FORMAT:
-            raise StoreError(
-                f"store at {root} uses format "
-                f"{manifest.get('format')!r}, expected {STORE_FORMAT}"
-            )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / self.SHARD_DIR).mkdir(exist_ok=True)
-        manifest = {
-            "format": STORE_FORMAT,
-            "grid_fingerprint": self.grid.fingerprint(),
+    def _manifest_fields(self) -> dict:
+        return {
             "program_names": list(self.grid.program_names),
             "machines": [
                 dataclasses.asdict(machine) for machine in self.grid.machines
@@ -368,90 +267,48 @@ class ExperimentStore:
             "chunk_machines": self.grid.chunk_machines,
             "metadata": self.grid.metadata,
         }
-        atomic_write_text(
-            self.root / self.MANIFEST_NAME,
-            json.dumps(manifest, indent=1),
-            site="store.manifest",
-            fsync=True,
-        )
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files orphaned by killed writers.
-
-        Only files past :data:`STALE_TMP_SECONDS` go — a concurrent
-        writer's live temp file must not be yanked mid-write.
-        """
-        shard_dir = self.root / self.SHARD_DIR
-        if not shard_dir.exists():
-            return
-        cutoff = time.time() - STALE_TMP_SECONDS
-        for path in shard_dir.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                pass  # already gone, or not ours to remove
 
     # --------------------------------------------------------------- shards
+    def unit_keys(self, selection=None) -> Iterator[ShardKey]:
+        return self.grid.shard_keys()
+
     def _shard_paths(self, key: ShardKey) -> tuple[Path, Path]:
-        base = self.root / self.SHARD_DIR / key.stem()
+        base = self.root / self.UNIT_DIR / key.stem()
         return base.with_suffix(".npz"), base.with_suffix(".json")
 
-    def has_shard(self, key: ShardKey) -> bool:
-        if self.root is None:
-            return key in self._memory
-        if key in self._known_complete:
-            return True
+    def _probe(self, key: ShardKey) -> str:
+        """A shard is complete when its sidecar parses, fits ``key``'s
+        chunk and records a digest, and its array file is non-empty."""
         npz_path, sidecar_path = self._shard_paths(key)
-        try:
-            # A zero-byte array file is the torn tail an out-of-space or
-            # killed writer leaves behind; treat it — like an unreadable
-            # sidecar or one that fits no chunk of this grid — as pending
-            # so resume recomputes the shard instead of tripping over it
-            # at read time.
-            if npz_path.stat().st_size == 0:
-                return False
-            sidecar = read_json_object(sidecar_path, StoreError)
-            _check_sidecar(sidecar, self.grid, key, npz_path, sidecar_path)
-        except (OSError, StoreError):
-            return False
-        self._known_complete.add(key)
-        return True
+        # A zero-byte array file is the torn tail an out-of-space or
+        # killed writer leaves behind.
+        if npz_path.stat().st_size == 0:
+            raise StoreError(f"shard {key.stem()} is torn", "torn-tail", npz_path)
+        sidecar = read_json_object(sidecar_path, StoreError)
+        _check_sidecar(sidecar, self.grid, key, npz_path, sidecar_path)
+        digest = sidecar.get("fingerprint")
+        if not isinstance(digest, str):
+            raise StoreError(f"shard {key.stem()} records no digest", path=sidecar_path)
+        return digest
 
-    def completed_keys(self) -> list[ShardKey]:
-        return [key for key in self.grid.shard_keys() if self.has_shard(key)]
-
-    def pending_keys(self) -> list[ShardKey]:
-        return [key for key in self.grid.shard_keys() if not self.has_shard(key)]
-
-    def is_complete(self) -> bool:
-        return not self.pending_keys()
+    _digest = staticmethod(shard_fingerprint)
 
     def write_shard(self, key: ShardKey, arrays: ShardArrays) -> None:
         """Checkpoint one computed shard (atomic; never rewrites)."""
-        # Copies, not views: ascontiguousarray would pass a caller's
-        # already-contiguous array (or slice) through unchanged, and an
-        # in-memory store holding views could be mutated from outside,
-        # silently changing its digests.
-        arrays = tuple(
-            np.array(array, dtype=float, order="C", copy=True)
-            for array in arrays
-        )
+        # Frozen copies, not views: an in-memory store holding a caller's
+        # arrays, or handing out writable ones, could be mutated from
+        # outside, silently changing its digests.
+        arrays = tuple(_frozen_copy(array) for array in arrays)
         by_name = dict(zip(_SHARD_ARRAY_NAMES, arrays))
         for name, shape in self.grid.shard_shapes(key).items():
             if by_name[name].shape != shape:
                 raise ValueError(
                     f"{key.stem()}: {name} shape {by_name[name].shape} != {shape}"
                 )
-        if self.has_shard(key):
-            return  # append-only: first complete write wins
-        if self.root is None:
-            # Freeze the stored copies so a reader holding the returned
-            # arrays cannot mutate the store from outside.
-            for array in arrays:
-                array.setflags(write=False)
-            self._memory[key] = arrays
-            return
+        self._write(key, arrays)
+
+    def _save(self, key: ShardKey, arrays: ShardArrays, digest: str) -> None:
+        """The array file, then the sidecar that completes the unit."""
         npz_path, sidecar_path = self._shard_paths(key)
         buffer = io.BytesIO()
         np.savez(buffer, **dict(zip(_SHARD_ARRAY_NAMES, arrays)))
@@ -469,8 +326,8 @@ class ExperimentStore:
             "chunk": key.chunk,
             "machine_start": start,
             "machine_stop": stop,
-            "grid_fingerprint": self.grid.fingerprint(),
-            "fingerprint": shard_fingerprint(arrays),
+            "grid_fingerprint": self.identity,
+            "fingerprint": digest,
         }
         atomic_write_text(
             sidecar_path,
@@ -479,25 +336,15 @@ class ExperimentStore:
             fsync=True,
             retries=DEFAULT_RETRY,
         )
-        self._known_complete.add(key)
 
     def read_shard(self, key: ShardKey, verify: bool = True) -> ShardArrays:
         """Load one shard, verifying its content digest by default."""
-        if self.root is None:
-            try:
-                return self._memory[key]
-            except KeyError:
-                raise StoreError(f"shard {key.stem()} not in store") from None
-        if not self.has_shard(key):
-            raise StoreError(f"shard {key.stem()} not in store")
-        return _load_shard(*self._shard_paths(key), self.grid, key, verify=verify)
+        return self._read(key, verify)
 
-    def shard_digest(self, key: ShardKey) -> str:
-        """The recorded (disk) or computed (memory) content digest."""
-        if self.root is None:
-            return shard_fingerprint(self._memory[key])
-        _, sidecar_path = self._shard_paths(key)
-        return json.loads(sidecar_path.read_text())["fingerprint"]
+    def _load(self, key: ShardKey, verify: bool) -> ShardArrays | None:
+        if not self.has(key):
+            return None
+        return _load_shard(*self._shard_paths(key), self.grid, key, verify=verify)
 
     # ------------------------------------------------------------- assembly
     def assemble(self) -> TrainingSet:
@@ -578,111 +425,61 @@ class ExperimentStore:
             written += 1
         return written
 
-    def fingerprint(self) -> str:
-        """Content digest of the complete store.
-
-        Covers the grid identity plus every shard's content digest in
-        grid order — equal between any two stores holding the same
-        results, however they were computed.
-        """
-        digest = hashlib.sha256()
-        digest.update(self.grid.fingerprint().encode())
-        for key in self.grid.shard_keys():
-            if not self.has_shard(key):
-                raise StoreError(f"cannot fingerprint: {key.stem()} missing")
-            digest.update(self.shard_digest(key).encode())
-        return digest.hexdigest()[:16]
-
     # ---------------------------------------------------------------- scrub
     @classmethod
-    def scrub(cls, root: Path, repair: bool, ttl: float | None = None) -> list[Finding]:
-        """Classify every artifact under a store root with the reader's
-        checks.  Read-only unless ``repair``: quarantine damaged shard
-        units whole (arrays and sidecar together), delete temp files.  A
-        manifest that does not verify pins no grid, so shards are then
-        judged on their own digests."""
-        from repro.cluster.status import scrub_cluster
-
-        scrub = Scrub(root, f"experiment-store {root.name}", repair)
-        grid = None
-        try:
-            grid = cls._pinned_grid(root)
-        except StoreError as error:
-            scrub.damage(root / cls.MANIFEST_NAME, "manifest", error, "quarantine")
+    def _scrub_unit(
+        cls, scrub: Scrub, stem: str, paths: dict[str, Path], identity, grid
+    ) -> None:
+        """Judge one shard unit whole: arrays and sidecar share a fate."""
+        npz_path, sidecar_path = paths.get(".npz"), paths.get(".json")
+        if npz_path is None:
+            scrub.note(
+                sidecar_path, "sidecar", "orphaned", "sidecar without its arrays", "quarantine"
+            )
+        elif sidecar_path is None:
+            scrub.note(
+                npz_path, "shard", "orphaned", "array file without its sidecar", "quarantine"
+            )
         else:
-            scrub.note(root / cls.MANIFEST_NAME, "manifest")
-        shard_dir = root / cls.SHARD_DIR
-        units: dict[str, dict[str, Path]] = {}
-        for path in sorted(shard_dir.iterdir()) if shard_dir.is_dir() else ():
-            if path.name.endswith(".tmp"):
-                scrub.note(path, "tmp", "orphaned", "temp file from a killed writer", "delete")
-            elif path.suffix in (".npz", ".json"):
-                units.setdefault(path.stem, {})[path.suffix] = path
-        for stem in sorted(units):
-            npz_path, sidecar_path = units[stem].get(".npz"), units[stem].get(".json")
-            if npz_path is None:
-                scrub.note(
-                    sidecar_path, "sidecar", "orphaned", "sidecar without its arrays", "quarantine"
-                )
-            elif sidecar_path is None:
-                scrub.note(
-                    npz_path, "shard", "orphaned", "array file without its sidecar", "quarantine"
+            try:
+                key = None if grid is None else _shard_key(stem, grid)
+                _load_shard(npz_path, sidecar_path, grid, key)
+            except StoreError as error:
+                on_sidecar = error.path == sidecar_path
+                scrub.damage(
+                    npz_path, "sidecar" if on_sidecar else "shard", error, "quarantine",
+                    also=(npz_path if on_sidecar else sidecar_path,),
                 )
             else:
-                try:
-                    key = None if grid is None else _shard_key(stem, grid)
-                    _load_shard(npz_path, sidecar_path, grid, key)
-                except StoreError as error:
-                    on_sidecar = error.path == sidecar_path
-                    scrub.damage(
-                        npz_path, "sidecar" if on_sidecar else "shard", error, "quarantine",
-                        also=(npz_path if on_sidecar else sidecar_path,),
-                    )
-                else:
-                    scrub.note(npz_path, "shard")
-        scrub_cluster(scrub, root, None if grid is None else grid.fingerprint(), ttl)
-        return scrub.findings
+                scrub.note(npz_path, "shard")
 
     # --------------------------------------------------------------- status
     def status(self) -> StoreStatus:
         grid = self.grid
-        per_program: dict[str, tuple[int, int]] = {}
-        completed = 0
-        for p, name in enumerate(grid.program_names):
-            done = sum(
-                1
-                for chunk in range(grid.n_chunks)
-                if self.has_shard(ShardKey(p, chunk))
-            )
-            per_program[name] = (done, grid.n_chunks)
-            completed += done
-        bytes_on_disk = 0
-        if self.root is not None and (self.root / self.SHARD_DIR).exists():
-            bytes_on_disk = sum(
-                path.stat().st_size
-                for path in (self.root / self.SHARD_DIR).iterdir()
-                if path.suffix != ".tmp"
-            )
-        return StoreStatus(
-            root=str(self.root) if self.root is not None else "<memory>",
-            grid_fingerprint=grid.fingerprint(),
-            n_programs=grid.n_programs,
-            n_machines=grid.n_machines,
-            n_settings=grid.n_settings,
-            chunk_machines=grid.chunk_machines,
-            total_shards=grid.n_shards,
-            completed_shards=completed,
+        unit_files = (self.root / self.UNIT_DIR).glob("*") if self.root is not None else ()
+        bytes_on_disk = sum(
+            path.stat().st_size for path in unit_files if path.suffix != ".tmp"
+        )
+        return self._status(
+            {
+                name: [ShardKey(p, chunk) for chunk in range(grid.n_chunks)]
+                for p, name in enumerate(grid.program_names)
+            },
+            title="experiment store",
+            finished="dataset complete — ready to assemble",
+            grid=(
+                f"{grid.n_programs} programs x {grid.n_machines} machines "
+                f"x {grid.n_settings} settings "
+                f"(chunk {grid.chunk_machines}, fingerprint {self.identity})"
+            ),
             bytes_on_disk=bytes_on_disk,
-            per_program=per_program,
         )
 
 
-def shard_fingerprint(arrays: Sequence[np.ndarray]) -> str:
-    """Content digest of one shard's arrays (order-sensitive, bit-exact)."""
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
-    return digest.hexdigest()[:16]
+def _frozen_copy(array) -> np.ndarray:
+    array = np.array(array, dtype=float, order="C", copy=True)
+    array.setflags(write=False)
+    return array
 
 
 def _shard_key(stem: str, grid: GridSpec) -> ShardKey:
@@ -705,7 +502,7 @@ def _check_sidecar(
     """Raise :class:`StoreError` unless ``sidecar`` records a unit of
     ``grid`` covering exactly ``key``'s chunk.  The chunking is outside
     the grid fingerprint, so an edited ``chunk_machines`` leaves old
-    shards that fit no chunk: :meth:`ExperimentStore.has_shard` counts
+    shards that fit no chunk: :meth:`ExperimentStore.has` counts
     them as pending, reads and scrub as corrupt."""
     if sidecar.get("grid_fingerprint") != grid.fingerprint():
         raise StoreError(

@@ -350,7 +350,7 @@ class TestProtocolBackedExperiments:
         ) == 0
         store = Session("tiny", cache_dir=cache).protocol.store()
         missing = len(store.pending_keys())
-        assert 0 < missing < store.n_folds
+        assert 0 < missing < store.total_units()
         capsys.readouterr()
         assert cli.main(
             ["report", "--scale", "tiny", "--quiet", "--cache-dir", cache,

@@ -195,7 +195,7 @@ class _FakeQueue:
     kind = "fake"
 
     def __init__(self, tmp_path, units):
-        self.fingerprint = "fake-fp"
+        self.identity = "fake-fp"
         self.cluster_root = tmp_path / "cluster"
         self.done = {unit: False for unit in units}
         self.executed = []
@@ -445,7 +445,7 @@ class TestClusterDrain:
         runner = ExperimentRunner(store, programs=smoke_programs)
         queue = ShardQueue(runner)
         table = LeaseTable(
-            queue.cluster_root / "leases", queue.fingerprint, ttl=0.2
+            queue.cluster_root / "leases", queue.identity, ttl=0.2
         )
         victim_unit = queue.pending_units()[0]
         assert table.try_claim(victim_unit, "killed-9")  # then it dies
@@ -556,7 +556,7 @@ class TestFoldCluster:
         assert clustered.store.pending_keys(only) == []
         assert clustered.store.fingerprint(only) == reference
         total = sum(r["computed"] for r in reports)
-        assert total == len(list(clustered.store.fold_keys(only)))
+        assert total == len(list(clustered.store.unit_keys(only)))
 
     def test_pipeline_cluster_executor_matches_serial(
         self, tiny_data, tmp_path
@@ -568,7 +568,7 @@ class TestFoldCluster:
             tiny_data, tmp_path / "cluster", executor="cluster"
         )
         stats = clustered.run(variants=only)
-        assert stats.folds_computed == len(list(serial.store.fold_keys(only)))
+        assert stats.folds_computed == len(list(serial.store.unit_keys(only)))
         assert clustered.store.fingerprint(only) == (
             serial.store.fingerprint(only)
         )

@@ -128,7 +128,7 @@ class TestCounts:
         pipeline = _pipeline(tiny_data, executor="serial")
         stats = pipeline.run(variants=VARIANTS)
         assert stats.folds_computed == len(
-            list(pipeline.store.fold_keys(VARIANTS))
+            list(pipeline.store.unit_keys(VARIANTS))
         )
         assert stats.simulation_calls > 0 and stats.store_hits > 0
         assert stats.simulation_calls == pipeline.oracle.simulation_calls

@@ -88,18 +88,10 @@ class TestFoldStore:
         store = _store(tiny_data, root=tmp_path / "proto")
         record = _record()
         store.write_fold(record)
-        assert store.has_fold(record.key)
+        assert store.has(record.key)
         loaded = store.read_fold(record.key)
         assert loaded == record
         assert fold_fingerprint(loaded) == fold_fingerprint(record)
-
-    def test_append_only_first_write_wins(self, tiny_data, tmp_path):
-        store = _store(tiny_data, root=tmp_path / "proto")
-        first = _record(runtime=1.5)
-        second = _record(runtime=9.9)
-        store.write_fold(first)
-        store.write_fold(second)  # silently ignored
-        assert store.read_fold(first.key).rows[0].predicted_runtime == 1.5
 
     def test_corrupt_shard_is_treated_as_pending(self, tiny_data, tmp_path):
         store = _store(tiny_data, root=tmp_path / "proto")
@@ -110,7 +102,7 @@ class TestFoldStore:
         shard["record"]["rows"][0]["predicted_runtime"] = 123.0
         path.write_text(json.dumps(shard))
         fresh = _store(tiny_data, root=tmp_path / "proto")
-        assert not fresh.has_fold(record.key)
+        assert not fresh.has(record.key)
         assert record.key in fresh.pending_keys()
         with pytest.raises(FoldStoreError, match="not in store|corrupt"):
             fresh.read_fold(record.key)
@@ -127,12 +119,12 @@ class TestFoldStore:
         for malformed in (
             '{"not": "a shard"}',
             '{"protocol_fingerprint": "%s", "record": {"variant": "base"}}'
-            % store.protocol_fingerprint,
+            % store.identity,
             "[]",
         ):
             path.write_text(malformed)
             fresh = _store(tiny_data, root=tmp_path / "proto")
-            assert not fresh.has_fold(record.key)
+            assert not fresh.has(record.key)
             assert record.key in fresh.pending_keys()
 
     def test_malformed_record_reads_as_fold_store_error(self, tiny_data, tmp_path):
@@ -169,13 +161,13 @@ class TestFoldStore:
 
     def test_fold_keys_subset_and_status(self, tiny_data):
         store = _store(tiny_data)
-        base_keys = list(store.fold_keys(["base"]))
+        base_keys = list(store.unit_keys(["base"]))
         assert [key.variant for key in base_keys] == ["base"] * len(
             store.programs
         )
         status = store.status()
-        assert status.total_folds == store.n_folds
-        assert status.completed_folds == 0
+        assert status.total_units == store.total_units()
+        assert status.completed_units == 0
         assert not status.complete
         assert "pending" in status.render()
 
@@ -479,7 +471,7 @@ class TestRunProtocolSession:
         assert not outcome.complete
         assert outcome.report is None
         assert outcome.stats.folds_computed == 2
-        assert outcome.status.completed_folds == 2
+        assert outcome.status.completed_units == 2
 
     def test_only_subset_runs_no_extra_folds(self, tiny_data):
         session = Session("tiny", use_disk_cache=False)

@@ -310,7 +310,7 @@ class TestStoreTolerance:
 
         variants = protocol_variants()[:1]
         store = FoldStore("feedbeef", variants, ["crc"], root=tmp_path / "folds")
-        key = next(iter(store.fold_keys()))
+        key = next(iter(store.unit_keys()))
         path = store._fold_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"torn')
@@ -331,9 +331,7 @@ class TestStatusOnCorruptClusterFiles:
     """Satellite: ``status`` renders damage instead of tracebacking."""
 
     def _cluster_root(self, store) -> Path:
-        from repro.cluster.queue import CLUSTER_DIR
-
-        return Path(store.root) / CLUSTER_DIR
+        return store.cluster_root
 
     def test_zero_byte_lease_renders_as_corrupt(self, built_store):
         lease_root = self._cluster_root(built_store) / LeaseTable.LEASE_SUBDIR

@@ -99,7 +99,7 @@ def _store_ok(root: Path) -> bool:
 def _folds_ok(root: Path) -> bool:
     try:
         store = FoldStore(PROTOCOL, VARIANTS, list(SMOKE.programs), root=root)
-        for key in store.fold_keys():
+        for key in store.unit_keys():
             store.read_fold(key)
     except FoldStoreError:
         return False

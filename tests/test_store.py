@@ -130,11 +130,11 @@ class TestExperimentStore:
             smoke_programs[0], smoke_grid.chunk_of(key), smoke_grid.settings
         )
         store.write_shard(key, arrays)
-        assert store.has_shard(key)
+        assert store.has(key)
         back = store.read_shard(key)
         for written, read in zip(arrays, back):
             assert np.array_equal(written, read)
-        assert store.shard_digest(key) == shard_fingerprint(arrays)
+        assert store.digest(key) == shard_fingerprint(arrays)
 
     def test_corrupt_shard_detected(self, tmp_path, smoke_grid, smoke_programs):
         store = ExperimentStore(smoke_grid, root=tmp_path / "store")
@@ -156,22 +156,7 @@ class TestExperimentStore:
         )
         with pytest.raises(StoreError, match="corrupt"):
             store.read_shard(key)
-        assert not store.has_shard(other)
-
-    def test_append_only_first_write_wins(
-        self, tmp_path, smoke_grid, smoke_programs
-    ):
-        store = ExperimentStore(smoke_grid, root=tmp_path / "store")
-        key = ShardKey(1, 0)
-        arrays = compute_shard(
-            smoke_programs[1], smoke_grid.chunk_of(key), smoke_grid.settings
-        )
-        store.write_shard(key, arrays)
-        digest = store.shard_digest(key)
-        doctored = tuple(array * 2.0 for array in arrays)
-        store.write_shard(key, doctored)  # silently ignored
-        assert store.shard_digest(key) == digest
-        assert np.array_equal(store.read_shard(key)[0], arrays[0])
+        assert not store.has(other)
 
     def test_shape_validation(self, tmp_path, smoke_grid):
         store = ExperimentStore(smoke_grid, root=tmp_path / "store")
@@ -231,11 +216,11 @@ class TestExperimentStore:
             ),
         )
         status = store.status()
-        assert status.total_shards == 4
-        assert status.completed_shards == 1
+        assert status.total_units == 4
+        assert status.completed_units == 1
         assert not status.complete
-        assert status.per_program["crc"] == (1, 2)
-        assert status.per_program["search"] == (0, 2)
+        assert status.per_group["crc"] == (1, 2)
+        assert status.per_group["search"] == (0, 2)
         assert "1/4" in status.render()
 
     def test_status_of_pinned_but_unbuilt_store(self, tmp_path, smoke_grid):
@@ -244,29 +229,13 @@ class TestExperimentStore:
         never divide by zero."""
         store = ExperimentStore(smoke_grid, root=tmp_path / "store")
         status = store.status()
-        assert status.total_shards == 4
-        assert status.completed_shards == 0
+        assert status.total_units == 4
+        assert status.completed_units == 0
         assert status.fraction == 0.0
         rendered = status.render()
         assert "grid pinned, no shards built (0/4)" in rendered
         assert "0/0" not in rendered
         assert "%" not in rendered.split("shards:")[1].splitlines()[0]
-
-    def test_memory_store_isolated_from_caller_arrays(
-        self, smoke_grid, smoke_programs
-    ):
-        """Shards are copies: mutating the writer's (or a consumer's)
-        arrays afterwards must not change the store's content."""
-        store = ExperimentStore(smoke_grid, root=None)
-        key = ShardKey(0, 0)
-        arrays = compute_shard(
-            smoke_programs[0], smoke_grid.chunk_of(key), smoke_grid.settings
-        )
-        store.write_shard(key, arrays)
-        digest = store.shard_digest(key)
-        arrays[0][:] = -1.0  # caller trashes its own copy
-        assert store.shard_digest(key) == digest
-        assert (store.read_shard(key)[0] > 0).all()
 
     def test_memory_store_same_api(self, smoke_grid, smoke_programs):
         store = ExperimentStore(smoke_grid, root=None)
@@ -352,6 +321,29 @@ class TestRunnerEquivalence:
         assert len(store.completed_keys()) == 3
         assert runner.run() == 1  # only the one pending shard is recomputed
         assert runner.run() == 0  # complete store: nothing to do
+
+    def test_sidecar_without_digest_reads_as_pending(
+        self, tmp_path, smoke_grid, smoke_programs
+    ):
+        """A sidecar that lost its recorded digest does not complete its
+        shard: ``fingerprint()`` reports the shard missing instead of
+        raising a bare ``KeyError``, and a resume recomputes exactly it."""
+        root = tmp_path / "store"
+        store = ExperimentStore(smoke_grid, root=root)
+        ExperimentRunner(store, programs=smoke_programs).run()
+        clean = store.fingerprint()
+        key = ShardKey(1, 0)
+        sidecar_path = store._shard_paths(key)[1]
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["fingerprint"]
+        sidecar_path.write_text(json.dumps(sidecar))
+
+        reopened = ExperimentStore(smoke_grid, root=root)
+        assert reopened.pending_keys() == [key]
+        with pytest.raises(StoreError, match="missing"):
+            reopened.fingerprint()
+        assert ExperimentRunner(reopened, programs=smoke_programs).run() == 1
+        assert reopened.fingerprint() == clean
 
     def test_edited_chunking_fails_reads_and_scrub(
         self, tmp_path, smoke_grid, smoke_programs, smoke_reference
@@ -463,8 +455,8 @@ class TestDatasetIntegration:
 
     def test_store_status_is_read_only(self, tmp_path):
         status = store_status(SMOKE, tmp_path / "cache")
-        assert status.completed_shards == 0
-        assert status.total_shards == grid_for_scale(SMOKE).n_shards
+        assert status.completed_units == 0
+        assert status.total_units == grid_for_scale(SMOKE).n_shards
         assert not status.complete
         # A status query must not create the store as a side effect.
         assert not (tmp_path / "cache").exists()
@@ -489,7 +481,7 @@ class TestDatasetIntegration:
                 SMOKE, use_disk_cache=False, cache_dir=tmp_path / "c"
             )
             assert session.data.build(max_shards=1) == 1
-            assert session.data.status().completed_shards == 1
+            assert session.data.status().completed_units == 1
             store = session.data.store()
             data = session.data.dataset()
             # The session's own store was completed in place.
