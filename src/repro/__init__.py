@@ -49,7 +49,7 @@ from repro.compiler import (
 from repro.core import OptimisationPredictor, TrainingSet
 from repro.machine import MicroArch, MicroArchSpace, xscale
 from repro.programs import build_program, mibench_names, mibench_program
-from repro.sim import SimulationResult, simulate
+from repro.sim import SimulationResult
 
 # The unified façade (preferred entry point). The direct imports above are
 # kept as thin re-exports so pre-Session code continues to work.
@@ -90,6 +90,5 @@ __all__ = [
     "mibench_names",
     "mibench_program",
     "o3_setting",
-    "simulate",
     "xscale",
 ]

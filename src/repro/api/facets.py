@@ -80,7 +80,7 @@ from repro.experiments.dataset import (
 )
 from repro.machine.params import MicroArch
 from repro.parallel import CLUSTER, resolve_strategy, run_batch
-from repro.search.evaluator import Evaluator
+from repro.search.evaluator import Evaluator, Pricer
 from repro.sim.analytic import SimulationResult
 from repro.sim.counters import PerfCounters
 from repro.store import ExperimentRunner, ExperimentStore, StoreStatus
@@ -126,8 +126,7 @@ def _evaluate_work(
         if _WORKER_COMPILER is None:
             _WORKER_COMPILER = Compiler()
         compiler = _WORKER_COMPILER
-    binary = compiler.compile(program, setting)
-    simulation = backend.run(binary, machine)
+    (simulation,) = Pricer(program, compiler, backend.run).price([setting], [machine])
     return EvaluationResult(
         program=program.name,
         machine=machine,
@@ -445,17 +444,9 @@ class EvalFacet(_Facet):
             resolved_machines = session.machines(machines)
         else:
             resolved_machines = list(machines)
-        active_backend = (
-            session.backend if backend is None else resolve_backend(backend)
-        )
 
         def make_evaluator(program: Program, machine: MicroArch) -> Evaluator:
-            return Evaluator(
-                program=program,
-                machine=machine,
-                compiler=session.compiler,
-                simulate=active_backend.run,
-            )
+            return self.evaluator(program, machine, backend=backend)
 
         def distribution_for(program: Program, machine: MicroArch):
             return self._pair_distribution(
@@ -664,9 +655,9 @@ class ModelsFacet(_Facet):
         )
         predicted_run = None
         if evaluate:
-            predicted_run = active_backend.run(
-                session.compile(resolved, setting), machine
-            )
+            (predicted_run,) = Pricer(
+                resolved, session.compiler, active_backend.run
+            ).price([setting], [machine])
         return PredictionResult(
             program=resolved.name,
             machine=machine,

@@ -2,9 +2,9 @@
 
 The subsystem that connects the paper's three pillars — the iterative
 search baselines, the fitted predictive model, and the compile-and-price
-evaluator (batched compiles through the pass memo, one simulator call per
-fresh binary) —
-into one framework:
+evaluator (a view of the one :class:`~repro.search.evaluator.Pricer`:
+batched compiles through the pass memo, a checked binary identity, one
+simulator call per fresh binary) — into one framework:
 
 * :mod:`~repro.autotune.core` — :class:`SearchBudget` /
   :class:`SearchTrace` / :class:`SearchContext` and the

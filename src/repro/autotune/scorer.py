@@ -2,13 +2,14 @@
 
 Strategies hand the scorer whole batches (a GA generation, a CE probing
 round, a beam) and the scorer prices them in one
-:meth:`~repro.search.evaluator.Evaluator.evaluate_many` pass: the
-uncached canonical settings compile as one ``compile_many`` batch through
-the compiler's pass memo, then each fresh binary is priced with one
-simulator call.  A single
-candidate is a batch of one, so sequential strategies share the same
-memo, accounting and trace path, and results do not depend on how a
-strategy groups its candidates.
+:meth:`~repro.search.evaluator.Evaluator.evaluate_many` pass through the
+evaluator's :class:`~repro.search.evaluator.Pricer`: the uncached
+canonical settings compile as one ``compile_many`` batch through the
+compiler's pass memo, each binary's identity is checked, then each
+fresh binary is priced with one simulator call.  A single candidate is
+a batch of one, so sequential strategies share the same memo,
+accounting and trace path, and results do not depend on how a strategy
+groups its candidates.
 
 Budget enforcement lives here, not in the strategies: any request that
 would cross the budget is truncated to the remaining allowance, so

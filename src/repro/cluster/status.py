@@ -6,8 +6,8 @@ observers never see torn state and a dead worker's last numbers survive
 it.  :meth:`ClusterStatus.collect` joins three sources — the checkpoint
 store (total/completed units), the lease table (in-flight and orphaned
 claims), and the progress files (per-worker throughput) — into one
-snapshot, rendered by ``repro-experiments status`` and written as the
-``progress.json`` artifact.  It reads a
+snapshot, built each time it is read and rendered by
+``repro-experiments status``.  It reads a
 :class:`~repro.store.checkpoint.CheckpointStore` directly, or a work
 queue, which answers the same questions for its selection of units.
 """
@@ -27,10 +27,12 @@ from repro.cluster.lease import (
     LeaseTable,
     scan_leases,
 )
-from repro.ioutil import ArtifactError, Scrub, atomic_write_text, read_json_object
+from repro.ioutil import Scrub, atomic_write_text, read_json_object
 from repro.store.checkpoint import CLUSTER_DIR
 
 PROGRESS_DIR = "progress"
+#: The aggregate snapshot older workers wrote on exit; scrubs report it
+#: as orphaned.
 PROGRESS_ARTIFACT = "progress.json"
 
 #: A worker whose progress file is older than this many lease TTLs is
@@ -188,7 +190,7 @@ class ClusterStatus:
             corrupt_files=corrupt_files,
         )
 
-    # -------------------------------------------------------------- artifact
+    # --------------------------------------------------------------- views
     def payload(self) -> dict:
         return {
             "kind": self.kind,
@@ -213,15 +215,6 @@ class ClusterStatus:
                 for worker in self.workers
             ],
         }
-
-    def write_artifact(self, cluster_root: str | Path) -> Path:
-        """Write the ``progress.json`` artifact next to the lease table."""
-        path = Path(cluster_root) / PROGRESS_ARTIFACT
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps(self.payload(), indent=1, sort_keys=True) + "\n"
-        )
-        return path
 
     def render(self) -> str:
         lines = [
@@ -303,10 +296,10 @@ def scrub_cluster(
             scrub.note(path, "progress")
     artifact = cluster_root / PROGRESS_ARTIFACT
     if artifact.exists():
-        try:
-            read_json_object(artifact)
-        except ArtifactError as error:
-            scrub.damage(artifact, "progress", error, "delete")
+        scrub.note(
+            artifact, "progress", "orphaned",
+            "aggregate snapshot an older worker left; status builds it on read", "delete",
+        )
 
 
 def store_cluster_status(store, ttl: float) -> "ClusterStatus | None":

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from repro.cluster.lease import DEFAULT_LEASE_TTL, LeaseTable
 from repro.cluster.queue import WorkQueue
-from repro.cluster.status import ClusterStatus, WorkerStats
+from repro.cluster.status import WorkerStats
 from repro.parallel import CLUSTER, resolve_strategy, run_batch_completed
 
 
@@ -148,11 +148,6 @@ class ClusterWorker:
                 time.sleep(self.poll_interval)
         stats.done = True
         stats.write(self.queue.cluster_root)
-        # Leave a fresh aggregate snapshot for observers; last writer
-        # wins with near-identical content.
-        ClusterStatus.collect(self.queue, self.leases.ttl).write_artifact(
-            self.queue.cluster_root
-        )
         return {
             "computed": stats.units,
             "skipped": stats.skipped,

@@ -5,17 +5,14 @@ machine) triples.  The training matrix assembled from the experiment
 store already holds the runtime of *every* grid setting on every
 machine, so the oracle answers those lookups without touching the
 compiler or simulator at all; only settings the model synthesised
-outside the sampled grid fall back to compile-and-simulate — and that
-fallback is memoised compile-once/simulate-once, shared across every
-fold that asks.  A fold's fallback settings compile as one
+outside the sampled grid are priced, through one memoising
+:class:`~repro.search.evaluator.Pricer` per program shared across every
+fold that asks.  A fold's out-of-grid settings compile as one
 ``compile_many`` batch through the compiler's pass memo, which keeps
-each program's passes across folds, and each (binary, machine) pair is
-priced with one ``simulate_analytic`` call.
-
-The oracle also guards fold evaluation against silently swapping in a
-different binary: every compiled binary is checked to carry exactly the
-requested program and canonical setting before its simulation is
-trusted.
+each program's passes across folds, each binary is checked to carry
+exactly the requested program and canonical setting before its run is
+trusted, and each (binary, machine) pair is priced with one
+``simulate_analytic`` call.
 """
 
 from __future__ import annotations
@@ -28,11 +25,7 @@ from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.core.training import TrainingSet
 from repro.machine.params import MicroArch
-from repro.sim.analytic import simulate_analytic
-
-
-class OracleError(RuntimeError):
-    """Fold evaluation was handed the wrong binary or an unknown pair."""
+from repro.search.evaluator import OracleError, Pricer
 
 
 class RuntimeOracle:
@@ -42,8 +35,8 @@ class RuntimeOracle:
         training: the assembled experiment-store matrix; its
             ``runtimes[p, s, m]`` grid answers every in-grid lookup.
         programs: :class:`Program` objects for the training programs
-            (needed only for the out-of-grid compile fallback).
-        compiler: memoising compiler for the fallback; a private one is
+            (needed only to price out-of-grid settings).
+        compiler: memoising compiler the pricers share; a private one is
             created when omitted.
 
     Thread-safe: concurrent callers may share one instance; duplicate
@@ -73,12 +66,16 @@ class RuntimeOracle:
             setting.canonical(): index
             for index, setting in enumerate(training.settings)
         }
-        #: (program, canonical setting, machine index) -> seconds, for
-        #: out-of-grid settings only (in-grid lookups read the matrix).
-        self._fallback_runtimes: dict[tuple[str, FlagSetting, int], float] = {}
+        #: Program name -> the pricer of its out-of-grid settings
+        #: (in-grid lookups read the matrix).
+        self._pricers: dict[str, Pricer] = {}
         self._lock = threading.Lock()
-        self.simulation_calls = 0
         self.store_hits = 0
+
+    @property
+    def simulation_calls(self) -> int:
+        """Out-of-grid runs so far, summed over the per-program pricers."""
+        return sum(pricer.simulations for pricer in list(self._pricers.values()))
 
     # ------------------------------------------------------------ indexing
     def program_index(self, name: str) -> int:
@@ -107,7 +104,7 @@ class RuntimeOracle:
     def runtime(
         self, program: str, setting: FlagSetting, machine: MicroArch
     ) -> float:
-        """Seconds for one triple: grid lookup first, simulate only if new."""
+        """Seconds for one triple: grid lookup first, priced only if new."""
         return self._runtimes(program, [setting], [machine])[0]
 
     def runtime_many(
@@ -118,7 +115,7 @@ class RuntimeOracle:
     ) -> list[float]:
         """Seconds for ``(program, settings[i], machines[i])`` triples.
 
-        The batched form of :meth:`runtime`: answers, the fallback memo
+        The batched form of :meth:`runtime`: answers, the pricers' memos
         and the ``store_hits``/``simulation_calls`` counters are exactly
         what the same sequence of :meth:`runtime` calls produces, but
         every out-of-grid setting compiles in one
@@ -138,77 +135,33 @@ class RuntimeOracle:
         wrapper around either sees each lookup once."""
         p = self.program_index(program)
         machine_indices = [self.machine_index(machine) for machine in machines]
-        canonicals = [setting.canonical() for setting in settings]
-
-        answers: list[float | None] = [None] * len(settings)
-        #: canonical -> [(position, machine index)] still needing a fallback.
-        pending: dict[FlagSetting, list[tuple[int, int]]] = {}
-        store_hits = 0
-        for position, (canonical, m) in enumerate(zip(canonicals, machine_indices)):
-            s = self._setting_index.get(canonical)
-            if s is not None:
-                store_hits += 1
-                answers[position] = float(self.training.runtimes[p, s, m])
-                continue
-            cached = self._fallback_runtimes.get((program, canonical, m))
-            if cached is not None:
-                answers[position] = cached
+        answers: list[float] = [0.0] * len(settings)
+        misses: list[int] = []
+        for position, (setting, m) in enumerate(zip(settings, machine_indices)):
+            s = self._setting_index.get(setting.canonical())
+            if s is None:
+                misses.append(position)
             else:
-                pending.setdefault(canonical, []).append((position, m))
-        if store_hits:
+                answers[position] = float(self.training.runtimes[p, s, m])
+        if len(misses) < len(settings):
             with self._lock:
-                self.store_hits += store_hits
-        if not pending:
-            return answers
-
-        binaries = self._compile_checked(program, list(pending))
-        for (canonical, places), binary in zip(pending.items(), binaries):
-            # A setting may pair with the same machine twice; simulate
-            # each distinct machine once, as memoised per-triple calls do.
-            seconds_by_machine: dict[int, float] = {}
-            for position, m in places:
-                seconds = seconds_by_machine.get(m)
-                if seconds is None:
-                    seconds = simulate_analytic(
-                        binary, self.training.machines[m]
-                    ).seconds
-                    seconds_by_machine[m] = seconds
-                answers[position] = seconds
-            with self._lock:
-                self.simulation_calls += len(seconds_by_machine)
-                for m, seconds in seconds_by_machine.items():
-                    self._fallback_runtimes[(program, canonical, m)] = seconds
+                self.store_hits += len(settings) - len(misses)
+        if misses:
+            seconds = self._pricer(program).seconds(
+                [settings[i] for i in misses], [machines[i] for i in misses]
+            )
+            for position, value in zip(misses, seconds):
+                answers[position] = value
         return answers
 
-    # ------------------------------------------------------------ fallback
-    def _compile_checked(
-        self, program: str, canonicals: Sequence[FlagSetting]
-    ) -> list:
-        """Compile one ``compile_many`` batch through the memoising
-        compiler, verifying every binary's identity.
-
-        Each returned binary must be *the* binary of (program, setting):
-        a cache or executor bug that swapped in another program's binary,
-        or one compiled under different flags, would silently corrupt
-        every downstream paper number, so it is checked here instead of
-        trusted.
-        """
-        source = self._programs.get(program)
-        if source is None:
-            raise OracleError(f"no Program object for {program!r}")
-        binaries = self.compiler.compile_many(source, canonicals)
-        for canonical, binary in zip(canonicals, binaries, strict=True):
-            if binary.program_name != program:
-                raise OracleError(
-                    f"binary swap: asked for {program!r}, "
-                    f"got {binary.program_name!r}"
+    def _pricer(self, program: str) -> Pricer:
+        pricer = self._pricers.get(program)
+        if pricer is None:
+            source = self._programs.get(program)
+            if source is None:
+                raise OracleError(f"no Program object for {program!r}")
+            with self._lock:
+                pricer = self._pricers.setdefault(
+                    program, Pricer(source, self.compiler)
                 )
-            recorded = (
-                binary.setting.canonical() if binary.setting is not None else None
-            )
-            if recorded != canonical:
-                raise OracleError(
-                    f"binary swap: {program!r} binary was compiled under a "
-                    "different flag setting than requested"
-                )
-        return binaries
+        return pricer

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting
+from repro.compiler.flags import DEFAULT_SPACE
 from repro.core.crossval import CrossValResult
 from repro.core.mutual_information import (
     feature_best_flag_mi,
@@ -29,7 +29,7 @@ from repro.machine.xscale import (
     xscale_small_both_caches,
     xscale_small_icache,
 )
-from repro.sim.analytic import simulate_analytic
+from repro.search.evaluator import Pricer
 
 #: Figure 1's five headline passes, in the paper's legend order.
 FIGURE1_PASSES: tuple[str, ...] = (
@@ -77,13 +77,20 @@ def figure1(data: ExperimentData) -> Figure1Result:
     machines = [xscale(), xscale_small_icache(), xscale_small_both_caches()]
     labels = ["A:XScale", "B:small-I$", "C:small-I$+D$"]
     by_name = {program.name: program for program in data.programs}
+    settings = data.training.settings
     segments: dict[tuple[str, str], dict[str, bool]] = {}
     for name in FIGURE1_PROGRAMS:
         program = by_name.get(name)
         if program is None:
             continue
-        for machine, label in zip(machines, labels):
-            best_setting, _ = _best_on_machine(data, program, machine)
+        # One batch per program: every sampled setting on all three machines.
+        seconds = Pricer(program, data.compiler).seconds(
+            [setting for setting in settings for _ in machines],
+            list(machines) * len(settings),
+        )
+        for index, label in enumerate(labels):
+            runtimes = seconds[index :: len(machines)]
+            best_setting = settings[runtimes.index(min(runtimes))]
             segments[(name, label)] = {
                 pass_name: bool(best_setting.enabled(pass_name))
                 for pass_name in FIGURE1_PASSES
@@ -94,20 +101,6 @@ def figure1(data: ExperimentData) -> Figure1Result:
         programs=list(FIGURE1_PROGRAMS),
         segments=segments,
     )
-
-
-def _best_on_machine(
-    data: ExperimentData, program, machine: MicroArch
-) -> tuple[FlagSetting, float]:
-    best_setting = None
-    best_runtime = float("inf")
-    for setting in data.training.settings:
-        binary = data.compiler.compile(program, setting)
-        runtime = simulate_analytic(binary, machine).seconds
-        if runtime < best_runtime:
-            best_runtime = runtime
-            best_setting = setting
-    return best_setting, best_runtime
 
 
 # --------------------------------------------------------------------- fig 4

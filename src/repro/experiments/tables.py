@@ -19,7 +19,7 @@ from repro.core.crossval import CrossValResult
 from repro.experiments.dataset import ExperimentData
 from repro.machine.params import BASE_GRID, EXTENDED_GRID, MicroArchSpace
 from repro.machine.xscale import xscale
-from repro.sim.analytic import simulate_analytic
+from repro.search.evaluator import Pricer
 from repro.sim.counters import COUNTER_NAMES
 
 
@@ -44,8 +44,7 @@ class Table1Result:
 
 def table1(data: ExperimentData) -> Table1Result:
     program = data.programs[0]
-    binary = data.compiler.compile(program, o3_setting())
-    result = simulate_analytic(binary, xscale())
+    (result,) = Pricer(program, data.compiler).price([o3_setting()], [xscale()])
     values = dict(zip(COUNTER_NAMES, result.counters.vector()))
     return Table1Result(
         counters=list(COUNTER_NAMES),

@@ -11,7 +11,7 @@ from repro.sim.analytic import (
 from repro.sim.branch import BimodalPredictor, BranchTargetBuffer, BranchUnit
 from repro.sim.cache import CacheStats, SetAssociativeCache
 from repro.sim.counters import COUNTER_NAMES, PerfCounters
-from repro.sim.executor import observable_outputs, simulate
+from repro.sim.executor import observable_outputs
 from repro.sim.trace import TraceResult, simulate_trace
 from repro.sim.vector import (
     BinarySignature,
@@ -38,7 +38,6 @@ __all__ = [
     "effective_capacity",
     "loop_icache_misses",
     "observable_outputs",
-    "simulate",
     "simulate_analytic",
     "simulate_many",
     "simulate_trace",

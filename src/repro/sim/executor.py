@@ -1,54 +1,19 @@
-"""Unified simulation entry point.
+"""The semantic observables of an execution.
 
-``simulate`` accepts either a :class:`~repro.compiler.binary.CompiledBinary`
-or a raw :class:`~repro.compiler.ir.Program` (compiled at -O3 with a shared
-compiler) and runs the analytic executor, mirroring the paper's single
-profile run of the new program on the new microarchitecture.
-
-``observable_outputs`` extracts the *semantic* observables of an
-execution — which data regions the program reads and writes, how often,
-and the region declarations themselves — the quantities an optimising
-compiler must preserve whatever it does to the timing.  The differential
-semantics-preservation fuzz suite compares these between the unoptimised
-program and every optimised binary.
+``observable_outputs`` extracts which data regions a program reads and
+writes, how often, and the region declarations themselves — the
+quantities an optimising compiler must preserve whatever it does to the
+timing.  The differential semantics-preservation fuzz suite compares
+these between the unoptimised program and every optimised binary.
+Timing lives elsewhere: :func:`~repro.sim.analytic.simulate_analytic`
+prices one binary, and every compile-and-price outside shard builds
+goes through :class:`~repro.search.evaluator.Pricer`.
 """
 
 from __future__ import annotations
 
 from repro.compiler.binary import CompiledBinary, finalize
-from repro.compiler.flags import FlagSetting, o3_setting
 from repro.compiler.ir import Program
-from repro.compiler.pipeline import Compiler
-from repro.machine.params import MicroArch
-from repro.sim.analytic import SimulationResult, simulate_analytic
-
-_SHARED_COMPILER = Compiler()
-
-
-def simulate(
-    target: CompiledBinary | Program,
-    machine: MicroArch,
-    setting: FlagSetting | None = None,
-    compiler: Compiler | None = None,
-) -> SimulationResult:
-    """Simulate a binary (or compile a program first) on ``machine``.
-
-    Args:
-        target: a compiled binary, or a program to compile.
-        machine: the microarchitecture configuration to run on.
-        setting: flag setting used when ``target`` is a program
-            (default: -O3, the paper's profiling configuration).
-        compiler: compiler to use for programs (default: a shared,
-            memoising instance).
-    """
-    if isinstance(target, Program):
-        active_compiler = compiler if compiler is not None else _SHARED_COMPILER
-        binary = active_compiler.compile(
-            target, setting if setting is not None else o3_setting()
-        )
-    else:
-        binary = target
-    return simulate_analytic(binary, machine)
 
 
 def observable_outputs(target: CompiledBinary | Program) -> dict:

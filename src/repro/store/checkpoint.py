@@ -31,8 +31,8 @@ from repro.ioutil import ArtifactError, Finding, Scrub, atomic_write_text, read_
 #: swept on store open; live writers finish a unit in well under this.
 STALE_TMP_SECONDS = 3600.0
 
-#: Subdirectory of a store root holding all cluster state (leases,
-#: per-worker progress, the aggregated progress.json artifact).
+#: Subdirectory of a store root holding all cluster state (leases and
+#: per-worker progress).
 CLUSTER_DIR = "cluster"
 
 

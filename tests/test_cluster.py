@@ -428,11 +428,13 @@ class TestClusterDrain:
         # here, so skips are the only benign overlap — and they carry
         # zero simulation).
         assert sum(r["computed"] for r in reports) == smoke_grid.n_shards
-        # All leases released; progress artifact left behind.
+        # All leases released; the status built on read agrees, and no
+        # worker left an aggregate snapshot behind.
         assert list((root / "cluster" / "leases").glob("*.lease")) == []
-        progress = json.loads((root / "cluster" / "progress.json").read_text())
-        assert progress["completed_units"] == smoke_grid.n_shards
-        assert progress["leased_units"] == []
+        status = ClusterStatus.collect(store, ttl=10.0)
+        assert status.completed_units == smoke_grid.n_shards
+        assert status.payload()["leased_units"] == []
+        assert not (root / "cluster" / "progress.json").exists()
 
     def test_killed_worker_unit_is_reclaimed(
         self, tmp_path, smoke_grid, smoke_programs, serial_fingerprint

@@ -1,44 +1,7 @@
-"""Tests for the executor facade and the experiment render surfaces."""
+"""Tests for the experiment render surfaces."""
 
-import pytest
-
-from repro.compiler import Compiler, o3_setting
 from repro.experiments import figure3, table2
 from repro.experiments.ablations import AblationResult, AblationRow
-from repro.machine import xscale
-from repro.programs import mibench_program
-from repro.sim import simulate
-
-
-class TestExecutorFacade:
-    def test_program_path_uses_o3_by_default(self, compiler):
-        program = mibench_program("sha")
-        via_facade = simulate(program, xscale())
-        direct = simulate(compiler.compile(program, o3_setting()), xscale())
-        assert via_facade.cycles == pytest.approx(direct.cycles)
-
-    def test_custom_compiler_respected(self):
-        program = mibench_program("sha")
-        compiled = []
-
-        class RecordingCompiler(Compiler):
-            def compile(self, program, setting):
-                compiled.append((program.name, setting))
-                return super().compile(program, setting)
-
-        simulate(program, xscale(), compiler=RecordingCompiler())
-        assert compiled == [("sha", o3_setting())]
-
-    def test_setting_override(self, compiler):
-        program = mibench_program("search")
-        default = simulate(program, xscale(), compiler=compiler)
-        unrolled = simulate(
-            program,
-            xscale(),
-            setting=o3_setting().with_values(funroll_loops=True),
-            compiler=compiler,
-        )
-        assert unrolled.cycles < default.cycles
 
 
 class TestRenderSurfaces:

@@ -356,6 +356,24 @@ class TestClusterScrub:
         assert not (progress / "w1.json").exists()
         assert (root / QUARANTINE_DIR / LeaseTable.META_NAME).exists()
 
+    @pytest.mark.parametrize("content", ['{"completed_units": 4}', '{"torn'])
+    def test_leftover_progress_snapshot_is_orphaned(
+        self, cache_copy, smoke_grid, content
+    ):
+        """Workers no longer write an aggregate ``progress.json``
+        (``status`` builds it on read); one an older worker left is
+        orphaned, parsed or not, and repair deletes it."""
+        root = cache_copy / f"store-smoke-{smoke_grid.fingerprint()}"
+        snapshot = root / "cluster" / "progress.json"
+        snapshot.parent.mkdir(parents=True)
+        snapshot.write_text(content)
+
+        finding = _status_of(fsck_path(root, ttl=60.0), "progress.json")
+        assert (finding.status, finding.repair) == ("orphaned", "delete")
+        assert fsck_path(root, repair=True, ttl=60.0).unrepaired == []
+        assert not snapshot.exists()
+        assert fsck_path(root, ttl=60.0).clean
+
 
 class TestMalformedInput:
     """JSON that parses but holds the wrong shape is ``corrupt``, never a crash."""

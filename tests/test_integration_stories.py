@@ -6,10 +6,12 @@ API only — these are the invariants EXPERIMENTS.md reports at full scale.
 
 import pytest
 
+from repro.api import Session
 from repro.compiler import Compiler, o3_setting
 from repro.machine import MicroArchSpace, xscale, xscale_small_icache
 from repro.programs import mibench_program
-from repro.sim import simulate, simulate_analytic
+from repro.search.evaluator import Pricer
+from repro.sim import simulate_analytic
 
 
 @pytest.fixture(scope="module")
@@ -173,23 +175,30 @@ class TestSerialProgramsStory:
 
 
 class TestSimulateConvenience:
+    """One compile-and-run, through the session or a pricer directly."""
+
     def test_simulate_accepts_program(self):
-        result = simulate(mibench_program("sha"), xscale())
+        session = Session("tiny", use_disk_cache=False)
+        result = session.eval.evaluate(mibench_program("sha"), xscale())
         assert result.cycles > 0
+        assert result.setting == o3_setting().canonical()
 
     def test_simulate_accepts_binary(self, shared_compiler):
-        binary = shared_compiler.compile(mibench_program("sha"), o3_setting())
-        result = simulate(binary, xscale())
+        program = mibench_program("sha")
+        (result,) = Pricer(program, shared_compiler).price([o3_setting()], [xscale()])
+        binary = shared_compiler.compile(program, o3_setting())
         assert result.cycles > 0
+        assert result.cycles == simulate_analytic(binary, xscale()).cycles
 
     def test_simulate_with_custom_setting(self):
-        default = simulate(mibench_program("search"), xscale())
-        unrolled = simulate(
-            mibench_program("search"),
+        session = Session("tiny", use_disk_cache=False)
+        default = session.eval.evaluate("search", xscale())
+        unrolled = session.eval.evaluate(
+            "search",
             xscale(),
             setting=o3_setting().with_values(funroll_loops=True),
         )
-        assert unrolled.seconds != default.seconds
+        assert unrolled.runtime != default.runtime
 
 
 class TestDesignSpaceBreadth:
