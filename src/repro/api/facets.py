@@ -10,9 +10,9 @@ individually-testable facets, each owning one slice of the pipeline:
   and the iterative-compilation search baselines;
 * ``session.protocol`` — the resumable paper-protocol fold grid.
 
-Facets share the session's state (compiler, spaces, caches, fitted
-model), so a model fitted through ``session.models`` is the one
-``session.eval`` searches with.
+Facets share the session's state (compiler, caches, fitted model), so
+a model fitted through ``session.models`` is the one ``session.eval``
+searches with.
 """
 
 from __future__ import annotations
@@ -353,7 +353,6 @@ class EvalFacet(_Facet):
             evaluator,
             request.budget,
             seed=request.seed,
-            space=self._session.flag_space,
             distribution=distribution,
             o3_runtime=o3_runtime,
         )
@@ -461,7 +460,6 @@ class EvalFacet(_Facet):
             strategies=strategies,
             make_evaluator=make_evaluator,
             distribution_for=distribution_for,
-            space=session.flag_space,
             tolerance=tolerance,
             progress=progress,
         )
@@ -588,7 +586,6 @@ class ModelsFacet(_Facet):
         if training is None:
             training = session.data.dataset(scale, progress=progress).training
         model = OptimisationPredictor(
-            space=session.flag_space,
             k=k,
             beta=beta,
             quantile=quantile,
@@ -727,7 +724,7 @@ class ModelsFacet(_Facet):
     def load(self, path: str | Path) -> OptimisationPredictor:
         """Load a persisted model file into this session."""
         session = self._session
-        predictor, provenance = load_predictor(path, space=session.flag_space)
+        predictor, provenance = load_predictor(path)
         session.model = predictor
         session.model_fingerprint = provenance["fingerprint"]
         return predictor
@@ -777,9 +774,7 @@ class ModelsFacet(_Facet):
         session = self._session
         if not isinstance(registry, ModelRegistry):
             registry = self.registry(registry)
-        predictor, entry = registry.load(
-            version, space=session.flag_space, channel=channel
-        )
+        predictor, entry = registry.load(version, channel=channel)
         session.model = predictor
         session.model_fingerprint = entry.fingerprint
         return entry

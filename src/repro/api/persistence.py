@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.predictor import OptimisationPredictor
 from repro.ioutil import atomic_write_text
 
@@ -44,12 +43,10 @@ def save_predictor(
     return path
 
 
-def load_predictor(
-    path: str | Path, space: FlagSpace = DEFAULT_SPACE
-) -> tuple[OptimisationPredictor, dict]:
+def load_predictor(path: str | Path) -> tuple[OptimisationPredictor, dict]:
     """Read a predictor back; returns ``(model, provenance)``.
 
-    ``space`` must match the flag space the model was fitted on (checked
+    The model must have been fitted on this build's flag space (checked
     against the stored dimension names).  ``provenance`` holds the stored
     ``fingerprint`` and ``metadata``.
     """
@@ -59,7 +56,7 @@ def load_predictor(
         raise ValueError(
             f"unsupported model format {version!r} (expected {FORMAT_VERSION})"
         )
-    predictor = OptimisationPredictor.from_state(payload["model"], space=space)
+    predictor = OptimisationPredictor.from_state(payload["model"])
     return predictor, {
         "fingerprint": payload.get("fingerprint"),
         "metadata": payload.get("metadata", {}),

@@ -45,7 +45,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.core.predictor import OptimisationPredictor
 from repro.ioutil import (
     ArtifactError,
@@ -397,7 +396,6 @@ class ModelRegistry:
     def load(
         self,
         version: int | None = None,
-        space: FlagSpace = DEFAULT_SPACE,
         channel: str = DEFAULT_CHANNEL,
     ) -> tuple[OptimisationPredictor, ModelVersion]:
         """Rebuild a registered predictor (default: the channel's promoted one).
@@ -415,7 +413,7 @@ class ModelRegistry:
                     "promote()"
                 )
         payload = self._read_entry(version)
-        predictor = OptimisationPredictor.from_state(payload["model"], space=space)
+        predictor = OptimisationPredictor.from_state(payload["model"])
         return predictor, _model_version(version, payload, self.channels())
 
     # ------------------------------------------------------------------- scrub

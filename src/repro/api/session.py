@@ -1,8 +1,8 @@
 """The Session: one front door to the whole pipeline, split into facets.
 
 A :class:`Session` owns the pieces every consumer used to hand-wire —
-compiler, flag space, machine space, simulator backend, dataset caches —
-and exposes them through four lazily-constructed facets:
+compiler, simulator backend, dataset caches — and exposes them through
+four lazily-constructed facets:
 
     >>> from repro.api import Session
     >>> session = Session(scale="tiny")
@@ -34,7 +34,7 @@ from repro.api.facets import (
     ProtocolRun,
 )
 from repro.compiler.binary import CompiledBinary
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace, o3_setting
+from repro.compiler.flags import FlagSetting, o3_setting
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.core.predictor import OptimisationPredictor
@@ -48,7 +48,7 @@ from repro.store import ExperimentStore
 __all__ = ["SEARCH_ALGORITHMS", "ProtocolRun", "Session"]
 
 class Session:
-    """Owns compiler, spaces, caches, backend, and the fitted model.
+    """Owns compiler, caches, backend, and the fitted model.
 
     Args:
         scale: experiment scale preset name or :class:`Scale` (default
@@ -74,8 +74,6 @@ class Session:
         cache_dir: str | Path | None = None,
         use_disk_cache: bool = True,
         compiler: Compiler | None = None,
-        flag_space: FlagSpace = DEFAULT_SPACE,
-        machine_space: MicroArchSpace | None = None,
     ):
         self.scale = self._resolve_scale(scale if scale is not None else "quick")
         self.backend = resolve_backend(backend)
@@ -84,12 +82,6 @@ class Session:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.use_disk_cache = use_disk_cache
         self.compiler = compiler if compiler is not None else Compiler()
-        self.flag_space = flag_space
-        self.machine_space = (
-            machine_space
-            if machine_space is not None
-            else MicroArchSpace(extended=self.scale.extended)
-        )
         self.model: OptimisationPredictor | None = None
         self.model_fingerprint: str | None = None
         #: Cache-less sessions keep one in-memory store per scale so
@@ -147,7 +139,7 @@ class Session:
         self, count: int | None = None, seed: int | None = None
     ) -> list[MicroArch]:
         """Sample microarchitectures (defaults come from the scale)."""
-        return self.machine_space.sample(
+        return MicroArchSpace(extended=self.scale.extended).sample(
             count if count is not None else self.scale.n_machines,
             seed=seed if seed is not None else self.scale.machine_seed,
         )

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
+from repro.compiler.flags import FlagSetting
 from repro.core.distribution import IIDDistribution
 from repro.search.evaluator import Evaluator, evaluations_to_reach
 
@@ -184,7 +184,6 @@ class SearchContext:
     pure-iterative baselines.
     """
 
-    space: FlagSpace = field(default_factory=lambda: DEFAULT_SPACE)
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     distribution: IIDDistribution | None = None
     o3_runtime: float | None = None
@@ -223,7 +222,6 @@ def run_traced(
     evaluator: Evaluator,
     budget: SearchBudget | int | None,
     seed: int = 0,
-    space: FlagSpace = DEFAULT_SPACE,
     distribution: IIDDistribution | None = None,
     o3_runtime: float | None = None,
 ) -> SearchTrace:
@@ -235,7 +233,6 @@ def run_traced(
     trace = SearchTrace(o3_runtime=o3_runtime)
     scorer = BatchScorer(evaluator, budget, trace)
     context = SearchContext(
-        space=space,
         rng=random.Random(seed),
         distribution=distribution,
         o3_runtime=o3_runtime,

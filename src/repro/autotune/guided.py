@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.autotune.core import SearchContext, SearchStrategy
 from repro.autotune.scorer import BatchScorer
 from repro.autotune.strategies import Genetic
-from repro.compiler.flags import FlagSetting
+from repro.compiler.flags import DEFAULT_SPACE, FlagSetting
 
 
 class ModelSeededGenetic(Genetic):
@@ -123,7 +123,6 @@ class BeamSearch:
 
     def run(self, scorer: BatchScorer, context: SearchContext) -> None:
         distribution = context.require_distribution(self.name)
-        space = context.space
 
         priced: dict[FlagSetting, float] = {}
 
@@ -159,7 +158,7 @@ class BeamSearch:
             ]
             frontier: list[FlagSetting] = []
             for member in beam:
-                for neighbour in space.neighbours(member):
+                for neighbour in DEFAULT_SPACE.neighbours(member):
                     canonical = neighbour.canonical()
                     if canonical not in seen:
                         seen.add(canonical)

@@ -18,7 +18,7 @@ import random
 
 from repro.autotune.core import SearchContext, SearchStrategy
 from repro.autotune.scorer import BatchScorer
-from repro.compiler.flags import FlagSetting, FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FLAG_SPECS, FlagSetting
 
 
 def _crossover(
@@ -33,22 +33,17 @@ def _crossover(
     return FlagSetting.from_indices(child)
 
 
-def _mutate(
-    rng: random.Random,
-    setting: FlagSetting,
-    space: FlagSpace,
-    rate: float,
-) -> FlagSetting:
+def _mutate(rng: random.Random, setting: FlagSetting, rate: float) -> FlagSetting:
     indices = list(setting.as_indices())
-    for dim, spec in enumerate(space.specs):
+    for dim, spec in enumerate(FLAG_SPECS):
         if rng.random() < rate:
             indices[dim] = rng.randrange(spec.cardinality)
     return FlagSetting.from_indices(indices)
 
 
-def _all_on(space: FlagSpace) -> FlagSetting:
+def _all_on() -> FlagSetting:
     values = {}
-    for spec in space.specs:
+    for spec in FLAG_SPECS:
         values[spec.name] = True if spec.is_boolean else spec.o3
     return FlagSetting(values)
 
@@ -63,7 +58,7 @@ class RandomSearch:
         budget = scorer.remaining
         if budget == float("inf"):
             raise ValueError("random search needs a finite budget")
-        settings = context.space.sample_distinct(int(budget), context.rng)
+        settings = DEFAULT_SPACE.sample_distinct(int(budget), context.rng)
         scorer.score(settings, "sample")
 
 
@@ -77,16 +72,16 @@ class HillClimb:
     deterministic = False
 
     def run(self, scorer: BatchScorer, context: SearchContext) -> None:
-        space, rng = context.space, context.rng
+        rng = context.rng
         while not scorer.exhausted:
-            current = space.sample(rng)
+            current = DEFAULT_SPACE.sample(rng)
             current_runtime = scorer.score_one(current, "restart")
             if current_runtime is None:
                 return
             improved = True
             while improved and not scorer.exhausted:
                 improved = False
-                for neighbour in space.neighbours(current):
+                for neighbour in DEFAULT_SPACE.neighbours(current):
                     runtime = scorer.score_one(neighbour, "neighbour")
                     if runtime is None:
                         return
@@ -120,14 +115,14 @@ class Genetic:
         self, scorer: BatchScorer, context: SearchContext
     ) -> list[FlagSetting]:
         count = min(self.population_size, int(min(scorer.remaining, 2**31)))
-        return [context.space.sample(context.rng) for _ in range(count)]
+        return [DEFAULT_SPACE.sample(context.rng) for _ in range(count)]
 
     def _mutate_setting(
         self, rng: random.Random, setting: FlagSetting, context: SearchContext
     ) -> FlagSetting:
         """Mutation hook: uniform resampling here; model-guided subclasses
         redirect mutated dimensions toward the learned distribution."""
-        return _mutate(rng, setting, context.space, self.mutation_rate)
+        return _mutate(rng, setting, self.mutation_rate)
 
     def _pick(
         self,
@@ -187,12 +182,11 @@ class CombinedElimination:
     deterministic = True
 
     def run(self, scorer: BatchScorer, context: SearchContext) -> None:
-        space = context.space
-        current = _all_on(space)
+        current = _all_on()
         current_runtime = scorer.score_one(current, "baseline")
         if current_runtime is None:
             return
-        enabled = [spec.name for spec in space.specs if spec.is_boolean]
+        enabled = [spec.name for spec in FLAG_SPECS if spec.is_boolean]
 
         improved = True
         while improved and not scorer.exhausted:

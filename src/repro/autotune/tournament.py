@@ -13,9 +13,9 @@ Accounting rules, applied uniformly:
   found; a run *matches* when it reaches within ``tolerance`` of it.
 * unmatched runs are charged the full budget (evaluations and
   simulations), not dropped — dropping them would reward giving up.
-* model-guided strategies are charged ``profile_cost`` extra
-  simulations: the one -O3 profiling run their distribution cost
-  (the paper's deployment price).
+* model-guided strategies are charged one extra simulation
+  (:data:`PROFILE_COST`): the one -O3 profiling run their distribution
+  cost (the paper's deployment price).
 * deterministic strategies run once per pair; their single run stands
   for every seed.
 
@@ -34,12 +34,15 @@ from typing import Callable, Sequence
 from repro.autotune.core import SearchStrategy, run_traced
 from repro.autotune.guided import GUIDED_STRATEGIES
 from repro.autotune.strategies import BASELINE_STRATEGIES
-from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.core.distribution import IIDDistribution
 from repro.machine.params import MicroArch
 from repro.search.evaluator import Evaluator
+
+#: Simulations charged to a model-guided run: the one -O3 profiling run
+#: behind its distribution.
+PROFILE_COST = 1
 
 #: Default competitor line-up: the four re-homed baselines plus the two
 #: model-guided strategies, in leaderboard-stable order.
@@ -226,9 +229,7 @@ def run_tournament(
     distribution_for: (
         Callable[[Program, MicroArch], IIDDistribution] | None
     ) = None,
-    space: FlagSpace = DEFAULT_SPACE,
     tolerance: float = 0.01,
-    profile_cost: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> TournamentResult:
     """Run the strategy matrix and assemble the leaderboard.
@@ -246,8 +247,6 @@ def run_tournament(
             model-guided strategy competes.
         tolerance: relative slack on best-known that still counts as a
             match (default 1%).
-        profile_cost: simulations charged to model-guided strategies for
-            the profiling run behind their distribution.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1: {budget}")
@@ -304,7 +303,6 @@ def run_tournament(
                         make_evaluator(program, machine),
                         budget,
                         seed=seed,
-                        space=space,
                         distribution=distribution if guided else None,
                         o3_runtime=o3_runtime,
                     )
@@ -324,7 +322,7 @@ def run_tournament(
     runs: list[TournamentRun] = []
     for name, program_name, label, seed, guided, trace in raw:
         target = best_known[(program_name, label)] * (1.0 + tolerance)
-        profile = profile_cost if guided else 0
+        profile = PROFILE_COST if guided else 0
         evaluations_to_match = trace.evaluations_to_reach(target)
         matched = evaluations_to_match is not None
         simulations_to_match = (

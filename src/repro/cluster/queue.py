@@ -101,13 +101,11 @@ class ShardQueue(_StoreQueue):
 
     def item(self, unit: str) -> tuple:
         key = self.keys[unit]
-        compiler = self.runner.compiler
         return (
             self.runner.programs[key.program],
             self.store.grid.chunk_of(key),
             self._settings,
-            compiler.space,
-            compiler.cache_enabled,
+            self.runner.compiler.cache_enabled,
         )
 
     def commit(self, unit: str, arrays) -> dict:

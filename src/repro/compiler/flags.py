@@ -310,12 +310,10 @@ _PARENT_INDEX = tuple(
 class FlagSpace:
     """The full optimisation space: enumeration sizes and uniform sampling."""
 
-    def __init__(self, specs: Sequence[FlagSpec] = FLAG_SPECS):
-        self.specs = tuple(specs)
-        self._by_name = {spec.name: spec for spec in self.specs}
-        # ``specs`` is immutable, so its per-dimension views are too.
-        self.names: tuple[str, ...] = tuple(spec.name for spec in self.specs)
-        self._cardinalities = tuple(spec.cardinality for spec in self.specs)
+    def __init__(self):
+        self.specs = FLAG_SPECS
+        self.names: tuple[str, ...] = FLAG_NAMES
+        self._cardinalities = tuple(spec.cardinality for spec in FLAG_SPECS)
         #: ``[D, Vmax]``, read-only: where a zero-padded θ table has support.
         cardinalities = np.array(self._cardinalities)[:, None]
         self.value_mask = np.arange(cardinalities.max()) < cardinalities
@@ -325,7 +323,7 @@ class FlagSpace:
         return len(self.specs)
 
     def spec(self, name: str) -> FlagSpec:
-        return self._by_name[name]
+        return _SPEC_BY_NAME[name]
 
     def cardinalities(self) -> tuple[int, ...]:
         return self._cardinalities

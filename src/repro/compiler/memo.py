@@ -78,6 +78,11 @@ class PassMemo:
         #: Transitions, snapshot instructions and record instructions held.
         self.retained = 0
 
+    @property
+    def shrinkable(self) -> bool:
+        """Whether :meth:`shrink` has a snapshot or a record to drop."""
+        return bool(self._snapshots or self._siblings)
+
     def shrink(self, limit: int) -> int:
         """Drop LRU snapshots, then LRU records, until ``limit`` slots or
         neither is left; the slots kept."""

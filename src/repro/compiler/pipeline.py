@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.compiler import memo
 from repro.compiler.binary import CompiledBinary, finalize
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
+from repro.compiler.flags import FlagSetting
 from repro.compiler.ir import Program
 from repro.compiler.memo import PassMemo
 from repro.compiler.passes.align import AlignPass
@@ -95,8 +95,7 @@ class Compiler:
     the reference the memo is tested against.
     """
 
-    def __init__(self, space: FlagSpace = DEFAULT_SPACE, cache: bool = True):
-        self.space = space
+    def __init__(self, cache: bool = True):
         self._cache_enabled = cache
         self._passes = default_pass_order()
         self._lock = threading.Lock()
@@ -160,12 +159,14 @@ class Compiler:
         """Keep all memos within ``RETAINED_SLOTS``: drop snapshots and
         sibling records, least recently compiled program first, then whole
         memos in that order (a lost snapshot costs replayed passes, a lost
-        record the convergences it would find, a lost memo all of it)."""
+        record the convergences it would find, a lost memo all of it).
+        Memos already shrunk to their transitions are passed over: once
+        the budget binds, most of them are."""
         budget = memo.RETAINED_SLOTS
         entries = [entry for entry in self._entries.values() if entry.memo is not None]
         total = sum(entry.memo.retained for entry in entries)
         for entry in entries:
-            if total > budget:
+            if total > budget and entry.memo.shrinkable:
                 kept = entry.memo.retained
                 total += entry.memo.shrink(budget - total + kept) - kept
         for entry in entries:

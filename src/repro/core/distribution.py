@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FLAG_NAMES, FlagSetting
 
 _REASONS = (
     "entries past its cardinality must be 0",
@@ -39,20 +39,19 @@ _REASONS = (
 class IIDDistribution:
     """Per-dimension multinomials θ over the flag space, as one table."""
 
-    space: FlagSpace
     theta: np.ndarray  # [D, Vmax]: theta[d, j] = θ_d^j, zero-padded
 
     def __eq__(self, other: object) -> bool:
-        """Value equality: the same space and bit-equal θ tables."""
+        """Value equality: bit-equal θ tables."""
         if not isinstance(other, IIDDistribution):
             return NotImplemented
-        return self.space == other.space and np.array_equal(self.theta, other.theta)
+        return np.array_equal(self.theta, other.theta)
 
     def __post_init__(self) -> None:
         # θ can come from a file on disk.  NaN fails the sum test; the first
         # failed (dimension, check) in row-major order names the error.
         theta = self.theta = np.ascontiguousarray(self.theta, dtype=float)
-        valid = self.space.value_mask
+        valid = DEFAULT_SPACE.value_mask
         if theta.shape != valid.shape:
             raise ValueError(f"theta shape {theta.shape} != {valid.shape}")
         failed = np.array((
@@ -62,20 +61,18 @@ class IIDDistribution:
         )).T
         if failed.any():
             dim, check = divmod(int(np.argmax(failed)), len(_REASONS))
-            raise ValueError(f"{self.space.names[dim]}: {_REASONS[check]}")
+            raise ValueError(f"{FLAG_NAMES[dim]}: {_REASONS[check]}")
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[float, ...], ...]:
         """θ per dimension as Python floats, cut to each cardinality."""
-        pairs = zip(self.theta.tolist(), self.space.cardinalities())
+        pairs = zip(self.theta.tolist(), DEFAULT_SPACE.cardinalities())
         return tuple(tuple(row[:cardinality]) for row, cardinality in pairs)
 
     # ------------------------------------------------------------- fitting
     @staticmethod
     def fit(
-        good_settings: Sequence[FlagSetting],
-        space: FlagSpace = DEFAULT_SPACE,
-        smoothing: float = 0.0,
+        good_settings: Sequence[FlagSetting], smoothing: float = 0.0
     ) -> "IIDDistribution":
         """Maximum-likelihood fit (eq. 5) with optional Laplace smoothing.
 
@@ -86,11 +83,9 @@ class IIDDistribution:
         if not good_settings:
             raise ValueError("cannot fit a distribution to zero settings")
         indices = np.array([setting.as_indices() for setting in good_settings])
-        counts = np.where(space.value_mask, float(smoothing), 0.0)
-        np.add.at(counts, (np.arange(len(space)), indices), 1.0)
-        return IIDDistribution(
-            space=space, theta=counts / np.add.reduce(counts, axis=1)[:, None]
-        )
+        counts = np.where(DEFAULT_SPACE.value_mask, float(smoothing), 0.0)
+        np.add.at(counts, (np.arange(len(FLAG_NAMES)), indices), 1.0)
+        return IIDDistribution(theta=counts / np.add.reduce(counts, axis=1)[:, None])
 
     # ----------------------------------------------------------- inference
     def mode(self) -> FlagSetting:
@@ -111,7 +106,7 @@ class IIDDistribution:
         the order, ties included, equals enumerating every child.  Each
         product runs left to right over the dimensions: bit-exact.
         """
-        ranked = _best_first(self.theta, self.space.value_mask, count)
+        ranked = _best_first(self.theta, DEFAULT_SPACE.value_mask, count)
         return [
             (FlagSetting.from_indices(indices), probability)
             for indices, probability in ranked
@@ -142,8 +137,8 @@ class IIDDistribution:
         return FlagSetting.from_indices(indices)
 
     def marginal(self, flag_name: str) -> np.ndarray:
-        dim = self.space.names.index(flag_name)
-        return self.theta[dim, : self.space.cardinalities()[dim]].copy()
+        dim = FLAG_NAMES.index(flag_name)
+        return self.theta[dim, : DEFAULT_SPACE.cardinalities()[dim]].copy()
 
     # ------------------------------------------------------------- algebra
     @staticmethod
@@ -159,7 +154,7 @@ class IIDDistribution:
         mixed = np.zeros_like(distributions[0].theta)
         for distribution, weight in zip(distributions, weights):
             mixed += (weight / total) * distribution.theta
-        return IIDDistribution(space=distributions[0].space, theta=mixed)
+        return IIDDistribution(theta=mixed)
 
     def cross_entropy(self, settings: Sequence[FlagSetting]) -> float:
         """H(p̃, g) against a uniform empirical distribution over

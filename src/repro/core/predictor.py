@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
+from repro.compiler.flags import FLAG_NAMES, FlagSetting
 from repro.core import vector as model_vector
 from repro.core.distribution import IIDDistribution
 from repro.core.features import FeatureNormaliser, feature_mask, feature_vector
@@ -48,7 +48,6 @@ class OptimisationPredictor:
 
     def __init__(
         self,
-        space: FlagSpace = DEFAULT_SPACE,
         k: int = DEFAULT_K,
         beta: float = DEFAULT_BETA,
         quantile: float = DEFAULT_QUANTILE,
@@ -57,7 +56,6 @@ class OptimisationPredictor:
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1: {k}")
-        self.space = space
         self.k = k
         self.beta = beta
         self.quantile = quantile
@@ -137,7 +135,7 @@ class OptimisationPredictor:
         """Stack the fitted pairs into the ranking kernel's tensors, once
         (``from_state`` hands over the stacks it already built)."""
         self._tensors = model_vector.PredictorTensors.from_pairs(
-            self._pairs, self.space, features=features, theta=theta
+            self._pairs, features=features, theta=theta
         )
 
     # ----------------------------------------------------------- persistence
@@ -158,7 +156,7 @@ class OptimisationPredictor:
                 "extended": self.extended,
                 "feature_mode": self.feature_mode,
             },
-            "space_names": list(self.space.names),
+            "space_names": list(FLAG_NAMES),
             "mask": [bool(flag) for flag in self._mask],
             "normaliser": {
                 "mean": self._normaliser.mean.tolist(),
@@ -176,21 +174,18 @@ class OptimisationPredictor:
         }
 
     @staticmethod
-    def from_state(
-        state: dict, space: FlagSpace = DEFAULT_SPACE
-    ) -> "OptimisationPredictor":
+    def from_state(state: dict) -> "OptimisationPredictor":
         """Rebuild a fitted predictor from :meth:`get_state` output.
 
         The pairs' features and θ are stacked in one scatter; the pairs
         view rows of those stacks and the kernel uses them as they are.
         """
-        if list(state["space_names"]) != list(space.names):
+        if list(state["space_names"]) != list(FLAG_NAMES):
             raise ValueError(
                 "saved model's flag space does not match this build"
             )
         params = state["params"]
         predictor = OptimisationPredictor(
-            space=space,
             k=int(params["k"]),
             beta=float(params["beta"]),
             quantile=float(params["quantile"]),
@@ -202,13 +197,13 @@ class OptimisationPredictor:
             mean=np.array(state["normaliser"]["mean"], dtype=float),
             std=np.array(state["normaliser"]["std"], dtype=float),
         )
-        features, theta = model_vector.stack_state_arrays(state, space)
+        features, theta = model_vector.stack_state_arrays(state)
         predictor._pairs = [
             _TrainingPair(
                 program=entry["program"],
                 machine=MicroArch(**entry["machine"]),
                 features=features[p],
-                distribution=IIDDistribution(space=space, theta=theta[p]),
+                distribution=IIDDistribution(theta=theta[p]),
             )
             for p, entry in enumerate(state["pairs"])
         ]
@@ -363,7 +358,6 @@ class OptimisationPredictor:
             indices,
             k=self.k,
             beta=self.beta,
-            space=self.space,
         )
 
     def _normalise_batch_args(self, counters_list, machines, exclude_programs,

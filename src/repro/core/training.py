@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSetting, FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FlagSetting
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.parallel import resolve_jobs, run_batch
@@ -140,13 +140,14 @@ def _program_rows(
 
 
 def _program_rows_task(
-    work: tuple[Program, Sequence[MicroArch], Sequence[FlagSetting], FlagSpace, bool],
+    work: tuple[Program, Sequence[MicroArch], Sequence[FlagSetting], bool],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Picklable process-pool entry point.
 
-    The caller's compiler cannot cross the process boundary, so each task
-    rebuilds one from its configuration — keeping parallel results
-    identical to serial ones even for non-default compilers.
+    ``work`` is ``(program, machines, settings, compiler cache
+    enabled)``.  The caller's compiler cannot cross the process
+    boundary, so each task uses a worker compiler with the same cache
+    setting — keeping parallel results identical to serial ones.
     """
     from repro.store.compute import compute_shard_task
 
@@ -192,7 +193,6 @@ def generate_training_set(
                     program,
                     list(machines),
                     settings,
-                    active_compiler.space,
                     active_compiler.cache_enabled,
                 )
                 for program in programs

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.flags import DEFAULT_SPACE, FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FLAG_NAMES
 from repro.core.distribution import IIDDistribution
 
 __all__ = [
@@ -96,7 +96,6 @@ class PredictorTensors:
     def from_pairs(
         cls,
         pairs: Sequence,
-        space: FlagSpace,
         features: np.ndarray | None = None,
         theta: np.ndarray | None = None,
     ) -> "PredictorTensors":
@@ -117,7 +116,7 @@ class PredictorTensors:
 
         if theta is None:
             theta = np.stack([pair.distribution.theta for pair in pairs])
-        expected = (n_pairs,) + space.value_mask.shape
+        expected = (n_pairs,) + DEFAULT_SPACE.value_mask.shape
         if theta.shape != expected:
             raise ValueError(f"theta shape {theta.shape} != {expected}")
 
@@ -159,9 +158,7 @@ class PredictorTensors:
         return keep
 
 
-def stack_state_arrays(
-    model_state: dict, space: FlagSpace = DEFAULT_SPACE
-) -> tuple[np.ndarray, np.ndarray]:
+def stack_state_arrays(model_state: dict) -> tuple[np.ndarray, np.ndarray]:
     """Stack a :meth:`get_state` payload's pairs into ``(features, theta)``
     (one scatter into the zero-padded layout); a θ row of the wrong length
     names its dimension.  Feeds ``from_state``."""
@@ -170,13 +167,13 @@ def stack_state_arrays(
         raise ValueError("cannot stack an empty model state")
     features = np.array([entry["features"] for entry in entries], dtype=float)
     lengths = [[len(probs) for probs in entry["theta"]] for entry in entries]
-    if any(len(row) != len(space) for row in lengths):
+    if any(len(row) != len(FLAG_NAMES) for row in lengths):
         raise ValueError("one multinomial per flag dimension required")
-    wrong = np.argwhere(np.array(lengths) != space.cardinalities())
+    wrong = np.argwhere(np.array(lengths) != DEFAULT_SPACE.cardinalities())
     if wrong.size:
-        raise ValueError(f"{space.names[wrong[0, 1]]}: wrong multinomial arity")
-    theta = np.zeros((len(entries),) + space.value_mask.shape)
-    theta[:, space.value_mask] = [
+        raise ValueError(f"{FLAG_NAMES[wrong[0, 1]]}: wrong multinomial arity")
+    theta = np.zeros((len(entries),) + DEFAULT_SPACE.value_mask.shape)
+    theta[:, DEFAULT_SPACE.value_mask] = [
         list(itertools.chain.from_iterable(entry["theta"])) for entry in entries
     ]
     return features, theta
@@ -286,7 +283,6 @@ def predict_distributions(
     candidate_indices: Sequence[np.ndarray],
     k: int,
     beta: float,
-    space: FlagSpace,
 ) -> list[IIDDistribution]:
     """One kernel pass of ``predict_distribution`` for a whole batch:
     :func:`nearest_groups`, then each group's softmax mixture."""
@@ -297,5 +293,5 @@ def predict_distributions(
             # A view into the mixed tensor, not a copy: the distribution
             # treats theta as read-only, and the values are bit-equal to
             # the scalar mix either way.
-            out[int(b)] = IIDDistribution(space=space, theta=mixed[g])
+            out[int(b)] = IIDDistribution(theta=mixed[g])
     return out  # type: ignore[return-value]

@@ -73,7 +73,12 @@ class FsckReport:
         if self.clean:
             lines.append("  every artifact verified clean")
         elif self.repair and not self.unrepaired:
-            lines.append("  all damage repaired — resume rebuilds exactly the quarantined units")
+            if any(finding.repair == "quarantine" for finding in self.problems):
+                lines.append(
+                    "  all damage repaired — resume rebuilds exactly the quarantined units"
+                )
+            else:
+                lines.append("  all damage repaired — nothing quarantined, nothing to rebuild")
         elif not self.repair:
             lines.append("  rerun with --repair to quarantine the damage")
         return "\n".join(lines)

@@ -450,9 +450,7 @@ class PredictionService:
             cached = self._models.get(promoted)
             if cached is None:
                 try:
-                    predictor, entry = self.registry.load(
-                        promoted, space=self.session.flag_space
-                    )
+                    predictor, entry = self.registry.load(promoted)
                 except RegistryError as error:
                     raise ServiceError(str(error), status=503)
                 info = {

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compiler.flags import FlagSetting, FlagSpace, o3_setting
+from repro.compiler.flags import FlagSetting, o3_setting
 from repro.compiler.ir import Program
 from repro.compiler.pipeline import Compiler
 from repro.machine.params import MicroArch
@@ -95,31 +95,28 @@ def compute_shard(
 
 
 #: Per-process compiler state for pool workers: the active compiler, its
-#: configuration key (flag specs are value-hashable; the space object is
-#: a fresh unpickle in every task), and the program it last compiled.
-#: Keeping the compiler across tasks lets one worker reuse every
-#: (program, setting) binary across the machine chunks it processes;
-#: clearing its memo when the program changes bounds worker memory to a
-#: single program's binaries.
+#: cache setting, and the program it last compiled.  Keeping the compiler
+#: across tasks lets one worker reuse every (program, setting) binary
+#: across the machine chunks it processes; clearing its memo when the
+#: program changes bounds worker memory to a single program's binaries.
 _WORKER_STATE: dict = {}
 
 
 def compute_shard_task(
-    work: tuple[Program, Sequence[MicroArch], Sequence[FlagSetting], FlagSpace, bool],
+    work: tuple[Program, Sequence[MicroArch], Sequence[FlagSetting], bool],
 ) -> ShardArrays:
     """Picklable process-pool entry point for :func:`compute_shard`.
 
-    ``work`` is ``(program, machines, settings, flag space, compiler
-    cache enabled)``.  The caller's compiler cannot cross the process
-    boundary, so each worker keeps its own memoised compiler — results
-    are identical to serial ones (compilation is deterministic) even for
-    non-default compilers.
+    ``work`` is ``(program, machines, settings, compiler cache
+    enabled)``.  The caller's compiler cannot cross the process
+    boundary, so each worker keeps its own compiler with the same cache
+    setting — results are identical to serial ones (compilation is
+    deterministic).
     """
-    program, machines, settings, space, cache = work
-    key = (space.specs, cache)
-    if _WORKER_STATE.get("key") != key:
-        _WORKER_STATE["key"] = key
-        _WORKER_STATE["compiler"] = Compiler(space=space, cache=cache)
+    program, machines, settings, cache = work
+    if _WORKER_STATE.get("cache") != cache:
+        _WORKER_STATE["cache"] = cache
+        _WORKER_STATE["compiler"] = Compiler(cache=cache)
         _WORKER_STATE["program"] = program.name
     elif _WORKER_STATE.get("program") != program.name:
         _WORKER_STATE["compiler"].clear_cache()

@@ -339,10 +339,20 @@ class TestSessionConfig:
         assert serial.fingerprint() == parallel.fingerprint()
 
     def test_load_model_checks_flag_space(self, tmp_path, tiny_data):
-        from repro.compiler.flags import FLAG_SPECS, FlagSpace
-
         fitted = Session("tiny", use_disk_cache=False)
         fitted.models.fit(tiny_data.training)
         path = fitted.models.save(tmp_path / "model.json")
-        with pytest.raises(ValueError):
-            load_predictor(path, space=FlagSpace(FLAG_SPECS[:5]))
+        saved = json.loads(path.read_text())
+        names = saved["model"]["space_names"]
+        dropped = names[:-1]
+        swapped = [names[1], names[0], *names[2:]]
+        for edited in (dropped, swapped):
+            saved["model"]["space_names"] = edited
+            path.write_text(json.dumps(saved))
+            with pytest.raises(ValueError, match="flag space does not match"):
+                load_predictor(path)
+            with pytest.raises(ValueError, match="flag space does not match"):
+                Session("tiny", use_disk_cache=False).models.load(path)
+        saved["model"]["space_names"] = names
+        path.write_text(json.dumps(saved))
+        assert load_predictor(path)[0].get_state() == fitted.model.get_state()

@@ -52,9 +52,7 @@ def make_evaluator(program_name: str = "sha") -> Evaluator:
 def distribution() -> IIDDistribution:
     """A synthetic fitted distribution (10 uniform settings, smoothed)."""
     return IIDDistribution.fit(
-        DEFAULT_SPACE.sample_many(10, seed=1),
-        space=DEFAULT_SPACE,
-        smoothing=1.0,
+        DEFAULT_SPACE.sample_many(10, seed=1), smoothing=1.0
     )
 
 

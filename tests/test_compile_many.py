@@ -336,6 +336,26 @@ def test_retained_slots_never_exceed_the_budget(monkeypatch):
     assert dropped and shrunk
 
 
+def test_trim_asks_only_memos_with_something_to_drop(monkeypatch):
+    """Under a budget that binds on most batches, the trim asks a memo to
+    shrink only while it holds a snapshot or a sibling record, and every
+    binary still equals a plain pass loop's."""
+    monkeypatch.setattr(memo_module, "RETAINED_SLOTS", 2_500)
+    shrink = PassMemo.shrink
+    asked: list[bool] = []
+
+    def recorded(memo: PassMemo, limit: int) -> int:
+        asked.append(bool(memo._snapshots or memo._siblings))
+        return shrink(memo, limit)
+
+    monkeypatch.setattr(PassMemo, "shrink", recorded)
+    references = {name: Reference(mibench_program(name)) for name in INTERLEAVED}
+    compiler = Compiler()
+    for name, batch in interleaved(INTERLEAVED, random.Random(8), 24):
+        run_walk(compiler, references[name], [batch])
+    assert asked and all(asked), f"{asked.count(False)} of {len(asked)} asks had nothing to drop"
+
+
 def test_memo_shared_by_threads(monkeypatch):
     """Three threads walk interleaved programs while two more hammer cache
     hits on them, all switching every microsecond, under a budget that

@@ -133,14 +133,14 @@ class TestIIDDistribution:
         theta = IIDDistribution.fit([o3_setting()]).theta.copy()
         theta[:, 0] = np.nan  # column 0 is in every dimension's support
         with pytest.raises(ValueError, match="sum to 1"):
-            IIDDistribution(space=DEFAULT_SPACE, theta=theta)
+            IIDDistribution(theta=theta)
 
     def test_rejects_negative_theta_that_sums_to_one(self):
         theta = IIDDistribution.fit([o3_setting()]).theta
         dim = next(d for d, spec in enumerate(DEFAULT_SPACE.specs) if spec.cardinality == 2)
         theta[dim, :2] = [1.5, -0.5]
         with pytest.raises(ValueError, match="non-negative"):
-            IIDDistribution(space=DEFAULT_SPACE, theta=theta)
+            IIDDistribution(theta=theta)
 
     def test_mode_majority(self):
         settings_list = [o3_setting()] * 3 + [

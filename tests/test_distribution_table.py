@@ -3,8 +3,8 @@
 :class:`IIDDistribution` holds θ as one zero-padded ``[D, Vmax]`` table
 and runs validation, ``fit`` and ``mode`` as whole-table operations.
 :class:`ListDistribution` below is the list-of-arrays implementation it
-replaced, kept with its code unchanged apart from names and docstrings,
-as the oracle: for hypothesis-drawn θ tables, good-setting sets and
+replaced, kept with its code unchanged apart from names, docstrings and
+reading the one flag space directly, as the oracle: for hypothesis-drawn θ tables, good-setting sets and
 mixture weights, every result must be *equal* — not close — because
 predicted settings, ``/predict`` replies and registry digests are bytes.
 Malformed θ must still raise a ``ValueError`` that names the first bad
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.flags import DEFAULT_SPACE, FLAG_SPECS, FlagSetting, FlagSpace
+from repro.compiler.flags import DEFAULT_SPACE, FLAG_NAMES, FLAG_SPECS, FlagSetting
 from repro.core.distribution import IIDDistribution
 from repro.core.vector import stack_state_arrays
 
@@ -32,13 +32,12 @@ from repro.core.vector import stack_state_arrays
 class ListDistribution:
     """Per-dimension multinomials θ over the flag space."""
 
-    space: FlagSpace
     theta: list[np.ndarray]  # theta[dim][value_index], each sums to 1
 
     def __post_init__(self) -> None:
-        if len(self.theta) != len(self.space):
+        if len(self.theta) != len(FLAG_SPECS):
             raise ValueError("one multinomial per flag dimension required")
-        for spec, probs in zip(self.space.specs, self.theta):
+        for spec, probs in zip(FLAG_SPECS, self.theta):
             if len(probs) != spec.cardinality:
                 raise ValueError(f"{spec.name}: wrong multinomial arity")
             # θ can come from a file on disk.  The ufunc reductions skip
@@ -51,21 +50,19 @@ class ListDistribution:
 
     @staticmethod
     def fit(
-        good_settings: Sequence[FlagSetting],
-        space: FlagSpace = DEFAULT_SPACE,
-        smoothing: float = 0.0,
+        good_settings: Sequence[FlagSetting], smoothing: float = 0.0
     ) -> "ListDistribution":
         if not good_settings:
             raise ValueError("cannot fit a distribution to zero settings")
         theta: list[np.ndarray] = []
         columns = zip(*(setting.as_indices() for setting in good_settings))
-        for spec, column in zip(space.specs, columns):
+        for spec, column in zip(FLAG_SPECS, columns):
             counts = [smoothing] * spec.cardinality
             for index in column:
                 counts[index] += 1.0
             counts = np.array(counts, dtype=float)
             theta.append(counts / counts.sum())
-        return ListDistribution(space=space, theta=theta)
+        return ListDistribution(theta=theta)
 
     def mode(self) -> FlagSetting:
         indices = [int(np.argmax(probs)) for probs in self.theta]
@@ -101,7 +98,7 @@ class ListDistribution:
         return FlagSetting.from_indices(indices)
 
     def marginal(self, flag_name: str) -> np.ndarray:
-        dim = self.space.names.index(flag_name)
+        dim = FLAG_NAMES.index(flag_name)
         return self.theta[dim].copy()
 
     @staticmethod
@@ -113,14 +110,13 @@ class ListDistribution:
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        space = distributions[0].space
         mixed: list[np.ndarray] = []
-        for dim in range(len(space)):
+        for dim in range(len(FLAG_SPECS)):
             acc = np.zeros_like(distributions[0].theta[dim])
             for distribution, weight in zip(distributions, weights):
                 acc += (weight / total) * distribution.theta[dim]
             mixed.append(acc)
-        return ListDistribution(space=space, theta=mixed)
+        return ListDistribution(theta=mixed)
 
 
 def _list_best_first(
@@ -208,8 +204,8 @@ def state_of(rows) -> dict:
 
 def pair(rows) -> tuple[IIDDistribution, ListDistribution]:
     return (
-        IIDDistribution(DEFAULT_SPACE, padded(rows)),
-        ListDistribution(DEFAULT_SPACE, rows),
+        IIDDistribution(padded(rows)),
+        ListDistribution(rows),
     )
 
 
@@ -323,11 +319,9 @@ class TestRejection:
             rows[dim] = breaks(kind, FLAG_SPECS[dim].cardinality)
         name = FLAG_SPECS[first].name
         for build in (
-            lambda: ListDistribution(DEFAULT_SPACE, rows),
-            lambda: IIDDistribution(DEFAULT_SPACE, padded(rows)),
-            lambda: IIDDistribution(
-                DEFAULT_SPACE, stack_state_arrays(state_of(rows))[1][0]
-            ),
+            lambda: ListDistribution(rows),
+            lambda: IIDDistribution(padded(rows)),
+            lambda: IIDDistribution(stack_state_arrays(state_of(rows))[1][0]),
         ):
             with pytest.raises(ValueError) as error:
                 build()
@@ -342,7 +336,7 @@ class TestRejection:
             rows[dim] /= rows[dim].sum()
         name = FLAG_SPECS[first].name
         for build in (
-            lambda: ListDistribution(DEFAULT_SPACE, rows),
+            lambda: ListDistribution(rows),
             lambda: stack_state_arrays(state_of(rows)),
         ):
             with pytest.raises(ValueError, match="wrong multinomial arity") as error:
@@ -353,9 +347,9 @@ class TestRejection:
         with pytest.raises(ValueError, match="one multinomial per flag"):
             stack_state_arrays(state_of(valid_rows()[:-1]))
         with pytest.raises(ValueError, match="theta shape"):
-            IIDDistribution(DEFAULT_SPACE, padded(valid_rows())[:-1])
+            IIDDistribution(padded(valid_rows())[:-1])
         with pytest.raises(ValueError, match="theta shape"):
-            IIDDistribution(DEFAULT_SPACE, padded(valid_rows())[:, :-1])
+            IIDDistribution(padded(valid_rows())[:, :-1])
 
     @pytest.mark.parametrize("first,second", TWO_BAD_DIMS)
     @pytest.mark.parametrize("padding", [0.25, -0.25, np.nan, 1e-300])
@@ -364,9 +358,9 @@ class TestRejection:
         for dim in (second, first):
             table[dim, FLAG_SPECS[dim].cardinality] = padding
         with pytest.raises(ValueError, match="past its cardinality") as error:
-            IIDDistribution(DEFAULT_SPACE, table)
+            IIDDistribution(table)
         assert str(error.value).startswith(f"{FLAG_SPECS[first].name}: ")
 
     def test_valid_table_is_accepted_as_is(self):
         table = padded(valid_rows())
-        assert IIDDistribution(DEFAULT_SPACE, table).theta is table
+        assert IIDDistribution(table).theta is table

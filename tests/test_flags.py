@@ -11,7 +11,6 @@ from repro.compiler.flags import (
     FLAG_NAMES,
     FLAG_SPECS,
     FlagSetting,
-    FlagSpace,
     FlagSpec,
     o0_setting,
     o3_setting,
@@ -229,7 +228,3 @@ class TestFlagSpace:
         rng = random.Random(seed)
         setting = DEFAULT_SPACE.sample(rng)
         assert setting.canonical().canonical() == setting.canonical()
-
-    def test_spaces_are_customisable(self):
-        subspace = FlagSpace(FLAG_SPECS[:5])
-        assert len(subspace) == 5

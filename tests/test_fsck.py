@@ -375,6 +375,35 @@ class TestClusterScrub:
         assert fsck_path(root, ttl=60.0).clean
 
 
+class TestRepairSummary:
+    """The closing line promises a rebuild only after a quarantine."""
+
+    def test_quarantine_promises_a_rebuild(self, cache_copy, smoke_grid):
+        root = cache_copy / f"store-smoke-{smoke_grid.fingerprint()}"
+        sorted((root / "shards").glob("*.npz"))[0].write_bytes(b"")
+        (root / "cluster").mkdir()
+        (root / "cluster" / "progress.json").write_text("{}")
+
+        report = fsck_cache(cache_copy, repair=True)
+        assert {f.repair for f in report.problems} == {"quarantine", "delete"}
+        assert report.render().splitlines()[-1] == (
+            "  all damage repaired — resume rebuilds exactly the quarantined units"
+        )
+
+    def test_deletes_alone_promise_no_rebuild(self, cache_copy, smoke_grid):
+        root = cache_copy / f"store-smoke-{smoke_grid.fingerprint()}"
+        (root / "cluster").mkdir()
+        (root / "cluster" / "progress.json").write_text("{}")
+        (cache_copy / "registry" / "models" / "v0001.arrays.npz").write_bytes(b"")
+
+        report = fsck_cache(cache_copy, repair=True)
+        assert [f.repair for f in report.problems] == ["delete", "delete"]
+        assert not report.unrepaired
+        assert report.render().splitlines()[-1] == (
+            "  all damage repaired — nothing quarantined, nothing to rebuild"
+        )
+
+
 class TestMalformedInput:
     """JSON that parses but holds the wrong shape is ``corrupt``, never a crash."""
 

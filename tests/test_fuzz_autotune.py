@@ -24,11 +24,7 @@ from repro.programs import mibench_program
 from repro.search import Evaluator
 
 _EVALUATOR = Evaluator(program=mibench_program("crc"), machine=xscale())
-_DISTRIBUTION = IIDDistribution.fit(
-    DEFAULT_SPACE.sample_many(8, seed=11),
-    space=DEFAULT_SPACE,
-    smoothing=1.0,
-)
+_DISTRIBUTION = IIDDistribution.fit(DEFAULT_SPACE.sample_many(8, seed=11), smoothing=1.0)
 
 
 @given(

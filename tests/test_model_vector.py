@@ -47,7 +47,6 @@ machines_strategy = st.builds(
 def clone_with(base: OptimisationPredictor, k: int):
     """A fitted predictor sharing ``base``'s pairs with a different K."""
     clone = OptimisationPredictor(
-        space=base.space,
         k=k,
         beta=base.beta,
         quantile=base.quantile,
